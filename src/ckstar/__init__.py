@@ -27,7 +27,6 @@ from .syntax import (
     PdlFormula,
     Program,
     check_fragment,
-    expand_diamonds,
     formula_size,
     parse_formula,
     parse_pdl,
@@ -53,7 +52,6 @@ __all__ = [
     "check_fragment",
     "decide",
     "dump_model",
-    "expand_diamonds",
     "falsifying_world",
     "fl_closure",
     "formula_size",

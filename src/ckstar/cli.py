@@ -26,7 +26,7 @@ from .semantics import (
     pdl_satisfies,
     satisfies,
 )
-from .solver import LOGICS, CertificationError, decide
+from .solver import LOGIC_TABLE, LOGICS, CertificationError, decide
 from .syntax import (
     FragmentError,
     FragmentTag,
@@ -40,14 +40,12 @@ from .translate import TranslationError, iota, kappa, omega, tau
 _USER_ERRORS = (ParseError, FragmentError, TranslationError, ModelFormatError,
                 InvalidModelError, UnknownProgramAtomError, ValueError, OSError)
 
-# Logics whose input language includes the reserved infallibility atom.
-_P_BOT_OK = {"wk_star", "ws4"}
-
 
 def _parse_for_logic(logic: str, text: str):
-    if logic in ("k_star", "pdl"):
+    row = LOGIC_TABLE[logic]
+    if row.classical:
         return parse_pdl(text)
-    return parse_formula(text, allow_p_bot=logic in _P_BOT_OK)
+    return parse_formula(text, allow_p_bot=row.p_bot)
 
 
 def _emit(obj) -> None:
@@ -97,6 +95,8 @@ def _load_model_file(path: str):
 
 def _cmd_eval(args) -> int:
     model = _load_model_file(args.model)
+    if not 0 <= args.world < model.worlds:
+        raise ValueError(f"world {args.world} out of range for {model.worlds} worlds")
     if isinstance(model, BiModel):
         f = parse_formula(args.formula, allow_p_bot=True)
         value = satisfies(model, args.world, f)

@@ -31,7 +31,6 @@ from .syntax import (
     Dia,
     DiaStar,
     Formula,
-    FragmentError,
     FragmentTag,
     Imp,
     Neg,
@@ -42,9 +41,9 @@ from .syntax import (
     PdlFormula,
     PdlOr,
     Star,
-    check_fragment,
     variables,
 )
+from .solver import check_input
 from .translate import ck_model_to_cs4
 
 ENUM_KINDS = ("ck", "wk", "cs4", "ws4")
@@ -186,51 +185,24 @@ class BoundedVerdict:
     world: "int | None" = None
 
 
-_LOGIC_TO_KIND = {
-    "ck_star": "ck",
-    "wk_star": "wk",
-    "ck_star_box": "ck",
-    "cs4": "cs4",
-    "ws4": "ws4",
-}
-
-_LOGIC_FRAGMENT = {
-    "ck_star": FragmentTag.LSTAR,
-    "wk_star": FragmentTag.LSTAR,
-    "ck_star_box": FragmentTag.LSTAR_BOX,
-    "cs4": FragmentTag.L,
-    "ws4": FragmentTag.L,
-}
-
-
 def brute_force_decide(logic: str, f, spec: EnumSpec) -> BoundedVerdict:
     """First falsifying (model, world) in enumeration order, or validity up
-    to the bound.  The model class is the one matching the logic, not the
-    one named in `spec`."""
-    if logic in ("k_star", "pdl"):
-        if logic == "k_star" and not check_fragment(f, FragmentTag.LK_STAR):
-            raise FragmentError("formula is not in the single-program fragment")
-        if not isinstance(f, PdlFormula):
-            raise FragmentError(f"logic {logic} expects a PDL formula")
-        prog_atoms = ("a",) if logic == "k_star" else ("i", "m", "a")
-        for m in enumerate_pdl_models(spec.max_worlds, prog_atoms,
-                                      tuple(variables(f))):
-            ext = pdl_extension(m, f)
-            if ext != m.full_mask():
-                missing = m.full_mask() & ~ext
-                return BoundedVerdict(False, spec.max_worlds, m,
-                                      (missing & -missing).bit_length() - 1)
-        return BoundedVerdict(True, spec.max_worlds)
-    if logic not in _LOGIC_TO_KIND:
-        raise ValueError(f"unknown logic {logic!r}")
-    if not check_fragment(f, _LOGIC_FRAGMENT[logic]):
-        raise FragmentError(f"formula is outside the fragment of {logic}")
-    if not set(variables(f)) <= set(spec.atoms):
-        raise ValueError("spec.atoms must cover the formula's atoms")
-    scan = EnumSpec(spec.max_worlds, spec.atoms, _LOGIC_TO_KIND[logic],
-                    spec.allow_large)
-    for m in enumerate_models(scan):
-        ext = extension(m, f)
+    to the bound.  The input language and the model class are the logic's
+    row of the logic table; the kind named in `spec` is ignored."""
+    row = check_input(logic, f)
+    if row.classical:
+        prog_atoms = ("a",) if row.kind == "k" else ("i", "m", "a")
+        models = enumerate_pdl_models(spec.max_worlds, prog_atoms,
+                                      tuple(variables(f)))
+        evaluate = pdl_extension
+    else:
+        if not set(variables(f)) <= set(spec.atoms):
+            raise ValueError("spec.atoms must cover the formula's atoms")
+        models = enumerate_models(EnumSpec(spec.max_worlds, spec.atoms,
+                                           row.kind, spec.allow_large))
+        evaluate = extension
+    for m in models:
+        ext = evaluate(m, f)
         if ext != m.full_mask():
             missing = m.full_mask() & ~ext
             return BoundedVerdict(False, spec.max_worlds, m,

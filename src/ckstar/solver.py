@@ -1,4 +1,4 @@
-"""Test-free PDL satisfiability and the validity pipelines.
+"""Test-free PDL satisfiability and the logic table that decides validity.
 
 Two engines share the Fischer-Ladner closure machinery:
 
@@ -14,22 +14,31 @@ Two engines share the Fischer-Ladner closure machinery:
   exponential in the closure, guarded by `max_closure`, and kept as a
   differential-testing reference.
 
-Every satisfiable answer is re-checked against the independent evaluator
-before being returned; `decide` additionally re-certifies each model
-conversion on the way back to the source logic.
+`LOGIC_TABLE` has one row per logic: its input language, whether the
+reserved atom p_bot may occur, its countermodel class, its parent logic,
+the formula map into the parent and the model map back.  The rows form
+the paper's chain of reductions: `pdl` is the root, `k_star` and
+`wk_star` (by `tau`) sit on it, `ck_star` (by `omega`), `ck_star_box`
+(identity) and `ws4` (by `kappa`) on `wk_star`, and `cs4` (by `kappa`)
+on `ck_star`.  `decide` checks the input, decides the mapped formula in
+the parent, and maps a countermodel back.  Each layer is certified once:
+`pdl_satisfiable` checks the PDL model with the independent evaluator,
+and every model map into a constructive class is checked with
+`satisfies` against the source formula.  The oracle and the CLI read
+the same table.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 from .relmodel import BiModel, PdlModel, Relation, rel_compose, rel_star
 from .semantics import pdl_satisfies, satisfies
 from .syntax import (
     BoxP,
     Comp,
-    Formula,
     FragmentError,
     FragmentTag,
     Neg,
@@ -55,8 +64,6 @@ from .translate import (
     wk_model_to_ck,
 )
 
-LOGICS = ("ck_star", "wk_star", "ck_star_box", "cs4", "ws4", "k_star", "pdl")
-
 
 class CertificationError(RuntimeError):
     """An Invalid verdict failed its independent re-check; never reported."""
@@ -80,9 +87,9 @@ def fl_closure(f: PdlFormula) -> ClosureSet:
     its one-step unfolding."""
     order: list[PdlFormula] = []
     index: dict[PdlFormula, int] = {}
-    queue = [f]
+    queue = deque([f])
     while queue:
-        g = queue.pop(0)
+        g = queue.popleft()
         if g in index:
             continue
         index[g] = len(order)
@@ -108,22 +115,21 @@ def fl_closure(f: PdlFormula) -> ClosureSet:
     return ClosureSet(tuple(order), index)
 
 
+def iter_programs(p: Program):
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        yield q
+        if isinstance(q, Comp):
+            stack.append(q.left)
+            stack.append(q.right)
+        elif isinstance(q, Star):
+            stack.append(q.body)
+
+
 def _program_atoms(f: PdlFormula) -> list[str]:
-    atoms = set()
-
-    def walk_prog(p: Program) -> None:
-        if isinstance(p, PAtom):
-            atoms.add(p.name)
-        elif isinstance(p, Comp):
-            walk_prog(p.left)
-            walk_prog(p.right)
-        elif isinstance(p, Star):
-            walk_prog(p.body)
-
-    for g in iter_nodes(f):
-        if isinstance(g, BoxP):
-            walk_prog(g.prog)
-    return sorted(atoms)
+    return sorted({q.name for g in iter_nodes(f) if isinstance(g, BoxP)
+                   for q in iter_programs(g.prog) if isinstance(q, PAtom)})
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +444,27 @@ class _Tableau:
                             trace[state] = (x, u2, r2)
         return {u for u in alive if (u, start) in marked}
 
+    def _alive_steps(self, alive: set) -> tuple[dict, set]:
+        """Reverse steps among alive states, as (letter, predecessor) with
+        letter None for a decomposition, and the eventuality families of
+        the alive saturated states."""
+        rev_steps: dict[frozenset, list] = {}
+        families: set[int] = set()
+        for state in self.order:
+            if state not in alive:
+                continue
+            entry = self.info[state]
+            if entry[0] == "or":
+                for succ in entry[1]:
+                    if succ in alive:
+                        rev_steps.setdefault(succ, []).append((None, state))
+            else:
+                families.update(entry[2])
+                for a, _, demand in entry[1]:
+                    if demand is not None and demand in alive:
+                        rev_steps.setdefault(demand, []).append((a, state))
+        return rev_steps, families
+
     def eliminate(self) -> set:
         alive = set(self.order)
         parents: dict[frozenset, list] = {}
@@ -469,21 +496,7 @@ class _Tableau:
         propagate(self.order)
         while True:
             self.rounds.append(len(alive))
-            rev_steps: dict[frozenset, list] = {}
-            families: set[int] = set()
-            for state in self.order:
-                if state not in alive:
-                    continue
-                entry = self.info[state]
-                if entry[0] == "or":
-                    for succ in entry[1]:
-                        if succ in alive:
-                            rev_steps.setdefault(succ, []).append((None, state))
-                else:
-                    families.update(entry[2])
-                    for a, _, demand in entry[1]:
-                        if demand is not None and demand in alive:
-                            rev_steps.setdefault(demand, []).append((a, state))
+            rev_steps, families = self._alive_steps(alive)
             fulfilled = {i: self._fulfilled(i, alive, rev_steps)
                          for i in sorted(families)}
             doomed = []
@@ -529,28 +542,12 @@ class _Tableau:
         the saturated states along one recorded fulfillment path per
         eventuality, instead of everything reachable."""
         memo: dict = {}
-        rev_steps: dict[frozenset, list] = {}
-        families: set[int] = set()
-        for state in self.order:
-            if state not in alive:
-                continue
-            entry = self.info[state]
-            if entry[0] == "or":
-                for succ in entry[1]:
-                    if succ in alive:
-                        rev_steps.setdefault(succ, []).append((None, state))
-            else:
-                families.update(entry[2])
-                for a, _, demand in entry[1]:
-                    if demand is not None and demand in alive:
-                        rev_steps.setdefault(demand, []).append((a, state))
+        rev_steps, families = self._alive_steps(alive)
         traces: dict[int, dict] = {}
-        starts: dict[int, int] = {}
         for i in sorted(families):
             trace: dict = {}
             self._fulfilled(i, alive, rev_steps, trace)
             traces[i] = trace
-            starts[i] = 0  # automaton start index
         designated = self._saturations(self.root, alive, memo)[0]
         order = [designated]
         index = {designated: 0}
@@ -575,7 +572,7 @@ class _Tableau:
                 edges.setdefault(a, set()).add((w, world_of(target)))
             for i in eventualities:
                 trace = traces[i]
-                state = (node, starts[i])
+                state = (node, 0)  # the automaton's start index
                 last_w = w
                 letter = None
                 while state in trace:
@@ -601,18 +598,6 @@ class _Tableau:
         rho = {a: Relation.from_pairs(n, sorted(ps)) for a, ps in edges.items()}
         model = PdlModel(n, rho, {p: frozenset(ws) for p, ws in val.items()})
         return model, 0
-
-
-def iter_programs(p: Program):
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        yield q
-        if isinstance(q, Comp):
-            stack.append(q.left)
-            stack.append(q.right)
-        elif isinstance(q, Star):
-            stack.append(q.body)
 
 
 def pdl_satisfiable(f: PdlFormula, stats: "dict | None" = None):
@@ -812,7 +797,7 @@ def pdl_satisfiable_exhaustive(f: PdlFormula, max_closure: int = 22,
 
 
 # ---------------------------------------------------------------------------
-# Verdicts and pipelines
+# Verdicts and the logic table
 
 
 @dataclass
@@ -831,25 +816,12 @@ class Verdict:
 
 
 def pdl_valid(f: PdlFormula) -> Verdict:
-    """Valid iff the negation is unsatisfiable; countermodels self-certify."""
+    """Valid iff the negation is unsatisfiable.  The countermodel needs no
+    second check: `pdl_satisfiable` certified the negation at its world."""
     found = pdl_satisfiable(Neg(f))
     if found is None:
         return Verdict(True)
-    model, world = found
-    if pdl_satisfies(model, world, f):
-        raise CertificationError(f"countermodel fails to falsify {render(f)!r}")
-    return Verdict(False, model, world, True)
-
-
-def _require_formula(f, logic: str) -> None:
-    if not isinstance(f, Formula):
-        raise FragmentError(f"logic {logic} expects a constructive formula")
-
-
-def _reject_p_bot(f: Formula, logic: str) -> None:
-    if P_BOT in variables(f):
-        raise FragmentError(
-            f"atom {P_BOT!r} is reserved and not in the language of {logic}")
+    return Verdict(False, *found, True)
 
 
 def _ensure_rho(m: PdlModel, atoms: tuple[str, ...]) -> PdlModel:
@@ -861,71 +833,82 @@ def _ensure_rho(m: PdlModel, atoms: tuple[str, ...]) -> PdlModel:
     return PdlModel(m.worlds, rho, m.val)
 
 
-def _certify(ok: bool, message: str) -> None:
-    if not ok:
-        raise CertificationError(message)
+@dataclass(frozen=True)
+class Logic:
+    """One row of the logic table: the input a logic accepts, its
+    countermodel class, and one reduction step to its parent logic.
+
+    `down` maps a formula into the parent's language; `back` maps a
+    parent countermodel and world, plus the source formula, to one of
+    this logic's.  None means the identity.  The maps are lambdas so the
+    functions they call are looked up in this module when they run.
+    """
+
+    parent: "str | None"            # None only for the root, pdl
+    language: "FragmentTag | None"  # None is all of test-free PDL
+    p_bot: bool                     # input may use the reserved atom p_bot
+    kind: str                       # a BiModel kind, "k" or "pdl"
+    down: "Callable | None" = None
+    back: "Callable | None" = None
+
+    @property
+    def classical(self) -> bool:
+        """Input is PDL syntax and countermodels are `PdlModel`s."""
+        return self.kind in ("k", "pdl")
 
 
-def _decide_wk(f: Formula) -> Verdict:
-    v = pdl_valid(tau(f))
-    if v.valid:
-        return v
-    pdlm = _ensure_rho(v.model, ("i", "m"))
-    wk = pdl_model_to_wk(pdlm)
-    _certify(not satisfies(wk, v.world, f),
-             "infallible countermodel fails to falsify the source formula")
-    return Verdict(False, wk, v.world, True)
+LOGIC_TABLE = {
+    "ck_star": Logic("wk_star", FragmentTag.LSTAR, False, "ck",
+                     lambda f: omega(f),
+                     lambda m, w, f: (wk_model_to_ck(m, f), w)),
+    "wk_star": Logic("pdl", FragmentTag.LSTAR, True, "wk",
+                     lambda f: tau(f),
+                     lambda m, w, f: (pdl_model_to_wk(_ensure_rho(m, ("i", "m"))), w)),
+    # Diamond-free validity does not depend on fallibility, so the
+    # infallible countermodel is already a constructive one.
+    "ck_star_box": Logic("wk_star", FragmentTag.LSTAR_BOX, False, "ck"),
+    # World w of the parent countermodel is world 2w (its first copy) of
+    # the doubled bi-preorder.
+    "cs4": Logic("ck_star", FragmentTag.L, False, "cs4",
+                 lambda f: kappa(f),
+                 lambda m, w, f: (ck_model_to_cs4(m)[0], 2 * w)),
+    "ws4": Logic("wk_star", FragmentTag.L, True, "ws4",
+                 lambda f: kappa(f),
+                 lambda m, w, f: (ck_model_to_cs4(m)[0], 2 * w)),
+    "k_star": Logic("pdl", FragmentTag.LK_STAR, True, "k",
+                    back=lambda m, w, f: (_ensure_rho(m, ("a",)), w)),
+    "pdl": Logic(None, None, True, "pdl"),
+}
+LOGICS = tuple(LOGIC_TABLE)
+
+
+def check_input(logic: str, f) -> Logic:
+    """The table row of `logic`, after checking that f is in its input
+    language: ValueError for an unknown logic, FragmentError for f."""
+    row = LOGIC_TABLE.get(logic)
+    if row is None:
+        raise ValueError(f"unknown logic {logic!r}")
+    if not (isinstance(f, PdlFormula) if row.language is None
+            else check_fragment(f, row.language)):
+        raise FragmentError(f"formula is not in the input language of {logic}")
+    if not row.p_bot and P_BOT in variables(f):
+        raise FragmentError(
+            f"atom {P_BOT!r} is reserved and not in the language of {logic}")
+    return row
 
 
 def decide(logic: str, f) -> Verdict:
-    """Validity in the named logic, reducing to PDL satisfiability; Invalid
-    verdicts carry a countermodel in the logic's own model class."""
-    if logic not in LOGICS:
-        raise ValueError(f"unknown logic {logic!r}")
-    if logic == "pdl":
-        if not isinstance(f, PdlFormula):
-            raise FragmentError("logic pdl expects a PDL formula")
+    """Validity in the named logic, decided in its parent logic down to
+    PDL.  An Invalid verdict's countermodel is mapped back one row at a
+    time and certified once per map into a constructive model class."""
+    row = check_input(logic, f)
+    if row.parent is None:
         return pdl_valid(f)
-    if logic == "k_star":
-        if not check_fragment(f, FragmentTag.LK_STAR):
-            raise FragmentError("formula is not in the single-program fragment")
-        v = pdl_valid(f)
-        if v.valid:
-            return v
-        return Verdict(False, _ensure_rho(v.model, ("a",)), v.world, True)
-    _require_formula(f, logic)
-    if logic == "wk_star":
-        return _decide_wk(f)
-    if logic == "ck_star":
-        _reject_p_bot(f, logic)
-        v = _decide_wk(omega(f))
-        if v.valid:
-            return v
-        ck = wk_model_to_ck(v.model, f)
-        _certify(not satisfies(ck, v.world, f),
-                 "fallible countermodel fails to falsify the source formula")
-        return Verdict(False, ck, v.world, True)
-    if logic == "ck_star_box":
-        if not check_fragment(f, FragmentTag.LSTAR_BOX):
-            raise FragmentError("formula is not in the diamond-free fragment")
-        _reject_p_bot(f, logic)
-        # Diamond-free validity is fallibility-independent, so the
-        # infallible pipeline answers directly and its countermodel is
-        # already a constructive countermodel.
-        return _decide_wk(f)
-    if logic in ("cs4", "ws4"):
-        if not check_fragment(f, FragmentTag.L):
-            raise FragmentError("formula is not in the iteration-free fragment")
-        if logic == "cs4":
-            _reject_p_bot(f, logic)
-            v = decide("ck_star", kappa(f))
-        else:
-            v = _decide_wk(kappa(f))
-        if v.valid:
-            return v
-        doubled, _pi = ck_model_to_cs4(v.model)
-        world = 2 * v.world
-        _certify(not satisfies(doubled, world, f),
-                 "bi-preorder countermodel fails to falsify the source formula")
-        return Verdict(False, doubled, world, True)
-    raise AssertionError("unreachable")
+    v = decide(row.parent, f if row.down is None else row.down(f))
+    if v.valid or row.back is None:
+        return v
+    model, world = row.back(v.model, v.world, f)
+    if not row.classical and satisfies(model, world, f):
+        raise CertificationError(
+            f"{row.kind} countermodel fails to falsify the source formula")
+    return Verdict(False, model, world, True)

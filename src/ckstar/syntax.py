@@ -534,17 +534,6 @@ def check_fragment(f: AnyFormula, tag: FragmentTag) -> bool:
     return True
 
 
-def expand_diamonds(f: PdlFormula) -> PdlFormula:
-    """Normalization point before the classical-to-constructive translation.
-
-    The parser already expands diamond sugar, so this is a fragment check
-    plus identity on the AST.
-    """
-    if not check_fragment(f, FragmentTag.LK_STAR):
-        raise FragmentError("formula is not in the single-program fragment")
-    return f
-
-
 def iter_nodes(f: AnyFormula) -> Iterator[AnyFormula]:
     stack = [f]
     while stack:

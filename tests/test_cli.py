@@ -70,6 +70,16 @@ def test_eval(tmp_path, capsys):
     assert code == 0 and out.strip() == "true"
 
 
+def test_eval_world_out_of_range(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(dump_model(bi_model(1, [(0, 0)], [])), encoding="utf-8")
+    for world in ("5", "-1"):
+        code, out, err = run(capsys, "eval", "--model", str(path),
+                             "--world", world, "p")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_check_model(tmp_path, capsys):
     bad = bi_model(1, [(0, 0)], [], bot={0})
     path = tmp_path / "bad.json"

@@ -12,6 +12,7 @@ from ckstar.oracle import (
 )
 from ckstar.relmodel import dump_model, validate
 from ckstar.semantics import falsifying_world
+from ckstar.solver import LOGICS, decide
 from ckstar.syntax import (
     FragmentError,
     FragmentTag,
@@ -20,6 +21,8 @@ from ckstar.syntax import (
     iter_nodes,
     parse_formula,
     parse_pdl,
+    render,
+    variables,
 )
 
 
@@ -61,6 +64,31 @@ def test_brute_force_fragment_checks():
         brute_force_decide("ck_star", parse_formula("p"), EnumSpec(2, ()))
     with pytest.raises(FragmentError):
         brute_force_decide("k_star", parse_pdl("[i]p"), EnumSpec(2, ("p",)))
+
+
+_INPUTS = (
+    parse_formula("<>p"),                       # outside the diamond-free fragment
+    parse_formula("[*]p"),                      # outside the iteration-free fragment
+    parse_formula("p_bot", allow_p_bot=True),   # the reserved atom
+    parse_pdl("[a]p"),                          # PDL, single-program fragment
+    parse_pdl("[i]p"),                          # PDL, outside that fragment
+)
+
+
+def _accepts(run) -> bool:
+    try:
+        run()
+    except FragmentError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("f", _INPUTS, ids=render)
+@pytest.mark.parametrize("logic", LOGICS)
+def test_decide_and_oracle_accept_the_same_inputs(logic, f):
+    spec = EnumSpec(1, tuple(variables(f)))
+    assert _accepts(lambda: decide(logic, f)) == \
+        _accepts(lambda: brute_force_decide(logic, f, spec))
 
 
 def test_brute_force_pdl():

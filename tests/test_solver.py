@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from ckstar import solver
 from ckstar.relmodel import PdlModel, Relation
 from ckstar.semantics import pdl_satisfies, satisfies
 from ckstar.solver import (
+    LOGICS,
     decide,
     fl_closure,
     pdl_satisfiable,
@@ -261,6 +263,26 @@ def test_decide_fragment_errors():
         decide("ck_star", parse_formula("p_bot", allow_p_bot=True))
     with pytest.raises(ValueError):
         decide("nope", parse_formula("p"))
+
+
+# `satisfies` calls per Invalid verdict: one per model map back into a
+# constructive class, on top of the single PDL certification.
+_MODEL_MAPS = {"pdl": 0, "k_star": 0, "wk_star": 1, "ck_star_box": 1,
+               "ck_star": 2, "ws4": 2, "cs4": 3}
+
+
+@pytest.mark.parametrize("logic", LOGICS)
+def test_each_layer_is_certified_once(logic, monkeypatch):
+    calls = {"pdl_satisfies": 0, "satisfies": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(solver, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(solver, name, counted)
+    f = parse_pdl("[a]p") if logic in ("k_star", "pdl") else parse_formula("[]p")
+    v = decide(logic, f)
+    assert not v.valid and v.certified
+    assert calls == {"pdl_satisfies": 1, "satisfies": _MODEL_MAPS[logic]}
 
 
 def test_decide_invalid_verdicts_self_certify():

@@ -12,7 +12,6 @@ from ckstar.syntax import (
     Comp,
     Dia,
     DiaStar,
-    FragmentError,
     FragmentTag,
     Imp,
     Neg,
@@ -24,7 +23,6 @@ from ckstar.syntax import (
     Star,
     check_fragment,
     diamond,
-    expand_diamonds,
     formula_size,
     parse_formula,
     parse_pdl,
@@ -153,11 +151,10 @@ def test_check_fragment():
 
 def test_expand_diamonds():
     f = parse_pdl("<a>p")
-    assert expand_diamonds(f) == Neg(BoxP(PAtom("a"), Neg(PdlAtom("p"))))
-    assert expand_diamonds(parse_pdl("[a]p")) == parse_pdl("[a]p")
-    assert expand_diamonds(parse_pdl("<a*>!p")) == parse_pdl("![a*]!!p")
-    with pytest.raises(FragmentError):
-        expand_diamonds(parse_pdl("[i]p"))
+    assert f == Neg(BoxP(PAtom("a"), Neg(PdlAtom("p"))))
+    assert check_fragment(f, FragmentTag.LK_STAR)
+    assert parse_pdl("<a*>!p") == parse_pdl("![a*]!!p")
+    assert not check_fragment(parse_pdl("[i]p"), FragmentTag.LK_STAR)
 
 
 def test_diamond_helper():
