@@ -2,7 +2,10 @@
 
 Exit codes: 0 for valid/true/clean, 1 for invalid/false/violations, 2 for
 usage, parse, fragment, or model-format errors.  Stdout carries exactly one
-JSON value per query; diagnostics go to stderr.
+JSON value per query; diagnostics go to stderr.  A `decide @file` batch
+answers every line, writes `{"formula", "error"}` for a line that fails to
+parse or is outside the logic's language, and exits with the worst code
+of its lines.
 """
 
 from __future__ import annotations
@@ -64,11 +67,15 @@ def _cmd_decide(args) -> int:
     if args.formula.startswith("@"):
         worst = 0
         for line in _iter_batch(args.formula[1:]):
-            verdict = decide(args.logic, _parse_for_logic(args.logic, line))
-            obj = verdict.to_obj()
+            try:
+                verdict = decide(args.logic, _parse_for_logic(args.logic, line))
+            except _USER_ERRORS as err:
+                obj, code = {"error": str(err)}, 2
+            else:
+                obj, code = verdict.to_obj(), 0 if verdict.valid else 1
             obj["formula"] = line
             _emit(obj)
-            worst = max(worst, 0 if verdict.valid else 1)
+            worst = max(worst, code)
         return worst
     verdict = decide(args.logic, _parse_for_logic(args.logic, args.formula))
     _emit(verdict.to_obj())

@@ -9,6 +9,12 @@ Two engines share the Fischer-Ladner closure machinery:
   refuting state along a word of the star's language, tracked with program
   derivatives).  States with unwitnessed obligations or unfulfillable
   eventualities are deleted to a fixpoint; the survivors yield a model.
+  The graph is expanded depth first and eliminated at checkpoints
+  (`CHECK_FIRST` states, then every `CHECK_GROWTH`-fold growth) with the
+  unexpanded states counted dead.  The surviving set only grows as more
+  states are expanded, so a root alive on the expanded part is alive in
+  the whole graph: the search stops there and extracts its model.
+  Elimination stops as soon as the root is dead.
 * `pdl_satisfiable_exhaustive` enumerates every locally consistent sign
   vector over the closure and runs the classic elimination loop.  It is
   exponential in the closure, guarded by `max_closure`, and kept as a
@@ -170,6 +176,13 @@ def _derive(p: "Program | None", x: str) -> tuple:
 
 _ATOM, _NEG, _AND, _OR, _BOX_A, _BOX_C, _BOX_S = range(7)
 _LIT, _DET, _BRANCH, _BRANCH_STAR = range(4)
+
+# The depth-first build eliminates on the expanded part first after
+# CHECK_FIRST states, then each time their count has grown CHECK_GROWTH-fold.
+# Wide spacing keeps the checkpoints cheap for formulas that expand the
+# whole graph: the parts they eliminate sum to under a fifteenth of it.
+CHECK_FIRST = 16
+CHECK_GROWTH = 16
 
 # States are frozensets of member codes (closure index << 1 | sign) with no
 # clashing pair.  Unsaturated states decompose one member per step, so
@@ -352,21 +365,31 @@ class _Tableau:
                 eventualities.append(i)
         return ("sat", obligations, eventualities)
 
-    def build(self) -> None:
-        queue = deque([self.root])
-        while queue:
-            state = queue.popleft()
+    def build(self) -> set:
+        """Expand states depth first, first branch first, and return the
+        alive set of the elimination that decided.  At each checkpoint the
+        expanded part is eliminated with the rest counted dead; a root that
+        survives there survives in the whole graph, so the search stops."""
+        stack = [self.root]
+        checkpoint = CHECK_FIRST
+        while stack:
+            state = stack.pop()
             if state in self.info:
                 continue
             entry = self._process(state)
             self.info[state] = entry
             self.order.append(state)
             if entry[0] == "or":
-                queue.extend(entry[1])
+                stack.extend(reversed(entry[1]))
             else:
-                for _, _, demand in entry[1]:
-                    if demand is not None:
-                        queue.append(demand)
+                stack.extend(demand for _, _, demand in reversed(entry[1])
+                             if demand is not None)
+            if len(self.order) == checkpoint:
+                checkpoint *= CHECK_GROWTH
+                alive = self.eliminate()
+                if self.root in alive:
+                    return alive
+        return self.eliminate()
 
     def _automaton(self, prog: Program) -> tuple:
         """Derivative automaton of a starred program: start index, nullable
@@ -466,6 +489,10 @@ class _Tableau:
         return rev_steps, families
 
     def eliminate(self) -> set:
+        """Expanded states that survive deletion to a fixpoint; states not
+        expanded count as dead.  Stops early once the root is dead, since
+        then only `root in alive` is read."""
+        self.rounds = []
         alive = set(self.order)
         parents: dict[frozenset, list] = {}
         for state in self.order:
@@ -494,7 +521,7 @@ class _Tableau:
                     work.extend(parents.get(state, ()))
 
         propagate(self.order)
-        while True:
+        while self.root in alive:
             self.rounds.append(len(alive))
             rev_steps, families = self._alive_steps(alive)
             fulfilled = {i: self._fulfilled(i, alive, rev_steps)
@@ -512,6 +539,7 @@ class _Tableau:
                 alive.discard(state)
                 seeds.extend(parents.get(state, ()))
             propagate(seeds)
+        return alive
 
     def _saturations(self, state: frozenset, alive: set,
                      memo: dict) -> tuple:
@@ -604,8 +632,7 @@ def pdl_satisfiable(f: PdlFormula, stats: "dict | None" = None):
     """Model and world satisfying f, or None.  The returned model is always
     re-checked with the independent evaluator."""
     engine = _Tableau(f)
-    engine.build()
-    alive = engine.eliminate()
+    alive = engine.build()
     if stats is not None:
         stats["nodes"] = len(engine.order)
         stats["rounds"] = engine.rounds
@@ -901,10 +928,16 @@ def decide(logic: str, f) -> Verdict:
     """Validity in the named logic, decided in its parent logic down to
     PDL.  An Invalid verdict's countermodel is mapped back one row at a
     time and certified once per map into a constructive model class."""
-    row = check_input(logic, f)
+    return _decide(check_input(logic, f), f)
+
+
+def _decide(row: Logic, f) -> Verdict:
+    """`decide` on input already checked against `row`.  Each map down
+    yields the parent's language by construction, so only the source
+    formula is checked."""
     if row.parent is None:
         return pdl_valid(f)
-    v = decide(row.parent, f if row.down is None else row.down(f))
+    v = _decide(LOGIC_TABLE[row.parent], f if row.down is None else row.down(f))
     if v.valid or row.back is None:
         return v
     model, world = row.back(v.model, v.world, f)

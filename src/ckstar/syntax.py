@@ -12,11 +12,17 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Iterator, Union
 
 P_BOT = "p_bot"
 FALSUM_WORD = "false"
 PROGRAM_ATOMS = ("i", "m", "a")
+# Most operators on one branch of a parsed formula, and most nested
+# parentheses.  The translations, printers, evaluators and dataclass hashes
+# recurse once per level or more; every logic decides a formula this deep
+# within Python's default recursion limit.
+MAX_DEPTH = 100
 
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*")
 
@@ -176,6 +182,7 @@ class _Cursor:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.parens = 0
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -204,12 +211,39 @@ class _Cursor:
         self.pos = m.end()
         return m.group(), m.start()
 
+    def open_paren(self) -> bool:
+        """Take "(" and count it against MAX_DEPTH; close_paren undoes it."""
+        if not self.take("("):
+            return False
+        self.parens += 1
+        if self.parens > MAX_DEPTH:
+            self.error(f"more than {MAX_DEPTH} nested parentheses")
+        return True
+
+    def close_paren(self) -> None:
+        self.expect(")")
+        self.parens -= 1
+
     def error(self, message: str) -> None:
         self.skip_ws()
         raise ParseError(message, self.byte_offset(self.pos))
 
     def byte_offset(self, pos: int) -> int:
         return len(self.text[:pos].encode("utf-8"))
+
+
+def _check_depth(f, text: str):
+    """f, unless it nests more than MAX_DEPTH operators; walked level by
+    level, without recursion.  Each level of a branch takes at least one
+    character of the text, so a text this short needs no walk."""
+    if len(text) <= MAX_DEPTH:
+        return f
+    level = [f]
+    for _ in range(MAX_DEPTH + 1):
+        level = [k for g in level for k in _node_children(g)]
+        if not level:
+            return f
+    raise ParseError(f"formula nests more than {MAX_DEPTH} operators", 0)
 
 
 def parse_formula(text: str, *, allow_p_bot: bool = False) -> Formula:
@@ -223,14 +257,17 @@ def parse_formula(text: str, *, allow_p_bot: bool = False) -> Formula:
     f = _imp(cur, allow_p_bot)
     if not cur.eof():
         cur.error("unexpected trailing input")
-    return f
+    return _check_depth(f, text)
 
 
 def _imp(cur: _Cursor, allow: bool) -> Formula:
-    left = _or(cur, allow)
-    if cur.take("->"):
-        return Imp(left, _imp(cur, allow))
-    return left
+    parts = [_or(cur, allow)]
+    while cur.take("->"):
+        parts.append(_or(cur, allow))
+    f = parts.pop()
+    while parts:  # right associative
+        f = Imp(parts.pop(), f)
+    return f
 
 
 def _or(cur: _Cursor, allow: bool) -> Formula:
@@ -247,21 +284,31 @@ def _and(cur: _Cursor, allow: bool) -> Formula:
     return f
 
 
+_PREFIXES = (("[*]", BoxStar), ("[]", Box), ("<*>", DiaStar), ("<>", Dia),
+             ("~", neg))
+
+
 def _unary(cur: _Cursor, allow: bool) -> Formula:
-    if cur.take("[*]"):
-        return BoxStar(_unary(cur, allow))
-    if cur.take("[]"):
-        return Box(_unary(cur, allow))
-    if cur.take("<*>"):
-        return DiaStar(_unary(cur, allow))
-    if cur.take("<>"):
-        return Dia(_unary(cur, allow))
-    if cur.take("~"):
-        return Imp(_unary(cur, allow), Bot())
-    if cur.take("("):
+    # Prefix operators are collected in a loop, so only parentheses recurse.
+    ops = []
+    while True:
+        for literal, make in _PREFIXES:
+            if cur.take(literal):
+                ops.append(make)
+                break
+        else:
+            break
+    if cur.open_paren():
         f = _imp(cur, allow)
-        cur.expect(")")
-        return f
+        cur.close_paren()
+    else:
+        f = _atom(cur, allow)
+    for op in reversed(ops):
+        f = op(f)
+    return f
+
+
+def _atom(cur: _Cursor, allow: bool) -> Formula:
     got = cur.ident()
     if got is None:
         cur.error("expected a formula")
@@ -280,15 +327,18 @@ def parse_pdl(text: str) -> PdlFormula:
     f = _pimp(cur)
     if not cur.eof():
         cur.error("unexpected trailing input")
-    return f
+    return _check_depth(f, text)
 
 
 def _pimp(cur: _Cursor) -> PdlFormula:
-    left = _por(cur)
-    if cur.take("->"):
+    parts = [_por(cur)]
+    while cur.take("->"):
+        parts.append(_por(cur))
+    f = parts.pop()
+    while parts:
         # Classical sugar: the language itself has no implication node.
-        return PdlOr(Neg(left), _pimp(cur))
-    return left
+        f = PdlOr(Neg(parts.pop()), f)
+    return f
 
 
 def _por(cur: _Cursor) -> PdlFormula:
@@ -306,20 +356,31 @@ def _pand(cur: _Cursor) -> PdlFormula:
 
 
 def _punary(cur: _Cursor) -> PdlFormula:
-    if cur.take("["):
-        prog = _prog(cur)
-        cur.expect("]")
-        return BoxP(prog, _punary(cur))
-    if cur.take("<"):
-        prog = _prog(cur)
-        cur.expect(">")
-        return diamond(prog, _punary(cur))
-    if cur.take("!"):
-        return Neg(_punary(cur))
-    if cur.take("("):
+    ops = []
+    while True:
+        if cur.take("["):
+            prog = _prog(cur)
+            cur.expect("]")
+            ops.append(partial(BoxP, prog))
+        elif cur.take("<"):
+            prog = _prog(cur)
+            cur.expect(">")
+            ops.append(partial(diamond, prog))
+        elif cur.take("!"):
+            ops.append(Neg)
+        else:
+            break
+    if cur.open_paren():
         f = _pimp(cur)
-        cur.expect(")")
-        return f
+        cur.close_paren()
+    else:
+        f = _patom(cur)
+    for op in reversed(ops):
+        f = op(f)
+    return f
+
+
+def _patom(cur: _Cursor) -> PdlFormula:
     got = cur.ident()
     if got is None:
         cur.error("expected a formula")
@@ -338,9 +399,9 @@ def _prog(cur: _Cursor) -> Program:
 
 
 def _pstar(cur: _Cursor) -> Program:
-    if cur.take("("):
+    if cur.open_paren():
         p = _prog(cur)
-        cur.expect(")")
+        cur.close_paren()
     else:
         got = cur.ident()
         if got is None:
@@ -446,6 +507,19 @@ def _children(f: AnyFormula) -> tuple:
     if isinstance(f, BoxP):
         return (f.body,)
     raise TypeError(f"unknown node {type(f).__name__}")
+
+
+def _node_children(node) -> tuple:
+    """Children of a formula or program node, programs included."""
+    if isinstance(node, BoxP):
+        return (node.prog, node.body)
+    if isinstance(node, Comp):
+        return (node.left, node.right)
+    if isinstance(node, Star):
+        return (node.body,)
+    if isinstance(node, PAtom):
+        return ()
+    return _children(node)
 
 
 def subformulas(f: AnyFormula) -> list:

@@ -49,6 +49,23 @@ def test_decide_batch(tmp_path, capsys):
     assert lines[0]["formula"] == "p->p"
 
 
+def test_decide_batch_answers_every_line(tmp_path, capsys):
+    batch = tmp_path / "formulas.txt"
+    batch.write_text("p->p\np ->\np\n", encoding="utf-8")
+    code, out, err = run(capsys, "decide", "--logic", "wk_star", f"@{batch}")
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert code == 2 and len(lines) == 3
+    assert lines[0] == {"verdict": "valid", "formula": "p->p"}
+    assert lines[1]["formula"] == "p ->" and "offset" in lines[1]["error"]
+    assert lines[2]["verdict"] == "invalid" and lines[2]["formula"] == "p"
+
+
+def test_decide_deep_nesting_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "decide", "--logic", "wk_star", "~" * 3000 + "p")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_translate_goldens(capsys):
     code, out, _ = run(capsys, "translate", "--map", "tau", "p")
     assert code == 0 and out.strip() == "[i*]p"

@@ -15,6 +15,7 @@ from ckstar.solver import (
     pdl_valid,
 )
 from ckstar.syntax import (
+    MAX_DEPTH,
     BoxP,
     Comp,
     FragmentError,
@@ -218,8 +219,41 @@ def test_elimination_is_monotone():
     stats = {}
     pdl_satisfiable(parse_pdl("![a*]p & [a](p | [a*]!p)"), stats=stats)
     rounds = stats["rounds"]
+    assert rounds and rounds[-1] <= stats["nodes"]
     assert all(a >= b for a, b in zip(rounds, rounds[1:]))
     assert len(rounds) <= 2 ** stats["closure"]
+
+
+def test_search_stops_once_the_root_survives(monkeypatch):
+    f = parse_pdl("[m*;m*]([(a;a)*][m;m]p | ![m**]q)")
+    stats = {}
+    model, world = pdl_satisfiable(f, stats=stats)
+    assert pdl_satisfies(model, world, f)
+    first = solver.CHECK_FIRST
+    # Checkpoints past any graph size expand the whole graph first.
+    monkeypatch.setattr(solver, "CHECK_FIRST", 1 << 60)
+    full = {}
+    assert pdl_satisfiable(f, stats=full) is not None
+    assert stats["nodes"] < full["nodes"] and first < full["nodes"]
+
+
+def test_depth6_seed17_decides_within_a_few_checkpoints(monkeypatch):
+    # Its whole graph has 617,282 states; a countermodel lies in the first few.
+    from ckstar.oracle import random_formula
+    seen = []
+    original = solver.pdl_satisfiable
+
+    def recorded(g, stats=None):
+        stats = {} if stats is None else stats
+        seen.append(stats)
+        return original(g, stats=stats)
+
+    monkeypatch.setattr(solver, "pdl_satisfiable", recorded)
+    f = random_formula(17, 6, ("p", "q", "r"))
+    v = decide("ck_star", f)
+    assert not v.valid and v.certified
+    assert not satisfies(v.model, v.world, f)
+    assert seen[0]["nodes"] <= 4096
 
 
 def test_exhaustive_engine_guard():
@@ -283,6 +317,17 @@ def test_each_layer_is_certified_once(logic, monkeypatch):
     v = decide(logic, f)
     assert not v.valid and v.certified
     assert calls == {"pdl_satisfies": 1, "satisfies": _MODEL_MAPS[logic]}
+
+
+@pytest.mark.parametrize("logic", LOGICS)
+def test_decide_at_the_nesting_cap(logic):
+    if logic in ("k_star", "pdl"):
+        f = parse_pdl("<a>" * (MAX_DEPTH // 3) + "!" * (MAX_DEPTH % 3) + "p")
+    elif logic == "ck_star_box":
+        f = parse_formula("[*]~" * (MAX_DEPTH // 2) + "p")
+    else:
+        f = parse_formula("<>" * MAX_DEPTH + "p")
+    assert not decide(logic, f).valid
 
 
 def test_decide_invalid_verdicts_self_certify():

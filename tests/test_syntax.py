@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ckstar.syntax import (
+    MAX_DEPTH,
     Atom,
     And,
     Bot,
@@ -159,3 +160,34 @@ def test_expand_diamonds():
 
 def test_diamond_helper():
     assert diamond(PAtom("m"), PdlAtom("p")) == parse_pdl("<m>p")
+
+
+# Shapes that nest `n` operators, or `n` parentheses, on one branch.
+_NESTED = {
+    "negation": (lambda n: "~" * n + "p", lambda n: "!" * n + "p"),
+    # Classical a->b is !a | b, so each left operand sits one level lower.
+    "implication": (lambda n: "p->" * n + "p", lambda n: "p->" * (n - 1) + "p"),
+    "conjunction": (lambda n: "&".join(["p"] * (n + 1)),
+                    lambda n: "&".join(["p"] * (n + 1))),
+    "parentheses": (lambda n: "(" * n + "p" + ")" * n,
+                    lambda n: "(" * n + "p" + ")" * n),
+    "star": (lambda n: "[*]" * n + "p", lambda n: "[a" + "*" * (n - 1) + "]p"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTED))
+def test_nesting_depth_cap(shape):
+    constructive, classical = _NESTED[shape]
+    parse_formula(constructive(MAX_DEPTH))
+    parse_pdl(classical(MAX_DEPTH))
+    with pytest.raises(ParseError):
+        parse_formula(constructive(MAX_DEPTH + 1))
+    with pytest.raises(ParseError):
+        parse_pdl(classical(MAX_DEPTH + 1))
+
+
+def test_nesting_cap_counts_pdl_diamonds_as_parsed():
+    # <a>x is !([a]!x): three nodes, one of them with a program child.
+    parse_pdl("<a>" * (MAX_DEPTH // 3) + "!p")
+    with pytest.raises(ParseError):
+        parse_pdl("<a>" * (MAX_DEPTH // 3 + 1) + "p")
