@@ -13,6 +13,11 @@ from typing import Iterable, Mapping, Sequence
 
 MODEL_KINDS = ("ck", "wk", "cs4", "ws4")
 
+# Largest world count a model document may declare.  Loading allocates one
+# row per world before any pair is read, so the count is checked first.
+# The solver's countermodels on its test and benchmark inputs stay under 30.
+MAX_WORLDS = 4096
+
 
 class ModelFormatError(ValueError):
     """Malformed model document."""
@@ -304,6 +309,7 @@ def _load_worlds(obj: dict) -> int:
     n = obj["worlds"]
     _require(isinstance(n, int) and not isinstance(n, bool) and n >= 0,
              "'worlds' must be a non-negative integer")
+    _require(n <= MAX_WORLDS, f"'worlds' must be at most {MAX_WORLDS}")
     return n
 
 

@@ -14,7 +14,14 @@ Two engines share the Fischer-Ladner closure machinery:
   unexpanded states counted dead.  The surviving set only grows as more
   states are expanded, so a root alive on the expanded part is alive in
   the whole graph: the search stops there and extracts its model.
-  Elimination stops as soon as the root is dead.
+  Elimination stops as soon as the root is dead.  States carry dense
+  integer ids from their first discovery; each is closed from the codes
+  that discovery added (a branch successor from its one new member, a
+  demand from all members) with a worklist and per-code watch lists, and
+  alive sets and eventuality marks are bytearrays indexed by id.  The
+  graph, the counters and the verdicts are those of the frozenset-keyed
+  engine this replaced; countermodels can differ, as fulfilment paths
+  follow the marking order, and each is certified.
 * `pdl_satisfiable_exhaustive` enumerates every locally consistent sign
   vector over the closure and runs the classic elimination loop.  It is
   exponential in the closure, guarded by `max_closure`, and kept as a
@@ -187,7 +194,9 @@ CHECK_GROWTH = 16
 # States are frozensets of member codes (closure index << 1 | sign) with no
 # clashing pair.  Unsaturated states decompose one member per step, so
 # branch combinations share structure as a cached DAG instead of an
-# exponential enumeration of full saturations.
+# exponential enumeration of full saturations.  Each state gets a dense id
+# when it is first discovered; edges, alive sets and fulfilment marks are
+# kept per id.
 #
 # A negated starred box must keep its deferral branch available even when
 # the fulfilling branch's demand is already present: the deferral is what
@@ -253,14 +262,49 @@ class _Tableau:
                     kids = (a[0] << 1 | sign, a[1] << 1 | sign)
                     plan.append((_DET, kids) if sign else (_BRANCH_STAR, kids))
         self.plan = plan
+        # Codes by the phase of _process that reads them.
+        self.branches = frozenset(
+            c for c, (mode, _) in enumerate(plan)
+            if mode in (_BRANCH, _BRANCH_STAR))
+        self.boxes_true = frozenset(
+            c for c in range(len(plan)) if c & 1 and kinds[c >> 1] == _BOX_A)
+        self.modals_false = frozenset(
+            c for c in range(len(plan))
+            if not c & 1 and kinds[c >> 1] in (_BOX_A, _BOX_S))
+        # watch[c]: the branch members whose unit rule can fire once c is
+        # present, namely c itself and those with a kid that c refutes.
+        watch: list[list[int]] = [[] for _ in plan]
+        for b, (mode, kids) in enumerate(plan):
+            if mode in (_BRANCH, _BRANCH_STAR):
+                watch[b].append(b)
+                for k in kids:
+                    watch[k ^ 1].append(b)
+        self.watch = watch
         self.marker_base = 2 * len(forms)
-        self._aut_cache: dict[Program, tuple] = {}
-        # state -> ("or", successors) | ("sat", obligations, eventualities);
-        # obligation = (program atom, refuted body index, demand state|None)
-        self.info: dict[frozenset, tuple] = {}
-        self.order: list[frozenset] = []
-        self.root: frozenset = frozenset([self.goal_code])
+        self._aut_cache: dict[int, tuple] = {}
+        # Per state id: the state, the codes to close it from (see _close),
+        # its entry once expanded (None before), and the ids that step to it.
+        # entry = ("or", successor ids) | ("sat", obligations, eventualities);
+        # obligation = (program atom, refuted body index, demand id|None)
+        self.ids: dict[frozenset, int] = {}
+        self.states: list[frozenset] = []
+        self.seeds: list = []
+        self.info: list = []
+        self.parents: list[list[int]] = []
+        self.order: list[int] = []   # expanded ids, in expansion order
+        self.root = self._discover(frozenset([self.goal_code]), (self.goal_code,))
         self.rounds: list[int] = []
+
+    def _discover(self, state: frozenset, seed) -> int:
+        """The id of state, assigned on first sight together with its seed."""
+        i = self.ids.get(state)
+        if i is None:
+            i = self.ids[state] = len(self.states)
+            self.states.append(state)
+            self.seeds.append(seed)
+            self.info.append(None)
+            self.parents.append([])
+        return i
 
     def _extend(self, state: frozenset, codes: tuple) -> "frozenset | None":
         """state plus codes, or None on a sign clash."""
@@ -269,134 +313,135 @@ class _Tableau:
                 return None
         return state | frozenset(codes)
 
-    def _process(self, state: frozenset) -> tuple:
+    def _close(self, state: frozenset, seed) -> "set | None":
+        """state closed under the single-successor rules, or None on a clash.
+
+        Only the rules that a code of seed takes part in are tried first,
+        then those of each code added: state minus seed must already be
+        closed.  The rules are Horn clauses over codes (a branch with one
+        refuted kid forces the other), so the closure does not depend on
+        the order they fire in."""
+        plan, watch, base = self.plan, self.watch, self.marker_base
+        cur = set(state)
+        work = list(seed)
+        while work:
+            c = work.pop()
+            mode, kids = plan[c]
+            if mode == _DET:
+                for k in kids:
+                    if k not in cur:
+                        if k ^ 1 in cur:
+                            return None
+                        cur.add(k)
+                        work.append(k)
+            for b in watch[c]:
+                if b not in cur:
+                    continue
+                mode, (k0, k1) = plan[b]
+                marker = None
+                if mode == _BRANCH_STAR:
+                    marker = base + b
+                    if marker in cur:
+                        continue
+                elif k0 in cur or k1 in cur:
+                    continue
+                if k0 ^ 1 in cur:
+                    if k1 ^ 1 in cur:
+                        return None  # both sides clash
+                    forced = k1
+                elif k1 ^ 1 in cur:
+                    forced = k0
+                else:
+                    continue
+                if marker is not None:
+                    cur.add(marker)
+                if forced not in cur:
+                    cur.add(forced)
+                    work.append(forced)
+        return cur
+
+    def _process(self, i: int) -> tuple:
+        state = self.states[i]
         plan = self.plan
         base = self.marker_base
         # Close under the single-successor rules first so deterministic
-        # chains cost one graph node instead of one per step.
-        cur = set(state)
-        grown = False
-        rescan = True
-        while rescan:
-            rescan = False
-            for c in sorted(cur):
-                if c >= base:
-                    continue
-                mode, kids = plan[c]
-                if mode == _LIT:
-                    continue
-                if mode == _DET:
-                    missing = [k for k in kids if k not in cur]
-                    if not missing:
-                        continue
-                    for k in missing:
-                        if k ^ 1 in cur:
-                            return ("or", ())  # clash
-                        cur.add(k)
-                    grown = True
-                    rescan = True
-                    break
-                # Unit propagation: a branch with one refuted side forces
-                # the other.
-                if mode == _BRANCH_STAR:
-                    marker = base + (c & ~1)
-                    if marker in cur:
-                        continue
-                else:
-                    marker = None
-                    if any(k in cur for k in kids):
-                        continue
-                open_kids = [k for k in kids if k ^ 1 not in cur]
-                if not open_kids:
-                    return ("or", ())  # both sides clash
-                if len(open_kids) == 1:
-                    cur.add(open_kids[0])
-                    if marker is not None:
-                        cur.add(marker)
-                    grown = True
-                    rescan = True
-                    break
-        if grown:
-            return ("or", (frozenset(cur),))
-        for c in sorted(state):
-            if c >= base:
-                continue
+        # chains cost one graph node instead of one per step.  The state
+        # this yields is closed, so its seed is empty.
+        cur = self._close(state, self.seeds[i])
+        if cur is None:
+            return ("or", ())
+        if len(cur) > len(state):
+            return ("or", (self._discover(frozenset(cur), ()),))
+        # A closed state refutes neither kid of an open branch, so both
+        # successors exist; each is closed from its one new member.
+        for c in sorted(state & self.branches):
             mode, kids = plan[c]
-            if mode in (_LIT, _DET):
-                continue
             if mode == _BRANCH_STAR:
-                marker = base + (c & ~1)
-                if marker in state:
-                    continue
-                succs = []
-                for k in kids:
-                    succ = self._extend(state, (k,))
-                    if succ is not None:
-                        succs.append(succ | {marker})
-                return ("or", tuple(succs))
-            if any(k in state for k in kids):
-                continue
-            succs = []
-            for k in kids:
-                succ = self._extend(state, (k,))
-                if succ is not None:
-                    succs.append(succ)
-            return ("or", tuple(succs))
+                marker = base + c
+                if marker not in state:
+                    return ("or", tuple(self._discover(state | {k, marker}, (k,))
+                                        for k in kids))
+            elif kids[0] not in state and kids[1] not in state:
+                return ("or", tuple(self._discover(state | {k}, (k,))
+                                    for k in kids))
         # Saturated: collect modal obligations and star eventualities.
+        args = self.args
         positives: dict[str, list[int]] = {}
-        for c in sorted(state):
-            if c < base and c & 1 and self.kind[c >> 1] == _BOX_A:
-                a, body = self.args[c >> 1]
-                positives.setdefault(a, []).append(body)
+        for c in sorted(state & self.boxes_true):
+            a, body = args[c >> 1]
+            positives.setdefault(a, []).append(body)
         obligations = []
         eventualities = []
-        for c in sorted(state):
-            if c >= base or c & 1:
+        for c in sorted(state & self.modals_false):
+            if self.kind[c >> 1] == _BOX_S:
+                eventualities.append(c >> 1)
                 continue
-            i = c >> 1
-            k = self.kind[i]
-            if k == _BOX_A:
-                a, body = self.args[i]
-                demand = self._extend(
-                    frozenset(b << 1 | 1 for b in positives.get(a, ())),
-                    (body << 1,))
-                obligations.append((a, body, demand))
-            elif k == _BOX_S:
-                eventualities.append(i)
+            a, body = args[c >> 1]
+            demand = self._extend(
+                frozenset(b << 1 | 1 for b in positives.get(a, ())),
+                (body << 1,))
+            obligations.append(
+                (a, body, None if demand is None
+                 else self._discover(demand, demand)))
         return ("sat", obligations, eventualities)
 
-    def build(self) -> set:
+    def build(self) -> bytearray:
         """Expand states depth first, first branch first, and return the
         alive set of the elimination that decided.  At each checkpoint the
         expanded part is eliminated with the rest counted dead; a root that
         survives there survives in the whole graph, so the search stops."""
+        info, parents = self.info, self.parents
         stack = [self.root]
         checkpoint = CHECK_FIRST
         while stack:
-            state = stack.pop()
-            if state in self.info:
+            i = stack.pop()
+            if info[i] is not None:
                 continue
-            entry = self._process(state)
-            self.info[state] = entry
-            self.order.append(state)
+            entry = info[i] = self._process(i)
+            self.order.append(i)
             if entry[0] == "or":
-                stack.extend(reversed(entry[1]))
+                targets = entry[1]
             else:
-                stack.extend(demand for _, _, demand in reversed(entry[1])
-                             if demand is not None)
+                targets = [d for _, _, d in entry[1] if d is not None]
+            for t in targets:
+                parents[t].append(i)
+            stack.extend(reversed(targets))
             if len(self.order) == checkpoint:
                 checkpoint *= CHECK_GROWTH
                 alive = self.eliminate()
-                if self.root in alive:
+                if alive[self.root]:
                     return alive
         return self.eliminate()
 
-    def _automaton(self, prog: Program) -> tuple:
-        """Derivative automaton of a starred program: start index, nullable
-        state indices, reversed transitions by label."""
-        cached = self._aut_cache.get(prog)
+    def _automaton(self, member: int) -> tuple:
+        """Derivative automaton of a starred box member's program: start
+        index, nullable state indices, number of states, and reversed
+        transitions by label as one list of predecessor indices per state
+        index."""
+        cached = self._aut_cache.get(member)
         if cached is not None:
             return cached
+        prog = self.args[member][2]
         alphabet = sorted({q.name for q in iter_programs(prog)
                            if isinstance(q, PAtom)})
         states: list[Program] = [prog]
@@ -410,172 +455,159 @@ class _Tableau:
                         pos[d] = len(states)
                         states.append(d)
                         work.append(d)
-        rev: dict[str, dict[int, list[int]]] = {x: {} for x in alphabet}
+        rev: dict = {x: [[] for _ in states] for x in alphabet}
         for r in states:
             for x in alphabet:
                 for d in _derive(r, x):
-                    rev[x].setdefault(pos[d], []).append(pos[r])
+                    rev[x][pos[d]].append(pos[r])
         nullable = tuple(i for i, r in enumerate(states) if _nullable(r))
-        result = (0, nullable, rev)
-        self._aut_cache[prog] = result
+        result = (0, nullable, len(states), rev)
+        self._aut_cache[member] = result
         return result
 
-    def _fulfilled(self, member: int, alive: set, rev_steps: dict,
-                   trace: "dict | None" = None) -> set:
+    def _fulfilled(self, member: int, rev_steps: list, saturated: list,
+                   trace: "dict | None" = None) -> bytearray:
         """Alive states from which a word of the starred program's language
         (letters consumed at modal steps, epsilon at decompositions) reaches
-        an alive saturated state demanding the body false.
+        an alive saturated state demanding the body false, as one byte per
+        state id.
 
         When `trace` is given, each marked non-terminal product state gets a
         forward pointer (letter, next state, next residual) along one such
         path; pointers always lead to earlier-marked states, so chains are
         finite and end at a refuting state."""
-        body, _unfold, prog = self.args[member]
-        start, nullable, rev_deriv = self._automaton(prog)
+        body = self.args[member][0]
+        start, nullable, size, rev_deriv = self._automaton(member)
         bad_code = body << 1
-        marked: set[tuple] = set()
+        states = self.states
+        marks = [bytearray(len(states)) for _ in range(size)]
         work: list[tuple] = []
-        for u in alive:
-            if bad_code in u and self.info[u][0] == "sat":
+        for u in saturated:
+            if bad_code in states[u]:
                 for r in nullable:
-                    state = (u, r)
-                    marked.add(state)
-                    work.append(state)
+                    marks[r][u] = 1
+                    work.append((u, r))
         while work:
             u2, r2 = work.pop()
-            preds = rev_steps.get(u2)
-            if not preds:
-                continue
-            for x, u1 in preds:
+            for x, u1 in rev_steps[u2]:
                 if x is None:  # decomposition step, no letter consumed
-                    state = (u1, r2)
-                    if state not in marked:
-                        marked.add(state)
-                        work.append(state)
+                    residuals = (r2,)
+                else:
+                    table = rev_deriv.get(x)
+                    if table is None:
+                        continue
+                    residuals = table[r2]
+                for r1 in residuals:
+                    if not marks[r1][u1]:
+                        marks[r1][u1] = 1
+                        work.append((u1, r1))
                         if trace is not None:
-                            trace[state] = (None, u2, r2)
-                    continue
-                table = rev_deriv.get(x)
-                if not table:
-                    continue
-                for r1 in table.get(r2, ()):
-                    state = (u1, r1)
-                    if state not in marked:
-                        marked.add(state)
-                        work.append(state)
-                        if trace is not None:
-                            trace[state] = (x, u2, r2)
-        return {u for u in alive if (u, start) in marked}
+                            trace[u1, r1] = (x, u2, r2)
+        return marks[start]
 
-    def _alive_steps(self, alive: set) -> tuple[dict, set]:
-        """Reverse steps among alive states, as (letter, predecessor) with
-        letter None for a decomposition, and the eventuality families of
-        the alive saturated states."""
-        rev_steps: dict[frozenset, list] = {}
+    def _alive_steps(self, alive: bytearray) -> tuple[list, list, set]:
+        """Reverse steps among alive states per id, as (letter, predecessor)
+        with letter None for a decomposition; the alive saturated ids; and
+        their eventuality families."""
+        info = self.info
+        rev_steps: list[list] = [[] for _ in self.states]
+        saturated: list[int] = []
         families: set[int] = set()
-        for state in self.order:
-            if state not in alive:
+        for i in self.order:
+            if not alive[i]:
                 continue
-            entry = self.info[state]
+            entry = info[i]
             if entry[0] == "or":
-                for succ in entry[1]:
-                    if succ in alive:
-                        rev_steps.setdefault(succ, []).append((None, state))
+                for t in entry[1]:
+                    if alive[t]:
+                        rev_steps[t].append((None, i))
             else:
+                # An alive saturated state has every demand alive.
+                saturated.append(i)
                 families.update(entry[2])
-                for a, _, demand in entry[1]:
-                    if demand is not None and demand in alive:
-                        rev_steps.setdefault(demand, []).append((a, state))
-        return rev_steps, families
+                for a, _, d in entry[1]:
+                    rev_steps[d].append((a, i))
+        return rev_steps, saturated, families
 
-    def eliminate(self) -> set:
-        """Expanded states that survive deletion to a fixpoint; states not
-        expanded count as dead.  Stops early once the root is dead, since
-        then only `root in alive` is read."""
+    def eliminate(self) -> bytearray:
+        """Expanded states that survive deletion to a fixpoint, one byte per
+        state id; states not expanded count as dead.  Stops early once the
+        root is dead, since then only the root's byte is read."""
         self.rounds = []
-        alive = set(self.order)
-        parents: dict[frozenset, list] = {}
-        for state in self.order:
-            entry = self.info[state]
-            if entry[0] == "or":
-                for succ in entry[1]:
-                    parents.setdefault(succ, []).append(state)
-            else:
-                for _, _, demand in entry[1]:
-                    if demand is not None:
-                        parents.setdefault(demand, []).append(state)
+        info, parents = self.info, self.parents
+        alive = bytearray(len(self.states))
+        for i in self.order:
+            alive[i] = 1
+        count = len(self.order)
 
-        def locally_dead(state: frozenset) -> bool:
-            entry = self.info[state]
-            if entry[0] == "or":
-                return not any(s in alive for s in entry[1])
-            return any(demand is None or demand not in alive
-                       for _, _, demand in entry[1])
-
-        def propagate(seed) -> None:
-            work = deque(seed)
+        def propagate(work: list) -> int:
+            removed = 0
             while work:
-                state = work.popleft()
-                if state in alive and locally_dead(state):
-                    alive.discard(state)
-                    work.extend(parents.get(state, ()))
-
-        propagate(self.order)
-        while self.root in alive:
-            self.rounds.append(len(alive))
-            rev_steps, families = self._alive_steps(alive)
-            fulfilled = {i: self._fulfilled(i, alive, rev_steps)
-                         for i in sorted(families)}
-            doomed = []
-            for state in self.order:
-                if state not in alive or self.info[state][0] == "or":
+                i = work.pop()
+                if not alive[i]:
                     continue
-                if any(state not in fulfilled[i] for i in self.info[state][2]):
-                    doomed.append(state)
+                entry = info[i]
+                if entry[0] == "or":
+                    dead = not any(alive[t] for t in entry[1])
+                else:
+                    dead = any(d is None or not alive[d] for _, _, d in entry[1])
+                if dead:
+                    alive[i] = 0
+                    removed += 1
+                    work.extend(parents[i])
+            return removed
+
+        count -= propagate(list(self.order))
+        while alive[self.root]:
+            self.rounds.append(count)
+            rev_steps, saturated, families = self._alive_steps(alive)
+            fulfilled = {m: self._fulfilled(m, rev_steps, saturated)
+                         for m in sorted(families)}
+            doomed = [i for i in saturated
+                      if not all(fulfilled[m][i] for m in info[i][2])]
             if not doomed:
                 return alive
             seeds = []
-            for state in doomed:
-                alive.discard(state)
-                seeds.extend(parents.get(state, ()))
-            propagate(seeds)
+            for i in doomed:
+                alive[i] = 0
+                seeds.extend(parents[i])
+            count -= len(doomed) + propagate(seeds)
         return alive
 
-    def _saturations(self, state: frozenset, alive: set,
-                     memo: dict) -> tuple:
+    def _saturations(self, i: int, alive: bytearray, memo: dict) -> tuple:
         """Alive saturated states reachable by decompositions, depth first.
         The decomposition graph only grows states, so it is acyclic."""
-        got = memo.get(state)
+        got = memo.get(i)
         if got is not None:
             return got
-        entry = self.info[state]
+        entry = self.info[i]
         if entry[0] == "sat":
-            out = (state,)
+            out = (i,)
         else:
             collected: list = []
             seen: set = set()
-            for succ in entry[1]:
-                if succ not in alive:
+            for t in entry[1]:
+                if not alive[t]:
                     continue
-                for sat in self._saturations(succ, alive, memo):
+                for sat in self._saturations(t, alive, memo):
                     if sat not in seen:
                         seen.add(sat)
                         collected.append(sat)
             out = tuple(collected)
-        memo[state] = out
+        memo[i] = out
         return out
 
-    def extract(self, alive: set) -> tuple[PdlModel, int]:
+    def extract(self, alive: bytearray) -> tuple[PdlModel, int]:
         """Minimal certified model: one witness per modal obligation plus
         the saturated states along one recorded fulfillment path per
         eventuality, instead of everything reachable."""
         memo: dict = {}
-        rev_steps, families = self._alive_steps(alive)
+        rev_steps, saturated, families = self._alive_steps(alive)
         traces: dict[int, dict] = {}
-        for i in sorted(families):
+        for m in sorted(families):
             trace: dict = {}
-            self._fulfilled(i, alive, rev_steps, trace)
-            traces[i] = trace
+            self._fulfilled(m, rev_steps, saturated, trace)
+            traces[m] = trace
         designated = self._saturations(self.root, alive, memo)[0]
         order = [designated]
         index = {designated: 0}
@@ -583,7 +615,7 @@ class _Tableau:
         edges: dict[str, set[tuple[int, int]]] = {
             a: set() for a in _program_atoms(self.goal)}
 
-        def world_of(node: frozenset) -> int:
+        def world_of(node: int) -> int:
             w = index.get(node)
             if w is None:
                 w = index[node] = len(order)
@@ -598,8 +630,8 @@ class _Tableau:
             for a, _, demand in obligations:
                 target = self._saturations(demand, alive, memo)[0]
                 edges.setdefault(a, set()).add((w, world_of(target)))
-            for i in eventualities:
-                trace = traces[i]
+            for m in eventualities:
+                trace = traces[m]
                 state = (node, 0)  # the automaton's start index
                 last_w = w
                 letter = None
@@ -619,7 +651,7 @@ class _Tableau:
         val: dict[str, set[int]] = {}
         for node in order:
             w = index[node]
-            for code in node:
+            for code in self.states[node]:
                 if code < self.marker_base and code & 1 \
                         and self.kind[code >> 1] == _ATOM:
                     val.setdefault(self.args[code >> 1], set()).add(w)
@@ -637,7 +669,7 @@ def pdl_satisfiable(f: PdlFormula, stats: "dict | None" = None):
         stats["nodes"] = len(engine.order)
         stats["rounds"] = engine.rounds
         stats["closure"] = len(engine.closure)
-    if engine.root not in alive:
+    if not alive[engine.root]:
         return None
     model, world = engine.extract(alive)
     if not pdl_satisfies(model, world, f):

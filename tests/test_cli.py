@@ -1,7 +1,7 @@
 import json
 
 from ckstar.cli import main
-from ckstar.relmodel import bi_model, dump_model, load_model
+from ckstar.relmodel import MAX_WORLDS, bi_model, dump_model, load_model
 from ckstar.semantics import satisfies
 from ckstar.syntax import parse_formula
 
@@ -110,6 +110,15 @@ def test_check_model(tmp_path, capsys):
     path.write_text(dump_model(good), encoding="utf-8")
     code, out, _ = run(capsys, "check-model", "--kind", "ck", str(path))
     assert code == 0 and json.loads(out) == {"violations": []}
+
+
+def test_check_model_rejects_too_many_worlds(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"kind": "ck", "worlds": MAX_WORLDS + 1, "pre": [],
+                                "mod": [], "val": {}, "bot": []}), encoding="utf-8")
+    code, out, err = run(capsys, "check-model", "--kind", "ck", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_oracle_command(capsys):

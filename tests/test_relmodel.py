@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ckstar.relmodel import (
+    MAX_WORLDS,
     BiModel,
     ModelFormatError,
     Relation,
@@ -132,6 +133,16 @@ def test_load_errors():
         load_model('{"kind":"ck","worlds":1,"pre":[[0,7]],"mod":[],"val":{},"bot":[]}')
     with pytest.raises(ModelFormatError):
         load_model("not json")
+
+
+def test_world_count_is_capped():
+    # Empty relations, so not even the unchecked loader allocates much.
+    for kind, rels in (("ck", '"pre":[],"mod":[],"bot":[]'), ("pdl", '"rho":{}')):
+        at_cap = f'{{"kind":"{kind}","worlds":{MAX_WORLDS},{rels},"val":{{}}}}'
+        assert load_model(at_cap).worlds == MAX_WORLDS
+        over = at_cap.replace(str(MAX_WORLDS), str(MAX_WORLDS + 1))
+        with pytest.raises(ModelFormatError, match="at most"):
+            load_model(over)
 
 
 def test_dump_is_sorted():

@@ -21,6 +21,7 @@ from ckstar.syntax import (
     FragmentError,
     Neg,
     PAtom,
+    PdlAnd,
     PdlAtom,
     Star,
     formula_size,
@@ -254,6 +255,73 @@ def test_depth6_seed17_decides_within_a_few_checkpoints(monkeypatch):
     assert not v.valid and v.certified
     assert not satisfies(v.model, v.world, f)
     assert seen[0]["nodes"] <= 4096
+
+
+# Graph counters of the PDL query behind each formula, recorded with the
+# frozenset-keyed tableau that preceded dense state ids.  A change to the
+# engine's internals that keeps its decomposition graph, expansion order
+# and checkpoints keeps these exactly.  None as logic means
+# `pdl_satisfiable` on the PDL formula itself.
+GRAPH_PINS = [
+    (None, "![a*]p & [a](p | [a*]!p)", 16, [12], 10),
+    # `oracle.random_formula` (seed, depth) over p, q, r.
+    ("ck_star", (0, 5), 256, [253], 69),
+    ("ck_star", (17, 6), 256, [241], 94),
+    # One `theorems` benchmark instance each of K and induction (ck_star)
+    # and of 4 (cs4).
+    ("ck_star", "[]((((false | p) | (p -> p))) -> (<>[]p)) -> "
+                "([](((false | p) | (p -> p))) -> [](<>[]p))", 31, [26, 14, 5], 58),
+    ("ck_star", "[*]((((false | p) | (p -> p))) -> [](((false | p) | (p -> p)))) -> "
+                "((((false | p) | (p -> p))) -> [*](((false | p) | (p -> p))))",
+     934, [899, 361, 318], 50),
+    ("cs4", "[]((<>q & (q | p))) -> [][]((<>q & (q | p)))", 106, [106, 31], 29),
+]
+
+
+@pytest.mark.parametrize("logic, source, nodes, rounds, closure", GRAPH_PINS)
+def test_decomposition_graph_is_pinned(logic, source, nodes, rounds, closure,
+                                       monkeypatch):
+    from ckstar.oracle import random_formula
+    stats = {}
+    if logic is None:
+        pdl_satisfiable(parse_pdl(source), stats=stats)
+    else:
+        original = solver.pdl_satisfiable
+
+        def recorded(g, stats=None, _seen=stats):
+            return original(g, stats=_seen)
+
+        monkeypatch.setattr(solver, "pdl_satisfiable", recorded)
+        f = (random_formula(*source, ("p", "q", "r"))
+             if isinstance(source, tuple) else parse_formula(source))
+        decide(logic, f)
+    assert (stats["nodes"], stats["rounds"], stats["closure"]) == \
+        (nodes, rounds, closure)
+
+
+def test_incremental_closure_matches_closing_from_scratch(monkeypatch):
+    # Each state is closed only from the codes its discovery added; closing
+    # it from every member must give the same state or the same clash.
+    # Conjunctions of four random formulas, with the whole graph expanded,
+    # give states with many members and many clashes.
+    monkeypatch.setattr(solver, "CHECK_FIRST", 1 << 60)
+    rng = random.Random(23)
+    checked = clashes = partial = 0
+    for _ in range(60):
+        f = random_pdl(rng, 4, atoms=("p", "q"), prog_atoms=("a", "m"))
+        for _ in range(3):
+            f = PdlAnd(f, random_pdl(rng, 4, atoms=("p", "q"), prog_atoms=("a", "m")))
+        engine = solver._Tableau(f)
+        engine.build()
+        for i in engine.order:
+            state, seed = engine.states[i], engine.seeds[i]
+            members = [c for c in state if c < engine.marker_base]
+            full = engine._close(state, members)
+            assert engine._close(state, seed) == full, render(f)
+            checked += 1
+            clashes += full is None
+            partial += len(seed) < len(members)
+    assert checked > 1000 and clashes > 50 and partial > 500
 
 
 def test_exhaustive_engine_guard():
