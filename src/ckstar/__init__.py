@@ -17,7 +17,6 @@ from .semantics import (
     falsifying_world,
     pdl_satisfies,
     satisfies,
-    satisfies_alt,
     valid_in_model,
 )
 from .solver import Verdict, decide, fl_closure, pdl_satisfiable, pdl_valid
@@ -69,7 +68,6 @@ __all__ = [
     "render",
     "restrict_to_infallible",
     "satisfies",
-    "satisfies_alt",
     "subformulas",
     "tau",
     "valid_in_model",

@@ -3,21 +3,16 @@ random generators for property testing.
 
 `enumerate_models` streams every validated model of a class up to a world
 bound, in a fixed deterministic order.  `brute_force_decide` scans that
-stream with the extension evaluator.  `ModelBank` packs the same stream
-(same order) into numpy arrays so the acceptance suite can scan thousands
-of formulas against a million-model universe in bounded time; a dedicated
-test pins the bank's verdicts to the reference scan.
+stream with the extension evaluator.  The module needs only the standard
+library.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from array import array
 from dataclasses import dataclass
 from typing import Iterator
-
-import numpy as np
 
 from .relmodel import BiModel, PdlModel, Relation, mask_of, validate, worlds_of
 from .semantics import extension, pdl_extension
@@ -55,15 +50,17 @@ class EnumSpec:
     max_worlds: int
     atoms: tuple[str, ...] = ()
     kind: str = "ck"
-    allow_large: bool = False
 
     def __post_init__(self):
         if self.kind not in ENUM_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.max_worlds > MAX_ENUM_WORLDS and not self.allow_large:
+        if self.max_worlds < 1:
+            raise ValueError(
+                f"max_worlds must be at least 1, got {self.max_worlds}")
+        if self.max_worlds > MAX_ENUM_WORLDS:
             raise ValueError(
                 f"max_worlds {self.max_worlds} exceeds the enumeration guard "
-                f"of {MAX_ENUM_WORLDS}; set allow_large to override")
+                f"of {MAX_ENUM_WORLDS}")
 
 
 def _preorders(n: int) -> Iterator[tuple[int, ...]]:
@@ -199,7 +196,7 @@ def brute_force_decide(logic: str, f, spec: EnumSpec) -> BoundedVerdict:
         if not set(variables(f)) <= set(spec.atoms):
             raise ValueError("spec.atoms must cover the formula's atoms")
         models = enumerate_models(EnumSpec(spec.max_worlds, spec.atoms,
-                                           row.kind, spec.allow_large))
+                                           row.kind))
         evaluate = extension
     for m in models:
         ext = evaluate(m, f)
@@ -219,7 +216,7 @@ def random_model(seed: int, spec: EnumSpec) -> BiModel:
     kind = spec.kind
     if kind in ("cs4", "ws4"):
         base_spec = EnumSpec(max(1, spec.max_worlds // 2), spec.atoms,
-                             "ck" if kind == "cs4" else "wk", spec.allow_large)
+                             "ck" if kind == "cs4" else "wk")
         base = _random_ck(rng, base_spec)
         doubled, _ = ck_model_to_cs4(base)
         return doubled
@@ -257,19 +254,6 @@ def _random_ck(rng: random.Random, spec: EnumSpec) -> BiModel:
     m = BiModel(n, pre, mod, val, frozenset(worlds_of(bot)), spec.kind)
     assert validate(m, spec.kind) == []
     return m
-
-
-def random_pdl_model(seed: int, max_worlds: int,
-                     prog_atoms: tuple[str, ...] = ("i", "m"),
-                     atoms: tuple[str, ...] = ("p", "q")) -> PdlModel:
-    rng = random.Random(seed)
-    n = rng.randint(1, max_worlds)
-    rho = {a: Relation.from_pairs(
-        n, [(w, v) for w in range(n) for v in range(n) if rng.random() < 0.35])
-        for a in prog_atoms}
-    val = {a: frozenset(w for w in range(n) if rng.random() < 0.45)
-           for a in atoms}
-    return PdlModel(n, rho, val)
 
 
 _UNARY = {
@@ -368,147 +352,3 @@ def _enumerate_kstar(max_size: int, atoms: tuple[str, ...]) -> list:
     for s in range(1, max_size + 1):
         out.extend(by_size.get(s, []))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Vectorized scan bank
-
-
-class ModelBank:
-    """The enumeration stream packed into numpy row arrays for bulk scans.
-
-    Row order matches `enumerate_models(spec)` exactly; bits above a
-    model's world count are zero and masked by `full`.
-    """
-
-    def __init__(self, spec: EnumSpec):
-        if spec.max_worlds > 7:
-            raise ValueError("bank rows are uint8; at most 7 worlds")
-        self.spec = spec
-        w_max = spec.max_worlds
-        ns = array("B")
-        bots = array("B")
-        pre_cols = [array("B") for _ in range(w_max)]
-        mod_cols = [array("B") for _ in range(w_max)]
-        val_cols = {a: array("B") for a in spec.atoms}
-        for n, pre, mod, bot, vals in _enumerate_raw(spec):
-            ns.append(n)
-            bots.append(bot)
-            for w in range(w_max):
-                pre_cols[w].append(pre[w] if w < n else 0)
-                mod_cols[w].append(mod[w] if w < n else 0)
-            for i, a in enumerate(spec.atoms):
-                val_cols[a].append(vals[i])
-        self.count = len(ns)
-        self.n = np.frombuffer(ns, dtype=np.uint8)
-        self.full = ((1 << self.n.astype(np.uint16)) - 1).astype(np.uint8)
-        self.bot = np.frombuffer(bots, dtype=np.uint8)
-        self.pre = np.stack([np.frombuffer(c, dtype=np.uint8) for c in pre_cols],
-                            axis=1) if self.count else np.zeros((0, w_max), np.uint8)
-        self.mod = np.stack([np.frombuffer(c, dtype=np.uint8) for c in mod_cols],
-                            axis=1) if self.count else np.zeros((0, w_max), np.uint8)
-        self.val = {a: np.frombuffer(c, dtype=np.uint8) for a, c in val_cols.items()}
-        self.pre_mod = self._compose(self.pre, self.mod)
-        self.box_star = self._star(self.pre_mod)
-        self.mod_star = self._star(self.mod)
-
-    def _compose(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        w_max = left.shape[1]
-        out = np.zeros_like(left)
-        for w in range(w_max):
-            acc = np.zeros(self.count, np.uint8)
-            row = left[:, w]
-            for v in range(w_max):
-                acc |= np.where((row >> v) & 1 == 1, right[:, v], 0)
-            out[:, w] = acc
-        return out
-
-    def _star(self, rel: np.ndarray) -> np.ndarray:
-        w_max = rel.shape[1]
-        out = rel.copy()
-        for w in range(w_max):
-            out[:, w] |= np.uint8(1 << w)
-        for k in range(w_max):
-            col_k = out[:, k].copy()
-            for w in range(w_max):
-                grow = np.where((out[:, w] >> k) & 1 == 1, col_k, 0)
-                out[:, w] |= grow
-        # Rows past a model's world count must stay empty.
-        for w in range(w_max):
-            out[:, w] = np.where(w < self.n, out[:, w] & self.full, 0)
-        return out
-
-    def _forall(self, rows: np.ndarray, target: np.ndarray,
-                lo: int, hi: int) -> np.ndarray:
-        miss = self.full[lo:hi] & ~target
-        out = np.zeros(hi - lo, np.uint8)
-        for w in range(rows.shape[1]):
-            ok = (rows[lo:hi, w] & miss) == 0
-            out |= ok.astype(np.uint8) << w
-        return out & self.full[lo:hi]
-
-    def _exists(self, rows: np.ndarray, target: np.ndarray,
-                lo: int, hi: int) -> np.ndarray:
-        out = np.zeros(hi - lo, np.uint8)
-        for w in range(rows.shape[1]):
-            hit = (rows[lo:hi, w] & target) != 0
-            out |= hit.astype(np.uint8) << w
-        return out & self.full[lo:hi]
-
-    def extension(self, f: Formula, lo: int = 0, hi: "int | None" = None) -> np.ndarray:
-        if hi is None:
-            hi = self.count
-        from .syntax import subformulas
-
-        full = self.full[lo:hi]
-        ext: dict[Formula, np.ndarray] = {}
-        for g in subformulas(f):
-            if isinstance(g, Bot):
-                e = self.bot[lo:hi].copy()
-            elif isinstance(g, Atom):
-                e = self.val[g.name][lo:hi] if g.name in self.val else self.bot[lo:hi]
-                e = e.copy()
-            elif isinstance(g, And):
-                e = ext[g.left] & ext[g.right]
-            elif isinstance(g, Or):
-                e = ext[g.left] | ext[g.right]
-            elif isinstance(g, Imp):
-                bad = ext[g.left] & ~ext[g.right] & full
-                e = self._forall(self.pre, full & ~bad, lo, hi)
-            elif isinstance(g, Box):
-                e = self._forall(self.pre_mod, ext[g.body], lo, hi)
-            elif isinstance(g, BoxStar):
-                e = self._forall(self.box_star, ext[g.body], lo, hi)
-            elif isinstance(g, Dia):
-                good = self._exists(self.mod, ext[g.body], lo, hi)
-                e = self._forall(self.pre, good, lo, hi)
-            elif isinstance(g, DiaStar):
-                good = self._exists(self.mod_star, ext[g.body], lo, hi)
-                e = self._forall(self.pre, good, lo, hi)
-            else:
-                raise TypeError(f"not a constructive formula: {type(g).__name__}")
-            ext[g] = e
-        return ext[f]
-
-    def first_violation(self, f: Formula,
-                        chunk: int = 1 << 14) -> "tuple[int, int] | None":
-        """(model index, least falsifying world) of the first falsifier in
-        enumeration order, scanning in chunks for early exit."""
-        for lo in range(0, self.count, chunk):
-            hi = min(lo + chunk, self.count)
-            ext = self.extension(f, lo, hi)
-            miss = self.full[lo:hi] & ~ext
-            idx = np.flatnonzero(miss)
-            if idx.size:
-                i = int(idx[0])
-                m = int(miss[i])
-                return lo + i, (m & -m).bit_length() - 1
-        return None
-
-    def model_at(self, i: int) -> BiModel:
-        n = int(self.n[i])
-        pre = Relation(n, tuple(int(self.pre[i, w]) for w in range(n)))
-        mod = Relation(n, tuple(int(self.mod[i, w]) for w in range(n)))
-        val = {a: frozenset(worlds_of(int(col[i]))) for a, col in self.val.items()}
-        return BiModel(n, pre, mod, val,
-                       frozenset(worlds_of(int(self.bot[i]))), self.spec.kind)

@@ -1,9 +1,9 @@
 """Satisfaction over finite models.
 
 Extensions are computed bottom-up per subformula as world bitmasks, which
-makes truth persistence and validity checks set operations.  `satisfies_alt`
-differs from `satisfies` only in the master-box clause and exists for
-differential testing of the equivalence between the two readings.
+makes truth persistence and validity checks set operations.  The master
+box reads over the iterated relation (pre;mod)*; the tests check that the
+coarser reading over (pre;mod*)* agrees with it on CK models.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def _nonempty_meet(rows: tuple[int, ...], target: int, n: int) -> int:
     return out
 
 
-def extension(m: BiModel, f: Formula, *, alt_boxstar: bool = False) -> int:
+def extension(m: BiModel, f: Formula) -> int:
     """Bitmask of worlds satisfying f, computed per subformula."""
     n = m.worlds
     bot = 0
@@ -79,23 +79,16 @@ def extension(m: BiModel, f: Formula, *, alt_boxstar: bool = False) -> int:
     pre = m.pre.rows
     cache: dict[str, Relation] = {}
 
-    def rows_for(key: str) -> tuple[int, ...]:
+    def relation(key: str) -> Relation:
         if key not in cache:
             if key == "pre_mod":
                 cache[key] = rel_compose(m.pre, m.mod)
             elif key == "mod_star":
                 cache[key] = rel_star(m.mod)
             elif key == "box_star":
-                if alt_boxstar:
-                    cache[key] = rel_star(rel_compose(m.pre, rows_rel("mod_star")))
-                else:
-                    cache[key] = rel_star(rows_rel("pre_mod"))
+                cache[key] = rel_star(relation("pre_mod"))
             else:
                 raise KeyError(key)
-        return cache[key].rows
-
-    def rows_rel(key: str) -> Relation:
-        rows_for(key)
         return cache[key]
 
     ext: dict[Formula, int] = {}
@@ -112,15 +105,15 @@ def extension(m: BiModel, f: Formula, *, alt_boxstar: bool = False) -> int:
             bad = ext[g.left] & ~ext[g.right]
             e = _subset_rows(pre, ~bad, n)
         elif isinstance(g, Box):
-            e = _subset_rows(rows_for("pre_mod"), ext[g.body], n)
+            e = _subset_rows(relation("pre_mod").rows, ext[g.body], n)
         elif isinstance(g, BoxStar):
-            e = _subset_rows(rows_for("box_star"), ext[g.body], n)
+            e = _subset_rows(relation("box_star").rows, ext[g.body], n)
         elif isinstance(g, Dia):
             good = _nonempty_meet(m.mod.rows, ext[g.body], n)
             e = _subset_rows(pre, good, n)
         elif isinstance(g, DiaStar):
             # The clause takes a single intuitionistic step, then R*.
-            good = _nonempty_meet(rows_for("mod_star"), ext[g.body], n)
+            good = _nonempty_meet(relation("mod_star").rows, ext[g.body], n)
             e = _subset_rows(pre, good, n)
         else:
             raise TypeError(f"not a constructive formula: {type(g).__name__}")
@@ -139,13 +132,6 @@ def _check_bimodel(m: BiModel, w: int) -> None:
 def satisfies(m: BiModel, w: int, f: Formula) -> bool:
     _check_bimodel(m, w)
     return bool(extension(m, f) >> w & 1)
-
-
-def satisfies_alt(m: BiModel, w: int, f: Formula) -> bool:
-    """Master-box read over the coarser iterated relation; agrees with
-    `satisfies` on every valid model."""
-    _check_bimodel(m, w)
-    return bool(extension(m, f, alt_boxstar=True) >> w & 1)
 
 
 def program_relation(m: PdlModel, p: Program,

@@ -1,31 +1,26 @@
 """Test-free PDL satisfiability and the logic table that decides validity.
 
-Two engines share the Fischer-Ladner closure machinery:
-
-* `pdl_satisfiable` explores a globally cached decomposition graph whose
-  states are consistent demand sets.  Saturated states carry modal
-  obligations (negative atomic boxes, each spawning one successor demand)
-  and star eventualities (negative starred boxes, discharged by reaching a
-  refuting state along a word of the star's language, tracked with program
-  derivatives).  States with unwitnessed obligations or unfulfillable
-  eventualities are deleted to a fixpoint; the survivors yield a model.
-  The graph is expanded depth first and eliminated at checkpoints
-  (`CHECK_FIRST` states, then every `CHECK_GROWTH`-fold growth) with the
-  unexpanded states counted dead.  The surviving set only grows as more
-  states are expanded, so a root alive on the expanded part is alive in
-  the whole graph: the search stops there and extracts its model.
-  Elimination stops as soon as the root is dead.  States carry dense
-  integer ids from their first discovery; each is closed from the codes
-  that discovery added (a branch successor from its one new member, a
-  demand from all members) with a worklist and per-code watch lists, and
-  alive sets and eventuality marks are bytearrays indexed by id.  The
-  graph, the counters and the verdicts are those of the frozenset-keyed
-  engine this replaced; countermodels can differ, as fulfilment paths
-  follow the marking order, and each is certified.
-* `pdl_satisfiable_exhaustive` enumerates every locally consistent sign
-  vector over the closure and runs the classic elimination loop.  It is
-  exponential in the closure, guarded by `max_closure`, and kept as a
-  differential-testing reference.
+`pdl_satisfiable` explores a globally cached decomposition graph whose
+states are consistent demand sets.  Saturated states carry modal
+obligations (negative atomic boxes, each spawning one successor demand)
+and star eventualities (negative starred boxes, discharged by reaching a
+refuting state along a word of the star's language, tracked with program
+derivatives).  States with unwitnessed obligations or unfulfillable
+eventualities are deleted to a fixpoint; the survivors yield a model.
+The graph is expanded depth first and eliminated at checkpoints
+(`CHECK_FIRST` states, then every `CHECK_GROWTH`-fold growth) with the
+unexpanded states counted dead.  The surviving set only grows as more
+states are expanded, so a root alive on the expanded part is alive in
+the whole graph: the search stops there and extracts its model.
+Elimination stops as soon as the root is dead.  States carry dense
+integer ids from their first discovery; each is closed from the codes
+that discovery added (a branch successor from its one new member, a
+demand from all members) with a worklist and per-code watch lists, and
+alive sets and eventuality marks are bytearrays indexed by id.  The
+graph, the counters and the verdicts are those of the frozenset-keyed
+engine this replaced; countermodels can differ, as fulfilment paths
+follow the marking order, and each is certified.  The tests pin its
+verdicts to an exhaustive type-elimination engine in `tests/exhaustive.py`.
 
 `LOGIC_TABLE` has one row per logic: its input language, whether the
 reserved atom p_bot may occur, its countermodel class, its parent logic,
@@ -47,7 +42,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .relmodel import BiModel, PdlModel, Relation, rel_compose, rel_star
+from .relmodel import BiModel, PdlModel, Relation
 from .semantics import pdl_satisfies, satisfies
 from .syntax import (
     BoxP,
@@ -89,9 +84,6 @@ class ClosureSet:
 
     def __len__(self) -> int:
         return len(self.formulas)
-
-    def __contains__(self, f: PdlFormula) -> bool:
-        return f in self.index
 
 
 def fl_closure(f: PdlFormula) -> ClosureSet:
@@ -679,192 +671,17 @@ def pdl_satisfiable(f: PdlFormula, stats: "dict | None" = None):
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive reference engine (locally consistent total types + elimination)
-
-
-def _local_constraints(closure: ClosureSet) -> list[tuple]:
-    """Sign constraints between closure members, each tagged with the last
-    index it mentions so backtracking can check it as early as possible."""
-    idx = closure.index
-    cons = []
-    for i, g in enumerate(closure.formulas):
-        if isinstance(g, Neg):
-            cons.append(("neg", i, idx[g.body]))
-        elif isinstance(g, PdlAnd):
-            cons.append(("and", i, idx[g.left], idx[g.right]))
-        elif isinstance(g, PdlOr):
-            cons.append(("or", i, idx[g.left], idx[g.right]))
-        elif isinstance(g, BoxP) and isinstance(g.prog, Comp):
-            unfolded = BoxP(g.prog.left, BoxP(g.prog.right, g.body))
-            cons.append(("eq", i, idx[unfolded]))
-        elif isinstance(g, BoxP) and isinstance(g.prog, Star):
-            cons.append(("and", i, idx[g.body], idx[BoxP(g.prog.body, g)]))
-    return cons
-
-
-def _consistent_types(closure: ClosureSet) -> list[int]:
-    """All locally consistent sign vectors, generated by backtracking over
-    the closure order (star constraints can be cyclic, so signs are not a
-    function of the atomic members; enumeration keeps every solution)."""
-    k = len(closure)
-    by_trigger: list[list[tuple]] = [[] for _ in range(k)]
-    for con in _local_constraints(closure):
-        by_trigger[max(con[1:])].append(con)
-
-    def holds(con: tuple, bits: int) -> bool:
-        kind = con[0]
-        if kind == "neg":
-            return (bits >> con[1] & 1) != (bits >> con[2] & 1)
-        if kind == "eq":
-            return (bits >> con[1] & 1) == (bits >> con[2] & 1)
-        a, b = bits >> con[2] & 1, bits >> con[3] & 1
-        if kind == "and":
-            return (bits >> con[1] & 1) == (a & b)
-        return (bits >> con[1] & 1) == (a | b)
-
-    types: list[int] = []
-    stack = [(0, 0)]
-    while stack:
-        i, bits = stack.pop()
-        if i == k:
-            types.append(bits)
-            continue
-        for sign in (1, 0):
-            cand = bits | (sign << i)
-            if all(holds(con, cand) for con in by_trigger[i]):
-                stack.append((i + 1, cand))
-    types.sort()
-    return types
-
-
-def pdl_satisfiable_exhaustive(f: PdlFormula, max_closure: int = 22,
-                               stats: "dict | None" = None):
-    """Textbook type elimination over every locally consistent sign
-    vector; worst-case exponential in the closure, so only usable on small
-    inputs."""
-    closure = fl_closure(f)
-    if len(closure) > max_closure:
-        raise ValueError(
-            f"closure of {len(closure)} members exceeds the exhaustive "
-            f"engine's limit of {max_closure}")
-    types = _consistent_types(closure)
-    atoms = _program_atoms(f)
-    boxes = [(i, g) for i, g in enumerate(closure.formulas) if isinstance(g, BoxP)]
-    atomic_boxes = {a: [(i, closure.index[g.body]) for i, g in boxes
-                        if isinstance(g.prog, PAtom) and g.prog.name == a]
-                    for a in atoms}
-
-    alive = list(range(len(types)))
-    rounds = [len(alive)]
-    while True:
-        pos = {}
-        full = (1 << len(alive)) - 1
-        for j, g in enumerate(closure.formulas):
-            mask = 0
-            for k, t in enumerate(alive):
-                if types[t] >> j & 1:
-                    mask |= 1 << k
-            pos[j] = mask
-
-        def delta_atom(a: str) -> Relation:
-            rows = []
-            for t in alive:
-                row = full
-                for i, body_idx in atomic_boxes[a]:
-                    if types[t] >> i & 1:
-                        row &= pos[body_idx]
-                rows.append(row)
-            return Relation(len(alive), tuple(rows))
-
-        delta_memo: dict[Program, Relation] = {}
-
-        def delta(prog: Program) -> Relation:
-            r = delta_memo.get(prog)
-            if r is not None:
-                return r
-            if isinstance(prog, PAtom):
-                r = delta_atom(prog.name)
-            elif isinstance(prog, Comp):
-                r = rel_compose(delta(prog.left), delta(prog.right))
-            else:
-                r = rel_star(delta(prog.body))
-            delta_memo[prog] = r
-            return r
-
-        survivors = []
-        for k, t in enumerate(alive):
-            ok = True
-            for i, g in boxes:
-                if types[t] >> i & 1:
-                    continue
-                body_idx = closure.index[g.body]
-                witnesses = delta(g.prog).rows[k] & (full & ~pos[body_idx])
-                if witnesses == 0:
-                    ok = False
-                    break
-            if ok:
-                survivors.append(t)
-        if len(survivors) == len(alive):
-            break
-        alive = survivors
-        rounds.append(len(alive))
-    if stats is not None:
-        stats["types"] = len(types)
-        stats["rounds"] = rounds
-        stats["closure"] = len(closure)
-
-    goal_idx = closure.index[f]
-    designated = next((t for t in alive if types[t] >> goal_idx & 1), None)
-    if designated is None:
-        return None
-    # Restrict to types reachable from the designated one.
-    pos_of = {t: k for k, t in enumerate(alive)}
-    step = Relation.empty(len(alive))
-    for a in atoms:
-        rows = []
-        for t in alive:
-            row = 0
-            for u in alive:
-                if all(not (types[t] >> i & 1) or (types[u] >> b & 1)
-                       for i, b in atomic_boxes[a]):
-                    row |= 1 << pos_of[u]
-            rows.append(row)
-        step = step.union(Relation(len(alive), tuple(rows)))
-    reach_mask = rel_star(step).rows[pos_of[designated]]
-    keep = [alive[k] for k in range(len(alive)) if reach_mask >> k & 1]
-    if designated not in keep:
-        keep.append(designated)
-    keep.sort(key=alive.index)
-    idx = {t: k for k, t in enumerate(keep)}
-    n = len(keep)
-    rho = {}
-    for a in atoms:
-        pairs = [(idx[t], idx[u]) for t in keep for u in keep
-                 if all(not (types[t] >> i & 1) or (types[u] >> b & 1)
-                        for i, b in atomic_boxes[a])]
-        rho[a] = Relation.from_pairs(n, pairs)
-    val = {}
-    for j, g in enumerate(closure.formulas):
-        if isinstance(g, PdlAtom):
-            val[g.name] = frozenset(idx[t] for t in keep if types[t] >> j & 1)
-    model = PdlModel(n, rho, val)
-    world = idx[designated]
-    if not pdl_satisfies(model, world, f):
-        raise CertificationError(
-            f"exhaustive engine model does not satisfy {render(f)!r}")
-    return model, world
-
-
-# ---------------------------------------------------------------------------
 # Verdicts and the logic table
 
 
 @dataclass
 class Verdict:
+    """A validity answer.  An Invalid one carries a countermodel and the
+    world where the formula fails; `decide` returns none uncertified."""
+
     valid: bool
     model: "BiModel | PdlModel | None" = None
     world: "int | None" = None
-    certified: "bool | None" = None
 
     def to_obj(self) -> dict:
         if self.valid:
@@ -880,7 +697,7 @@ def pdl_valid(f: PdlFormula) -> Verdict:
     found = pdl_satisfiable(Neg(f))
     if found is None:
         return Verdict(True)
-    return Verdict(False, *found, True)
+    return Verdict(False, *found)
 
 
 def _ensure_rho(m: PdlModel, atoms: tuple[str, ...]) -> PdlModel:
@@ -976,4 +793,4 @@ def _decide(row: Logic, f) -> Verdict:
     if not row.classical and satisfies(model, world, f):
         raise CertificationError(
             f"{row.kind} countermodel fails to falsify the source formula")
-    return Verdict(False, model, world, True)
+    return Verdict(False, model, world)

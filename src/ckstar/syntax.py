@@ -246,6 +246,12 @@ def _check_depth(f, text: str):
     raise ParseError(f"formula nests more than {MAX_DEPTH} operators", 0)
 
 
+def is_atom_name(name: str) -> bool:
+    """True iff the parsers read `name` as an atom: it is an identifier
+    and not the falsum word."""
+    return _IDENT_RE.fullmatch(name) is not None and name != FALSUM_WORD
+
+
 def parse_formula(text: str, *, allow_p_bot: bool = False) -> Formula:
     """Parse a constructive-language formula.
 

@@ -1,8 +1,11 @@
-"""Shared test utilities: seeded AST generators and a naive evaluator.
+"""Shared test utilities: seeded AST and model generators and a naive
+evaluator.
 
 The naive evaluator follows the satisfaction clauses literally with
 world-by-world recursion and explicit path search, so it is independent of
-the extension-set implementation it cross-checks.
+the extension-set implementation it cross-checks.  A switch reads the
+master box over (pre;mod*)* instead of (pre;mod)*, so the tests can check
+that the two readings agree on CK models.
 """
 
 from __future__ import annotations
@@ -145,8 +148,26 @@ def rand_pdl_model(rng: random.Random, max_worlds: int = 4,
     return PdlModel(n, rho, val)
 
 
-def naive_satisfies(m, w: int, f: Formula) -> bool:
-    """Direct recursive reading of the satisfaction clauses."""
+def random_pdl_model(seed: int, max_worlds: int,
+                     prog_atoms: tuple[str, ...] = ("i", "m"),
+                     atoms: tuple[str, ...] = ("p", "q")):
+    """Random classical model, deterministic from the seed."""
+    from ckstar.relmodel import PdlModel, Relation
+
+    rng = random.Random(seed)
+    n = rng.randint(1, max_worlds)
+    rho = {a: Relation.from_pairs(
+        n, [(w, v) for w in range(n) for v in range(n) if rng.random() < 0.35])
+        for a in prog_atoms}
+    val = {a: frozenset(w for w in range(n) if rng.random() < 0.45)
+           for a in atoms}
+    return PdlModel(n, rho, val)
+
+
+def naive_satisfies(m, w: int, f: Formula, *, alt_boxstar: bool = False) -> bool:
+    """Direct recursive reading of the satisfaction clauses.  With
+    alt_boxstar the master box reads over (pre;mod*)* instead of
+    (pre;mod)*."""
     pre = set(m.pre.pairs())
     mod = set(m.mod.pairs())
     n = m.worlds
@@ -165,8 +186,9 @@ def naive_satisfies(m, w: int, f: Formula) -> bool:
 
     pre_r = {(x, y) for x in range(n) for y in range(n) if (x, y) in pre}
     comp = {(x, z) for (x, y) in pre_r for (y2, z) in mod if y == y2}
-    comp_star = star(comp)
     mod_star = star(mod)
+    step = mod_star if alt_boxstar else mod
+    comp_star = star({(x, z) for (x, y) in pre_r for (y2, z) in step if y == y2})
 
     def val(name):
         if name in m.val:

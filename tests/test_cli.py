@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
-from ckstar.cli import main
+import ckstar
+from ckstar.cli import MAX_GEN_DEPTH, main
 from ckstar.relmodel import MAX_WORLDS, bi_model, dump_model, load_model
 from ckstar.semantics import satisfies
 from ckstar.syntax import parse_formula
@@ -130,6 +136,61 @@ def test_oracle_command(capsys):
                        "--max-worlds", "2", "p")
     assert code == 1
     assert json.loads(out)["verdict"] == "invalid"
+
+
+def _usage_error(code, out, err) -> bool:
+    return code == 2 and out == "" and err.startswith("error: ") \
+        and err.count("\n") == 1
+
+
+def test_oracle_rejects_a_bound_below_one_world(capsys):
+    for logic, formula in (("ck_star", "false"), ("pdl", "p&!p")):
+        for bound in ("0", "-1"):
+            assert _usage_error(*run(capsys, "oracle", "--logic", logic,
+                                     "--max-worlds", bound, formula))
+    assert _usage_error(*run(capsys, "gen-model", "--seed", "1",
+                             "--max-worlds", "0"))
+
+
+def test_gen_formula_depth_cap(capsys):
+    code, out, _ = run(capsys, "gen-formula", "--seed", "0",
+                       "--depth", str(MAX_GEN_DEPTH))
+    assert code == 0
+    parse_formula(out.strip())
+    assert _usage_error(*run(capsys, "gen-formula", "--seed", "0",
+                             "--depth", str(MAX_GEN_DEPTH + 1)))
+
+
+def test_gen_formula_rejects_bad_atoms(capsys):
+    for atoms in ("P,q", "false", "p q"):
+        assert _usage_error(*run(capsys, "gen-formula", "--seed", "3",
+                                 "--atoms", atoms))
+    assert _usage_error(*run(capsys, "gen-formula", "--seed", "3", "--atoms", "",
+                             "--fragment", "lk_star"))
+
+
+def test_gen_model_rejects_bad_atoms(capsys):
+    for atoms in ("p,,Q", "false"):
+        assert _usage_error(*run(capsys, "gen-model", "--seed", "3",
+                                 "--atoms", atoms))
+
+
+def test_package_runs_without_numpy():
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["numpy"] = None  # any import of numpy now fails
+        import ckstar
+        from ckstar.cli import main
+        codes = [main(["decide", "--logic", "ck_star", "~<>false"]),
+                 main(["oracle", "--logic", "ck_star", "--max-worlds", "2", "p->p"])]
+        sys.exit(0 if codes == [1, 0] else f"exit codes {codes}")
+    """)
+    src = str(Path(ckstar.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_gen_commands_deterministic(capsys):

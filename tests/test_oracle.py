@@ -2,13 +2,11 @@ import pytest
 
 from ckstar.oracle import (
     EnumSpec,
-    ModelBank,
     brute_force_decide,
     enumerate_formulas,
     enumerate_models,
     random_formula,
     random_model,
-    random_pdl_model,
 )
 from ckstar.relmodel import dump_model, validate
 from ckstar.semantics import falsifying_world
@@ -24,6 +22,9 @@ from ckstar.syntax import (
     render,
     variables,
 )
+
+from bank import ModelBank
+from helpers import random_pdl_model
 
 
 def test_enumeration_hand_counts():
@@ -41,9 +42,9 @@ def test_enumerated_models_validate():
 
 
 def test_enumeration_guard():
-    with pytest.raises(ValueError):
-        EnumSpec(5, (), "ck")
-    EnumSpec(5, (), "ck", allow_large=True)
+    for max_worlds in (5, 0, -1):
+        with pytest.raises(ValueError):
+            EnumSpec(max_worlds, (), "ck")
 
 
 def test_brute_force_goldens():

@@ -11,7 +11,6 @@ from ckstar.solver import (
     decide,
     fl_closure,
     pdl_satisfiable,
-    pdl_satisfiable_exhaustive,
     pdl_valid,
 )
 from ckstar.syntax import (
@@ -32,6 +31,7 @@ from ckstar.syntax import (
 )
 from ckstar.translate import iota
 
+from exhaustive import pdl_satisfiable_exhaustive
 from helpers import random_lstar, random_pdl
 
 
@@ -102,7 +102,7 @@ def test_satisfiable_goldens():
 def test_valid_goldens():
     assert pdl_valid(parse_pdl("[a](p&q) -> [a]p")).valid
     v = pdl_valid(parse_pdl("p"))
-    assert not v.valid and v.model.worlds >= 1 and v.certified
+    assert not v.valid and v.model.worlds >= 1
     assert not pdl_satisfies(v.model, v.world, parse_pdl("p"))
     assert pdl_valid(parse_pdl("![a*]!p | [a*]!p")).valid
 
@@ -252,7 +252,7 @@ def test_depth6_seed17_decides_within_a_few_checkpoints(monkeypatch):
     monkeypatch.setattr(solver, "pdl_satisfiable", recorded)
     f = random_formula(17, 6, ("p", "q", "r"))
     v = decide("ck_star", f)
-    assert not v.valid and v.certified
+    assert not v.valid
     assert not satisfies(v.model, v.world, f)
     assert seen[0]["nodes"] <= 4096
 
@@ -383,7 +383,7 @@ def test_each_layer_is_certified_once(logic, monkeypatch):
         monkeypatch.setattr(solver, name, counted)
     f = parse_pdl("[a]p") if logic in ("k_star", "pdl") else parse_formula("[]p")
     v = decide(logic, f)
-    assert not v.valid and v.certified
+    assert not v.valid
     assert calls == {"pdl_satisfies": 1, "satisfies": _MODEL_MAPS[logic]}
 
 
@@ -414,7 +414,6 @@ def test_decide_invalid_verdicts_self_certify():
             f = random_lstar(rng, depth)
         v = decide(logic, f)
         if not v.valid:
-            assert v.certified
             assert not satisfies(v.model, v.world, f)
             checked += 1
     assert checked > 10
