@@ -10,15 +10,9 @@ from .relmodel import (
     load_model,
     rel_compose,
     rel_star,
-    restrict_to_infallible,
     validate,
 )
-from .semantics import (
-    falsifying_world,
-    pdl_satisfies,
-    satisfies,
-    valid_in_model,
-)
+from .semantics import pdl_satisfies, satisfies
 from .solver import Verdict, decide, fl_closure, pdl_satisfiable, pdl_valid
 from .syntax import (
     Formula,
@@ -51,7 +45,6 @@ __all__ = [
     "check_fragment",
     "decide",
     "dump_model",
-    "falsifying_world",
     "fl_closure",
     "formula_size",
     "iota",
@@ -66,11 +59,9 @@ __all__ = [
     "rel_compose",
     "rel_star",
     "render",
-    "restrict_to_infallible",
     "satisfies",
     "subformulas",
     "tau",
-    "valid_in_model",
     "validate",
     "variables",
 ]

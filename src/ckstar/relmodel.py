@@ -256,17 +256,6 @@ def validate(m: BiModel, kind: str) -> list[ModelViolation]:
     return out
 
 
-def restrict_to_infallible(m: BiModel) -> tuple[BiModel, dict[int, int]]:
-    """Drop the worlds satisfying falsum; returns the model and old->new map."""
-    keep = [w for w in range(m.worlds) if w not in m.bot]
-    idx = {w: i for i, w in enumerate(keep)}
-    val = {name: frozenset(idx[w] for w in ws if w in idx)
-           for name, ws in m.val.items()}
-    restricted = BiModel(len(keep), m.pre.restrict(keep), m.mod.restrict(keep),
-                         val, frozenset(), "wk")
-    return restricted, idx
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 

@@ -185,23 +185,3 @@ def pdl_satisfies(m: PdlModel, w: int, f: PdlFormula) -> bool:
     if not 0 <= w < m.worlds:
         raise IndexError(f"world {w} out of range for {m.worlds} worlds")
     return bool(pdl_extension(m, f) >> w & 1)
-
-
-def valid_in_model(m, f) -> bool:
-    """True iff f holds at every world of m."""
-    return falsifying_world(m, f) is None
-
-
-def falsifying_world(m, f) -> "int | None":
-    """Least world where f fails, or None if f is valid in m."""
-    if isinstance(m, PdlModel):
-        e = pdl_extension(m, f)
-    else:
-        violations = validate(m, "ck")
-        if violations:
-            raise InvalidModelError(violations)
-        e = extension(m, f)
-    missing = m.full_mask() & ~e
-    if missing == 0:
-        return None
-    return (missing & -missing).bit_length() - 1

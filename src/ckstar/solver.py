@@ -1,5 +1,10 @@
 """Test-free PDL satisfiability and the logic table that decides validity.
 
+`fl_closure` is the one place that knows how a PDL formula decomposes: its
+breadth-first pass builds the node table (each closure member's kind and
+arguments, see `ClosureSet`) that the tableau's plan, the derivative
+automata and model extraction read.
+
 `pdl_satisfiable` explores a globally cached decomposition graph whose
 states are consistent demand sets.  Saturated states carry modal
 obligations (negative atomic boxes, each spawning one successor demand)
@@ -31,9 +36,9 @@ the paper's chain of reductions: `pdl` is the root, `k_star` and
 on `ck_star`.  `decide` checks the input, decides the mapped formula in
 the parent, and maps a countermodel back.  Each layer is certified once:
 `pdl_satisfiable` checks the PDL model with the independent evaluator,
-and every model map into a constructive class is checked with
-`satisfies` against the source formula.  The oracle and the CLI read
-the same table.
+and every model map into a constructive class is checked with `validate`
+against that class and with `satisfies` against the source formula.  The
+oracle and the CLI read the same table.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .relmodel import BiModel, PdlModel, Relation
+from .relmodel import BiModel, PdlModel, Relation, validate
 from .semantics import pdl_satisfies, satisfies
 from .syntax import (
     BoxP,
@@ -59,7 +64,6 @@ from .syntax import (
     P_BOT,
     Star,
     check_fragment,
-    iter_nodes,
     render,
     variables,
 )
@@ -77,10 +81,22 @@ class CertificationError(RuntimeError):
     """An Invalid verdict failed its independent re-check; never reported."""
 
 
+# Node kinds of closure members.
+_ATOM, _NEG, _AND, _OR, _BOX_A, _BOX_C, _BOX_S = range(7)
+
+
 @dataclass(frozen=True)
 class ClosureSet:
+    """Closure members in breadth-first order, with each member's node kind
+    and arguments: an atom's name, a negation's body index, a connective's
+    (left, right) indices, an atomic box's (program atom, body index), a
+    composition box's unfolding index, and a starred box's (body index,
+    unfolding index, starred program)."""
+
     formulas: tuple[PdlFormula, ...]
     index: dict
+    kind: tuple[int, ...]
+    args: tuple
 
     def __len__(self) -> int:
         return len(self.formulas)
@@ -89,52 +105,46 @@ class ClosureSet:
 def fl_closure(f: PdlFormula) -> ClosureSet:
     """Least superset of {f} closed under subformulas and program unfolding:
     a composition box unfolds to nested boxes, a starred box to its body and
-    its one-step unfolding."""
-    order: list[PdlFormula] = []
-    index: dict[PdlFormula, int] = {}
-    queue = deque([f])
-    while queue:
-        g = queue.popleft()
-        if g in index:
-            continue
-        index[g] = len(order)
-        order.append(g)
-        if isinstance(g, Neg):
-            queue.append(g.body)
+    its one-step unfolding.  Members are numbered the first time they are
+    seen, breadth first from f."""
+    order: list[PdlFormula] = [f]
+    index: dict[PdlFormula, int] = {f: 0}
+    kinds: list[int] = []
+    args: list = []
+
+    def number(g: PdlFormula) -> int:
+        i = index.get(g)
+        if i is None:
+            i = index[g] = len(order)
+            order.append(g)
+        return i
+
+    for g in order:  # grows while it is read: the breadth-first queue
+        if isinstance(g, PdlAtom):
+            kinds.append(_ATOM)
+            args.append(g.name)
+        elif isinstance(g, Neg):
+            kinds.append(_NEG)
+            args.append(number(g.body))
         elif isinstance(g, (PdlAnd, PdlOr)):
-            queue.append(g.left)
-            queue.append(g.right)
+            kinds.append(_AND if isinstance(g, PdlAnd) else _OR)
+            args.append((number(g.left), number(g.right)))
         elif isinstance(g, BoxP):
             prog = g.prog
             if isinstance(prog, PAtom):
-                queue.append(g.body)
+                kinds.append(_BOX_A)
+                args.append((prog.name, number(g.body)))
             elif isinstance(prog, Comp):
-                queue.append(BoxP(prog.left, BoxP(prog.right, g.body)))
+                kinds.append(_BOX_C)
+                args.append(number(BoxP(prog.left, BoxP(prog.right, g.body))))
             elif isinstance(prog, Star):
-                queue.append(g.body)
-                queue.append(BoxP(prog.body, g))
+                kinds.append(_BOX_S)
+                args.append((number(g.body), number(BoxP(prog.body, g)), prog))
             else:
                 raise TypeError(f"unknown program node {type(prog).__name__}")
-        elif not isinstance(g, PdlAtom):
+        else:
             raise TypeError(f"not a PDL formula: {type(g).__name__}")
-    return ClosureSet(tuple(order), index)
-
-
-def iter_programs(p: Program):
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        yield q
-        if isinstance(q, Comp):
-            stack.append(q.left)
-            stack.append(q.right)
-        elif isinstance(q, Star):
-            stack.append(q.body)
-
-
-def _program_atoms(f: PdlFormula) -> list[str]:
-    return sorted({q.name for g in iter_nodes(f) if isinstance(g, BoxP)
-                   for q in iter_programs(g.prog) if isinstance(q, PAtom)})
+    return ClosureSet(tuple(order), index, tuple(kinds), tuple(args))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +183,6 @@ def _derive(p: "Program | None", x: str) -> tuple:
 # ---------------------------------------------------------------------------
 # Tableau engine
 
-_ATOM, _NEG, _AND, _OR, _BOX_A, _BOX_C, _BOX_S = range(7)
 _LIT, _DET, _BRANCH, _BRANCH_STAR = range(4)
 
 # The depth-first build eliminates on the expanded part first after
@@ -200,43 +209,15 @@ CHECK_GROWTH = 16
 
 class _Tableau:
     def __init__(self, goal: PdlFormula):
-        self.goal = goal
         self.closure = fl_closure(goal)
-        forms = self.closure.formulas
-        index = self.closure.index
-        self.goal_code = index[goal] << 1 | 1
-        kinds: list[int] = []
-        args: list = []
-        for g in forms:
-            if isinstance(g, PdlAtom):
-                kinds.append(_ATOM)
-                args.append(g.name)
-            elif isinstance(g, Neg):
-                kinds.append(_NEG)
-                args.append(index[g.body])
-            elif isinstance(g, PdlAnd):
-                kinds.append(_AND)
-                args.append((index[g.left], index[g.right]))
-            elif isinstance(g, PdlOr):
-                kinds.append(_OR)
-                args.append((index[g.left], index[g.right]))
-            elif isinstance(g.prog, PAtom):
-                kinds.append(_BOX_A)
-                args.append((g.prog.name, index[g.body]))
-            elif isinstance(g.prog, Comp):
-                unfolded = BoxP(g.prog.left, BoxP(g.prog.right, g.body))
-                kinds.append(_BOX_C)
-                args.append(index[unfolded])
-            else:
-                unfold = BoxP(g.prog.body, g)
-                kinds.append(_BOX_S)
-                args.append((index[g.body], index[unfold], g.prog))
-        self.kind = kinds
-        self.args = args
+        kinds = self.kind = self.closure.kind
+        args = self.args = self.closure.args
+        # Every program atom of the goal ends up in an atomic box once
+        # compound programs are unfolded.
+        self.alphabet = sorted({a[0] for k, a in zip(kinds, args) if k == _BOX_A})
         # Decomposition plan per member code: literal, add-all, or branch.
         plan: list[tuple] = []
-        for i in range(len(forms)):
-            k, a = kinds[i], args[i]
+        for k, a in zip(kinds, args):
             for sign in (0, 1):
                 if k in (_ATOM, _BOX_A):
                     plan.append((_LIT, ()))
@@ -272,7 +253,7 @@ class _Tableau:
                 for k in kids:
                     watch[k ^ 1].append(b)
         self.watch = watch
-        self.marker_base = 2 * len(forms)
+        self.marker_base = 2 * len(kinds)
         self._aut_cache: dict[int, tuple] = {}
         # Per state id: the state, the codes to close it from (see _close),
         # its entry once expanded (None before), and the ids that step to it.
@@ -284,7 +265,8 @@ class _Tableau:
         self.info: list = []
         self.parents: list[list[int]] = []
         self.order: list[int] = []   # expanded ids, in expansion order
-        self.root = self._discover(frozenset([self.goal_code]), (self.goal_code,))
+        # The root demands closure member 0, the goal, true: code 1.
+        self.root = self._discover(frozenset([1]), (1,))
         self.rounds: list[int] = []
 
     def _discover(self, state: frozenset, seed) -> int:
@@ -434,8 +416,7 @@ class _Tableau:
         if cached is not None:
             return cached
         prog = self.args[member][2]
-        alphabet = sorted({q.name for q in iter_programs(prog)
-                           if isinstance(q, PAtom)})
+        alphabet = self.alphabet
         states: list[Program] = [prog]
         pos = {prog: 0}
         work = [prog]
@@ -589,10 +570,10 @@ class _Tableau:
         memo[i] = out
         return out
 
-    def extract(self, alive: bytearray) -> tuple[PdlModel, int]:
-        """Minimal certified model: one witness per modal obligation plus
-        the saturated states along one recorded fulfillment path per
-        eventuality, instead of everything reachable."""
+    def extract(self, alive: bytearray) -> PdlModel:
+        """Minimal model whose world 0 satisfies the goal: one witness per
+        modal obligation plus the saturated states along one recorded
+        fulfillment path per eventuality, instead of everything reachable."""
         memo: dict = {}
         rev_steps, saturated, families = self._alive_steps(alive)
         traces: dict[int, dict] = {}
@@ -604,8 +585,7 @@ class _Tableau:
         order = [designated]
         index = {designated: 0}
         queue = deque([designated])
-        edges: dict[str, set[tuple[int, int]]] = {
-            a: set() for a in _program_atoms(self.goal)}
+        edges: dict[str, set[tuple[int, int]]] = {a: set() for a in self.alphabet}
 
         def world_of(node: int) -> int:
             w = index.get(node)
@@ -648,8 +628,7 @@ class _Tableau:
                         and self.kind[code >> 1] == _ATOM:
                     val.setdefault(self.args[code >> 1], set()).add(w)
         rho = {a: Relation.from_pairs(n, sorted(ps)) for a, ps in edges.items()}
-        model = PdlModel(n, rho, {p: frozenset(ws) for p, ws in val.items()})
-        return model, 0
+        return PdlModel(n, rho, {p: frozenset(ws) for p, ws in val.items()})
 
 
 def pdl_satisfiable(f: PdlFormula, stats: "dict | None" = None):
@@ -663,11 +642,11 @@ def pdl_satisfiable(f: PdlFormula, stats: "dict | None" = None):
         stats["closure"] = len(engine.closure)
     if not alive[engine.root]:
         return None
-    model, world = engine.extract(alive)
-    if not pdl_satisfies(model, world, f):
+    model = engine.extract(alive)
+    if not pdl_satisfies(model, 0, f):
         raise CertificationError(
             f"extracted model does not satisfy {render(f)!r}")
-    return model, world
+    return model, 0
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +755,8 @@ def check_input(logic: str, f) -> Logic:
 def decide(logic: str, f) -> Verdict:
     """Validity in the named logic, decided in its parent logic down to
     PDL.  An Invalid verdict's countermodel is mapped back one row at a
-    time and certified once per map into a constructive model class."""
+    time and certified once per map into a constructive model class: the
+    model must meet that class's conditions and falsify the source."""
     return _decide(check_input(logic, f), f)
 
 
@@ -790,7 +770,12 @@ def _decide(row: Logic, f) -> Verdict:
     if v.valid or row.back is None:
         return v
     model, world = row.back(v.model, v.world, f)
-    if not row.classical and satisfies(model, world, f):
-        raise CertificationError(
-            f"{row.kind} countermodel fails to falsify the source formula")
+    if not row.classical:
+        violations = validate(model, row.kind)
+        if violations:
+            raise CertificationError(
+                f"{row.kind} countermodel violates {violations[0].condition}")
+        if satisfies(model, world, f):
+            raise CertificationError(
+                f"{row.kind} countermodel fails to falsify the source formula")
     return Verdict(False, model, world)

@@ -4,8 +4,9 @@ Four formula maps: `omega` eliminates falsum into the infallible language,
 `tau` is the Gödel-Tarski map into test-free PDL, `iota` embeds the
 classical single-program fragment into the diamond-free constructive
 language, and `kappa` reads transitive-logic modalities as master
-modalities.  Each model construction here is the companion of one of the
-truth-preservation facts exercised in the test suite.
+modalities.  The model constructions here are the ones `decide` uses to
+map a countermodel back; each is the companion of a truth-preservation
+fact the tests check.
 """
 
 from __future__ import annotations
@@ -216,14 +217,6 @@ def _validated(m: BiModel, kind: str) -> None:
         raise InvalidModelError(violations)
 
 
-def ck_model_to_wk(m: BiModel) -> BiModel:
-    """Same frame; p_bot takes over the fallible set, which empties."""
-    _validated(m, "ck")
-    val = dict(m.val)
-    val[P_BOT] = frozenset(m.bot)
-    return BiModel(m.worlds, m.pre, m.mod, val, frozenset(), "wk")
-
-
 def wk_model_to_ck(m: BiModel, f: Formula) -> BiModel:
     """Fallible companion: worlds where the falsum image of f's environment
     holds become the new fallible set; only f's own atoms keep their
@@ -234,12 +227,6 @@ def wk_model_to_ck(m: BiModel, f: Formula) -> BiModel:
     val = {name: m.val.get(name, frozenset()) for name in variables(f)}
     return BiModel(m.worlds, m.pre, m.mod, val,
                    frozenset(worlds_of(bot_mask)), "ck")
-
-
-def wk_model_to_pdl(m: BiModel) -> PdlModel:
-    """Interpret the preorder as program i and the modal relation as m."""
-    _validated(m, "wk")
-    return PdlModel(m.worlds, {"i": m.pre, "m": m.mod}, dict(m.val))
 
 
 def pdl_model_to_wk(m: PdlModel) -> BiModel:
@@ -255,39 +242,6 @@ def pdl_model_to_wk(m: PdlModel) -> BiModel:
         val[name] = frozenset(w for w in range(m.worlds)
                               if pre.rows[w] & ~target == 0)
     return BiModel(m.worlds, pre, m.rho["m"], val, frozenset(), "wk")
-
-
-def k_model_to_ck(m: PdlModel) -> BiModel:
-    """Classical model as a constructive one over the identity preorder."""
-    if "a" not in m.rho:
-        raise TranslationError("model does not interpret program atom 'a'")
-    return BiModel(m.worlds, Relation.identity(m.worlds), m.rho["a"],
-                   dict(m.val), frozenset(), "ck")
-
-
-def wk_generated_classical(
-    m: BiModel, f: PdlFormula
-) -> tuple[BiModel, PdlModel, frozenset[int]]:
-    """Submodel generated by the worlds forcing excluded middle for f's
-    subformulas, paired with its classical companion over the composed
-    relation.  Returns (submodel, classical model, generating set), all in
-    the submodel's indexing."""
-    _validated(m, "wk")
-    if not check_fragment(f, FragmentTag.LK_STAR):
-        raise FragmentError("formula is not in the single-program fragment")
-    u_mask = extension(m, iota_antecedent(f))
-    generated = m.pre.union(m.mod).forward_closure(u_mask)
-    keep = worlds_of(generated)
-    idx = {w: i for i, w in enumerate(keep)}
-    val = {name: frozenset(idx[w] for w in ws if w in idx)
-           for name, ws in m.val.items()}
-    sub = BiModel(len(keep), m.pre.restrict(keep), m.mod.restrict(keep),
-                  val, frozenset(), "wk")
-    classical = PdlModel(len(keep),
-                         {"a": rel_compose(m.pre, m.mod).restrict(keep)},
-                         val)
-    u_new = frozenset(idx[w] for w in worlds_of(u_mask))
-    return sub, classical, u_new
 
 
 def ck_model_to_cs4(m: BiModel) -> tuple[BiModel, tuple[tuple[int, int], ...]]:

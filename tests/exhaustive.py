@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ckstar.relmodel import PdlModel, Relation, rel_compose, rel_star
 from ckstar.semantics import pdl_satisfies
-from ckstar.solver import CertificationError, ClosureSet, _program_atoms, fl_closure
+from ckstar.solver import CertificationError, ClosureSet, fl_closure
 from ckstar.syntax import (
     BoxP,
     Comp,
@@ -23,8 +23,26 @@ from ckstar.syntax import (
     PdlOr,
     Program,
     Star,
+    iter_nodes,
     render,
 )
+
+
+def program_atoms(f: PdlFormula) -> list[str]:
+    """Sorted names of the program atoms in f's boxes."""
+    names: set[str] = set()
+    for g in iter_nodes(f):
+        if isinstance(g, BoxP):
+            stack = [g.prog]
+            while stack:
+                q = stack.pop()
+                if isinstance(q, PAtom):
+                    names.add(q.name)
+                elif isinstance(q, Comp):
+                    stack += (q.left, q.right)
+                else:
+                    stack.append(q.body)
+    return sorted(names)
 
 
 def _local_constraints(closure: ClosureSet) -> list[tuple]:
@@ -93,7 +111,7 @@ def pdl_satisfiable_exhaustive(f: PdlFormula, max_closure: int = 22,
             f"closure of {len(closure)} members exceeds the exhaustive "
             f"engine's limit of {max_closure}")
     types = _consistent_types(closure)
-    atoms = _program_atoms(f)
+    atoms = program_atoms(f)
     boxes = [(i, g) for i, g in enumerate(closure.formulas) if isinstance(g, BoxP)]
     atomic_boxes = {a: [(i, closure.index[g.body]) for i, g in boxes
                         if isinstance(g.prog, PAtom) and g.prog.name == a]

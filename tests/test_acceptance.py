@@ -19,7 +19,7 @@ from ckstar.oracle import (
     random_formula,
     random_model,
 )
-from ckstar.relmodel import PdlModel, restrict_to_infallible, validate
+from ckstar.relmodel import PdlModel, validate
 from ckstar.semantics import extension, pdl_extension, pdl_satisfies, satisfies
 from ckstar.solver import decide, fl_closure
 from ckstar.syntax import (
@@ -33,22 +33,25 @@ from ckstar.syntax import (
 )
 from ckstar.translate import (
     ck_model_to_cs4,
-    ck_model_to_wk,
     iota,
-    k_model_to_ck,
     kappa,
     kstar_to_lstar,
     omega,
     pdl_model_to_wk,
     tau,
-    wk_generated_classical,
     wk_model_to_ck,
-    wk_model_to_pdl,
 )
 from ckstar.syntax import subformulas
 
 from bank import ModelBank
 from helpers import naive_satisfies, random_pdl_model
+from truth_maps import (
+    ck_model_to_wk,
+    k_model_to_ck,
+    restrict_to_infallible,
+    wk_generated_classical,
+    wk_model_to_pdl,
+)
 
 MAX_NODES = int(os.environ.get("CKSTAR_ACCEPTANCE_MAX_NODES", "5"))
 PROP_N = int(os.environ.get("CKSTAR_ACCEPTANCE_PROP_N", "10000"))

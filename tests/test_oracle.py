@@ -9,7 +9,6 @@ from ckstar.oracle import (
     random_model,
 )
 from ckstar.relmodel import dump_model, validate
-from ckstar.semantics import falsifying_world
 from ckstar.solver import LOGICS, decide
 from ckstar.syntax import (
     FragmentError,
@@ -25,6 +24,7 @@ from ckstar.syntax import (
 
 from bank import ModelBank
 from helpers import random_pdl_model
+from truth_maps import falsifying_world
 
 
 def test_enumeration_hand_counts():

@@ -14,9 +14,10 @@ from ckstar.relmodel import (
     pdl_model,
     rel_compose,
     rel_star,
-    restrict_to_infallible,
     validate,
 )
+
+from truth_maps import restrict_to_infallible
 
 
 def rand_rel(rng, n):

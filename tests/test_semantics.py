@@ -7,10 +7,8 @@ from ckstar.semantics import (
     InvalidModelError,
     UnknownProgramAtomError,
     extension,
-    falsifying_world,
     pdl_satisfies,
     satisfies,
-    valid_in_model,
 )
 from ckstar.syntax import (
     Atom,
@@ -24,6 +22,7 @@ from ckstar.syntax import (
 )
 
 from helpers import naive_satisfies, rand_ck_model, random_lstar
+from truth_maps import falsifying_world, valid_in_model
 
 p = Atom("p")
 

@@ -1,13 +1,15 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 from ckstar import solver
-from ckstar.relmodel import PdlModel, Relation
+from ckstar.relmodel import PdlModel, Relation, validate
 from ckstar.semantics import pdl_satisfies, satisfies
 from ckstar.solver import (
     LOGICS,
+    CertificationError,
     decide,
     fl_closure,
     pdl_satisfiable,
@@ -31,7 +33,7 @@ from ckstar.syntax import (
 )
 from ckstar.translate import iota
 
-from exhaustive import pdl_satisfiable_exhaustive
+from exhaustive import pdl_satisfiable_exhaustive, program_atoms
 from helpers import random_lstar, random_pdl
 
 
@@ -135,8 +137,7 @@ def enumerate_small_pdl(sizes, atoms=("p",)):
 
 def brute_pdl_satisfiable(f, max_worlds=3):
     """Exhaustive search over small models; None means none up to the bound."""
-    from ckstar.solver import _program_atoms
-    prog_atoms = _program_atoms(f) or ["a"]
+    prog_atoms = program_atoms(f) or ["a"]
     atoms = variables(f)
     for n in range(1, max_worlds + 1):
         cells = [(w, v) for w in range(n) for v in range(n)]
@@ -275,6 +276,13 @@ GRAPH_PINS = [
                 "((((false | p) | (p -> p))) -> [*](((false | p) | (p -> p))))",
      934, [899, 361, 318], 50),
     ("cs4", "[]((<>q & (q | p))) -> [][]((<>q & (q | p)))", 106, [106, 31], 29),
+    # Deep, star-heavy closures, recorded with the dense-id tableau: an odd
+    # tower of ~ (Invalid, many branch states) and right-nested
+    # implications (Valid, one elimination round per nesting level).
+    ("ck_star", "~" * 21 + "p", 4096, [3677, 3278], 103),
+    ("ck_star", "p->" * 20 + "p", 710,
+     [689, 626, 566, 509, 455, 404, 356, 311, 269, 230, 194, 161, 131, 104, 80,
+      59, 41, 26, 14, 5], 65),
 ]
 
 
@@ -385,6 +393,29 @@ def test_each_layer_is_certified_once(logic, monkeypatch):
     v = decide(logic, f)
     assert not v.valid
     assert calls == {"pdl_satisfies": 1, "satisfies": _MODEL_MAPS[logic]}
+
+
+@pytest.mark.parametrize("logic", ["cs4", "ws4"])
+@pytest.mark.parametrize("source, condition", [("p -> []p", "mod-not-preorder"),
+                                               ("<>p", "not-confluent")])
+def test_countermodel_is_checked_against_its_class(logic, source, condition,
+                                                    monkeypatch):
+    # A model map into an S4 class that drops the modal relation's
+    # reflexive pairs: the model still falsifies the formula but is no
+    # longer in the class, so the verdict must not leave `decide`.
+    original = solver.ck_model_to_cs4
+    made = []
+
+    def irreflexive(m):
+        model, pi = original(m)
+        rows = tuple(row & ~(1 << w) for w, row in enumerate(model.mod.rows))
+        made.append(dataclasses.replace(model, mod=Relation(model.worlds, rows)))
+        return made[-1], pi
+
+    monkeypatch.setattr(solver, "ck_model_to_cs4", irreflexive)
+    with pytest.raises(CertificationError, match=f"{logic} countermodel violates"):
+        decide(logic, parse_formula(source))
+    assert condition in {v.condition for v in validate(made[0], logic)}
 
 
 @pytest.mark.parametrize("logic", LOGICS)

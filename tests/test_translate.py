@@ -34,20 +34,22 @@ from ckstar.translate import (
     TranslationEnv,
     TranslationError,
     ck_model_to_cs4,
-    ck_model_to_wk,
     iota,
-    k_model_to_ck,
     kappa,
     kstar_to_lstar,
     omega,
     pdl_model_to_wk,
     tau,
-    wk_generated_classical,
     wk_model_to_ck,
-    wk_model_to_pdl,
 )
 
 from helpers import rand_ck_model, rand_pdl_model, random_lkstar, random_lstar
+from truth_maps import (
+    ck_model_to_wk,
+    k_model_to_ck,
+    wk_generated_classical,
+    wk_model_to_pdl,
+)
 
 p, q, pb = Atom("p"), Atom("q"), Atom("p_bot")
 lkstar_formula = random_lkstar

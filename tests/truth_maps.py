@@ -1,0 +1,92 @@
+"""Model constructions that only the tests use.
+
+Each is the companion of a truth-preservation fact the tests check (for
+example, `ck_model_to_wk` carries a CK model to a WK model in which the
+`omega` image of a formula holds exactly where the formula held).  The
+package ships only the maps `decide` runs; these live here.
+"""
+
+from __future__ import annotations
+
+from ckstar.relmodel import BiModel, PdlModel, Relation, rel_compose, validate, worlds_of
+from ckstar.semantics import InvalidModelError, extension, pdl_extension
+from ckstar.syntax import P_BOT, FragmentError, FragmentTag, PdlFormula, check_fragment
+from ckstar.translate import TranslationError, _validated, iota_antecedent
+
+
+def ck_model_to_wk(m: BiModel) -> BiModel:
+    """Same frame; p_bot takes over the fallible set, which empties."""
+    _validated(m, "ck")
+    val = dict(m.val)
+    val[P_BOT] = frozenset(m.bot)
+    return BiModel(m.worlds, m.pre, m.mod, val, frozenset(), "wk")
+
+
+def wk_model_to_pdl(m: BiModel) -> PdlModel:
+    """Interpret the preorder as program i and the modal relation as m."""
+    _validated(m, "wk")
+    return PdlModel(m.worlds, {"i": m.pre, "m": m.mod}, dict(m.val))
+
+
+def k_model_to_ck(m: PdlModel) -> BiModel:
+    """Classical model as a constructive one over the identity preorder."""
+    if "a" not in m.rho:
+        raise TranslationError("model does not interpret program atom 'a'")
+    return BiModel(m.worlds, Relation.identity(m.worlds), m.rho["a"],
+                   dict(m.val), frozenset(), "ck")
+
+
+def wk_generated_classical(
+    m: BiModel, f: PdlFormula
+) -> tuple[BiModel, PdlModel, frozenset[int]]:
+    """Submodel generated by the worlds forcing excluded middle for f's
+    subformulas, paired with its classical companion over the composed
+    relation.  Returns (submodel, classical model, generating set), all in
+    the submodel's indexing."""
+    _validated(m, "wk")
+    if not check_fragment(f, FragmentTag.LK_STAR):
+        raise FragmentError("formula is not in the single-program fragment")
+    u_mask = extension(m, iota_antecedent(f))
+    generated = m.pre.union(m.mod).forward_closure(u_mask)
+    keep = worlds_of(generated)
+    idx = {w: i for i, w in enumerate(keep)}
+    val = {name: frozenset(idx[w] for w in ws if w in idx)
+           for name, ws in m.val.items()}
+    sub = BiModel(len(keep), m.pre.restrict(keep), m.mod.restrict(keep),
+                  val, frozenset(), "wk")
+    classical = PdlModel(len(keep),
+                         {"a": rel_compose(m.pre, m.mod).restrict(keep)},
+                         val)
+    u_new = frozenset(idx[w] for w in worlds_of(u_mask))
+    return sub, classical, u_new
+
+
+def restrict_to_infallible(m: BiModel) -> tuple[BiModel, dict[int, int]]:
+    """Drop the worlds satisfying falsum; returns the model and old->new map."""
+    keep = [w for w in range(m.worlds) if w not in m.bot]
+    idx = {w: i for i, w in enumerate(keep)}
+    val = {name: frozenset(idx[w] for w in ws if w in idx)
+           for name, ws in m.val.items()}
+    restricted = BiModel(len(keep), m.pre.restrict(keep), m.mod.restrict(keep),
+                         val, frozenset(), "wk")
+    return restricted, idx
+
+
+def valid_in_model(m, f) -> bool:
+    """True iff f holds at every world of m."""
+    return falsifying_world(m, f) is None
+
+
+def falsifying_world(m, f) -> "int | None":
+    """Least world where f fails, or None if f is valid in m."""
+    if isinstance(m, PdlModel):
+        e = pdl_extension(m, f)
+    else:
+        violations = validate(m, "ck")
+        if violations:
+            raise InvalidModelError(violations)
+        e = extension(m, f)
+    missing = m.full_mask() & ~e
+    if missing == 0:
+        return None
+    return (missing & -missing).bit_length() - 1
