@@ -27,7 +27,7 @@ from .syntax import (
     subformulas,
     variables,
 )
-from .translate import TranslationEnv, iota, kappa, omega, tau
+from .translate import iota, kappa, omega, tau
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "PdlModel",
     "Program",
     "Relation",
-    "TranslationEnv",
     "Verdict",
     "check_fragment",
     "decide",

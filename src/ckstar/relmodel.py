@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 MODEL_KINDS = ("ck", "wk", "cs4", "ws4")
 
@@ -31,10 +31,6 @@ class Relation:
     @staticmethod
     def empty(n: int) -> "Relation":
         return Relation(n, (0,) * n)
-
-    @staticmethod
-    def identity(n: int) -> "Relation":
-        return Relation(n, tuple(1 << w for w in range(n)))
 
     @staticmethod
     def from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> "Relation":
@@ -70,17 +66,6 @@ class Relation:
             if grown == closed:
                 return closed
             closed = grown
-
-    def restrict(self, keep: Sequence[int]) -> "Relation":
-        """Submatrix on `keep`, reindexed by position."""
-        idx = {w: i for i, w in enumerate(keep)}
-        rows = [0] * len(keep)
-        for w in keep:
-            row = self.rows[w]
-            for v in keep:
-                if row >> v & 1:
-                    rows[idx[w]] |= 1 << idx[v]
-        return Relation(len(keep), tuple(rows))
 
     def is_reflexive(self) -> bool:
         return all(self.rows[w] >> w & 1 for w in range(self.n))
@@ -179,21 +164,6 @@ class PdlModel:
 
     def full_mask(self) -> int:
         return (1 << self.worlds) - 1
-
-
-def bi_model(worlds: int, pre, mod, val=None, bot=(), kind: str = "ck") -> BiModel:
-    """Convenience constructor taking pair lists and plain sets."""
-    pre_r = pre if isinstance(pre, Relation) else Relation.from_pairs(worlds, pre)
-    mod_r = mod if isinstance(mod, Relation) else Relation.from_pairs(worlds, mod)
-    vals = {name: frozenset(ws) for name, ws in (val or {}).items()}
-    return BiModel(worlds, pre_r, mod_r, vals, frozenset(bot), kind)
-
-
-def pdl_model(worlds: int, rho, val=None) -> PdlModel:
-    rels = {a: (r if isinstance(r, Relation) else Relation.from_pairs(worlds, r))
-            for a, r in rho.items()}
-    vals = {name: frozenset(ws) for name, ws in (val or {}).items()}
-    return PdlModel(worlds, rels, vals)
 
 
 @dataclass(frozen=True)

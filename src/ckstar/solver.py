@@ -2,15 +2,18 @@
 
 `fl_closure` is the one place that knows how a PDL formula decomposes: its
 breadth-first pass builds the node table (each closure member's kind and
-arguments, see `ClosureSet`) that the tableau's plan, the derivative
-automata and model extraction read.
+arguments, see `ClosureSet`) that the tableau's plan and model
+extraction read.  The table also holds each star eventuality's word
+automaton: `[P*]B` unfolds through composition and starred boxes to
+atomic boxes, whose letters spell out the words of `P*` (Fischer and
+Ladner), so programs are decomposed nowhere else.
 
 `pdl_satisfiable` explores a globally cached decomposition graph whose
 states are consistent demand sets.  Saturated states carry modal
 obligations (negative atomic boxes, each spawning one successor demand)
 and star eventualities (negative starred boxes, discharged by reaching a
-refuting state along a word of the star's language, tracked with program
-derivatives).  States with unwitnessed obligations or unfulfillable
+refuting state along a word of the star's language, tracked with the
+star's automaton).  States with unwitnessed obligations or unfulfillable
 eventualities are deleted to a fixpoint; the survivors yield a model.
 The graph is expanded depth first and eliminated at checkpoints
 (`CHECK_FIRST` states, then every `CHECK_GROWTH`-fold growth) with the
@@ -60,7 +63,6 @@ from .syntax import (
     PdlAtom,
     PdlFormula,
     PdlOr,
-    Program,
     P_BOT,
     Star,
     check_fragment,
@@ -91,7 +93,7 @@ class ClosureSet:
     and arguments: an atom's name, a negation's body index, a connective's
     (left, right) indices, an atomic box's (program atom, body index), a
     composition box's unfolding index, and a starred box's (body index,
-    unfolding index, starred program)."""
+    unfolding index)."""
 
     formulas: tuple[PdlFormula, ...]
     index: dict
@@ -139,45 +141,12 @@ def fl_closure(f: PdlFormula) -> ClosureSet:
                 args.append(number(BoxP(prog.left, BoxP(prog.right, g.body))))
             elif isinstance(prog, Star):
                 kinds.append(_BOX_S)
-                args.append((number(g.body), number(BoxP(prog.body, g)), prog))
+                args.append((number(g.body), number(BoxP(prog.body, g))))
             else:
                 raise TypeError(f"unknown program node {type(prog).__name__}")
         else:
             raise TypeError(f"not a PDL formula: {type(g).__name__}")
     return ClosureSet(tuple(order), index, tuple(kinds), tuple(args))
-
-
-# ---------------------------------------------------------------------------
-# Program derivatives (word tracking for starred obligations)
-
-
-def _nullable(p: "Program | None") -> bool:
-    if p is None or isinstance(p, Star):
-        return True
-    if isinstance(p, PAtom):
-        return False
-    return _nullable(p.left) and _nullable(p.right)
-
-
-def _seq(d: "Program | None", rest: Program) -> Program:
-    return rest if d is None else Comp(d, rest)
-
-
-def _derive(p: "Program | None", x: str) -> tuple:
-    """Residual programs after consuming the atomic step x (None is the
-    empty program)."""
-    if p is None:
-        return ()
-    if isinstance(p, PAtom):
-        return (None,) if p.name == x else ()
-    if isinstance(p, Star):
-        return tuple(_seq(d, p) for d in _derive(p.body, x))
-    if isinstance(p, Comp):
-        out = [_seq(d, p.right) for d in _derive(p.left, x)]
-        if _nullable(p.left):
-            out.extend(_derive(p.right, x))
-        return tuple(out)
-    raise TypeError(f"unknown program node {type(p).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -408,69 +377,77 @@ class _Tableau:
         return self.eliminate()
 
     def _automaton(self, member: int) -> tuple:
-        """Derivative automaton of a starred box member's program: start
-        index, nullable state indices, number of states, and reversed
-        transitions by label as one list of predecessor indices per state
-        index."""
+        """Word automaton of a starred box member [P*]B, read off the node
+        table: start index, accepting state indices, number of states, and
+        reversed transitions by letter as one list of predecessor indices
+        per state index.
+
+        The states are the member itself and the body D of every atomic box
+        [x]D its unfolding reaches.  From a state, composition boxes unfold
+        and starred boxes step to both kids without reading a letter; each
+        atomic box [x]D reached is an x-transition to D, and the state
+        accepts if the walk reaches B."""
         cached = self._aut_cache.get(member)
         if cached is not None:
             return cached
-        prog = self.args[member][2]
-        alphabet = self.alphabet
-        states: list[Program] = [prog]
-        pos = {prog: 0}
-        work = [prog]
-        while work:
-            r = work.pop()
-            for x in alphabet:
-                for d in _derive(r, x):
+        kinds, args = self.kind, self.args
+        body = args[member][0]
+        states = [member]
+        pos = {member: 0}
+        accepting = []
+        rev: dict = {x: [[]] for x in self.alphabet}
+        for i, s in enumerate(states):  # grows while it is read
+            seen = {s}
+            work = [s]
+            while work:
+                g = work.pop()
+                k = kinds[g]
+                if g == body:
+                    accepting.append(i)
+                elif k == _BOX_A:
+                    x, d = args[g]
                     if d not in pos:
                         pos[d] = len(states)
                         states.append(d)
-                        work.append(d)
-        rev: dict = {x: [[] for _ in states] for x in alphabet}
-        for r in states:
-            for x in alphabet:
-                for d in _derive(r, x):
-                    rev[x][pos[d]].append(pos[r])
-        nullable = tuple(i for i, r in enumerate(states) if _nullable(r))
-        result = (0, nullable, len(states), rev)
+                        for preds in rev.values():
+                            preds.append([])
+                    rev[x][pos[d]].append(i)
+                else:  # _BOX_C or _BOX_S: no letter read
+                    for h in (args[g],) if k == _BOX_C else args[g]:
+                        if h not in seen:
+                            seen.add(h)
+                            work.append(h)
+        result = (0, tuple(accepting), len(states), rev)
         self._aut_cache[member] = result
         return result
 
     def _fulfilled(self, member: int, rev_steps: list, saturated: list,
                    trace: "dict | None" = None) -> bytearray:
-        """Alive states from which a word of the starred program's language
-        (letters consumed at modal steps, epsilon at decompositions) reaches
-        an alive saturated state demanding the body false, as one byte per
+        """Alive states from which a word accepted by the star's automaton
+        (letters consumed at modal steps, none at decompositions) reaches an
+        alive saturated state demanding the body false, as one byte per
         state id.
 
         When `trace` is given, each marked non-terminal product state gets a
-        forward pointer (letter, next state, next residual) along one such
-        path; pointers always lead to earlier-marked states, so chains are
-        finite and end at a refuting state."""
+        forward pointer (letter, next state, next automaton state) along one
+        such path; pointers always lead to earlier-marked states, so chains
+        are finite and end at a refuting state."""
         body = self.args[member][0]
-        start, nullable, size, rev_deriv = self._automaton(member)
+        start, accepting, size, rev_aut = self._automaton(member)
         bad_code = body << 1
         states = self.states
         marks = [bytearray(len(states)) for _ in range(size)]
         work: list[tuple] = []
         for u in saturated:
             if bad_code in states[u]:
-                for r in nullable:
+                for r in accepting:
                     marks[r][u] = 1
                     work.append((u, r))
         while work:
             u2, r2 = work.pop()
             for x, u1 in rev_steps[u2]:
-                if x is None:  # decomposition step, no letter consumed
-                    residuals = (r2,)
-                else:
-                    table = rev_deriv.get(x)
-                    if table is None:
-                        continue
-                    residuals = table[r2]
-                for r1 in residuals:
+                # A decomposition step reads no letter.
+                for r1 in (r2,) if x is None else rev_aut[x][r2]:
                     if not marks[r1][u1]:
                         marks[r1][u1] = 1
                         work.append((u1, r1))

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Iterator, Union
+from typing import Union
 
 P_BOT = "p_bot"
 FALSUM_WORD = "false"
@@ -612,11 +612,3 @@ def check_fragment(f: AnyFormula, tag: FragmentTag) -> bool:
             return False
         stack.extend(_children(g))
     return True
-
-
-def iter_nodes(f: AnyFormula) -> Iterator[AnyFormula]:
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        yield g
-        stack.extend(_children(g))

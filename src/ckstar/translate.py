@@ -11,8 +11,6 @@ fact the tests check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .relmodel import (
     BiModel,
     PdlModel,
@@ -62,37 +60,22 @@ _M = PAtom("m")
 _I_STAR = Star(_I)
 
 
-@dataclass(frozen=True)
-class TranslationEnv:
-    """Atom universe for falsum elimination; p_bot is always last."""
-
-    atoms: tuple[str, ...]
-    fresh: str = P_BOT
-
-    @staticmethod
-    def for_formula(f: Formula) -> "TranslationEnv":
-        return TranslationEnv(tuple(variables(f)) + (P_BOT,))
-
-
-def _conjunction(atoms: tuple[str, ...]) -> Formula:
-    out: Formula = Atom(atoms[-1])
-    for name in reversed(atoms[:-1]):
+def _falsum_image(atoms) -> Formula:
+    """omega's image of falsum over the given atoms: the master-boxed
+    conjunction of the sorted atoms and p_bot, plus a seriality witness."""
+    out: Formula = Atom(P_BOT)
+    for name in sorted((a for a in atoms if a != P_BOT), reverse=True):
         out = And(Atom(name), out)
-    return out
+    return BoxStar(And(out, Dia(Atom(P_BOT))))
 
 
-def omega(f: Formula, env: "TranslationEnv | None" = None) -> Formula:
+def omega(f: Formula) -> Formula:
     """Replace every falsum leaf by the master-boxed full conjunction plus a
     seriality witness; identity elsewhere."""
-    if env is None:
-        env = TranslationEnv.for_formula(f)
-    if P_BOT in variables(f):
+    atoms = variables(f)
+    if P_BOT in atoms:
         raise TranslationError(f"{P_BOT!r} must not occur in the input formula")
-    missing = set(variables(f)) - set(env.atoms)
-    if missing or env.fresh not in env.atoms:
-        raise TranslationError("environment does not cover the formula's atoms")
-    ordered = tuple(sorted(a for a in env.atoms if a != env.fresh)) + (env.fresh,)
-    replacement = BoxStar(And(_conjunction(ordered), Dia(Atom(env.fresh))))
+    replacement = _falsum_image(atoms)
 
     def walk(g: Formula) -> Formula:
         if isinstance(g, Bot):
@@ -218,13 +201,13 @@ def _validated(m: BiModel, kind: str) -> None:
 
 
 def wk_model_to_ck(m: BiModel, f: Formula) -> BiModel:
-    """Fallible companion: worlds where the falsum image of f's environment
+    """Fallible companion: worlds where omega's falsum image over f's atoms
     holds become the new fallible set; only f's own atoms keep their
     valuation, everything else defaults to that set."""
     _validated(m, "wk")
-    env = TranslationEnv.for_formula(f)
-    bot_mask = extension(m, omega(Bot(), env))
-    val = {name: m.val.get(name, frozenset()) for name in variables(f)}
+    atoms = variables(f)
+    bot_mask = extension(m, _falsum_image(atoms))
+    val = {name: m.val.get(name, frozenset()) for name in atoms}
     return BiModel(m.worlds, m.pre, m.mod, val,
                    frozenset(worlds_of(bot_mask)), "ck")
 

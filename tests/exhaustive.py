@@ -23,9 +23,10 @@ from ckstar.syntax import (
     PdlOr,
     Program,
     Star,
-    iter_nodes,
     render,
 )
+
+from helpers import iter_nodes
 
 
 def program_atoms(f: PdlFormula) -> list[str]:

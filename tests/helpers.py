@@ -1,5 +1,5 @@
-"""Shared test utilities: seeded AST and model generators and a naive
-evaluator.
+"""Shared test utilities: a formula node walker, model constructors from
+pair lists, seeded AST and model generators, and a naive evaluator.
 
 The naive evaluator follows the satisfaction clauses literally with
 world-by-world recursion and explicit path search, so it is independent of
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 
+from ckstar.relmodel import BiModel, PdlModel, Relation
 from ckstar.syntax import (
     Atom,
     And,
@@ -34,6 +35,33 @@ from ckstar.syntax import (
     Program,
     Star,
 )
+
+
+def iter_nodes(f):
+    """Every formula node of f, one per occurrence; programs are skipped."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        if hasattr(g, "left"):
+            stack.extend((g.left, g.right))
+        elif hasattr(g, "body"):
+            stack.append(g.body)
+
+
+def bi_model(worlds: int, pre, mod, val=None, bot=(), kind: str = "ck") -> BiModel:
+    """Convenience constructor taking pair lists and plain sets."""
+    pre_r = pre if isinstance(pre, Relation) else Relation.from_pairs(worlds, pre)
+    mod_r = mod if isinstance(mod, Relation) else Relation.from_pairs(worlds, mod)
+    vals = {name: frozenset(ws) for name, ws in (val or {}).items()}
+    return BiModel(worlds, pre_r, mod_r, vals, frozenset(bot), kind)
+
+
+def pdl_model(worlds: int, rho, val=None) -> PdlModel:
+    rels = {a: (r if isinstance(r, Relation) else Relation.from_pairs(worlds, r))
+            for a, r in rho.items()}
+    vals = {name: frozenset(ws) for name, ws in (val or {}).items()}
+    return PdlModel(worlds, rels, vals)
 
 
 def random_lstar(rng: random.Random, depth: int, atoms=("p", "q")) -> Formula:

@@ -44,7 +44,7 @@ from ckstar.translate import (
 from ckstar.syntax import subformulas
 
 from bank import ModelBank
-from helpers import naive_satisfies, random_pdl_model
+from helpers import iter_nodes, naive_satisfies, random_pdl_model
 from truth_maps import (
     ck_model_to_wk,
     k_model_to_ck,
@@ -319,7 +319,7 @@ def test_criterion_4_size_bounds():
 
 
 def _count_bots(f):
-    from ckstar.syntax import Bot, iter_nodes
+    from ckstar.syntax import Bot
     return sum(1 for g in iter_nodes(f) if isinstance(g, Bot))
 
 

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import ckstar
 from ckstar.cli import MAX_GEN_DEPTH, main
-from ckstar.relmodel import MAX_WORLDS, bi_model, dump_model, load_model
+from ckstar.relmodel import MAX_WORLDS, dump_model, load_model
 from ckstar.semantics import satisfies
 from ckstar.syntax import parse_formula
+
+from helpers import bi_model
 
 
 def run(capsys, *argv):

@@ -15,7 +15,6 @@ from ckstar.syntax import (
     FragmentTag,
     check_fragment,
     formula_size,
-    iter_nodes,
     parse_formula,
     parse_pdl,
     render,
@@ -23,7 +22,7 @@ from ckstar.syntax import (
 )
 
 from bank import ModelBank
-from helpers import random_pdl_model
+from helpers import iter_nodes, random_pdl_model
 from truth_maps import falsifying_world
 
 
@@ -107,6 +106,7 @@ def test_random_model_determinism_and_validity():
         for seed in range(150):
             m = random_model(seed, s)
             assert validate(m, kind) == []
+            assert m.kind == kind
             assert 1 <= m.worlds <= 4
 
 

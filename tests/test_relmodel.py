@@ -7,17 +7,16 @@ from ckstar.relmodel import (
     BiModel,
     ModelFormatError,
     Relation,
-    bi_model,
     dump_model,
     load_model,
     mask_of,
-    pdl_model,
     rel_compose,
     rel_star,
     validate,
 )
 
-from truth_maps import restrict_to_infallible
+from helpers import bi_model, pdl_model
+from truth_maps import identity, restrict_to_infallible
 
 
 def rand_rel(rng, n):
@@ -28,7 +27,7 @@ def rand_rel(rng, n):
 def test_compose_goldens():
     r = Relation.from_pairs(2, [(0, 1)])
     s = Relation.from_pairs(2, [(1, 0)])
-    assert rel_compose(Relation.identity(2), r) == r
+    assert rel_compose(identity(2), r) == r
     assert rel_compose(r, s) == Relation.from_pairs(2, [(0, 0)])
     assert rel_compose(r, Relation.empty(2)) == Relation.empty(2)
 
@@ -39,7 +38,7 @@ def test_compose_dimension_mismatch():
 
 
 def test_star_goldens():
-    assert rel_star(Relation.empty(3)) == Relation.identity(3)
+    assert rel_star(Relation.empty(3)) == identity(3)
     chain = Relation.from_pairs(3, [(0, 1), (1, 2)])
     expect = Relation.from_pairs(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)])
     assert rel_star(chain) == expect

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ckstar.relmodel import bi_model, pdl_model, validate
+from ckstar.relmodel import validate
 from ckstar.semantics import (
     InvalidModelError,
     UnknownProgramAtomError,
@@ -21,7 +21,7 @@ from ckstar.syntax import (
     parse_pdl,
 )
 
-from helpers import naive_satisfies, rand_ck_model, random_lstar
+from helpers import bi_model, naive_satisfies, pdl_model, rand_ck_model, random_lstar
 from truth_maps import falsifying_world, valid_in_model
 
 p = Atom("p")

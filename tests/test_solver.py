@@ -6,7 +6,7 @@ import pytest
 
 from ckstar import solver
 from ckstar.relmodel import PdlModel, Relation, validate
-from ckstar.semantics import pdl_satisfies, satisfies
+from ckstar.semantics import pdl_satisfies, program_relation, satisfies
 from ckstar.solver import (
     LOGICS,
     CertificationError,
@@ -34,7 +34,7 @@ from ckstar.syntax import (
 from ckstar.translate import iota
 
 from exhaustive import pdl_satisfiable_exhaustive, program_atoms
-from helpers import random_lstar, random_pdl
+from helpers import random_lstar, random_pdl, random_program
 
 
 def closure_set(f):
@@ -189,6 +189,36 @@ def test_deferred_star_keeps_its_modal_obligation():
     assert found is not None
     model, world = found
     assert pdl_satisfies(model, world, f)
+
+
+def path_model(word, letters) -> PdlModel:
+    """Worlds 0..len(word), with an x-step from k to k+1 where word[k] is x,
+    and every letter interpreted."""
+    n = len(word) + 1
+    return PdlModel(n, {x: Relation.from_pairs(
+        n, [(k, k + 1) for k, y in enumerate(word) if y == x]) for x in letters}, {})
+
+
+def test_star_automaton_accepts_exactly_the_star_language():
+    # The automaton read off the node table, run forward on every short
+    # word, against the starred program's relation on that word's path.
+    rng = random.Random(71)
+    p = PdlAtom("p")
+    for _ in range(200):
+        star = Star(random_program(rng, 3))
+        engine = solver._Tableau(Neg(BoxP(star, p)))
+        start, accepting, size, rev = engine._automaton(
+            engine.closure.index[BoxP(star, p)])
+        letters = engine.alphabet
+        for length in range(5):
+            for word in itertools.product(letters, repeat=length):
+                current = {start}
+                for x in word:
+                    current = {r for r in range(size)
+                               if not current.isdisjoint(rev[x][r])}
+                relation = program_relation(path_model(word, letters), star)
+                assert (not current.isdisjoint(accepting)) == relation.has(0, length), \
+                    (render(BoxP(star, p)), word)
 
 
 def test_engines_agree_on_deeper_star_nests():

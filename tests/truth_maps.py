@@ -14,6 +14,22 @@ from ckstar.syntax import P_BOT, FragmentError, FragmentTag, PdlFormula, check_f
 from ckstar.translate import TranslationError, _validated, iota_antecedent
 
 
+def identity(n: int) -> Relation:
+    return Relation(n, tuple(1 << w for w in range(n)))
+
+
+def restrict(r: Relation, keep) -> Relation:
+    """Submatrix on `keep`, reindexed by position."""
+    idx = {w: i for i, w in enumerate(keep)}
+    rows = [0] * len(keep)
+    for w in keep:
+        row = r.rows[w]
+        for v in keep:
+            if row >> v & 1:
+                rows[idx[w]] |= 1 << idx[v]
+    return Relation(len(keep), tuple(rows))
+
+
 def ck_model_to_wk(m: BiModel) -> BiModel:
     """Same frame; p_bot takes over the fallible set, which empties."""
     _validated(m, "ck")
@@ -32,7 +48,7 @@ def k_model_to_ck(m: PdlModel) -> BiModel:
     """Classical model as a constructive one over the identity preorder."""
     if "a" not in m.rho:
         raise TranslationError("model does not interpret program atom 'a'")
-    return BiModel(m.worlds, Relation.identity(m.worlds), m.rho["a"],
+    return BiModel(m.worlds, identity(m.worlds), m.rho["a"],
                    dict(m.val), frozenset(), "ck")
 
 
@@ -52,10 +68,10 @@ def wk_generated_classical(
     idx = {w: i for i, w in enumerate(keep)}
     val = {name: frozenset(idx[w] for w in ws if w in idx)
            for name, ws in m.val.items()}
-    sub = BiModel(len(keep), m.pre.restrict(keep), m.mod.restrict(keep),
+    sub = BiModel(len(keep), restrict(m.pre, keep), restrict(m.mod, keep),
                   val, frozenset(), "wk")
     classical = PdlModel(len(keep),
-                         {"a": rel_compose(m.pre, m.mod).restrict(keep)},
+                         {"a": restrict(rel_compose(m.pre, m.mod), keep)},
                          val)
     u_new = frozenset(idx[w] for w in worlds_of(u_mask))
     return sub, classical, u_new
@@ -67,7 +83,7 @@ def restrict_to_infallible(m: BiModel) -> tuple[BiModel, dict[int, int]]:
     idx = {w: i for i, w in enumerate(keep)}
     val = {name: frozenset(idx[w] for w in ws if w in idx)
            for name, ws in m.val.items()}
-    restricted = BiModel(len(keep), m.pre.restrict(keep), m.mod.restrict(keep),
+    restricted = BiModel(len(keep), restrict(m.pre, keep), restrict(m.mod, keep),
                          val, frozenset(), "wk")
     return restricted, idx
 
