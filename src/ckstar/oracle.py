@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 from .relmodel import BiModel, PdlModel, Relation, mask_of, validate, worlds_of
@@ -217,10 +217,7 @@ def random_model(seed: int, spec: EnumSpec) -> BiModel:
     if kind in ("cs4", "ws4"):
         base_spec = EnumSpec(max(1, spec.max_worlds // 2), spec.atoms,
                              "ck" if kind == "cs4" else "wk")
-        base = _random_ck(rng, base_spec)
-        # The doubled model is named by whether it has fallible worlds;
-        # it is valid for the kind asked for either way.
-        return replace(ck_model_to_cs4(base)[0], kind=kind)
+        return ck_model_to_cs4(_random_ck(rng, base_spec))
     return _random_ck(rng, spec)
 
 

@@ -524,41 +524,26 @@ class _Tableau:
             count -= len(doomed) + propagate(seeds)
         return alive
 
-    def _saturations(self, i: int, alive: bytearray, memo: dict) -> tuple:
-        """Alive saturated states reachable by decompositions, depth first.
-        The decomposition graph only grows states, so it is acyclic."""
-        got = memo.get(i)
-        if got is not None:
-            return got
-        entry = self.info[i]
-        if entry[0] == "sat":
-            out = (i,)
-        else:
-            collected: list = []
-            seen: set = set()
-            for t in entry[1]:
-                if not alive[t]:
-                    continue
-                for sat in self._saturations(t, alive, memo):
-                    if sat not in seen:
-                        seen.add(sat)
-                        collected.append(sat)
-            out = tuple(collected)
-        memo[i] = out
-        return out
+    def _saturation(self, i: int, alive: bytearray) -> int:
+        """The alive saturated state reached from alive state i by taking
+        the first alive successor at each decomposition.  The graph only
+        grows states, so it is acyclic, and after elimination every alive
+        decomposition state has an alive successor."""
+        while self.info[i][0] != "sat":
+            i = next(t for t in self.info[i][1] if alive[t])
+        return i
 
     def extract(self, alive: bytearray) -> PdlModel:
         """Minimal model whose world 0 satisfies the goal: one witness per
         modal obligation plus the saturated states along one recorded
         fulfillment path per eventuality, instead of everything reachable."""
-        memo: dict = {}
         rev_steps, saturated, families = self._alive_steps(alive)
         traces: dict[int, dict] = {}
         for m in sorted(families):
             trace: dict = {}
             self._fulfilled(m, rev_steps, saturated, trace)
             traces[m] = trace
-        designated = self._saturations(self.root, alive, memo)[0]
+        designated = self._saturation(self.root, alive)
         order = [designated]
         index = {designated: 0}
         queue = deque([designated])
@@ -577,7 +562,7 @@ class _Tableau:
             w = index[node]
             obligations, eventualities = self.info[node][1:]
             for a, _, demand in obligations:
-                target = self._saturations(demand, alive, memo)[0]
+                target = self._saturation(demand, alive)
                 edges.setdefault(a, set()).add((w, world_of(target)))
             for m in eventualities:
                 trace = traces[m]
@@ -703,10 +688,10 @@ LOGIC_TABLE = {
     # the doubled bi-preorder.
     "cs4": Logic("ck_star", FragmentTag.L, False, "cs4",
                  lambda f: kappa(f),
-                 lambda m, w, f: (ck_model_to_cs4(m)[0], 2 * w)),
+                 lambda m, w, f: (ck_model_to_cs4(m), 2 * w)),
     "ws4": Logic("wk_star", FragmentTag.L, True, "ws4",
                  lambda f: kappa(f),
-                 lambda m, w, f: (ck_model_to_cs4(m)[0], 2 * w)),
+                 lambda m, w, f: (ck_model_to_cs4(m), 2 * w)),
     "k_star": Logic("pdl", FragmentTag.LK_STAR, True, "k",
                     back=lambda m, w, f: (_ensure_rho(m, ("a",)), w)),
     "pdl": Logic(None, None, True, "pdl"),

@@ -5,6 +5,12 @@ base modalities and their reflexive-transitive ("master") variants.  The
 classical target language is test-free PDL over the three program atoms
 ``i``, ``m`` and ``a``; its diamond is parse-time sugar, so PDL ASTs never
 contain a diamond node.
+
+The two languages share the grammar of `->` (right associative), `|`, `&`,
+prefix operators and parentheses, so one parser reads both: a language
+gives it only its node constructors, its prefix reader and its atom
+reader.  One printer writes both from a table of infix symbols with their
+binding levels and a table of prefix texts.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 P_BOT = "p_bot"
 FALSUM_WORD = "false"
@@ -252,6 +258,26 @@ def is_atom_name(name: str) -> bool:
     return _IDENT_RE.fullmatch(name) is not None and name != FALSUM_WORD
 
 
+class _Grammar(NamedTuple):
+    """What a language gives the shared parser: node constructors for `->`,
+    `|` and `&`, a reader taking one prefix operator to its constructor (or
+    None), and a reader turning an identifier at an offset into a leaf."""
+
+    imp: Callable
+    or_: Callable
+    and_: Callable
+    prefix: Callable
+    atom: Callable
+
+
+def _parse(text: str, grammar: _Grammar):
+    cur = _Cursor(text)
+    f = _imp(cur, grammar)
+    if not cur.eof():
+        cur.error("unexpected trailing input")
+    return _check_depth(f, text)
+
+
 def parse_formula(text: str, *, allow_p_bot: bool = False) -> Formula:
     """Parse a constructive-language formula.
 
@@ -259,34 +285,56 @@ def parse_formula(text: str, *, allow_p_bot: bool = False) -> Formula:
     rejected unless ``allow_p_bot`` is set (it belongs to the infallible
     language only).
     """
-    cur = _Cursor(text)
-    f = _imp(cur, allow_p_bot)
-    if not cur.eof():
-        cur.error("unexpected trailing input")
-    return _check_depth(f, text)
+    return _parse(text, _Grammar(Imp, Or, And, _prefix,
+                                 partial(_atom, allow=allow_p_bot)))
 
 
-def _imp(cur: _Cursor, allow: bool) -> Formula:
-    parts = [_or(cur, allow)]
+def parse_pdl(text: str) -> PdlFormula:
+    """Parse a test-free PDL formula; ``a -> b`` is read as ``!a | b`` and
+    diamonds are expanded eagerly."""
+    return _parse(text, _Grammar(lambda a, b: PdlOr(Neg(a), b), PdlOr, PdlAnd,
+                                 _pdl_prefix, _pdl_atom))
+
+
+def _imp(cur: _Cursor, g: _Grammar):
+    parts = [_or(cur, g)]
     while cur.take("->"):
-        parts.append(_or(cur, allow))
+        parts.append(_or(cur, g))
     f = parts.pop()
     while parts:  # right associative
-        f = Imp(parts.pop(), f)
+        f = g.imp(parts.pop(), f)
     return f
 
 
-def _or(cur: _Cursor, allow: bool) -> Formula:
-    f = _and(cur, allow)
+def _or(cur: _Cursor, g: _Grammar):
+    f = _and(cur, g)
     while cur.take("|"):
-        f = Or(f, _and(cur, allow))
+        f = g.or_(f, _and(cur, g))
     return f
 
 
-def _and(cur: _Cursor, allow: bool) -> Formula:
-    f = _unary(cur, allow)
+def _and(cur: _Cursor, g: _Grammar):
+    f = _unary(cur, g)
     while cur.take("&"):
-        f = And(f, _unary(cur, allow))
+        f = g.and_(f, _unary(cur, g))
+    return f
+
+
+def _unary(cur: _Cursor, g: _Grammar):
+    # Prefix operators are collected in a loop, so only parentheses recurse.
+    ops = []
+    while (op := g.prefix(cur)) is not None:
+        ops.append(op)
+    if cur.open_paren():
+        f = _imp(cur, g)
+        cur.close_paren()
+    else:
+        got = cur.ident()
+        if got is None:
+            cur.error("expected a formula")
+        f = g.atom(cur, *got)
+    for op in reversed(ops):
+        f = op(f)
     return f
 
 
@@ -294,31 +342,14 @@ _PREFIXES = (("[*]", BoxStar), ("[]", Box), ("<*>", DiaStar), ("<>", Dia),
              ("~", neg))
 
 
-def _unary(cur: _Cursor, allow: bool) -> Formula:
-    # Prefix operators are collected in a loop, so only parentheses recurse.
-    ops = []
-    while True:
-        for literal, make in _PREFIXES:
-            if cur.take(literal):
-                ops.append(make)
-                break
-        else:
-            break
-    if cur.open_paren():
-        f = _imp(cur, allow)
-        cur.close_paren()
-    else:
-        f = _atom(cur, allow)
-    for op in reversed(ops):
-        f = op(f)
-    return f
+def _prefix(cur: _Cursor) -> "Callable | None":
+    for literal, make in _PREFIXES:
+        if cur.take(literal):
+            return make
+    return None
 
 
-def _atom(cur: _Cursor, allow: bool) -> Formula:
-    got = cur.ident()
-    if got is None:
-        cur.error("expected a formula")
-    name, start = got
+def _atom(cur: _Cursor, name: str, start: int, allow: bool) -> Formula:
     if name == FALSUM_WORD:
         return Bot()
     if name == P_BOT and not allow:
@@ -327,70 +358,21 @@ def _atom(cur: _Cursor, allow: bool) -> Formula:
     return Atom(name)
 
 
-def parse_pdl(text: str) -> PdlFormula:
-    """Parse a test-free PDL formula; diamonds are expanded eagerly."""
-    cur = _Cursor(text)
-    f = _pimp(cur)
-    if not cur.eof():
-        cur.error("unexpected trailing input")
-    return _check_depth(f, text)
+def _pdl_prefix(cur: _Cursor) -> "Callable | None":
+    if cur.take("["):
+        prog = _prog(cur)
+        cur.expect("]")
+        return partial(BoxP, prog)
+    if cur.take("<"):
+        prog = _prog(cur)
+        cur.expect(">")
+        return partial(diamond, prog)
+    if cur.take("!"):
+        return Neg
+    return None
 
 
-def _pimp(cur: _Cursor) -> PdlFormula:
-    parts = [_por(cur)]
-    while cur.take("->"):
-        parts.append(_por(cur))
-    f = parts.pop()
-    while parts:
-        # Classical sugar: the language itself has no implication node.
-        f = PdlOr(Neg(parts.pop()), f)
-    return f
-
-
-def _por(cur: _Cursor) -> PdlFormula:
-    f = _pand(cur)
-    while cur.take("|"):
-        f = PdlOr(f, _pand(cur))
-    return f
-
-
-def _pand(cur: _Cursor) -> PdlFormula:
-    f = _punary(cur)
-    while cur.take("&"):
-        f = PdlAnd(f, _punary(cur))
-    return f
-
-
-def _punary(cur: _Cursor) -> PdlFormula:
-    ops = []
-    while True:
-        if cur.take("["):
-            prog = _prog(cur)
-            cur.expect("]")
-            ops.append(partial(BoxP, prog))
-        elif cur.take("<"):
-            prog = _prog(cur)
-            cur.expect(">")
-            ops.append(partial(diamond, prog))
-        elif cur.take("!"):
-            ops.append(Neg)
-        else:
-            break
-    if cur.open_paren():
-        f = _pimp(cur)
-        cur.close_paren()
-    else:
-        f = _patom(cur)
-    for op in reversed(ops):
-        f = op(f)
-    return f
-
-
-def _patom(cur: _Cursor) -> PdlFormula:
-    got = cur.ident()
-    if got is None:
-        cur.error("expected a formula")
-    name, start = got
+def _pdl_atom(cur: _Cursor, name: str, start: int) -> PdlFormula:
     if name == FALSUM_WORD:
         raise ParseError(f"{FALSUM_WORD!r} is reserved and not a PDL atom",
                          cur.byte_offset(start))
@@ -426,16 +408,20 @@ def _pstar(cur: _Cursor) -> Program:
 # Printing
 
 # Binding strength: implication < or < and < unary; leaves never need parens.
-_IMP, _OR, _AND, _UNARY, _LEAF = 1, 2, 3, 4, 5
+_IMP, _OR, _AND, _UNARY = 1, 2, 3, 4
+# Infix node class -> (symbol, its level, left operand's, right operand's):
+# implication groups to the right, the others to the left.
+_INFIX = {Imp: (" -> ", _IMP, _OR, _IMP),
+          Or: (" | ", _OR, _OR, _AND), PdlOr: (" | ", _OR, _OR, _AND),
+          And: (" & ", _AND, _AND, _UNARY), PdlAnd: (" & ", _AND, _AND, _UNARY)}
+_PREFIX_TEXT = {Box: "[]", Dia: "<>", BoxStar: "[*]", DiaStar: "<*>", Neg: "!"}
 
 
 def render(f: AnyFormula) -> str:
     """Minimal-parentheses concrete syntax; parse(render(x)) == x."""
-    if isinstance(f, Formula):
-        return _render_f(f, _IMP)
-    if isinstance(f, PdlFormula):
-        return _render_p(f, _IMP)
-    raise TypeError(f"cannot render {type(f).__name__}")
+    if not isinstance(f, (Formula, PdlFormula)):
+        raise TypeError(f"cannot render {type(f).__name__}")
+    return _render(f, _IMP)
 
 
 def render_program(p: Program) -> str:
@@ -446,45 +432,22 @@ def _wrap(s: str, level: int, minimum: int) -> str:
     return f"({s})" if level < minimum else s
 
 
-def _render_f(f: Formula, minimum: int) -> str:
+def _render(f: AnyFormula, minimum: int) -> str:
+    infix = _INFIX.get(type(f))
+    if infix is not None:
+        symbol, level, left, right = infix
+        s = f"{_render(f.left, left)}{symbol}{_render(f.right, right)}"
+        return _wrap(s, level, minimum)
+    prefix = _PREFIX_TEXT.get(type(f))
+    if isinstance(f, BoxP):
+        prefix = f"[{_render_prog(f.prog, 1)}]"
+    if prefix is not None:
+        return prefix + _render(f.body, _UNARY)
+    if isinstance(f, (Atom, PdlAtom)):
+        return f.name
     if isinstance(f, Bot):
         return FALSUM_WORD
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Imp):
-        s = f"{_render_f(f.left, _OR)} -> {_render_f(f.right, _IMP)}"
-        return _wrap(s, _IMP, minimum)
-    if isinstance(f, Or):
-        s = f"{_render_f(f.left, _OR)} | {_render_f(f.right, _AND)}"
-        return _wrap(s, _OR, minimum)
-    if isinstance(f, And):
-        s = f"{_render_f(f.left, _AND)} & {_render_f(f.right, _UNARY)}"
-        return _wrap(s, _AND, minimum)
-    if isinstance(f, Box):
-        return f"[]{_render_f(f.body, _UNARY)}"
-    if isinstance(f, Dia):
-        return f"<>{_render_f(f.body, _UNARY)}"
-    if isinstance(f, BoxStar):
-        return f"[*]{_render_f(f.body, _UNARY)}"
-    if isinstance(f, DiaStar):
-        return f"<*>{_render_f(f.body, _UNARY)}"
     raise TypeError(f"unknown formula node {type(f).__name__}")
-
-
-def _render_p(f: PdlFormula, minimum: int) -> str:
-    if isinstance(f, PdlAtom):
-        return f.name
-    if isinstance(f, Neg):
-        return f"!{_render_p(f.body, _UNARY)}"
-    if isinstance(f, PdlOr):
-        s = f"{_render_p(f.left, _OR)} | {_render_p(f.right, _AND)}"
-        return _wrap(s, _OR, minimum)
-    if isinstance(f, PdlAnd):
-        s = f"{_render_p(f.left, _AND)} & {_render_p(f.right, _UNARY)}"
-        return _wrap(s, _AND, minimum)
-    if isinstance(f, BoxP):
-        return f"[{_render_prog(f.prog, 1)}]{_render_p(f.body, _UNARY)}"
-    raise TypeError(f"unknown PDL node {type(f).__name__}")
 
 
 def _render_prog(p: Program, minimum: int) -> str:
@@ -508,11 +471,16 @@ def _children(f: AnyFormula) -> tuple:
         return ()
     if isinstance(f, (And, Or, Imp, PdlAnd, PdlOr)):
         return (f.left, f.right)
-    if isinstance(f, (Box, Dia, BoxStar, DiaStar, Neg)):
-        return (f.body,)
-    if isinstance(f, BoxP):
+    if isinstance(f, (Box, Dia, BoxStar, DiaStar, Neg, BoxP)):
         return (f.body,)
     raise TypeError(f"unknown node {type(f).__name__}")
+
+
+def rebuild(f: Formula, fn: Callable) -> Formula:
+    """f's constructive node over fn applied to each of its children; a
+    leaf is returned as it is."""
+    kids = _children(f)
+    return type(f)(*map(fn, kids)) if kids else f
 
 
 def _node_children(node) -> tuple:

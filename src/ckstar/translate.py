@@ -7,6 +7,11 @@ language, and `kappa` reads transitive-logic modalities as master
 modalities.  The model constructions here are the ones `decide` uses to
 map a countermodel back; each is the companion of a truth-preservation
 fact the tests check.
+
+`omega` and `kappa` stay in the constructive language and rebuild each
+node with `syntax.rebuild`; `tau` and `kstar_to_lstar` change language,
+so they spell out every node class.  The long conjunctions, omega's
+falsum image and iota's antecedent, are built balanced.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .syntax import (
     P_BOT,
     Star,
     check_fragment,
+    rebuild,
     subformulas,
     variables,
 )
@@ -58,15 +64,24 @@ class TranslationError(ValueError):
 _I = PAtom("i")
 _M = PAtom("m")
 _I_STAR = Star(_I)
+# kappa's reading of the base modalities.
+_MASTER = {Box: BoxStar, Dia: DiaStar}
+
+
+def _conjunction(parts: list) -> Formula:
+    """Balanced conjunction of a nonempty list, so its depth grows with the
+    log of its length; for up to four parts it is the right-nested one."""
+    if len(parts) == 1:
+        return parts[0]
+    k = max(1, (len(parts) - 1) // 2)
+    return And(_conjunction(parts[:k]), _conjunction(parts[k:]))
 
 
 def _falsum_image(atoms) -> Formula:
     """omega's image of falsum over the given atoms: the master-boxed
     conjunction of the sorted atoms and p_bot, plus a seriality witness."""
-    out: Formula = Atom(P_BOT)
-    for name in sorted((a for a in atoms if a != P_BOT), reverse=True):
-        out = And(Atom(name), out)
-    return BoxStar(And(out, Dia(Atom(P_BOT))))
+    parts = [Atom(name) for name in sorted(a for a in atoms if a != P_BOT)]
+    return BoxStar(And(_conjunction(parts + [Atom(P_BOT)]), Dia(Atom(P_BOT))))
 
 
 def omega(f: Formula) -> Formula:
@@ -78,25 +93,7 @@ def omega(f: Formula) -> Formula:
     replacement = _falsum_image(atoms)
 
     def walk(g: Formula) -> Formula:
-        if isinstance(g, Bot):
-            return replacement
-        if isinstance(g, Atom):
-            return g
-        if isinstance(g, And):
-            return And(walk(g.left), walk(g.right))
-        if isinstance(g, Or):
-            return Or(walk(g.left), walk(g.right))
-        if isinstance(g, Imp):
-            return Imp(walk(g.left), walk(g.right))
-        if isinstance(g, Box):
-            return Box(walk(g.body))
-        if isinstance(g, Dia):
-            return Dia(walk(g.body))
-        if isinstance(g, BoxStar):
-            return BoxStar(walk(g.body))
-        if isinstance(g, DiaStar):
-            return DiaStar(walk(g.body))
-        raise TypeError(f"unknown formula node {type(g).__name__}")
+        return replacement if isinstance(g, Bot) else rebuild(g, walk)
 
     return walk(f)
 
@@ -152,10 +149,7 @@ def iota_antecedent(f: PdlFormula) -> Formula:
     for sub in subformulas(f):
         mapped = kstar_to_lstar(sub)
         conjuncts.append(Or(mapped, Imp(mapped, Bot())))
-    out = conjuncts[-1]
-    for c in reversed(conjuncts[:-1]):
-        out = And(c, out)
-    return BoxStar(out)
+    return BoxStar(_conjunction(conjuncts))
 
 
 def iota(f: PdlFormula) -> Formula:
@@ -173,19 +167,8 @@ def kappa(f: Formula) -> Formula:
         raise FragmentError("formula is not in the iteration-free fragment")
 
     def walk(g: Formula) -> Formula:
-        if isinstance(g, (Bot, Atom)):
-            return g
-        if isinstance(g, And):
-            return And(walk(g.left), walk(g.right))
-        if isinstance(g, Or):
-            return Or(walk(g.left), walk(g.right))
-        if isinstance(g, Imp):
-            return Imp(walk(g.left), walk(g.right))
-        if isinstance(g, Box):
-            return BoxStar(walk(g.body))
-        if isinstance(g, Dia):
-            return DiaStar(walk(g.body))
-        raise TypeError(f"unknown formula node {type(g).__name__}")
+        master = _MASTER.get(type(g))
+        return rebuild(g, walk) if master is None else master(walk(g.body))
 
     return walk(f)
 
@@ -227,10 +210,10 @@ def pdl_model_to_wk(m: PdlModel) -> BiModel:
     return BiModel(m.worlds, pre, m.rho["m"], val, frozenset(), "wk")
 
 
-def ck_model_to_cs4(m: BiModel) -> tuple[BiModel, tuple[tuple[int, int], ...]]:
+def ck_model_to_cs4(m: BiModel) -> BiModel:
     """Duplicate every world; index-1 copies get the iterated accessibility,
-    making the frame confluent.  Returns the model and the projection
-    array mapping new worlds to (old world, copy index)."""
+    making the frame confluent.  World 2w + i is copy i of world w.  A
+    `wk` input yields a `ws4` model, any other a `cs4` one."""
     _validated(m, "ck")
     n = m.worlds
     n2 = 2 * n
@@ -254,8 +237,6 @@ def ck_model_to_cs4(m: BiModel) -> tuple[BiModel, tuple[tuple[int, int], ...]]:
     val = {name: frozenset(2 * w + i for w in ws for i in (0, 1))
            for name, ws in m.val.items()}
     bot = frozenset(2 * w + i for w in m.bot for i in (0, 1))
-    kind = "ws4" if not bot else "cs4"
-    model = BiModel(n2, Relation(n2, tuple(pre_rows)), Relation(n2, tuple(mod_rows)),
-                    val, bot, kind)
-    pi = tuple((w, i) for w in range(n) for i in (0, 1))
-    return model, pi
+    kind = "ws4" if m.kind == "wk" else "cs4"
+    return BiModel(n2, Relation(n2, tuple(pre_rows)), Relation(n2, tuple(mod_rows)),
+                   val, bot, kind)

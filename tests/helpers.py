@@ -1,5 +1,6 @@
 """Shared test utilities: a formula node walker, model constructors from
-pair lists, seeded AST and model generators, and a naive evaluator.
+pair lists, seeded AST and model generators, a naive evaluator, and a
+recursion-limit guard for wide formulas.
 
 The naive evaluator follows the satisfaction clauses literally with
 world-by-world recursion and explicit path search, so it is independent of
@@ -10,7 +11,9 @@ that the two readings agree on CK models.
 
 from __future__ import annotations
 
+import contextlib
 import random
+import sys
 
 from ckstar.relmodel import BiModel, PdlModel, Relation
 from ckstar.syntax import (
@@ -47,6 +50,30 @@ def iter_nodes(f):
             stack.extend((g.left, g.right))
         elif hasattr(g, "body"):
             stack.append(g.body)
+
+
+@contextlib.contextmanager
+def stack_headroom(frames: int):
+    """Run the body with at most `frames` Python frames above the caller's,
+    so code that recurses once per part of a wide formula fails on a
+    formula small enough to decide quickly."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def balanced_text(parts: list[str], op: str) -> str:
+    """The parts joined by the binary operator `op` as a balanced tree."""
+    if len(parts) == 1:
+        return parts[0]
+    k = len(parts) // 2
+    return f"({balanced_text(parts[:k], op)} {op} {balanced_text(parts[k:], op)})"
 
 
 def bi_model(worlds: int, pre, mod, val=None, bot=(), kind: str = "ck") -> BiModel:

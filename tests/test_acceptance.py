@@ -232,7 +232,7 @@ def test_criterion_3_truth_preservation_suite():
         def doubling(seed):
             m = random_model(seed, ck_spec)
             f = random_formula(seed ^ 0x4444, 3, ATOMS, FragmentTag.L)
-            doubled, _pi = ck_model_to_cs4(m)
+            doubled = ck_model_to_cs4(m)
             assert validate(doubled, "cs4") == []
             if not m.bot:
                 assert validate(doubled, "ws4") == []

@@ -34,7 +34,13 @@ from ckstar.syntax import (
 from ckstar.translate import iota
 
 from exhaustive import pdl_satisfiable_exhaustive, program_atoms
-from helpers import random_lstar, random_pdl, random_program
+from helpers import (
+    balanced_text,
+    random_lstar,
+    random_pdl,
+    random_program,
+    stack_headroom,
+)
 
 
 def closure_set(f):
@@ -392,6 +398,15 @@ def test_decide_kstar_and_iota_direction():
     assert not decide("ck_star_box", iota(bad)).valid
 
 
+def test_extraction_does_not_recurse_per_decomposition():
+    # Refuting a disjunction of 64 conjunctions takes 64 branch
+    # decompositions before the first saturated state.
+    f = parse_formula(balanced_text([f"(a{i} & b{i})" for i in range(64)], "|"))
+    with stack_headroom(100):
+        v = decide("wk_star", f)
+    assert not v.valid and v.model.worlds == 1
+
+
 def test_decide_fragment_errors():
     with pytest.raises(FragmentError):
         decide("ck_star_box", parse_formula("<>p"))
@@ -426,6 +441,14 @@ def test_each_layer_is_certified_once(logic, monkeypatch):
 
 
 @pytest.mark.parametrize("logic", ["cs4", "ws4"])
+def test_countermodel_is_labelled_with_its_class(logic):
+    # The doubled model is named after the class of the model it doubles,
+    # also when that model has no fallible worlds.
+    for text in ("p", "~~p -> p", "false"):
+        assert decide(logic, parse_formula(text)).model.kind == logic
+
+
+@pytest.mark.parametrize("logic", ["cs4", "ws4"])
 @pytest.mark.parametrize("source, condition", [("p -> []p", "mod-not-preorder"),
                                                ("<>p", "not-confluent")])
 def test_countermodel_is_checked_against_its_class(logic, source, condition,
@@ -437,10 +460,10 @@ def test_countermodel_is_checked_against_its_class(logic, source, condition,
     made = []
 
     def irreflexive(m):
-        model, pi = original(m)
+        model = original(m)
         rows = tuple(row & ~(1 << w) for w, row in enumerate(model.mod.rows))
         made.append(dataclasses.replace(model, mod=Relation(model.worlds, rows)))
-        return made[-1], pi
+        return made[-1]
 
     monkeypatch.setattr(solver, "ck_model_to_cs4", irreflexive)
     with pytest.raises(CertificationError, match=f"{logic} countermodel violates"):

@@ -4,6 +4,7 @@ import pytest
 
 from ckstar.relmodel import validate, rel_compose
 from ckstar.semantics import extension, pdl_extension
+from ckstar.solver import decide
 from ckstar.syntax import (
     Atom,
     And,
@@ -43,6 +44,7 @@ from ckstar.translate import (
 )
 
 from helpers import (
+    balanced_text,
     bi_model,
     iter_nodes,
     pdl_model,
@@ -50,6 +52,7 @@ from helpers import (
     rand_pdl_model,
     random_lkstar,
     random_lstar,
+    stack_headroom,
 )
 from truth_maps import (
     ck_model_to_wk,
@@ -71,6 +74,19 @@ def test_omega_goldens():
     assert omega(p) == p
     got = omega(Imp(p, Bot()))
     assert got == Imp(p, BoxStar(And(And(p, pb), Dia(pb))))
+
+
+def test_falsum_image_nests_logarithmically():
+    # Up to three atoms, four conjuncts with p_bot, it is right-nested.
+    r = Atom("r")
+    got = omega(Imp(And(r, And(q, p)), Bot())).right
+    assert got == BoxStar(And(And(p, And(q, And(r, pb))), Dia(pb)))
+    # 64 atoms: one And per atom would need more frames to hash than the
+    # headroom allows.
+    f = parse_formula(balanced_text([f"p{i}" for i in range(64)], "|"))
+    with stack_headroom(100):
+        for logic in ("ck_star", "cs4"):
+            assert not decide(logic, f).valid
 
 
 def test_omega_rejects_p_bot():
@@ -128,6 +144,19 @@ def test_iota_goldens():
                            Or(Box(p), Imp(Box(p), Bot()))))
     assert iota(g) == Imp(want_ant, Box(p))
     assert check_fragment(iota(g), FragmentTag.LSTAR_BOX)
+
+
+def test_iota_antecedent_nests_logarithmically():
+    # 127 subformulas: one And per subformula would need more frames to
+    # hash and print than the headroom allows.
+    g = parse_pdl(balanced_text([f"p{i}" for i in range(64)], "|"))
+    with stack_headroom(100):
+        text = render(iota(g))
+    assert parse_formula(text) == iota(g)
+    # Up to four conjuncts the antecedent is right-nested.
+    f = parse_pdl("[a](p & q)")
+    ex = [Or(h, Imp(h, Bot())) for h in map(kstar_to_lstar, subformulas(f))]
+    assert iota(f).left == BoxStar(And(ex[0], And(ex[1], And(ex[2], ex[3]))))
 
 
 def test_iota_fragment_error():
@@ -256,7 +285,7 @@ def test_doubling_construction_transfer():
     rng = random.Random(71)
     for _ in range(200):
         m = rand_ck_model(rng, 3)
-        cs4, pi = ck_model_to_cs4(m)
+        cs4 = ck_model_to_cs4(m)
         assert cs4.worlds == 2 * m.worlds
         assert validate(cs4, "cs4") == []
         if not m.bot:
@@ -266,15 +295,14 @@ def test_doubling_construction_transfer():
             continue
         base = extension(m, kappa(f))
         lifted = extension(cs4, f)
-        for w in range(m.worlds):
-            for i in (0, 1):
-                assert bool(lifted >> (2 * w + i) & 1) == bool(base >> w & 1)
-        assert pi[2 * 0 + 1] == (0, 1)
+        # World v is copy v % 2 of world v // 2.
+        for v in range(cs4.worlds):
+            assert bool(lifted >> v & 1) == bool(base >> (v // 2) & 1)
 
 
 def test_cs4_one_world_remark():
     m = bi_model(1, [(0, 0)], [(0, 0)])
-    cs4, pi = ck_model_to_cs4(m)
+    cs4 = ck_model_to_cs4(m)
     # Copies of a star-related pair are linked per the accessibility cases.
     assert cs4.mod.has(0, 0) and cs4.mod.has(1, 0) and cs4.mod.has(1, 1)
     assert not cs4.mod.has(0, 1)
@@ -284,7 +312,7 @@ def test_master_reading_on_bipreorders():
     rng = random.Random(73)
     for _ in range(200):
         base = rand_ck_model(rng, 2)
-        m, _ = ck_model_to_cs4(base)  # a guaranteed CS4 model
+        m = ck_model_to_cs4(base)  # a guaranteed CS4 model
         f = random_lstar(rng, 2)
         if not check_fragment(f, FragmentTag.L):
             continue
@@ -295,7 +323,7 @@ def test_composed_relation_is_preorder():
     rng = random.Random(79)
     for _ in range(100):
         base = rand_ck_model(rng, 2)
-        m, _ = ck_model_to_cs4(base)
+        m = ck_model_to_cs4(base)
         composed = rel_compose(m.pre, m.mod)
         assert composed.is_reflexive()
         assert composed.transitivity_witness() is None
