@@ -15,20 +15,21 @@ and star eventualities (negative starred boxes, discharged by reaching a
 refuting state along a word of the star's language, tracked with the
 star's automaton).  States with unwitnessed obligations or unfulfillable
 eventualities are deleted to a fixpoint; the survivors yield a model.
-The graph is expanded depth first and eliminated at checkpoints
-(`CHECK_FIRST` states, then every `CHECK_GROWTH`-fold growth) with the
-unexpanded states counted dead.  The surviving set only grows as more
-states are expanded, so a root alive on the expanded part is alive in
-the whole graph: the search stops there and extracts its model.
-Elimination stops as soon as the root is dead.  States carry dense
-integer ids from their first discovery; each is closed from the codes
-that discovery added (a branch successor from its one new member, a
-demand from all members) with a worklist and per-code watch lists, and
-alive sets and eventuality marks are bytearrays indexed by id.  The
-graph, the counters and the verdicts are those of the frozenset-keyed
-engine this replaced; countermodels can differ, as fulfilment paths
-follow the marking order, and each is certified.  The tests pin its
-verdicts to an exhaustive type-elimination engine in `tests/exhaustive.py`.
+A state's survival depends only on the states it reaches, so one
+iterative Tarjan search expands the graph depth first and settles each
+strongly connected component as it closes, against the settled states
+below it; fulfilment marks are one int per state, a bit per (star
+family, automaton state).  At checkpoints (`CHECK_FIRST` states, then
+every `CHECK_GROWTH`-fold growth) the open part, the states on Tarjan's
+stack, is settled with the unexpanded states counted dead.  The surviving
+set only grows as more states are expanded, so a root alive on the
+expanded part is alive in the whole graph: the search stops there and
+extracts its model.  States carry dense integer ids from their first
+discovery; each is closed from the codes that discovery added with a
+worklist and per-code watch lists.  The alive sets are those of the
+global elimination this replaced (kept in `tests/elimination.py`), and
+the tests pin the verdicts to an exhaustive type-elimination engine in
+`tests/exhaustive.py`.
 
 `LOGIC_TABLE` has one row per logic: its input language, whether the
 reserved atom p_bot may occur, its countermodel class, its parent logic,
@@ -46,7 +47,7 @@ oracle and the CLI read the same table.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -154,12 +155,14 @@ def fl_closure(f: PdlFormula) -> ClosureSet:
 
 _LIT, _DET, _BRANCH, _BRANCH_STAR = range(4)
 
-# The depth-first build eliminates on the expanded part first after
-# CHECK_FIRST states, then each time their count has grown CHECK_GROWTH-fold.
-# Wide spacing keeps the checkpoints cheap for formulas that expand the
-# whole graph: the parts they eliminate sum to under a fifteenth of it.
+# The depth-first build settles its open part first after CHECK_FIRST
+# states, then each time their count has grown CHECK_GROWTH-fold.  Wide
+# spacing keeps the checkpoints cheap for formulas that expand the whole
+# graph: the open parts they settle sum to under a fifteenth of it.
 CHECK_FIRST = 16
 CHECK_GROWTH = 16
+# The Tarjan low link of a settled state: above every slot on the stack.
+_SETTLED = 1 << 62
 
 # States are frozensets of member codes (closure index << 1 | sign) with no
 # clashing pair.  Unsaturated states decompose one member per step, so
@@ -224,15 +227,42 @@ class _Tableau:
         self.watch = watch
         self.marker_base = 2 * len(kinds)
         self._aut_cache: dict[int, tuple] = {}
+        # Fulfilment marks: one bit per (star family, automaton state), so a
+        # state's marks are one int.  refutes[c]: the accepting bits of the
+        # families whose body code c refutes; steps[x]: (shift, select mask)
+        # pairs that map a demand's marks back over an x-step.
+        self.start_bit: dict[int, int] = {}
+        self.refutes: dict[int, int] = defaultdict(int)
+        selects = {x: defaultdict(int) for x in self.alphabet}
+        width = 0
+        for m in [m for m, k in enumerate(kinds) if k == _BOX_S]:
+            _, accepting, size, rev = self._automaton(m)  # starts at 0
+            self.start_bit[m] = 1 << width
+            code = args[m][0] << 1
+            self.refutes[code] |= sum(1 << width + r for r in accepting)
+            for x, preds in rev.items():
+                for r2, sources in enumerate(preds):
+                    for r1 in sources:
+                        selects[x][r2 - r1] |= 1 << width + r2
+            width += size
+        self.steps = {x: tuple(sel.items()) for x, sel in selects.items()}
+        self.refuting = frozenset(self.refutes)
         # Per state id: the state, the codes to close it from (see _close),
-        # its entry once expanded (None before), and the ids that step to it.
-        # entry = ("or", successor ids) | ("sat", obligations, eventualities);
-        # obligation = (program atom, refuted body index, demand id|None)
+        # its entry once expanded (None before), the ids that step to it,
+        # its alive bit and marks (final once settled) and its Tarjan low
+        # link.  entry = ("or", successor ids) | ("sat", obligations,
+        # eventualities); obligation = (program atom, refuted body index,
+        # demand id|None); goal of a saturated state = (its eventualities'
+        # start bits, the bits it refutes).
         self.ids: dict[frozenset, int] = {}
         self.states: list[frozenset] = []
         self.seeds: list = []
         self.info: list = []
         self.parents: list[list[int]] = []
+        self.alive = bytearray()
+        self.marks: list[int] = []
+        self.low: list[int] = []
+        self.goal: dict[int, tuple[int, int]] = {}
         self.order: list[int] = []   # expanded ids, in expansion order
         # The root demands closure member 0, the goal, true: code 1.
         self.root = self._discover(frozenset([1]), (1,))
@@ -247,6 +277,9 @@ class _Tableau:
             self.seeds.append(seed)
             self.info.append(None)
             self.parents.append([])
+            self.alive.append(0)
+            self.marks.append(0)
+            self.low.append(0)
         return i
 
     def _extend(self, state: frozenset, codes: tuple) -> "frozenset | None":
@@ -349,32 +382,137 @@ class _Tableau:
         return ("sat", obligations, eventualities)
 
     def build(self) -> bytearray:
-        """Expand states depth first, first branch first, and return the
-        alive set of the elimination that decided.  At each checkpoint the
-        expanded part is eliminated with the rest counted dead; a root that
-        survives there survives in the whole graph, so the search stops."""
-        info, parents = self.info, self.parents
-        stack = [self.root]
+        """Expand states depth first, first branch first, by Tarjan's
+        search, and return the alive set that decided.  Each strongly
+        connected component is settled when it closes; at each checkpoint
+        the open part, the states on Tarjan's stack, is settled with the
+        unexpanded states counted dead, and a root that survives there
+        survives in the whole graph, so the search stops."""
+        info, low, parents = self.info, self.low, self.parents
+        open_: list[int] = []  # expanded and not yet settled
+        frames: list[tuple] = []  # (state id, its targets left, its slot)
         checkpoint = CHECK_FIRST
-        while stack:
-            i = stack.pop()
-            if info[i] is not None:
-                continue
-            entry = info[i] = self._process(i)
-            self.order.append(i)
-            if entry[0] == "or":
-                targets = entry[1]
-            else:
-                targets = [d for _, _, d in entry[1] if d is not None]
+        i = self.root
+        while True:
+            if i is not None:  # expand i and push it
+                entry = info[i] = self._process(i)
+                self.order.append(i)
+                if entry[0] == "or":
+                    targets = entry[1]
+                else:
+                    targets = [d for _, _, d in entry[1] if d is not None]
+                    need = refute = 0
+                    for m in entry[2]:
+                        need |= self.start_bit[m]
+                    for c in self.states[i] & self.refuting:
+                        refute |= self.refutes[c]
+                    self.goal[i] = (need, refute)
+                for t in targets:
+                    parents[t].append(i)
+                low[i] = len(open_)
+                frames.append((i, iter(targets), len(open_)))
+                open_.append(i)
+                if len(self.order) == checkpoint:
+                    checkpoint *= CHECK_GROWTH
+                    self._settle(open_, 0)
+                    if self.alive[self.root]:
+                        return self.alive
+            i, targets, slot = frames[-1]
             for t in targets:
-                parents[t].append(i)
-            stack.extend(reversed(targets))
-            if len(self.order) == checkpoint:
-                checkpoint *= CHECK_GROWTH
-                alive = self.eliminate()
-                if alive[self.root]:
-                    return alive
-        return self.eliminate()
+                if info[t] is None:
+                    i = t
+                    break
+                if low[t] < low[i]:
+                    low[i] = low[t]
+            else:
+                frames.pop()
+                if low[i] == slot:  # i roots the component open_[slot:]
+                    part = open_[slot:]
+                    del open_[slot:]
+                    self._settle(part, slot)
+                    for u in part:
+                        low[u] = _SETTLED
+                if not frames:
+                    return self.alive
+                parent = frames[-1][0]
+                low[parent] = min(low[parent], low[i])
+                i = None
+
+    def _gather(self, u: int) -> int:
+        """Marks of alive state u from its successors' marks: their union
+        at a decomposition; at a saturated state, the bits it refutes and
+        each demand's marks mapped back over its letter."""
+        entry, marks = self.info[u], self.marks
+        if entry[0] == "or":
+            m = 0
+            for t in entry[1]:
+                m |= marks[t]
+            return m
+        m = self.goal[u][1]
+        for x, _, d in entry[1]:
+            md = marks[d]
+            if md:
+                for shift, select in self.steps[x]:
+                    bits = md & select
+                    if bits:
+                        m |= bits >> shift if shift >= 0 else bits << -shift
+        return m
+
+    def _settle(self, part: list, floor: int) -> None:
+        """Alive bits and marks of the states of part, from those of the
+        states it reaches outside it: settled ones, and unexpanded ones,
+        which count as dead.  A parent p of a state of part is in part iff
+        low[p] >= floor.  States with a failed obligation are deleted, then
+        saturated states with an unfulfilled eventuality, to a fixpoint;
+        each marking round that deletes states adds part's live count to
+        `rounds`."""
+        info, alive, marks, low, parents, goal = (
+            self.info, self.alive, self.marks, self.low, self.parents, self.goal)
+        if len(part) == 1:
+            # No state steps to itself: a decomposition grows the state, and
+            # a demand lacks the negated box that spawned it.
+            u = part[0]
+            entry = info[u]
+            if entry[0] == "or":
+                ok = any(alive[t] for t in entry[1])
+            else:
+                ok = all(d is not None and alive[d] for _, _, d in entry[1])
+            m = self._gather(u) if ok else 0
+            if ok and entry[0] == "sat" and goal[u][0] & ~m:
+                ok, m = False, 0
+                self.rounds.append(1)
+            alive[u], marks[u] = ok, m
+            return
+        for u in part:
+            alive[u] = 1
+        work = list(part)
+        while True:
+            while work:  # obligations
+                u = work.pop()
+                entry = info[u]
+                if alive[u] and (
+                        not any(alive[t] for t in entry[1]) if entry[0] == "or"
+                        else any(d is None or not alive[d] for _, _, d in entry[1])):
+                    alive[u] = 0
+                    work.extend(p for p in parents[u] if low[p] >= floor)
+            for u in part:
+                marks[u] = 0
+            work = [u for u in part if alive[u]]
+            live = len(work)
+            while work:  # marks, spread to a least fixpoint
+                u = work.pop()
+                m = self._gather(u)
+                if m != marks[u]:
+                    marks[u] = m
+                    work.extend(p for p in parents[u] if alive[p] and low[p] >= floor)
+            doomed = [u for u in part if alive[u] and info[u][0] == "sat"
+                      and goal[u][0] & ~marks[u]]
+            if not doomed:
+                return
+            self.rounds.append(live)
+            for u in doomed:
+                alive[u] = 0
+                work.extend(p for p in parents[u] if low[p] >= floor)
 
     def _automaton(self, member: int) -> tuple:
         """Word automaton of a starred box member [P*]B, read off the node
@@ -479,51 +617,6 @@ class _Tableau:
                     rev_steps[d].append((a, i))
         return rev_steps, saturated, families
 
-    def eliminate(self) -> bytearray:
-        """Expanded states that survive deletion to a fixpoint, one byte per
-        state id; states not expanded count as dead.  Stops early once the
-        root is dead, since then only the root's byte is read."""
-        self.rounds = []
-        info, parents = self.info, self.parents
-        alive = bytearray(len(self.states))
-        for i in self.order:
-            alive[i] = 1
-        count = len(self.order)
-
-        def propagate(work: list) -> int:
-            removed = 0
-            while work:
-                i = work.pop()
-                if not alive[i]:
-                    continue
-                entry = info[i]
-                if entry[0] == "or":
-                    dead = not any(alive[t] for t in entry[1])
-                else:
-                    dead = any(d is None or not alive[d] for _, _, d in entry[1])
-                if dead:
-                    alive[i] = 0
-                    removed += 1
-                    work.extend(parents[i])
-            return removed
-
-        count -= propagate(list(self.order))
-        while alive[self.root]:
-            self.rounds.append(count)
-            rev_steps, saturated, families = self._alive_steps(alive)
-            fulfilled = {m: self._fulfilled(m, rev_steps, saturated)
-                         for m in sorted(families)}
-            doomed = [i for i in saturated
-                      if not all(fulfilled[m][i] for m in info[i][2])]
-            if not doomed:
-                return alive
-            seeds = []
-            for i in doomed:
-                alive[i] = 0
-                seeds.extend(parents[i])
-            count -= len(doomed) + propagate(seeds)
-        return alive
-
     def _saturation(self, i: int, alive: bytearray) -> int:
         """The alive saturated state reached from alive state i by taking
         the first alive successor at each decomposition.  The graph only
@@ -595,7 +688,12 @@ class _Tableau:
 
 def pdl_satisfiable(f: PdlFormula, stats: "dict | None" = None):
     """Model and world satisfying f, or None.  The returned model is always
-    re-checked with the independent evaluator."""
+    re-checked with the independent evaluator.
+
+    `stats`, when given, receives `nodes` (states expanded), `closure`
+    (closure members) and `rounds`: for each settlement step that deleted
+    states for an unfulfilled eventuality, in search order, the number of
+    states of the settled part alive before it."""
     engine = _Tableau(f)
     alive = engine.build()
     if stats is not None:

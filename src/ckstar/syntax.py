@@ -16,7 +16,7 @@ binding levels and a table of prefix texts.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
 from typing import Callable, NamedTuple, Union
@@ -25,9 +25,10 @@ P_BOT = "p_bot"
 FALSUM_WORD = "false"
 PROGRAM_ATOMS = ("i", "m", "a")
 # Most operators on one branch of a parsed formula, and most nested
-# parentheses.  The translations, printers, evaluators and dataclass hashes
+# parentheses.  The translations, printers, evaluators and node equality
 # recurse once per level or more; every logic decides a formula this deep
-# within Python's default recursion limit.
+# within Python's default recursion limit.  Node hashes do not recurse: each
+# is computed once, when its node is built (see `_node`).
 MAX_DEPTH = 100
 
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*")
@@ -46,58 +47,77 @@ class FragmentError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# Syntax nodes
+
+
+def _node(cls):
+    """A frozen dataclass whose hash is computed once, at construction: the
+    dataclass hash of its fields, whose own hashes are stored already, so
+    hashing never walks down the tree.  The hash is kept outside the
+    fields, so `==`, `repr` and `dataclasses.replace` are unchanged; a copy
+    or an unpickled node is rebuilt, so its hash is recomputed."""
+    cls.__post_init__ = lambda self: object.__setattr__(
+        self, "_hash", hash(tuple(self.__dict__.values())))  # the fields
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = lambda self: self._hash
+    cls.__reduce__ = lambda self: (
+        type(self), tuple(getattr(self, f.name) for f in fields(self)))
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Constructive language
 
 
-@dataclass(frozen=True)
+@_node
 class Formula:
     """Base class for constructive-language formulas."""
 
 
-@dataclass(frozen=True)
+@_node
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Imp(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Box(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Dia(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class BoxStar(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class DiaStar(Formula):
     body: Formula
 
@@ -111,55 +131,55 @@ def neg(f: Formula) -> Formula:
 # Programs and PDL
 
 
-@dataclass(frozen=True)
+@_node
 class Program:
     """Base class for test-free PDL programs."""
 
 
-@dataclass(frozen=True)
+@_node
 class PAtom(Program):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Comp(Program):
     left: Program
     right: Program
 
 
-@dataclass(frozen=True)
+@_node
 class Star(Program):
     body: Program
 
 
-@dataclass(frozen=True)
+@_node
 class PdlFormula:
     """Base class for test-free PDL formulas."""
 
 
-@dataclass(frozen=True)
+@_node
 class PdlAtom(PdlFormula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(PdlFormula):
     body: PdlFormula
 
 
-@dataclass(frozen=True)
+@_node
 class PdlAnd(PdlFormula):
     left: PdlFormula
     right: PdlFormula
 
 
-@dataclass(frozen=True)
+@_node
 class PdlOr(PdlFormula):
     left: PdlFormula
     right: PdlFormula
 
 
-@dataclass(frozen=True)
+@_node
 class BoxP(PdlFormula):
     prog: Program
     body: PdlFormula

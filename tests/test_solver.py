@@ -33,6 +33,7 @@ from ckstar.syntax import (
 )
 from ckstar.translate import iota
 
+from elimination import reference_alive
 from exhaustive import pdl_satisfiable_exhaustive, program_atoms
 from helpers import (
     balanced_text,
@@ -253,13 +254,46 @@ def test_tableau_agrees_with_bounded_model_search():
         # SAT answers are certified inside the engine already.
 
 
-def test_elimination_is_monotone():
-    stats = {}
-    pdl_satisfiable(parse_pdl("![a*]p & [a](p | [a*]!p)"), stats=stats)
-    rounds = stats["rounds"]
-    assert rounds and rounds[-1] <= stats["nodes"]
-    assert all(a >= b for a, b in zip(rounds, rounds[1:]))
-    assert len(rounds) <= 2 ** stats["closure"]
+def test_settlement_matches_global_elimination(monkeypatch):
+    # A settlement from the bottom of Tarjan's stack (a checkpoint, or the
+    # root's component closing) leaves every expanded state final for the
+    # expanded part: its alive bit must be the global fixpoint's, with the
+    # unexpanded states counted dead.  Once at every checkpoint, then with
+    # the whole graph expanded.
+    snapshots = []
+    original = solver._Tableau._settle
+
+    def compared(engine, part, floor):
+        original(engine, part, floor)
+        if floor == 0:
+            reference = reference_alive(engine)
+            assert [engine.alive[i] for i in engine.order] == \
+                [reference[i] for i in engine.order], render(engine.closure.formulas[0])
+            snapshots.append(len(engine.order))
+
+    monkeypatch.setattr(solver._Tableau, "_settle", compared)
+    # ![P*]A & [Q*]B & C: an eventuality that a box may keep from being
+    # fulfilled, over random programs and formulas.
+    rng = random.Random(29)
+    pieces = dict(atoms=("p", "q"), prog_atoms=("a", "m"))
+    formulas = [PdlAnd(Neg(BoxP(Star(random_program(rng, 2, ("a", "m"))),
+                                random_pdl(rng, 3, **pieces))),
+                       PdlAnd(BoxP(Star(random_program(rng, 2, ("a", "m"))),
+                                   random_pdl(rng, 3, **pieces)),
+                              random_pdl(rng, 3, **pieces)))
+                for _ in range(120)]
+    for f in formulas:
+        pdl_satisfiable(f)
+    checkpoints = sum(n in (solver.CHECK_FIRST, solver.CHECK_FIRST * solver.CHECK_GROWTH)
+                      for n in snapshots)
+    monkeypatch.setattr(solver, "CHECK_FIRST", 1 << 60)
+    deleted = 0
+    for f in formulas:
+        engine = solver._Tableau(f)
+        alive = engine.build()
+        assert alive == reference_alive(engine)
+        deleted += bool(engine.rounds)
+    assert checkpoints > 50 and deleted > 20
 
 
 def test_search_stops_once_the_root_survives(monkeypatch):
@@ -294,31 +328,33 @@ def test_depth6_seed17_decides_within_a_few_checkpoints(monkeypatch):
     assert seen[0]["nodes"] <= 4096
 
 
-# Graph counters of the PDL query behind each formula, recorded with the
-# frozenset-keyed tableau that preceded dense state ids.  A change to the
-# engine's internals that keeps its decomposition graph, expansion order
-# and checkpoints keeps these exactly.  None as logic means
-# `pdl_satisfiable` on the PDL formula itself.
+# Graph counters of the PDL query behind each formula: `nodes` and
+# `closure` as recorded with the frozenset-keyed tableau that preceded
+# dense state ids, and `rounds` as recorded when settlement replaced global
+# elimination (the live count of each settlement step that deleted states
+# for an unfulfilled eventuality).  A change to the engine's internals that
+# keeps its decomposition graph, expansion order and checkpoints keeps
+# `nodes` and `closure` exactly.  None as logic means `pdl_satisfiable` on
+# the PDL formula itself.
 GRAPH_PINS = [
-    (None, "![a*]p & [a](p | [a*]!p)", 16, [12], 10),
+    (None, "![a*]p & [a](p | [a*]!p)", 16, [], 10),
     # `oracle.random_formula` (seed, depth) over p, q, r.
-    ("ck_star", (0, 5), 256, [253], 69),
-    ("ck_star", (17, 6), 256, [241], 94),
+    ("ck_star", (0, 5), 256, [], 69),
+    ("ck_star", (17, 6), 256, [], 94),
     # One `theorems` benchmark instance each of K and induction (ck_star)
     # and of 4 (cs4).
     ("ck_star", "[]((((false | p) | (p -> p))) -> (<>[]p)) -> "
-                "([](((false | p) | (p -> p))) -> [](<>[]p))", 31, [26, 14, 5], 58),
+                "([](((false | p) | (p -> p))) -> [](<>[]p))", 31, [3, 3, 2], 58),
     ("ck_star", "[*]((((false | p) | (p -> p))) -> [](((false | p) | (p -> p)))) -> "
                 "((((false | p) | (p -> p))) -> [*](((false | p) | (p -> p))))",
-     934, [899, 361, 318], 50),
-    ("cs4", "[]((<>q & (q | p))) -> [][]((<>q & (q | p)))", 106, [106, 31], 29),
-    # Deep, star-heavy closures, recorded with the dense-id tableau: an odd
-    # tower of ~ (Invalid, many branch states) and right-nested
-    # implications (Valid, one elimination round per nesting level).
-    ("ck_star", "~" * 21 + "p", 4096, [3677, 3278], 103),
-    ("ck_star", "p->" * 20 + "p", 710,
-     [689, 626, 566, 509, 455, 404, 356, 311, 269, 230, 194, 161, 131, 104, 80,
-      59, 41, 26, 14, 5], 65),
+     934, [21, 8, 50, 17, 91, 91, 201, 4, 2], 50),
+    ("cs4", "[]((<>q & (q | p))) -> [][]((<>q & (q | p)))", 106, [14, 46, 15, 2], 29),
+    # Deep, star-heavy closures: an odd tower of ~ (Invalid, many branch
+    # states) and right-nested implications (Valid, one deleting step per
+    # nesting level, each in a component of three states).
+    ("ck_star", "~" * 21 + "p", 4096, [131, 367], 103),
+    ("ck_star", "p->" * 20 + "p", 710, [3] * 19 + [2], 65),
+    ("ck_star", "p->" * 100 + "p", 15550, [3] * 4 + [196] + [3] * 95 + [2], 305),
 ]
 
 
@@ -341,6 +377,14 @@ def test_decomposition_graph_is_pinned(logic, source, nodes, rounds, closure,
         decide(logic, f)
     assert (stats["nodes"], stats["rounds"], stats["closure"]) == \
         (nodes, rounds, closure)
+
+
+@pytest.mark.parametrize("logic", ["ck_star", "wk_star", "ck_star_box", "cs4", "ws4"])
+def test_long_implication_chain_is_valid(logic):
+    # Each nesting level adds an eventuality whose refutation needs the one
+    # below deleted first; settling components bottom-up takes one step per
+    # level instead of a global round over every state.
+    assert decide(logic, parse_formula("p->" * 100 + "p")).valid
 
 
 def test_incremental_closure_matches_closing_from_scratch(monkeypatch):
