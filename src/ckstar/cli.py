@@ -163,8 +163,8 @@ def _cmd_gen_model(args) -> int:
 
 
 def _cmd_gen_formula(args) -> int:
-    if args.depth > MAX_GEN_DEPTH:
-        raise ValueError(f"depth {args.depth} exceeds the limit of {MAX_GEN_DEPTH}")
+    if not 0 <= args.depth <= MAX_GEN_DEPTH:
+        raise ValueError(f"depth {args.depth} is outside 0..{MAX_GEN_DEPTH}")
     atoms = _atom_names(args.atoms)
     fragment = FragmentTag(args.fragment)
     if fragment is FragmentTag.LK_STAR and not atoms:

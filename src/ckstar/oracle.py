@@ -212,10 +212,16 @@ def brute_force_decide(logic: str, f, spec: EnumSpec) -> BoundedVerdict:
 
 
 def random_model(seed: int, spec: EnumSpec) -> BiModel:
+    """Seeded random model of spec's kind with at most spec.max_worlds
+    worlds.  A `cs4`/`ws4` model doubles a constructive one, so it needs
+    room for two worlds: ValueError below that."""
     rng = random.Random(seed)
     kind = spec.kind
     if kind in ("cs4", "ws4"):
-        base_spec = EnumSpec(max(1, spec.max_worlds // 2), spec.atoms,
+        if spec.max_worlds < 2:
+            raise ValueError(f"a {kind} model has at least 2 worlds, "
+                             f"max_worlds is {spec.max_worlds}")
+        base_spec = EnumSpec(spec.max_worlds // 2, spec.atoms,
                              "ck" if kind == "cs4" else "wk")
         return ck_model_to_cs4(_random_ck(rng, base_spec))
     return _random_ck(rng, spec)

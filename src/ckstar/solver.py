@@ -24,12 +24,13 @@ every `CHECK_GROWTH`-fold growth) the open part, the states on Tarjan's
 stack, is settled with the unexpanded states counted dead.  The surviving
 set only grows as more states are expanded, so a root alive on the
 expanded part is alive in the whole graph: the search stops there and
-extracts its model.  States carry dense integer ids from their first
-discovery; each is closed from the codes that discovery added with a
-worklist and per-code watch lists.  The alive sets are those of the
-global elimination this replaced (kept in `tests/elimination.py`), and
-the tests pin the verdicts to an exhaustive type-elimination engine in
-`tests/exhaustive.py`.
+extracts its model, whose eventuality witnesses are shortest paths
+through the (state, mark bit) pairs set in the marks.  States carry
+dense integer ids from their first discovery; each is closed from the
+codes that discovery added with a worklist and per-code watch lists.
+The tests pin the alive sets and marks to a global elimination with its
+own marking (`tests/elimination.py`), and the verdicts to an exhaustive
+type-elimination engine (`tests/exhaustive.py`).
 
 `LOGIC_TABLE` has one row per logic: its input language, whether the
 reserved atom p_bot may occur, its countermodel class, its parent logic,
@@ -226,7 +227,6 @@ class _Tableau:
                     watch[k ^ 1].append(b)
         self.watch = watch
         self.marker_base = 2 * len(kinds)
-        self._aut_cache: dict[int, tuple] = {}
         # Fulfilment marks: one bit per (star family, automaton state), so a
         # state's marks are one int.  refutes[c]: the accepting bits of the
         # families whose body code c refutes; steps[x]: (shift, select mask)
@@ -236,7 +236,7 @@ class _Tableau:
         selects = {x: defaultdict(int) for x in self.alphabet}
         width = 0
         for m in [m for m, k in enumerate(kinds) if k == _BOX_S]:
-            _, accepting, size, rev = self._automaton(m)  # starts at 0
+            accepting, size, rev = self._automaton(m)
             self.start_bit[m] = 1 << width
             code = args[m][0] << 1
             self.refutes[code] |= sum(1 << width + r for r in accepting)
@@ -516,18 +516,15 @@ class _Tableau:
 
     def _automaton(self, member: int) -> tuple:
         """Word automaton of a starred box member [P*]B, read off the node
-        table: start index, accepting state indices, number of states, and
-        reversed transitions by letter as one list of predecessor indices
-        per state index.
+        table: accepting state indices, number of states, and reversed
+        transitions by letter as one list of predecessor indices per state
+        index.  State 0, the member itself, is the start.
 
         The states are the member itself and the body D of every atomic box
         [x]D its unfolding reaches.  From a state, composition boxes unfold
         and starred boxes step to both kids without reading a letter; each
         atomic box [x]D reached is an x-transition to D, and the state
         accepts if the walk reaches B."""
-        cached = self._aut_cache.get(member)
-        if cached is not None:
-            return cached
         kinds, args = self.kind, self.args
         body = args[member][0]
         states = [member]
@@ -555,72 +552,54 @@ class _Tableau:
                         if h not in seen:
                             seen.add(h)
                             work.append(h)
-        result = (0, tuple(accepting), len(states), rev)
-        self._aut_cache[member] = result
-        return result
+        return tuple(accepting), len(states), rev
 
-    def _fulfilled(self, member: int, rev_steps: list, saturated: list,
-                   trace: "dict | None" = None) -> bytearray:
-        """Alive states from which a word accepted by the star's automaton
-        (letters consumed at modal steps, none at decompositions) reaches an
-        alive saturated state demanding the body false, as one byte per
-        state id.
-
-        When `trace` is given, each marked non-terminal product state gets a
-        forward pointer (letter, next state, next automaton state) along one
-        such path; pointers always lead to earlier-marked states, so chains
-        are finite and end at a refuting state."""
-        body = self.args[member][0]
-        start, accepting, size, rev_aut = self._automaton(member)
-        bad_code = body << 1
-        states = self.states
-        marks = [bytearray(len(states)) for _ in range(size)]
-        work: list[tuple] = []
-        for u in saturated:
-            if bad_code in states[u]:
-                for r in accepting:
-                    marks[r][u] = 1
-                    work.append((u, r))
-        while work:
-            u2, r2 = work.pop()
-            for x, u1 in rev_steps[u2]:
-                # A decomposition step reads no letter.
-                for r1 in (r2,) if x is None else rev_aut[x][r2]:
-                    if not marks[r1][u1]:
-                        marks[r1][u1] = 1
-                        work.append((u1, r1))
-                        if trace is not None:
-                            trace[u1, r1] = (x, u2, r2)
-        return marks[start]
-
-    def _alive_steps(self, alive: bytearray) -> tuple[list, list, set]:
-        """Reverse steps among alive states per id, as (letter, predecessor)
-        with letter None for a decomposition; the alive saturated ids; and
-        their eventuality families."""
-        info = self.info
-        rev_steps: list[list] = [[] for _ in self.states]
-        saturated: list[int] = []
-        families: set[int] = set()
-        for i in self.order:
-            if not alive[i]:
-                continue
-            entry = info[i]
+    def _witness(self, node: int, member: int) -> list:
+        """A shortest path that fulfils eventuality member of saturated
+        state node, as (letter, saturated state) hops, read off the settled
+        marks.  The search visits only (state, mark bit) pairs whose bit is
+        set: a decomposition keeps the bit, a modal step moves it along an
+        automaton transition, and a saturated state that refutes the body
+        at an accepting bit ends the path.  Marks are least fixpoints, so
+        every marked pair leads to such an end, and dead or unexpanded
+        states, whose marks are 0, are never entered."""
+        info, marks, goal = self.info, self.marks, self.goal
+        # came[pair]: the letter of the last modal step on the way to pair
+        # and the saturated pair it left, so the path reads back hop by hop.
+        here = (node, self.start_bit[member])
+        came: dict = {here: None}
+        queue = deque([here])
+        while queue:
+            here = u, b = queue.popleft()
+            entry = info[u]
             if entry[0] == "or":
-                for t in entry[1]:
-                    if alive[t]:
-                        rev_steps[t].append((None, i))
+                moves = [(came[here], t, b) for t in entry[1] if marks[t] & b]
+            elif b & goal[u][1]:
+                break
             else:
-                # An alive saturated state has every demand alive.
-                saturated.append(i)
-                families.update(entry[2])
-                for a, _, d in entry[1]:
-                    rev_steps[d].append((a, i))
-        return rev_steps, saturated, families
+                moves = []
+                for x, _, d in entry[1]:
+                    for shift, select in self.steps[x]:
+                        nb = b << shift if shift >= 0 else b >> -shift
+                        if nb & select & marks[d]:
+                            moves.append(((x, here), d, nb))
+            for via, t, nb in moves:
+                if (t, nb) not in came:
+                    came[t, nb] = via
+                    queue.append((t, nb))
+        else:  # the marks promised a path, so they are no least fixpoint
+            raise CertificationError(f"no fulfilment path from state {node}")
+        hops = []
+        while came[here] is not None:
+            x, prev = came[here]
+            hops.append((x, here[0]))
+            here = prev
+        return hops[::-1]
 
     def _saturation(self, i: int, alive: bytearray) -> int:
         """The alive saturated state reached from alive state i by taking
         the first alive successor at each decomposition.  The graph only
-        grows states, so it is acyclic, and after elimination every alive
+        grows states, so it is acyclic, and after settlement every alive
         decomposition state has an alive successor."""
         while self.info[i][0] != "sat":
             i = next(t for t in self.info[i][1] if alive[t])
@@ -628,14 +607,9 @@ class _Tableau:
 
     def extract(self, alive: bytearray) -> PdlModel:
         """Minimal model whose world 0 satisfies the goal: one witness per
-        modal obligation plus the saturated states along one recorded
-        fulfillment path per eventuality, instead of everything reachable."""
-        rev_steps, saturated, families = self._alive_steps(alive)
-        traces: dict[int, dict] = {}
-        for m in sorted(families):
-            trace: dict = {}
-            self._fulfilled(m, rev_steps, saturated, trace)
-            traces[m] = trace
+        modal obligation plus the saturated states along a shortest
+        fulfilment path per eventuality (`_witness`), instead of
+        everything reachable."""
         designated = self._saturation(self.root, alive)
         order = [designated]
         index = {designated: 0}
@@ -656,24 +630,13 @@ class _Tableau:
             obligations, eventualities = self.info[node][1:]
             for a, _, demand in obligations:
                 target = self._saturation(demand, alive)
-                edges.setdefault(a, set()).add((w, world_of(target)))
+                edges[a].add((w, world_of(target)))
             for m in eventualities:
-                trace = traces[m]
-                state = (node, 0)  # the automaton's start index
                 last_w = w
-                letter = None
-                while state in trace:
-                    x, nxt, r = trace[state]
-                    if x is not None:
-                        letter = x
-                    if self.info[nxt][0] == "sat":
-                        # Saturated states only step via modal edges, so each
-                        # segment between them carries exactly one letter.
-                        assert letter is not None
-                        v = world_of(nxt)
-                        edges.setdefault(letter, set()).add((last_w, v))
-                        last_w, letter = v, None
-                    state = (nxt, r)
+                for x, target in self._witness(node, m):
+                    v = world_of(target)
+                    edges[x].add((last_w, v))
+                    last_w = v
         n = len(order)
         val: dict[str, set[int]] = {}
         for node in order:

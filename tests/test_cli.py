@@ -152,6 +152,10 @@ def test_oracle_rejects_a_bound_below_one_world(capsys):
                                      "--max-worlds", bound, formula))
     assert _usage_error(*run(capsys, "gen-model", "--seed", "1",
                              "--max-worlds", "0"))
+    # A cs4 or ws4 model doubles a constructive one: two worlds at least.
+    for kind in ("cs4", "ws4"):
+        assert _usage_error(*run(capsys, "gen-model", "--seed", "1",
+                                 "--kind", kind, "--max-worlds", "1"))
 
 
 def test_gen_formula_depth_cap(capsys):
@@ -159,8 +163,9 @@ def test_gen_formula_depth_cap(capsys):
                        "--depth", str(MAX_GEN_DEPTH))
     assert code == 0
     parse_formula(out.strip())
-    assert _usage_error(*run(capsys, "gen-formula", "--seed", "0",
-                             "--depth", str(MAX_GEN_DEPTH + 1)))
+    for depth in (MAX_GEN_DEPTH + 1, -1):
+        assert _usage_error(*run(capsys, "gen-formula", "--seed", "0",
+                                 "--depth", str(depth)))
 
 
 def test_gen_formula_rejects_bad_atoms(capsys):

@@ -102,12 +102,18 @@ def test_random_model_determinism_and_validity():
     spec = EnumSpec(4, ("p", "q"), "ck")
     assert dump_model(random_model(7, spec)) == dump_model(random_model(7, spec))
     for kind in ("ck", "wk", "cs4", "ws4"):
-        s = EnumSpec(4, ("p", "q"), kind)
-        for seed in range(150):
-            m = random_model(seed, s)
-            assert validate(m, kind) == []
-            assert m.kind == kind
-            assert 1 <= m.worlds <= 4
+        for max_worlds in range(1, 5):
+            s = EnumSpec(max_worlds, ("p", "q"), kind)
+            if kind in ("cs4", "ws4") and max_worlds < 2:
+                # A doubled model cannot fit in one world.
+                with pytest.raises(ValueError):
+                    random_model(0, s)
+                continue
+            for seed in range(150):
+                m = random_model(seed, s)
+                assert validate(m, kind) == []
+                assert m.kind == kind
+                assert 1 <= m.worlds <= max_worlds
 
 
 def test_random_pdl_model_determinism():

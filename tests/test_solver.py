@@ -33,7 +33,7 @@ from ckstar.syntax import (
 )
 from ckstar.translate import iota
 
-from elimination import reference_alive
+from elimination import alive_steps, fulfilled, reference_alive
 from exhaustive import pdl_satisfiable_exhaustive, program_atoms
 from helpers import (
     balanced_text,
@@ -214,12 +214,12 @@ def test_star_automaton_accepts_exactly_the_star_language():
     for _ in range(200):
         star = Star(random_program(rng, 3))
         engine = solver._Tableau(Neg(BoxP(star, p)))
-        start, accepting, size, rev = engine._automaton(
+        accepting, size, rev = engine._automaton(
             engine.closure.index[BoxP(star, p)])
         letters = engine.alphabet
         for length in range(5):
             for word in itertools.product(letters, repeat=length):
-                current = {start}
+                current = {0}  # the start state
                 for x in word:
                     current = {r for r in range(size)
                                if not current.isdisjoint(rev[x][r])}
@@ -259,7 +259,9 @@ def test_settlement_matches_global_elimination(monkeypatch):
     # root's component closing) leaves every expanded state final for the
     # expanded part: its alive bit must be the global fixpoint's, with the
     # unexpanded states counted dead.  Once at every checkpoint, then with
-    # the whole graph expanded.
+    # the whole graph expanded, where each alive state's mark at a starred
+    # member's start bit must also be the reference's own fulfilment, since
+    # extraction reads its witness paths off the marks.
     snapshots = []
     original = solver._Tableau._settle
 
@@ -287,13 +289,21 @@ def test_settlement_matches_global_elimination(monkeypatch):
     checkpoints = sum(n in (solver.CHECK_FIRST, solver.CHECK_FIRST * solver.CHECK_GROWTH)
                       for n in snapshots)
     monkeypatch.setattr(solver, "CHECK_FIRST", 1 << 60)
-    deleted = 0
+    deleted = pairs = 0
     for f in formulas:
         engine = solver._Tableau(f)
         alive = engine.build()
         assert alive == reference_alive(engine)
         deleted += bool(engine.rounds)
-    assert checkpoints > 50 and deleted > 20
+        rev_steps, saturated, _ = alive_steps(engine, alive)
+        for m, bit in engine.start_bit.items():
+            reference = fulfilled(engine, m, rev_steps, saturated)
+            for u in engine.order:
+                if alive[u]:
+                    assert bool(engine.marks[u] & bit) == bool(reference[u]), \
+                        (render(f), u, m)
+                    pairs += 1
+    assert checkpoints > 50 and deleted > 20 and pairs > 10000
 
 
 def test_search_stops_once_the_root_survives(monkeypatch):
