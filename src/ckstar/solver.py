@@ -19,15 +19,23 @@ A state's survival depends only on the states it reaches, so one
 iterative Tarjan search expands the graph depth first and settles each
 strongly connected component as it closes, against the settled states
 below it; fulfilment marks are one int per state, a bit per (star
-family, automaton state).  At checkpoints (`CHECK_FIRST` states, then
-every `CHECK_GROWTH`-fold growth) the open part, the states on Tarjan's
-stack, is settled with the unexpanded states counted dead.  The surviving
-set only grows as more states are expanded, so a root alive on the
-expanded part is alive in the whole graph: the search stops there and
+family, automaton state).  The search runs in passes.  A pass follows
+every demand of a saturated state but only the first alternative of each
+decomposition not yet released, and counts the states it does not reach
+as dead.  The surviving set only grows with the graph, so a root alive
+after a pass is alive in the whole graph: the search stops there and
 extracts its model, whose eventuality witnesses are shortest paths
-through the (state, mark bit) pairs set in the marks.  States carry
-dense integer ids from their first discovery; each is closed from the
-codes that discovery added with a worklist and per-code watch lists.
+through the (state, mark bit) pairs set in the marks.  Otherwise the next
+pass releases the other alternatives of the dead decompositions the pass
+reached, or every deferred one if none of them died.  A state that
+reaches no released decomposition reaches the same subgraph as before,
+so it keeps its alive bit and marks and is not searched again; a part
+that reaches no deferred alternative at all is thus never searched
+twice.  A dead root whose subgraph holds no deferred alternative is dead
+in the whole graph.  Pass `PASSES` releases everything, so the answer
+stays exact.  States carry dense integer ids from their first discovery;
+each is closed from the codes that discovery added with a worklist and
+per-code watch lists.
 The tests pin the alive sets and marks to a global elimination with its
 own marking (`tests/elimination.py`), and the verdicts to an exhaustive
 type-elimination engine (`tests/exhaustive.py`).
@@ -156,14 +164,24 @@ def fl_closure(f: PdlFormula) -> ClosureSet:
 
 _LIT, _DET, _BRANCH, _BRANCH_STAR = range(4)
 
-# The depth-first build settles its open part first after CHECK_FIRST
-# states, then each time their count has grown CHECK_GROWTH-fold.  Wide
-# spacing keeps the checkpoints cheap for formulas that expand the whole
-# graph: the open parts they settle sum to under a fifteenth of it.
-CHECK_FIRST = 16
-CHECK_GROWTH = 16
-# The Tarjan low link of a settled state: above every slot on the stack.
+# The pass that releases every deferred alternative and defers none, so
+# that its subgraph is the whole graph; 0 or 1 makes the first pass do so.
+# A Valid formula must refute every alternative anyway, and the cap bounds
+# the passes it pays for.
+PASSES = 3
+# Tarjan low links: of a state not visited in this pass, and of a settled
+# one, above every slot on the stack.
+_UNSEEN = -1
 _SETTLED = 1 << 62
+
+
+def _targets(entry: tuple) -> "tuple | list":
+    """The successor ids of an expanded state's entry that a pass follows:
+    a decomposition's alternatives not deferred, a saturated state's
+    demands without a clash."""
+    if entry[0] == "or":
+        return entry[1]
+    return [d for _, _, d in entry[1] if d is not None]
 
 # States are frozensets of member codes (closure index << 1 | sign) with no
 # clashing pair.  Unsaturated states decompose one member per step, so
@@ -249,11 +267,13 @@ class _Tableau:
         self.refuting = frozenset(self.refutes)
         # Per state id: the state, the codes to close it from (see _close),
         # its entry once expanded (None before), the ids that step to it,
-        # its alive bit and marks (final once settled) and its Tarjan low
-        # link.  entry = ("or", successor ids) | ("sat", obligations,
+        # its alive bit and marks (as settled in the last pass that reached
+        # it) and its Tarjan low link.
+        # entry = ("or", successor ids followed) | ("sat", obligations,
         # eventualities); obligation = (program atom, refuted body index,
         # demand id|None); goal of a saturated state = (its eventualities'
-        # start bits, the bits it refutes).
+        # start bits, the bits it refutes).  deferred[i]: the (state, seed)
+        # of decomposition i's other alternative, until it is released.
         self.ids: dict[frozenset, int] = {}
         self.states: list[frozenset] = []
         self.seeds: list = []
@@ -263,10 +283,13 @@ class _Tableau:
         self.marks: list[int] = []
         self.low: list[int] = []
         self.goal: dict[int, tuple[int, int]] = {}
+        self.deferred: dict[int, tuple] = {}
+        self.defer = False  # whether the pass under way defers alternatives
         self.order: list[int] = []   # expanded ids, in expansion order
         # The root demands closure member 0, the goal, true: code 1.
         self.root = self._discover(frozenset([1]), (1,))
         self.rounds: list[int] = []
+        self.passes = 0
 
     def _discover(self, state: frozenset, seed) -> int:
         """The id of state, assigned on first sight together with its seed."""
@@ -279,7 +302,7 @@ class _Tableau:
             self.parents.append([])
             self.alive.append(0)
             self.marks.append(0)
-            self.low.append(0)
+            self.low.append(_UNSEEN)
         return i
 
     def _extend(self, state: frozenset, codes: tuple) -> "frozenset | None":
@@ -349,17 +372,23 @@ class _Tableau:
         if len(cur) > len(state):
             return ("or", (self._discover(frozenset(cur), ()),))
         # A closed state refutes neither kid of an open branch, so both
-        # successors exist; each is closed from its one new member.
+        # successors exist; each is closed from its one new member.  While
+        # passes defer, the second is only recorded.
         for c in sorted(state & self.branches):
-            mode, kids = plan[c]
+            mode, (k0, k1) = plan[c]
             if mode == _BRANCH_STAR:
-                marker = base + c
-                if marker not in state:
-                    return ("or", tuple(self._discover(state | {k, marker}, (k,))
-                                        for k in kids))
-            elif kids[0] not in state and kids[1] not in state:
-                return ("or", tuple(self._discover(state | {k}, (k,))
-                                    for k in kids))
+                if base + c in state:
+                    continue
+                tag = (base + c,)
+            elif k0 in state or k1 in state:
+                continue
+            else:
+                tag = ()
+            first = self._discover(state.union(tag, (k0,)), (k0,))
+            if self.defer:
+                self.deferred[i] = (state.union(tag, (k1,)), (k1,))
+                return ("or", (first,))
+            return ("or", (first, self._discover(state.union(tag, (k1,)), (k1,))))
         # Saturated: collect modal obligations and star eventualities.
         args = self.args
         positives: dict[str, list[int]] = {}
@@ -382,44 +411,73 @@ class _Tableau:
         return ("sat", obligations, eventualities)
 
     def build(self) -> bytearray:
-        """Expand states depth first, first branch first, by Tarjan's
-        search, and return the alive set that decided.  Each strongly
-        connected component is settled when it closes; at each checkpoint
-        the open part, the states on Tarjan's stack, is settled with the
-        unexpanded states counted dead, and a root that survives there
-        survives in the whole graph, so the search stops."""
+        """Search in passes (`_search`) and return the alive set that
+        decided: that of the first pass after which the root is alive, or
+        whose subgraph holds no deferred alternative.  Between passes the
+        alternatives of the dead decompositions the pass reached are
+        released, or every deferred one if none of those died or if the
+        next pass is pass `PASSES`.  Only the states that reach a released
+        decomposition are searched again, and the root reaches each of
+        them through such states; the others reach the same subgraph as
+        before, so they keep their alive bits and marks and count as
+        settled."""
+        info, parents, alive, low, deferred = (
+            self.info, self.parents, self.alive, self.low, self.deferred)
+        while True:
+            self.passes += 1
+            self.defer = self.passes < PASSES
+            self._search()
+            reached = [i for i in deferred if low[i] == _SETTLED]
+            if alive[self.root] or not reached:
+                return alive
+            release = list(deferred)
+            if self.passes + 1 < PASSES:
+                release = [i for i in reached if not alive[i]] or release
+            for i in release:
+                t = self._discover(*deferred.pop(i))
+                info[i] = ("or", info[i][1] + (t,))
+                parents[t].append(i)
+            work = release
+            while work:
+                u = work.pop()
+                if low[u] == _SETTLED:
+                    low[u] = _UNSEEN
+                    work.extend(parents[u])
+
+    def _search(self) -> None:
+        """One pass: Tarjan's search from the root over the successors
+        followed, expanding states depth first, first branch first, and
+        settling each strongly connected component when it closes.  States
+        kept from the last pass count as settled, and states never visited
+        as dead."""
         info, low, parents = self.info, self.low, self.parents
-        open_: list[int] = []  # expanded and not yet settled
+        open_: list[int] = []  # visited and not yet settled
         frames: list[tuple] = []  # (state id, its targets left, its slot)
-        checkpoint = CHECK_FIRST
         i = self.root
         while True:
-            if i is not None:  # expand i and push it
-                entry = info[i] = self._process(i)
-                self.order.append(i)
-                if entry[0] == "or":
-                    targets = entry[1]
+            if i is not None:  # visit i and push it
+                entry = info[i]
+                if entry is None:
+                    entry = info[i] = self._process(i)
+                    self.order.append(i)
+                    targets = _targets(entry)
+                    for t in targets:
+                        parents[t].append(i)
+                    if entry[0] == "sat":
+                        need = refute = 0
+                        for m in entry[2]:
+                            need |= self.start_bit[m]
+                        for c in self.states[i] & self.refuting:
+                            refute |= self.refutes[c]
+                        self.goal[i] = (need, refute)
                 else:
-                    targets = [d for _, _, d in entry[1] if d is not None]
-                    need = refute = 0
-                    for m in entry[2]:
-                        need |= self.start_bit[m]
-                    for c in self.states[i] & self.refuting:
-                        refute |= self.refutes[c]
-                    self.goal[i] = (need, refute)
-                for t in targets:
-                    parents[t].append(i)
+                    targets = _targets(entry)
                 low[i] = len(open_)
                 frames.append((i, iter(targets), len(open_)))
                 open_.append(i)
-                if len(self.order) == checkpoint:
-                    checkpoint *= CHECK_GROWTH
-                    self._settle(open_, 0)
-                    if self.alive[self.root]:
-                        return self.alive
             i, targets, slot = frames[-1]
             for t in targets:
-                if info[t] is None:
+                if low[t] == _UNSEEN:
                     i = t
                     break
                 if low[t] < low[i]:
@@ -433,7 +491,7 @@ class _Tableau:
                     for u in part:
                         low[u] = _SETTLED
                 if not frames:
-                    return self.alive
+                    return
                 parent = frames[-1][0]
                 low[parent] = min(low[parent], low[i])
                 i = None
@@ -460,9 +518,8 @@ class _Tableau:
 
     def _settle(self, part: list, floor: int) -> None:
         """Alive bits and marks of the states of part, from those of the
-        states it reaches outside it: settled ones, and unexpanded ones,
-        which count as dead.  A parent p of a state of part is in part iff
-        low[p] >= floor.  States with a failed obligation are deleted, then
+        states it reaches outside it, all settled.  A parent p of a state
+        of part is in part iff low[p] >= floor.  States with a failed obligation are deleted, then
         saturated states with an unfulfilled eventuality, to a fixpoint;
         each marking round that deletes states adds part's live count to
         `rounds`."""
@@ -653,14 +710,16 @@ def pdl_satisfiable(f: PdlFormula, stats: "dict | None" = None):
     """Model and world satisfying f, or None.  The returned model is always
     re-checked with the independent evaluator.
 
-    `stats`, when given, receives `nodes` (states expanded), `closure`
-    (closure members) and `rounds`: for each settlement step that deleted
-    states for an unfulfilled eventuality, in search order, the number of
-    states of the settled part alive before it."""
+    `stats`, when given, receives `nodes` (distinct states expanded over
+    all passes), `passes`, `closure` (closure members) and `rounds`: for
+    each settlement step that deleted states for an unfulfilled
+    eventuality, in search order, the number of states of the settled part
+    alive before it."""
     engine = _Tableau(f)
     alive = engine.build()
     if stats is not None:
         stats["nodes"] = len(engine.order)
+        stats["passes"] = engine.passes
         stats["rounds"] = engine.rounds
         stats["closure"] = len(engine.closure)
     if not alive[engine.root]:

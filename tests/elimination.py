@@ -1,7 +1,7 @@
 """Reference elimination for the tableau of `ckstar.solver`.
 
-The global fixpoint over a tableau's expanded states, with the states not
-yet expanded counted dead: delete the states with a failed obligation (a
+The global fixpoint over a tableau's expanded states (or the part of them
+a search pass reached), with the other states counted dead: delete the states with a failed obligation (a
 decomposition with no alive successor, a saturated state with a dead or
 clashing demand), then, in rounds, mark every eventuality family over all
 alive states and delete the saturated states with an unfulfilled one.
@@ -17,12 +17,14 @@ The package does not ship it.
 from __future__ import annotations
 
 
-def reference_alive(engine) -> bytearray:
-    """Expanded states of `engine` (a `ckstar.solver._Tableau`) that
-    survive deletion to a fixpoint, one byte per state id."""
+def reference_alive(engine, present=None) -> bytearray:
+    """States of `engine` (a `ckstar.solver._Tableau`) that survive
+    deletion to a fixpoint, one byte per state id.  The states present are
+    the expanded ones, or the ids in `present`, all expanded; steps follow
+    the entries as they stand."""
     info, parents = engine.info, engine.parents
     alive = bytearray(len(engine.states))
-    for i in engine.order:
+    for i in engine.order if present is None else present:
         alive[i] = 1
 
     def propagate(work: list) -> None:
@@ -39,7 +41,7 @@ def reference_alive(engine) -> bytearray:
                 alive[i] = 0
                 work.extend(parents[i])
 
-    propagate(list(engine.order))
+    propagate([i for i in engine.order if alive[i]])
     while True:
         rev_steps, saturated, families = alive_steps(engine, alive)
         marked = {m: fulfilled(engine, m, rev_steps, saturated)

@@ -4,7 +4,9 @@ One test per criterion, each printing a pass/fail line (run with -s to see
 them live).  The corpus size is exhaustive over {p, q} up to
 CKSTAR_ACCEPTANCE_MAX_NODES AST nodes (default 5, several thousand
 formulas); property suites run CKSTAR_ACCEPTANCE_PROP_N instances each
-(default 10**4).
+(default 10**4).  The `hard` benchmark pool is checked against the
+bounded oracle on every tenth formula, or on all 260 with
+CKSTAR_ACCEPTANCE_HARD=1.
 """
 
 import os
@@ -15,6 +17,7 @@ import pytest
 
 from ckstar.oracle import (
     EnumSpec,
+    brute_force_decide,
     enumerate_formulas,
     random_formula,
     random_model,
@@ -55,6 +58,7 @@ from truth_maps import (
 
 MAX_NODES = int(os.environ.get("CKSTAR_ACCEPTANCE_MAX_NODES", "5"))
 PROP_N = int(os.environ.get("CKSTAR_ACCEPTANCE_PROP_N", "10000"))
+HARD_ALL = os.environ.get("CKSTAR_ACCEPTANCE_HARD", "0") == "1"
 ATOMS = ("p", "q")
 
 
@@ -350,3 +354,27 @@ def test_criterion_6_self_certification(records):
             total += 1
         print(f"[acceptance]   {total}/{total} invalid verdicts re-verified",
               flush=True)
+
+
+def test_criterion_7_hard_pool_against_the_oracle():
+    # The `hard` benchmark pool: seeded depth-5/6 formulas over p, q, r,
+    # past the reach of the exhaustive corpus.
+    atoms = ("p", "q", "r")
+    step = 1 if HARD_ALL else 10
+    pool = [random_formula(s, d, atoms)
+            for d, n in ((5, 200), (6, 60)) for s in range(0, n, step)]
+    with criterion(7, f"hard pool against the 2-world oracle, {len(pool)} formulas"):
+        verdicts = []
+        for f in pool:
+            verdict = decide("ck_star", f)
+            verdicts.append(verdict.valid)
+            if not verdict.valid:
+                assert validate(verdict.model, "ck") == [], render(f)
+                assert not satisfies(verdict.model, verdict.world, f), render(f)
+                if verdict.model.worlds > 2:
+                    continue
+            oracle = brute_force_decide("ck_star", f, EnumSpec(2, atoms))
+            assert oracle.valid_up_to_bound == verdict.valid, render(f)
+        assert True in verdicts and False in verdicts
+        print(f"[acceptance]   {verdicts.count(True)} valid, "
+              f"{verdicts.count(False)} invalid", flush=True)

@@ -5,6 +5,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import ckstar
 from ckstar.cli import MAX_GEN_DEPTH, main
 from ckstar.relmodel import MAX_WORLDS, dump_model, load_model
@@ -198,6 +200,18 @@ def test_package_runs_without_numpy():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("module", ["ckstar", "ckstar.cli"])
+def test_runs_as_a_module(module, capsys):
+    src = str(Path(ckstar.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", module, "decide", "--logic", "ck_star", "p"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stderr
+    code, out, _ = run(capsys, "decide", "--logic", "ck_star", "p")
+    assert done.stdout == out and json.loads(out)["verdict"] == "invalid"
 
 
 def test_gen_commands_deterministic(capsys):

@@ -254,24 +254,56 @@ def test_tableau_agrees_with_bounded_model_search():
         # SAT answers are certified inside the engine already.
 
 
+def reached(engine) -> list:
+    """The ids reachable from the root along the successors the last pass
+    followed."""
+    seen, work = {engine.root}, [engine.root]
+    while work:
+        for t in solver._targets(engine.info[work.pop()]):
+            if t not in seen:
+                seen.add(t)
+                work.append(t)
+    return sorted(seen)
+
+
+def assert_settled_as_reference(engine, present) -> int:
+    """The alive bits of the states present, and each alive one's mark at
+    every starred member's start bit, equal the reference elimination's on
+    the subgraph they span; returns the number of marks compared."""
+    reference = reference_alive(engine, present)
+    goal = render(engine.closure.formulas[0])
+    assert [engine.alive[u] for u in present] == [reference[u] for u in present], goal
+    rev_steps, saturated, _ = alive_steps(engine, reference)
+    pairs = 0
+    for m, bit in engine.start_bit.items():
+        expected = fulfilled(engine, m, rev_steps, saturated)
+        for u in present:
+            if reference[u]:
+                assert bool(engine.marks[u] & bit) == bool(expected[u]), (goal, u, m)
+                pairs += 1
+    return pairs
+
+
 def test_settlement_matches_global_elimination(monkeypatch):
-    # A settlement from the bottom of Tarjan's stack (a checkpoint, or the
-    # root's component closing) leaves every expanded state final for the
-    # expanded part: its alive bit must be the global fixpoint's, with the
-    # unexpanded states counted dead.  Once at every checkpoint, then with
-    # the whole graph expanded, where each alive state's mark at a starred
-    # member's start bit must also be the reference's own fulfilment, since
-    # extraction reads its witness paths off the marks.
-    snapshots = []
+    # A pass ends when the root's component settles, from the bottom of
+    # Tarjan's stack.  Every state reachable along the successors the pass
+    # followed is then settled for that subgraph, by this pass or, if it
+    # reaches no decomposition released since, by an earlier one: its
+    # alive bit must be the global fixpoint's on the subgraph, and each
+    # alive state's mark at a starred member's start bit must be the
+    # reference's own fulfilment, since extraction reads its witness paths
+    # off the marks.  Once after every pass, then with every alternative
+    # released from the start, where one pass settles the whole graph.
+    passes = []
+    compared_pairs = 0
     original = solver._Tableau._settle
 
     def compared(engine, part, floor):
+        nonlocal compared_pairs
         original(engine, part, floor)
         if floor == 0:
-            reference = reference_alive(engine)
-            assert [engine.alive[i] for i in engine.order] == \
-                [reference[i] for i in engine.order], render(engine.closure.formulas[0])
-            snapshots.append(len(engine.order))
+            compared_pairs += assert_settled_as_reference(engine, reached(engine))
+            passes.append(engine.passes)
 
     monkeypatch.setattr(solver._Tableau, "_settle", compared)
     # ![P*]A & [Q*]B & C: an eventuality that a box may keep from being
@@ -286,24 +318,18 @@ def test_settlement_matches_global_elimination(monkeypatch):
                 for _ in range(120)]
     for f in formulas:
         pdl_satisfiable(f)
-    checkpoints = sum(n in (solver.CHECK_FIRST, solver.CHECK_FIRST * solver.CHECK_GROWTH)
-                      for n in snapshots)
-    monkeypatch.setattr(solver, "CHECK_FIRST", 1 << 60)
+    monkeypatch.undo()
+    monkeypatch.setattr(solver, "PASSES", 0)
     deleted = pairs = 0
     for f in formulas:
         engine = solver._Tableau(f)
         alive = engine.build()
+        assert engine.passes == 1 and reached(engine) == sorted(engine.order)
         assert alive == reference_alive(engine)
         deleted += bool(engine.rounds)
-        rev_steps, saturated, _ = alive_steps(engine, alive)
-        for m, bit in engine.start_bit.items():
-            reference = fulfilled(engine, m, rev_steps, saturated)
-            for u in engine.order:
-                if alive[u]:
-                    assert bool(engine.marks[u] & bit) == bool(reference[u]), \
-                        (render(f), u, m)
-                    pairs += 1
-    assert checkpoints > 50 and deleted > 20 and pairs > 10000
+        pairs += assert_settled_as_reference(engine, engine.order)
+    assert passes.count(2) > 30 and passes.count(3) > 10, passes
+    assert compared_pairs > 5000 and deleted > 20 and pairs > 10000
 
 
 def test_search_stops_once_the_root_survives(monkeypatch):
@@ -311,17 +337,17 @@ def test_search_stops_once_the_root_survives(monkeypatch):
     stats = {}
     model, world = pdl_satisfiable(f, stats=stats)
     assert pdl_satisfies(model, world, f)
-    first = solver.CHECK_FIRST
-    # Checkpoints past any graph size expand the whole graph first.
-    monkeypatch.setattr(solver, "CHECK_FIRST", 1 << 60)
+    # A pass cap of 0 releases every alternative from the start, so the
+    # one pass searches the whole graph.
+    monkeypatch.setattr(solver, "PASSES", 0)
     full = {}
     assert pdl_satisfiable(f, stats=full) is not None
-    assert stats["nodes"] < full["nodes"] and first < full["nodes"]
+    assert stats["nodes"] < full["nodes"] and full["passes"] == 1
 
 
-def test_depth6_seed17_decides_within_a_few_checkpoints(monkeypatch):
-    # Its whole graph has 617,282 states; a countermodel lies in the first few.
-    from ckstar.oracle import random_formula
+def recorded_stats(monkeypatch) -> list:
+    """The `stats` of every `pdl_satisfiable` call `decide` makes from now
+    on, in call order."""
     seen = []
     original = solver.pdl_satisfiable
 
@@ -331,62 +357,93 @@ def test_depth6_seed17_decides_within_a_few_checkpoints(monkeypatch):
         return original(g, stats=stats)
 
     monkeypatch.setattr(solver, "pdl_satisfiable", recorded)
+    return seen
+
+
+def test_depth6_seed17_decides_in_two_passes_over_500_states(monkeypatch):
+    # Its whole graph has 617,282 states; the second pass finds a
+    # countermodel among the first 459.
+    from ckstar.oracle import random_formula
+    seen = recorded_stats(monkeypatch)
     f = random_formula(17, 6, ("p", "q", "r"))
     v = decide("ck_star", f)
     assert not v.valid
     assert not satisfies(v.model, v.world, f)
-    assert seen[0]["nodes"] <= 4096
+    assert seen[0]["passes"] <= 2 and seen[0]["nodes"] <= 500
 
 
-# Graph counters of the PDL query behind each formula: `nodes` and
-# `closure` as recorded with the frozenset-keyed tableau that preceded
-# dense state ids, and `rounds` as recorded when settlement replaced global
-# elimination (the live count of each settlement step that deleted states
-# for an unfulfilled eventuality).  A change to the engine's internals that
-# keeps its decomposition graph, expansion order and checkpoints keeps
-# `nodes` and `closure` exactly.  None as logic means `pdl_satisfiable` on
-# the PDL formula itself.
+@pytest.mark.parametrize("n, cap", [(21, 500), (41, 2000), (99, 8000)])
+def test_odd_negation_tower_decides_within_a_state_cap(n, cap, monkeypatch):
+    # Before the search ran in passes, n = 27 expanded 65,536 states and
+    # n = 41 passed 1.5 GB.  Each pass follows the first alternative of
+    # each decomposition, so the one-world countermodel turns up in the
+    # second pass.
+    seen = recorded_stats(monkeypatch)
+    f = parse_formula("~" * n + "p")
+    v = decide("ck_star", f)
+    assert not v.valid
+    assert validate(v.model, "ck") == [] and not satisfies(v.model, v.world, f)
+    assert seen[0]["nodes"] <= cap
+
+
+def test_wide_disjunction_decides_within_a_state_cap(monkeypatch):
+    # Refuting a disjunction of 512 conjunctions: 4096 states before the
+    # search ran in passes, for a one-world countermodel.
+    seen = recorded_stats(monkeypatch)
+    f = parse_formula(balanced_text([f"(a{i} & b{i})" for i in range(512)], "|"))
+    with stack_headroom(100):
+        v = decide("wk_star", f)
+    assert not v.valid and v.model.worlds == 1
+    assert not satisfies(v.model, v.world, f)
+    assert seen[0]["nodes"] <= 2048
+
+
+# Graph counters of the PDL query behind each formula: `nodes` (distinct
+# states expanded over all passes) and `closure` as first recorded with
+# the frozenset-keyed tableau that preceded dense state ids, `passes`, and
+# `rounds` (the live count of each settlement step that deleted states for
+# an unfulfilled eventuality, over all passes in search order).  Every row
+# was re-recorded when the search in passes replaced the checkpoints.  A
+# change to the engine's internals that keeps its decomposition graph,
+# expansion order and pass rules keeps them exactly.  None as logic means
+# `pdl_satisfiable` on the PDL formula itself.
 GRAPH_PINS = [
-    (None, "![a*]p & [a](p | [a*]!p)", 16, [], 10),
+    (None, "![a*]p & [a](p | [a*]!p)", 3, 1, [], 10),
     # `oracle.random_formula` (seed, depth) over p, q, r.
-    ("ck_star", (0, 5), 256, [], 69),
-    ("ck_star", (17, 6), 256, [], 94),
+    ("ck_star", (0, 5), 17, 1, [], 69),
+    ("ck_star", (17, 6), 459, 2, [], 94),
     # One `theorems` benchmark instance each of K and induction (ck_star)
     # and of 4 (cs4).
     ("ck_star", "[]((((false | p) | (p -> p))) -> (<>[]p)) -> "
-                "([](((false | p) | (p -> p))) -> [](<>[]p))", 31, [3, 3, 2], 58),
+                "([](((false | p) | (p -> p))) -> [](<>[]p))", 31, 3, [3, 3, 2], 58),
     ("ck_star", "[*]((((false | p) | (p -> p))) -> [](((false | p) | (p -> p)))) -> "
                 "((((false | p) | (p -> p))) -> [*](((false | p) | (p -> p))))",
-     934, [21, 8, 50, 17, 91, 91, 201, 4, 2], 50),
-    ("cs4", "[]((<>q & (q | p))) -> [][]((<>q & (q | p)))", 106, [14, 46, 15, 2], 29),
+     934, 3, [6, 21, 8, 50, 17, 91, 201, 4, 2], 50),
+    ("cs4", "[]((<>q & (q | p))) -> [][]((<>q & (q | p)))", 106, 3, [6, 19, 46, 15, 2], 29),
     # Deep, star-heavy closures: an odd tower of ~ (Invalid, many branch
     # states) and right-nested implications (Valid, one deleting step per
     # nesting level, each in a component of three states).
-    ("ck_star", "~" * 21 + "p", 4096, [131, 367], 103),
-    ("ck_star", "p->" * 20 + "p", 710, [3] * 19 + [2], 65),
-    ("ck_star", "p->" * 100 + "p", 15550, [3] * 4 + [196] + [3] * 95 + [2], 305),
+    ("ck_star", "~" * 21 + "p", 332, 2, [], 103),
+    ("ck_star", "p->" * 20 + "p", 710, 3, [3] * 19 + [2], 65),
+    ("ck_star", "p->" * 100 + "p", 15550, 3, [3] * 99 + [2], 305),
 ]
 
 
-@pytest.mark.parametrize("logic, source, nodes, rounds, closure", GRAPH_PINS)
-def test_decomposition_graph_is_pinned(logic, source, nodes, rounds, closure,
-                                       monkeypatch):
+@pytest.mark.parametrize("logic, source, nodes, passes, rounds, closure", GRAPH_PINS)
+def test_decomposition_graph_is_pinned(logic, source, nodes, passes, rounds,
+                                       closure, monkeypatch):
     from ckstar.oracle import random_formula
-    stats = {}
     if logic is None:
+        stats = {}
         pdl_satisfiable(parse_pdl(source), stats=stats)
     else:
-        original = solver.pdl_satisfiable
-
-        def recorded(g, stats=None, _seen=stats):
-            return original(g, stats=_seen)
-
-        monkeypatch.setattr(solver, "pdl_satisfiable", recorded)
+        seen = recorded_stats(monkeypatch)
         f = (random_formula(*source, ("p", "q", "r"))
              if isinstance(source, tuple) else parse_formula(source))
         decide(logic, f)
-    assert (stats["nodes"], stats["rounds"], stats["closure"]) == \
-        (nodes, rounds, closure)
+        stats, = seen
+    assert (stats["nodes"], stats["passes"], stats["rounds"], stats["closure"]) == \
+        (nodes, passes, rounds, closure)
 
 
 @pytest.mark.parametrize("logic", ["ck_star", "wk_star", "ck_star_box", "cs4", "ws4"])
@@ -402,7 +459,7 @@ def test_incremental_closure_matches_closing_from_scratch(monkeypatch):
     # it from every member must give the same state or the same clash.
     # Conjunctions of four random formulas, with the whole graph expanded,
     # give states with many members and many clashes.
-    monkeypatch.setattr(solver, "CHECK_FIRST", 1 << 60)
+    monkeypatch.setattr(solver, "PASSES", 0)
     rng = random.Random(23)
     checked = clashes = partial = 0
     for _ in range(60):
