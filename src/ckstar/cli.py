@@ -16,6 +16,7 @@ import sys
 
 from .oracle import EnumSpec, brute_force_decide, random_formula, random_model
 from .relmodel import (
+    MODEL_KINDS,
     BiModel,
     ModelFormatError,
     dump_model,
@@ -38,6 +39,7 @@ from .syntax import (
     parse_formula,
     parse_pdl,
     render,
+    variables,
 )
 from .translate import TranslationError, iota, kappa, omega, tau
 
@@ -134,7 +136,6 @@ def _cmd_check_model(args) -> int:
 
 def _cmd_oracle(args) -> int:
     f = _parse_for_logic(args.logic, args.formula)
-    from .syntax import variables
     spec = EnumSpec(args.max_worlds, tuple(variables(f)))
     verdict = brute_force_decide(args.logic, f, spec)
     if verdict.valid_up_to_bound:
@@ -197,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("check-model", help="report model-condition violations")
-    p.add_argument("--kind", required=True, choices=("ck", "wk", "cs4", "ws4"))
+    p.add_argument("--kind", required=True, choices=MODEL_KINDS)
     p.add_argument("model")
     p.set_defaults(func=_cmd_check_model)
 
@@ -209,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-model", help="seeded random model")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--kind", default="ck", choices=("ck", "wk", "cs4", "ws4"))
+    p.add_argument("--kind", default="ck", choices=MODEL_KINDS)
     p.add_argument("--max-worlds", type=int, default=4)
     p.add_argument("--atoms", default="p,q")
     p.set_defaults(func=_cmd_gen_model)

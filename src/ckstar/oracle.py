@@ -11,37 +11,24 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from typing import Iterator
 
-from .relmodel import BiModel, PdlModel, Relation, mask_of, validate, worlds_of
-from .semantics import extension, pdl_extension
-from .syntax import (
-    Atom,
-    And,
-    Bot,
-    Box,
-    BoxP,
-    BoxStar,
-    Dia,
-    DiaStar,
-    Formula,
-    FragmentTag,
-    Imp,
-    Neg,
-    Or,
-    PAtom,
-    PdlAnd,
-    PdlAtom,
-    PdlFormula,
-    PdlOr,
-    Star,
-    variables,
+from .relmodel import (
+    MODEL_KINDS,
+    BiModel,
+    PdlModel,
+    Relation,
+    mask_of,
+    validate,
+    worlds_of,
 )
+from .semantics import extension, pdl_extension
+from .syntax import FRAGMENTS, FragmentTag, program_size, variables
 from .solver import check_input
 from .translate import ck_model_to_cs4
 
-ENUM_KINDS = ("ck", "wk", "cs4", "ws4")
 MAX_ENUM_WORLDS = 4
 
 
@@ -52,7 +39,7 @@ class EnumSpec:
     kind: str = "ck"
 
     def __post_init__(self):
-        if self.kind not in ENUM_KINDS:
+        if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.max_worlds < 1:
             raise ValueError(
@@ -260,53 +247,38 @@ def _random_ck(rng: random.Random, spec: EnumSpec) -> BiModel:
     return m
 
 
-_UNARY = {
-    FragmentTag.LSTAR: (Box, Dia, BoxStar, DiaStar),
-    FragmentTag.LSTAR_BOX: (Box, BoxStar),
-    FragmentTag.L: (Box, Dia),
-}
-_BINARY = (And, Or, Imp)
+def _leaves(fragment: FragmentTag, atoms: tuple[str, ...]) -> list:
+    """The fragment's leaves: falsum once, a named leaf per atom."""
+    leaf_classes, _ = FRAGMENTS[fragment]
+    return [leaf for cls in leaf_classes
+            for leaf in ([cls(a) for a in atoms] if fields(cls) else [cls()])]
+
+
+def _operators(fragment: FragmentTag) -> list:
+    """The fragment's operators in table order, each as its constructor over
+    formula children, the number of those children (the node class's
+    fields, less the box program) and the nodes the operator adds."""
+    _, operators = FRAGMENTS[fragment]
+    return [(cls, len(fields(cls)), 1) if prog is None else
+            (partial(cls, prog), len(fields(cls)) - 1, 1 + program_size(prog))
+            for cls, prog in operators]
 
 
 def random_formula(seed: int, depth: int, atoms: tuple[str, ...],
                    fragment: FragmentTag = FragmentTag.LSTAR):
-    """Uniform over the fragment's constructors down to the depth bound."""
+    """Uniform over a leaf and the fragment's operators down to the depth
+    bound."""
     rng = random.Random(seed)
-
-    def leaf():
-        picks = [Bot()] + [Atom(a) for a in atoms]
-        return rng.choice(picks)
+    leaves = _leaves(fragment, atoms)
+    choices = [None, *_operators(fragment)]  # None draws a leaf
 
     def go(d: int):
-        if d <= 0:
-            return leaf()
-        ops = ["leaf"] + list(_UNARY[fragment]) + list(_BINARY)
-        op = rng.choice(ops)
-        if op == "leaf":
-            return leaf()
-        if op in _BINARY:
-            return op(go(d - 1), go(d - 1))
-        return op(go(d - 1))
+        op = rng.choice(choices) if d > 0 else None
+        if op is None:
+            return rng.choice(leaves)
+        make, arity, _ = op
+        return make(*[go(d - 1) for _ in range(arity)])
 
-    def go_k(d: int):
-        if d <= 0:
-            return PdlAtom(rng.choice(atoms))
-        ops = ["leaf", "neg", "and", "or", "box", "boxstar"]
-        op = rng.choice(ops)
-        if op == "leaf":
-            return PdlAtom(rng.choice(atoms))
-        if op == "neg":
-            return Neg(go_k(d - 1))
-        if op == "and":
-            return PdlAnd(go_k(d - 1), go_k(d - 1))
-        if op == "or":
-            return PdlOr(go_k(d - 1), go_k(d - 1))
-        if op == "box":
-            return BoxP(PAtom("a"), go_k(d - 1))
-        return BoxP(Star(PAtom("a")), go_k(d - 1))
-
-    if fragment is FragmentTag.LK_STAR:
-        return go_k(depth)
     return go(depth)
 
 
@@ -317,42 +289,19 @@ def random_formula(seed: int, depth: int, atoms: tuple[str, ...],
 def enumerate_formulas(max_size: int, atoms: tuple[str, ...],
                        fragment: FragmentTag = FragmentTag.LSTAR) -> list:
     """Every formula of the fragment with at most max_size AST nodes, in
-    deterministic size-then-structure order."""
-    if fragment is FragmentTag.LK_STAR:
-        return _enumerate_kstar(max_size, atoms)
-    unary = _UNARY[fragment]
-    by_size: dict[int, list[Formula]] = {1: [Bot()] + [Atom(a) for a in atoms]}
+    deterministic size-then-structure order: within a size, unary operators
+    before binary ones, each in table order."""
+    by_size: dict[int, list] = {1: _leaves(fragment, atoms)}
+    ops = sorted(_operators(fragment), key=lambda op: op[1])
     for s in range(2, max_size + 1):
-        layer: list[Formula] = []
-        for op in unary:
-            layer.extend(op(f) for f in by_size[s - 1])
-        for op in _BINARY:
-            for i in range(1, s - 1):
+        layer: list = []
+        for make, arity, cost in ops:
+            if arity == 1:
+                layer.extend(make(f) for f in by_size.get(s - cost, []))
+                continue
+            for i in range(1, s - cost):
                 for left in by_size[i]:
-                    for right in by_size[s - 1 - i]:
-                        layer.append(op(left, right))
+                    layer.extend(make(left, right)
+                                 for right in by_size[s - cost - i])
         by_size[s] = layer
-    out: list[Formula] = []
-    for s in range(1, max_size + 1):
-        out.extend(by_size[s])
-    return out
-
-
-def _enumerate_kstar(max_size: int, atoms: tuple[str, ...]) -> list:
-    box_a, box_star = PAtom("a"), Star(PAtom("a"))
-    by_size: dict[int, list[PdlFormula]] = {1: [PdlAtom(a) for a in atoms]}
-    for s in range(2, max_size + 1):
-        layer: list[PdlFormula] = []
-        layer.extend(Neg(f) for f in by_size.get(s - 1, []))
-        layer.extend(BoxP(box_a, f) for f in by_size.get(s - 2, []))
-        layer.extend(BoxP(box_star, f) for f in by_size.get(s - 3, []))
-        for op in (PdlAnd, PdlOr):
-            for i in range(1, s - 1):
-                for left in by_size.get(i, []):
-                    for right in by_size.get(s - 1 - i, []):
-                        layer.append(op(left, right))
-        by_size[s] = layer
-    out: list[PdlFormula] = []
-    for s in range(1, max_size + 1):
-        out.extend(by_size.get(s, []))
-    return out
+    return [f for s in range(1, max_size + 1) for f in by_size[s]]

@@ -47,11 +47,14 @@ the paper's chain of reductions: `pdl` is the root, `k_star` and
 `wk_star` (by `tau`) sit on it, `ck_star` (by `omega`), `ck_star_box`
 (identity) and `ws4` (by `kappa`) on `wk_star`, and `cs4` (by `kappa`)
 on `ck_star`.  `decide` checks the input, decides the mapped formula in
-the parent, and maps a countermodel back.  Each layer is certified once:
-`pdl_satisfiable` checks the PDL model with the independent evaluator,
-and every model map into a constructive class is checked with `validate`
-against that class and with `satisfies` against the source formula.  The
-oracle and the CLI read the same table.
+the parent, and maps a countermodel back.  `pdl_satisfiable` checks its
+PDL model with the independent evaluator.  After each model map into a
+constructive class, `decide` checks the model with `validate` against
+that class and with `satisfies` against the source formula; `satisfies`
+validates its model as a `ck` model first, and `wk_model_to_ck` and
+`ck_model_to_cs4` validate the model they are given.  So one Invalid
+verdict runs `validate` 2 times under `wk_star`, 5 under `ck_star` and 8
+under `cs4`.  The oracle and the CLI read the same table.
 """
 
 from __future__ import annotations

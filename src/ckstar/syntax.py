@@ -200,6 +200,24 @@ class FragmentTag(Enum):
     LK_STAR = "lk_star"
 
 
+def _plain(*classes) -> tuple:
+    return tuple((cls, None) for cls in classes)
+
+
+# Each fragment's grammar: (its leaf node classes, its operators as (node
+# class, box program or None) pairs).  `check_fragment` and the oracle's
+# formula generator and enumerator read it; the operators are listed in
+# the order the generator draws them.
+FRAGMENTS = {
+    FragmentTag.LSTAR: ((Bot, Atom),
+                        _plain(Box, Dia, BoxStar, DiaStar, And, Or, Imp)),
+    FragmentTag.LSTAR_BOX: ((Bot, Atom), _plain(Box, BoxStar, And, Or, Imp)),
+    FragmentTag.L: ((Bot, Atom), _plain(Box, Dia, And, Or, Imp)),
+    FragmentTag.LK_STAR: ((PdlAtom,), _plain(Neg, PdlAnd, PdlOr) + (
+        (BoxP, PAtom("a")), (BoxP, Star(PAtom("a"))))),
+}
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 
@@ -567,36 +585,22 @@ def formula_size(f: AnyFormula) -> int:
     return 1 + sum(formula_size(c) for c in _children(f))
 
 
-def _is_kstar_program(p: Program) -> bool:
-    return p == PAtom("a") or p == Star(PAtom("a"))
+# Per fragment: the node classes it admits, and the programs its boxes may
+# carry.
+_ADMITTED = {
+    tag: (frozenset(leaves) | {cls for cls, _ in operators},
+          frozenset(prog for _, prog in operators if prog is not None))
+    for tag, (leaves, operators) in FRAGMENTS.items()}
 
 
 def check_fragment(f: AnyFormula, tag: FragmentTag) -> bool:
-    """True iff every node of f is permitted by the tag's definition."""
-    if tag is FragmentTag.LK_STAR:
-        if not isinstance(f, PdlFormula):
-            return False
-        stack = [f]
-        while stack:
-            g = stack.pop()
-            if isinstance(g, BoxP) and not _is_kstar_program(g.prog):
-                return False
-            stack.extend(_children(g))
-        return True
-    if not isinstance(f, Formula):
-        return False
-    if tag is FragmentTag.LSTAR:
-        banned: tuple = ()
-    elif tag is FragmentTag.LSTAR_BOX:
-        banned = (Dia, DiaStar)
-    elif tag is FragmentTag.L:
-        banned = (BoxStar, DiaStar)
-    else:
-        raise ValueError(f"unknown fragment tag {tag!r}")
+    """True iff every node of f is permitted by the tag's row of
+    `FRAGMENTS`; KeyError for an unknown tag."""
+    classes, programs = _ADMITTED[tag]
     stack = [f]
     while stack:
         g = stack.pop()
-        if banned and isinstance(g, banned):
+        if type(g) not in classes or (type(g) is BoxP and g.prog not in programs):
             return False
         stack.extend(_children(g))
     return True

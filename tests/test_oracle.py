@@ -1,3 +1,7 @@
+import hashlib
+import sys
+from pathlib import Path
+
 import pytest
 
 from ckstar.oracle import (
@@ -138,6 +142,41 @@ def test_random_formula_determinism_and_coverage():
             assert check_fragment(g, fragment)
             seen |= {type(node).__name__ for node in iter_nodes(g)}
         assert names <= seen
+
+
+# Per fragment: formula count and the first 16 hex digits of the sha256 of
+# the rendered formulas joined by newlines.
+_GENERATOR_PINS = {
+    FragmentTag.LSTAR: (4652, "6e50ebc384196cf6"),
+    FragmentTag.LSTAR_BOX: (1616, "b796150beef487bd"),
+    FragmentTag.L: (1616, "d87c75b3d0eb43fb"),
+    FragmentTag.LK_STAR: (398, "134516626824faf2"),
+}
+
+
+def test_generators_are_pinned():
+    """The benchmark names its inputs by generator seed and rebuilds them
+    as text, so `enumerate_formulas` and `random_formula` must keep their
+    output formula for formula."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import gen
+        import record
+    finally:
+        sys.path.pop(0)
+    record.check_generators()  # the corpus and hard pools
+    for unary, tag in ((gen.LSTAR_UNARY, FragmentTag.LSTAR),
+                       (gen.L_UNARY, FragmentTag.L)):  # the theorems pool
+        for k in range(2 * gen.THEOREM_INSTANCES):
+            assert parse_formula(gen.random_formula(
+                k, gen.THEOREM_DEPTH, gen.PQ, unary)) == \
+                random_formula(k, gen.THEOREM_DEPTH, gen.PQ, tag)
+    for tag, pin in _GENERATOR_PINS.items():
+        fs = enumerate_formulas(5, ("p", "q"), tag) + [
+            random_formula(s, d, ("p", "q", "r"), tag)
+            for d in (3, 6) for s in range(100)]
+        digest = hashlib.sha256("\n".join(map(render, fs)).encode()).hexdigest()
+        assert (len(fs), digest[:16]) == pin, tag
 
 
 def test_enumerate_formulas_counts_and_order():

@@ -33,7 +33,7 @@ from ckstar.syntax import (
     variables,
 )
 
-from helpers import random_lstar, random_pdl
+from helpers import iter_nodes, random_lkstar, random_lstar, random_pdl
 
 p, q = Atom("p"), Atom("q")
 
@@ -148,6 +148,31 @@ def test_check_fragment():
     assert check_fragment(Box(p), FragmentTag.L)
     assert not check_fragment(BoxStar(p), FragmentTag.L)
     assert not check_fragment(parse_pdl("p"), FragmentTag.LSTAR)
+    assert not check_fragment(Box(p), FragmentTag.LK_STAR)
+    assert not check_fragment(parse_formula("false"), FragmentTag.LK_STAR)
+    for text in ("[a*;a]p", "[(a;a)*]p", "[i*]p"):
+        assert not check_fragment(parse_pdl(text), FragmentTag.LK_STAR)
+    for tag in (FragmentTag.LSTAR, FragmentTag.LSTAR_BOX, FragmentTag.L):
+        assert not check_fragment(parse_pdl("!p & [a]p"), tag)
+    # Against each fragment's node classes, with K*'s two box programs.
+    allowed = {
+        FragmentTag.LSTAR: {"Bot", "Atom", "And", "Or", "Imp",
+                            "Box", "Dia", "BoxStar", "DiaStar"},
+        FragmentTag.LSTAR_BOX: {"Bot", "Atom", "And", "Or", "Imp",
+                                "Box", "BoxStar"},
+        FragmentTag.L: {"Bot", "Atom", "And", "Or", "Imp", "Box", "Dia"},
+        FragmentTag.LK_STAR: {"PdlAtom", "Neg", "PdlAnd", "PdlOr", "BoxP"},
+    }
+    rng = random.Random(5)
+    for make in (random_lstar, random_pdl, random_lkstar):
+        for _ in range(500):
+            f = make(rng, 4)
+            names = {type(g).__name__ for g in iter_nodes(f)}
+            progs = {render_program(g.prog) for g in iter_nodes(f)
+                     if isinstance(g, BoxP)}
+            for tag, classes in allowed.items():
+                assert check_fragment(f, tag) == (
+                    names <= classes and progs <= {"a", "a*"}), (render(f), tag)
 
 
 def test_expand_diamonds():
