@@ -27,15 +27,16 @@ after a pass is alive in the whole graph: the search stops there and
 extracts its model, whose eventuality witnesses are shortest paths
 through the (state, mark bit) pairs set in the marks.  Otherwise the next
 pass releases the other alternatives of the dead decompositions the pass
-reached, or every deferred one if none of them died.  A state that
-reaches no released decomposition reaches the same subgraph as before,
-so it keeps its alive bit and marks and is not searched again; a part
-that reaches no deferred alternative at all is thus never searched
-twice.  A dead root whose subgraph holds no deferred alternative is dead
-in the whole graph.  Pass `PASSES` releases everything, so the answer
-stays exact.  States carry dense integer ids from their first discovery;
-each is closed from the codes that discovery added with a worklist and
-per-code watch lists.
+reached, or every deferred one if none of them died, and searches the
+cached graph from the root again: no state is expanded twice, and every
+state the pass reaches is settled anew.  A dead root whose subgraph
+holds no deferred alternative is dead in the whole graph.  Pass `PASSES`
+releases everything, so the answer stays exact.  States carry dense
+integer ids from their first discovery; each is closed from the codes
+that discovery added with a worklist and per-code watch lists.  An
+expanded state's entry is all that the search reads of it: a
+decomposition's successor ids, or a saturated state's demand ids, their
+letters, its eventualities and its need and refute mark bits.
 The tests pin the alive sets and marks to a global elimination with its
 own marking (`tests/elimination.py`), and the verdicts to an exhaustive
 type-elimination engine (`tests/exhaustive.py`).
@@ -178,14 +179,6 @@ _UNSEEN = -1
 _SETTLED = 1 << 62
 
 
-def _targets(entry: tuple) -> "tuple | list":
-    """The successor ids of an expanded state's entry that a pass follows:
-    a decomposition's alternatives not deferred, a saturated state's
-    demands without a clash."""
-    if entry[0] == "or":
-        return entry[1]
-    return [d for _, _, d in entry[1] if d is not None]
-
 # States are frozensets of member codes (closure index << 1 | sign) with no
 # clashing pair.  Unsaturated states decompose one member per step, so
 # branch combinations share structure as a cached DAG instead of an
@@ -271,12 +264,12 @@ class _Tableau:
         # Per state id: the state, the codes to close it from (see _close),
         # its entry once expanded (None before), the ids that step to it,
         # its alive bit and marks (as settled in the last pass that reached
-        # it) and its Tarjan low link.
-        # entry = ("or", successor ids followed) | ("sat", obligations,
-        # eventualities); obligation = (program atom, refuted body index,
-        # demand id|None); goal of a saturated state = (its eventualities'
-        # start bits, the bits it refutes).  deferred[i]: the (state, seed)
-        # of decomposition i's other alternative, until it is released.
+        # it) and its Tarjan low link in the pass under way.
+        # entry = ("or", successor ids followed) | ("sat", demand ids, their
+        # program atoms, eventualities, the eventualities' start bits, the
+        # bits the state refutes); both list the successors at index 1.
+        # deferred[i]: the (state, seed) of decomposition i's other
+        # alternative, until it is released.
         self.ids: dict[frozenset, int] = {}
         self.states: list[frozenset] = []
         self.seeds: list = []
@@ -285,7 +278,6 @@ class _Tableau:
         self.alive = bytearray()
         self.marks: list[int] = []
         self.low: list[int] = []
-        self.goal: dict[int, tuple[int, int]] = {}
         self.deferred: dict[int, tuple] = {}
         self.defer = False  # whether the pass under way defers alternatives
         self.order: list[int] = []   # expanded ids, in expansion order
@@ -307,13 +299,6 @@ class _Tableau:
             self.marks.append(0)
             self.low.append(_UNSEEN)
         return i
-
-    def _extend(self, state: frozenset, codes: tuple) -> "frozenset | None":
-        """state plus codes, or None on a sign clash."""
-        for c in codes:
-            if c ^ 1 in state:
-                return None
-        return state | frozenset(codes)
 
     def _close(self, state: frozenset, seed) -> "set | None":
         """state closed under the single-successor rules, or None on a clash.
@@ -392,26 +377,29 @@ class _Tableau:
                 self.deferred[i] = (state.union(tag, (k1,)), (k1,))
                 return ("or", (first,))
             return ("or", (first, self._discover(state.union(tag, (k1,)), (k1,))))
-        # Saturated: collect modal obligations and star eventualities.
+        # Saturated: collect modal obligations and star eventualities.  A
+        # consistent state never holds both [x]B and ![x]B, so no demand
+        # {C : [x]C in state} + {!B} clashes as it is built.
         args = self.args
         positives: dict[str, list[int]] = {}
         for c in sorted(state & self.boxes_true):
             a, body = args[c >> 1]
             positives.setdefault(a, []).append(body)
-        obligations = []
-        eventualities = []
+        demands, letters, eventualities = [], [], []
+        need = refute = 0
         for c in sorted(state & self.modals_false):
             if self.kind[c >> 1] == _BOX_S:
                 eventualities.append(c >> 1)
+                need |= self.start_bit[c >> 1]
                 continue
             a, body = args[c >> 1]
-            demand = self._extend(
-                frozenset(b << 1 | 1 for b in positives.get(a, ())),
-                (body << 1,))
-            obligations.append(
-                (a, body, None if demand is None
-                 else self._discover(demand, demand)))
-        return ("sat", obligations, eventualities)
+            demand = frozenset(b << 1 | 1 for b in positives.get(a, ())) \
+                | {body << 1}
+            demands.append(self._discover(demand, demand))
+            letters.append(a)
+        for c in state & self.refuting:
+            refute |= self.refutes[c]
+        return ("sat", demands, letters, eventualities, need, refute)
 
     def build(self) -> bytearray:
         """Search in passes (`_search`) and return the alive set that
@@ -419,16 +407,16 @@ class _Tableau:
         whose subgraph holds no deferred alternative.  Between passes the
         alternatives of the dead decompositions the pass reached are
         released, or every deferred one if none of those died or if the
-        next pass is pass `PASSES`.  Only the states that reach a released
-        decomposition are searched again, and the root reaches each of
-        them through such states; the others reach the same subgraph as
-        before, so they keep their alive bits and marks and count as
-        settled."""
+        next pass is pass `PASSES`.  Each pass searches the cached graph
+        from the root with every low link reset, so it settles every
+        state it reaches; the bits of states it does not reach are stale
+        and never read."""
         info, parents, alive, low, deferred = (
             self.info, self.parents, self.alive, self.low, self.deferred)
         while True:
             self.passes += 1
             self.defer = self.passes < PASSES
+            low[:] = [_UNSEEN] * len(low)
             self._search()
             reached = [i for i in deferred if low[i] == _SETTLED]
             if alive[self.root] or not reached:
@@ -440,19 +428,13 @@ class _Tableau:
                 t = self._discover(*deferred.pop(i))
                 info[i] = ("or", info[i][1] + (t,))
                 parents[t].append(i)
-            work = release
-            while work:
-                u = work.pop()
-                if low[u] == _SETTLED:
-                    low[u] = _UNSEEN
-                    work.extend(parents[u])
 
     def _search(self) -> None:
         """One pass: Tarjan's search from the root over the successors
         followed, expanding states depth first, first branch first, and
-        settling each strongly connected component when it closes.  States
-        kept from the last pass count as settled, and states never visited
-        as dead."""
+        settling each strongly connected component when it closes.  A
+        state is expanded the first time a pass visits it; the states the
+        pass never visits count as dead."""
         info, low, parents = self.info, self.low, self.parents
         open_: list[int] = []  # visited and not yet settled
         frames: list[tuple] = []  # (state id, its targets left, its slot)
@@ -463,20 +445,10 @@ class _Tableau:
                 if entry is None:
                     entry = info[i] = self._process(i)
                     self.order.append(i)
-                    targets = _targets(entry)
-                    for t in targets:
+                    for t in entry[1]:
                         parents[t].append(i)
-                    if entry[0] == "sat":
-                        need = refute = 0
-                        for m in entry[2]:
-                            need |= self.start_bit[m]
-                        for c in self.states[i] & self.refuting:
-                            refute |= self.refutes[c]
-                        self.goal[i] = (need, refute)
-                else:
-                    targets = _targets(entry)
                 low[i] = len(open_)
-                frames.append((i, iter(targets), len(open_)))
+                frames.append((i, iter(entry[1]), len(open_)))
                 open_.append(i)
             i, targets, slot = frames[-1]
             for t in targets:
@@ -509,8 +481,8 @@ class _Tableau:
             for t in entry[1]:
                 m |= marks[t]
             return m
-        m = self.goal[u][1]
-        for x, _, d in entry[1]:
+        m = entry[5]
+        for d, x in zip(entry[1], entry[2]):
             md = marks[d]
             if md:
                 for shift, select in self.steps[x]:
@@ -521,13 +493,13 @@ class _Tableau:
 
     def _settle(self, part: list, floor: int) -> None:
         """Alive bits and marks of the states of part, from those of the
-        states it reaches outside it, all settled.  A parent p of a state
-        of part is in part iff low[p] >= floor.  States with a failed obligation are deleted, then
-        saturated states with an unfulfilled eventuality, to a fixpoint;
-        each marking round that deletes states adds part's live count to
-        `rounds`."""
-        info, alive, marks, low, parents, goal = (
-            self.info, self.alive, self.marks, self.low, self.parents, self.goal)
+        states it reaches outside it, all settled in this pass.  A parent p
+        of a state of part is in part iff low[p] >= floor.  States with a
+        failed obligation are deleted, then saturated states with an
+        unfulfilled eventuality, to a fixpoint; each marking round that
+        deletes states adds part's live count to `rounds`."""
+        info, alive, marks, low, parents = (
+            self.info, self.alive, self.marks, self.low, self.parents)
         if len(part) == 1:
             # No state steps to itself: a decomposition grows the state, and
             # a demand lacks the negated box that spawned it.
@@ -536,9 +508,9 @@ class _Tableau:
             if entry[0] == "or":
                 ok = any(alive[t] for t in entry[1])
             else:
-                ok = all(d is not None and alive[d] for _, _, d in entry[1])
+                ok = all(alive[d] for d in entry[1])
             m = self._gather(u) if ok else 0
-            if ok and entry[0] == "sat" and goal[u][0] & ~m:
+            if ok and entry[0] == "sat" and entry[4] & ~m:
                 ok, m = False, 0
                 self.rounds.append(1)
             alive[u], marks[u] = ok, m
@@ -552,7 +524,7 @@ class _Tableau:
                 entry = info[u]
                 if alive[u] and (
                         not any(alive[t] for t in entry[1]) if entry[0] == "or"
-                        else any(d is None or not alive[d] for _, _, d in entry[1])):
+                        else not all(alive[d] for d in entry[1])):
                     alive[u] = 0
                     work.extend(p for p in parents[u] if low[p] >= floor)
             for u in part:
@@ -566,7 +538,7 @@ class _Tableau:
                     marks[u] = m
                     work.extend(p for p in parents[u] if alive[p] and low[p] >= floor)
             doomed = [u for u in part if alive[u] and info[u][0] == "sat"
-                      and goal[u][0] & ~marks[u]]
+                      and info[u][4] & ~marks[u]]
             if not doomed:
                 return
             self.rounds.append(live)
@@ -623,7 +595,7 @@ class _Tableau:
         at an accepting bit ends the path.  Marks are least fixpoints, so
         every marked pair leads to such an end, and dead or unexpanded
         states, whose marks are 0, are never entered."""
-        info, marks, goal = self.info, self.marks, self.goal
+        info, marks = self.info, self.marks
         # came[pair]: the letter of the last modal step on the way to pair
         # and the saturated pair it left, so the path reads back hop by hop.
         here = (node, self.start_bit[member])
@@ -634,11 +606,11 @@ class _Tableau:
             entry = info[u]
             if entry[0] == "or":
                 moves = [(came[here], t, b) for t in entry[1] if marks[t] & b]
-            elif b & goal[u][1]:
+            elif b & entry[5]:
                 break
             else:
                 moves = []
-                for x, _, d in entry[1]:
+                for d, x in zip(entry[1], entry[2]):
                     for shift, select in self.steps[x]:
                         nb = b << shift if shift >= 0 else b >> -shift
                         if nb & select & marks[d]:
@@ -687,8 +659,8 @@ class _Tableau:
         while queue:
             node = queue.popleft()
             w = index[node]
-            obligations, eventualities = self.info[node][1:]
-            for a, _, demand in obligations:
+            _, demands, letters, eventualities = self.info[node][:4]
+            for demand, a in zip(demands, letters):
                 target = self._saturation(demand, alive)
                 edges[a].add((w, world_of(target)))
             for m in eventualities:

@@ -1,9 +1,9 @@
 """Reference elimination for the tableau of `ckstar.solver`.
 
 The global fixpoint over a tableau's expanded states (or the part of them
-a search pass reached), with the other states counted dead: delete the states with a failed obligation (a
-decomposition with no alive successor, a saturated state with a dead or
-clashing demand), then, in rounds, mark every eventuality family over all
+a search pass reached), with the other states counted dead: delete the
+states with a failed obligation (a decomposition with no alive successor,
+a saturated state with a dead demand), then, in rounds, mark every eventuality family over all
 alive states and delete the saturated states with an unfulfilled one.
 Each round costs families x states, and nested eventualities need a round
 per level of nesting; the tableau settles one strongly connected component
@@ -36,7 +36,7 @@ def reference_alive(engine, present=None) -> bytearray:
             if entry[0] == "or":
                 dead = not any(alive[t] for t in entry[1])
             else:
-                dead = any(d is None or not alive[d] for _, _, d in entry[1])
+                dead = any(not alive[d] for d in entry[1])
             if dead:
                 alive[i] = 0
                 work.extend(parents[i])
@@ -47,7 +47,7 @@ def reference_alive(engine, present=None) -> bytearray:
         marked = {m: fulfilled(engine, m, rev_steps, saturated)
                   for m in sorted(families)}
         doomed = [i for i in saturated
-                  if not all(marked[m][i] for m in info[i][2])]
+                  if not all(marked[m][i] for m in info[i][3])]
         if not doomed:
             return alive
         seeds = []
@@ -76,8 +76,8 @@ def alive_steps(engine, alive: bytearray) -> tuple[list, list, set]:
         else:
             # An alive saturated state has every demand alive.
             saturated.append(i)
-            families.update(entry[2])
-            for a, _, d in entry[1]:
+            families.update(entry[3])
+            for d, a in zip(entry[1], entry[2]):
                 rev_steps[d].append((a, i))
     return rev_steps, saturated, families
 

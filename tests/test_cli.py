@@ -13,7 +13,7 @@ from ckstar.relmodel import MAX_WORLDS, dump_model, load_model
 from ckstar.semantics import satisfies
 from ckstar.syntax import parse_formula
 
-from helpers import bi_model
+from helpers import bi_model, pdl_model
 
 
 def run(capsys, *argv):
@@ -105,6 +105,24 @@ def test_eval_world_out_of_range(tmp_path, capsys):
                              "--world", world, "p")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_eval_and_check_model_on_a_pdl_model(tmp_path, capsys):
+    path = tmp_path / "pdl.json"
+    path.write_text(dump_model(pdl_model(2, {"a": [(0, 1)]}, {"p": {1}})),
+                    encoding="utf-8")
+    for formula, expected, value in (("[a]p", 0, "true"), ("[a]!p", 1, "false")):
+        code, out, _ = run(capsys, "eval", "--model", str(path), "--world", "0", formula)
+        assert code == expected and out.strip() == value
+    for world, formula, message in (("0", "[m]p", "program atom 'm'"),
+                                    ("2", "p", "out of range")):
+        code, out, err = run(capsys, "eval", "--model", str(path), "--world", world,
+                             formula)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+    code, out, err = run(capsys, "check-model", "--kind", "ck", str(path))
+    assert code == 2 and out == ""
+    assert "check-model applies to birelational models" in err
 
 
 def test_check_model(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 
@@ -6,6 +7,7 @@ from ckstar.relmodel import (
     MAX_WORLDS,
     BiModel,
     ModelFormatError,
+    ModelViolation,
     Relation,
     dump_model,
     load_model,
@@ -72,6 +74,60 @@ def test_validate_confluence_witness():
     violations = validate(m, "cs4")
     assert any(v.condition == "not-confluent" and v.worlds == (0, 1, 2)
                for v in violations)
+    # 0 R 1 and 0 R 2, 1 <= 3 and 2 <= 3 <= 4, and only 0 <= 0: no w' has
+    # 0 <= w' R 3 or 0 <= w' R 4.  Mod is reflexive at 3 and 4 only.  Every
+    # failing triple is listed, in (w, v, v') order.
+    pre = rel_star(Relation.from_pairs(5, [(1, 3), (2, 3), (3, 4)]))
+    mod = Relation.from_pairs(5, [(0, 1), (0, 2), (3, 3), (4, 4)])
+    m = BiModel(5, pre, mod, {}, frozenset(), "ck")
+    assert [(v.condition, v.worlds) for v in validate(m, "cs4")] == [
+        ("mod-not-preorder", (0,)), ("mod-not-preorder", (1,)),
+        ("mod-not-preorder", (2,)),
+        ("not-confluent", (0, 1, 3)), ("not-confluent", (0, 1, 4)),
+        ("not-confluent", (0, 2, 3)), ("not-confluent", (0, 2, 4)),
+    ]
+    assert validate(m, "ck") == []
+
+
+def test_validate_confluence_on_a_large_model():
+    # Full relations are confluent.  A check that scans pre(w) for every
+    # triple (w, v, v') takes minutes at 200 worlds; model files may
+    # declare up to MAX_WORLDS.
+    n = 200
+    full = Relation(n, ((1 << n) - 1,) * n)
+    m = BiModel(n, full, full, {}, frozenset(), "cs4")
+
+    def expired(*_):
+        raise TimeoutError("confluence check of a 200-world model")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(5)
+    try:
+        assert validate(m, "cs4") == []
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_validate_pre_transitivity():
+    # 0 <= 1 <= 2 without 0 <= 2: the only violation of a ck model.
+    m = bi_model(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)], [(0, 0), (1, 1), (2, 2)])
+    assert validate(m, "ck") == [ModelViolation("pre-not-preorder", (0, 1, 2))]
+
+
+def test_validate_mod_transitivity():
+    # Reflexive mod with 0 R 1 R 2 and not 0 R 2, over the identity preorder.
+    m = bi_model(3, [(0, 0), (1, 1), (2, 2)],
+                 [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)], kind="cs4")
+    assert validate(m, "ck") == []
+    assert validate(m, "cs4") == [ModelViolation("mod-not-preorder", (0, 1, 2))]
+
+
+def test_validate_falsum_persistence():
+    # Fallible world 0 sees the infallible world 1 by <=; 0 R 0 keeps it
+    # serial, and atoms outside val are read as the fallible set.
+    m = bi_model(2, [(0, 0), (1, 1), (0, 1)], [(0, 0), (1, 1)], bot={0})
+    assert validate(m, "ck") == [ModelViolation("falsum-persistence", (0, 1))]
 
 
 def test_validate_wk_implies_ck():

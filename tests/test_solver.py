@@ -259,7 +259,7 @@ def reached(engine) -> list:
     followed."""
     seen, work = {engine.root}, [engine.root]
     while work:
-        for t in solver._targets(engine.info[work.pop()]):
+        for t in engine.info[work.pop()][1]:
             if t not in seen:
                 seen.add(t)
                 work.append(t)
@@ -287,12 +287,11 @@ def assert_settled_as_reference(engine, present) -> int:
 def test_settlement_matches_global_elimination(monkeypatch):
     # A pass ends when the root's component settles, from the bottom of
     # Tarjan's stack.  Every state reachable along the successors the pass
-    # followed is then settled for that subgraph, by this pass or, if it
-    # reaches no decomposition released since, by an earlier one: its
-    # alive bit must be the global fixpoint's on the subgraph, and each
-    # alive state's mark at a starred member's start bit must be the
-    # reference's own fulfilment, since extraction reads its witness paths
-    # off the marks.  Once after every pass, then with every alternative
+    # followed is then settled for that subgraph by this pass, which
+    # searched it from the root again: its alive bit must be the global
+    # fixpoint's on the subgraph, and each alive state's mark at a starred
+    # member's start bit must be the reference's own fulfilment, since
+    # extraction reads its witness paths off the marks.  Once after every pass, then with every alternative
     # released from the start, where one pass settles the whole graph.
     passes = []
     compared_pairs = 0
@@ -320,7 +319,7 @@ def test_settlement_matches_global_elimination(monkeypatch):
         pdl_satisfiable(f)
     monkeypatch.undo()
     monkeypatch.setattr(solver, "PASSES", 0)
-    deleted = pairs = 0
+    deleted = pairs = demands = 0
     for f in formulas:
         engine = solver._Tableau(f)
         alive = engine.build()
@@ -328,8 +327,17 @@ def test_settlement_matches_global_elimination(monkeypatch):
         assert alive == reference_alive(engine)
         deleted += bool(engine.rounds)
         pairs += assert_settled_as_reference(engine, engine.order)
+        # A saturated state never holds both [x]B and ![x]B, so each demand
+        # it spawns is clash-free as built: the entry lists every one.
+        for i in engine.order:
+            if engine.info[i][0] == "sat":
+                for d in engine.info[i][1]:
+                    state = engine.states[d]
+                    assert not any(c ^ 1 in state for c in state), render(f)
+                    demands += 1
     assert passes.count(2) > 30 and passes.count(3) > 10, passes
     assert compared_pairs > 5000 and deleted > 20 and pairs > 10000
+    assert demands > 1000
 
 
 def test_search_stops_once_the_root_survives(monkeypatch):
