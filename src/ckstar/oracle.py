@@ -21,11 +21,12 @@ from .relmodel import (
     PdlModel,
     Relation,
     mask_of,
+    rel_star,
     validate,
     worlds_of,
 )
 from .semantics import extension, pdl_extension
-from .syntax import FRAGMENTS, FragmentTag, program_size, variables
+from .syntax import FRAGMENTS, FragmentTag, program_atoms, program_size, variables
 from .solver import check_input
 from .translate import ck_model_to_cs4
 
@@ -138,9 +139,8 @@ def enumerate_models(spec: EnumSpec) -> Iterator[BiModel]:
     valuations over spec.atoms, no isomorphism reduction."""
     kind = spec.kind
     for n, pre, mod, bot, vals in _enumerate_raw(spec):
-        val = {a: frozenset(worlds_of(vals[i])) for i, a in enumerate(spec.atoms)}
-        yield BiModel(n, Relation(n, pre), Relation(n, mod), val,
-                      frozenset(worlds_of(bot)), kind)
+        yield BiModel(n, Relation(n, pre), Relation(n, mod),
+                      dict(zip(spec.atoms, vals)), bot, kind)
 
 
 def enumerate_pdl_models(max_worlds: int, prog_atoms: tuple[str, ...],
@@ -153,8 +153,7 @@ def enumerate_pdl_models(max_worlds: int, prog_atoms: tuple[str, ...],
         for rels in itertools.product(rel_list, repeat=len(prog_atoms)):
             rho = {a: Relation(n, rels[i]) for i, a in enumerate(prog_atoms)}
             for vals in itertools.product(range(1 << n), repeat=len(atoms)):
-                val = {a: frozenset(worlds_of(vals[i])) for i, a in enumerate(atoms)}
-                yield PdlModel(n, rho, val)
+                yield PdlModel(n, rho, dict(zip(atoms, vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +171,12 @@ class BoundedVerdict:
 def brute_force_decide(logic: str, f, spec: EnumSpec) -> BoundedVerdict:
     """First falsifying (model, world) in enumeration order, or validity up
     to the bound.  The input language and the model class are the logic's
-    row of the logic table; the kind named in `spec` is ignored."""
+    row of the logic table; the kind named in `spec` is ignored.  A
+    classical model interprets only the formula's program atoms (`k_star`
+    models always interpret `a`)."""
     row = check_input(logic, f)
     if row.classical:
-        prog_atoms = ("a",) if row.kind == "k" else ("i", "m", "a")
+        prog_atoms = ("a",) if row.kind == "k" else tuple(program_atoms(f))
         models = enumerate_pdl_models(spec.max_worlds, prog_atoms,
                                       tuple(variables(f)))
         evaluate = pdl_extension
@@ -215,8 +216,6 @@ def random_model(seed: int, spec: EnumSpec) -> BiModel:
 
 
 def _random_ck(rng: random.Random, spec: EnumSpec) -> BiModel:
-    from .relmodel import rel_star
-
     n = rng.randint(1, spec.max_worlds)
     density = 0.35
     pre = rel_star(Relation.from_pairs(
@@ -241,8 +240,8 @@ def _random_ck(rng: random.Random, spec: EnumSpec) -> BiModel:
         for w in range(n):
             if base >> w & 1:
                 closed |= pre.rows[w]
-        val[a] = frozenset(worlds_of(closed))
-    m = BiModel(n, pre, mod, val, frozenset(worlds_of(bot)), spec.kind)
+        val[a] = closed
+    m = BiModel(n, pre, mod, val, bot, spec.kind)
     assert validate(m, spec.kind) == []
     return m
 

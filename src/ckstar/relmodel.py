@@ -1,8 +1,10 @@
 """Finite models: bitset relations, model-condition validators, JSON I/O.
 
-Relations are stored as one integer bitmask per world (row w = successor
-set of w), so composition and reflexive-transitive closure are cheap even
-on the exponentially-sized models the solver can produce.
+A set of worlds is one integer bitmask, bit w for world w: each valuation,
+the fallible set, and each relation row (row w = successor set of w).  So
+composition, reflexive-transitive closure and the modal operators are
+cheap even on the exponentially-sized models the solver can produce.
+Only the JSON documents list worlds, in ascending order.
 """
 
 from __future__ import annotations
@@ -57,6 +59,23 @@ class Relation:
         for w in range(self.n):
             if mask >> w & 1:
                 out |= self.rows[w]
+        return out
+
+    def box(self, mask: int) -> int:
+        """Worlds all of whose successors lie in mask."""
+        out = 0
+        outside = ~mask
+        for w, row in enumerate(self.rows):
+            if row & outside == 0:
+                out |= 1 << w
+        return out
+
+    def dia(self, mask: int) -> int:
+        """Worlds with a successor in mask."""
+        out = 0
+        for w, row in enumerate(self.rows):
+            if row & mask:
+                out |= 1 << w
         return out
 
     def forward_closure(self, mask: int) -> int:
@@ -140,14 +159,12 @@ class BiModel:
     worlds: int
     pre: Relation
     mod: Relation
-    val: Mapping[str, frozenset[int]]
-    bot: frozenset[int] = frozenset()
+    val: Mapping[str, int]
+    bot: int = 0
     kind: str = "ck"
 
     def val_mask(self, name: str) -> int:
-        if name in self.val:
-            return mask_of(self.val[name])
-        return mask_of(self.bot)
+        return self.val.get(name, self.bot)
 
     def full_mask(self) -> int:
         return (1 << self.worlds) - 1
@@ -157,10 +174,10 @@ class BiModel:
 class PdlModel:
     worlds: int
     rho: Mapping[str, Relation]
-    val: Mapping[str, frozenset[int]]
+    val: Mapping[str, int]
 
     def val_mask(self, name: str) -> int:
-        return mask_of(self.val.get(name, frozenset()))
+        return self.val.get(name, 0)
 
     def full_mask(self) -> int:
         return (1 << self.worlds) - 1
@@ -179,7 +196,7 @@ def validate(m: BiModel, kind: str) -> list[ModelViolation]:
         raise ValueError(f"unknown model kind {kind!r}")
     out: list[ModelViolation] = []
     n = m.worlds
-    bot = mask_of(m.bot)
+    bot = m.bot
 
     if not m.pre.is_reflexive():
         for w in range(n):
@@ -189,8 +206,7 @@ def validate(m: BiModel, kind: str) -> list[ModelViolation]:
     if wit is not None:
         out.append(ModelViolation("pre-not-preorder", wit))
 
-    for name in sorted(m.val):
-        vmask = mask_of(m.val[name])
+    for name, vmask in sorted(m.val.items()):
         for w in worlds_of(bot & ~vmask):
             out.append(ModelViolation("atomic-ex-falso", (w,), name))
         for w in worlds_of(vmask):
@@ -244,7 +260,7 @@ def model_to_obj(m) -> dict:
             "kind": "pdl",
             "worlds": m.worlds,
             "rho": {a: _pairs_json(r) for a, r in sorted(m.rho.items())},
-            "val": {p: sorted(ws) for p, ws in sorted(m.val.items())},
+            "val": {p: worlds_of(ws) for p, ws in sorted(m.val.items())},
         }
     if isinstance(m, BiModel):
         return {
@@ -252,8 +268,8 @@ def model_to_obj(m) -> dict:
             "worlds": m.worlds,
             "pre": _pairs_json(m.pre),
             "mod": _pairs_json(m.mod),
-            "val": {p: sorted(ws) for p, ws in sorted(m.val.items())},
-            "bot": sorted(m.bot),
+            "val": {p: worlds_of(ws) for p, ws in sorted(m.val.items())},
+            "bot": worlds_of(m.bot),
         }
     raise TypeError(f"cannot serialize {type(m).__name__}")
 
@@ -289,17 +305,17 @@ def _load_pairs(raw, n: int, key: str) -> Relation:
     return Relation.from_pairs(n, pairs)
 
 
-def _load_worldset(raw, n: int, key: str) -> frozenset[int]:
+def _load_worldset(raw, n: int, key: str) -> int:
     _require(isinstance(raw, list), f"{key!r} must be a list of worlds")
-    out = set()
+    out = 0
     for w in raw:
         _require(isinstance(w, int) and not isinstance(w, bool) and 0 <= w < n,
                  f"{key!r} world {w!r} out of range")
-        out.add(w)
-    return frozenset(out)
+        out |= 1 << w
+    return out
 
 
-def _load_val(raw, n: int) -> dict[str, frozenset[int]]:
+def _load_val(raw, n: int) -> dict[str, int]:
     _require(isinstance(raw, dict), "'val' must be an object")
     return {name: _load_worldset(ws, n, f"val[{name}]") for name, ws in raw.items()}
 

@@ -54,29 +54,8 @@ class UnknownProgramAtomError(ValueError):
     pass
 
 
-def _subset_rows(rows: tuple[int, ...], target: int, n: int) -> int:
-    out = 0
-    for w in range(n):
-        if rows[w] & ~target == 0:
-            out |= 1 << w
-    return out
-
-
-def _nonempty_meet(rows: tuple[int, ...], target: int, n: int) -> int:
-    out = 0
-    for w in range(n):
-        if rows[w] & target:
-            out |= 1 << w
-    return out
-
-
 def extension(m: BiModel, f: Formula) -> int:
     """Bitmask of worlds satisfying f, computed per subformula."""
-    n = m.worlds
-    bot = 0
-    for w in m.bot:
-        bot |= 1 << w
-    pre = m.pre.rows
     cache: dict[str, Relation] = {}
 
     def relation(key: str) -> Relation:
@@ -94,7 +73,7 @@ def extension(m: BiModel, f: Formula) -> int:
     ext: dict[Formula, int] = {}
     for g in subformulas(f):
         if isinstance(g, Bot):
-            e = bot
+            e = m.bot
         elif isinstance(g, Atom):
             e = m.val_mask(g.name)
         elif isinstance(g, And):
@@ -102,19 +81,16 @@ def extension(m: BiModel, f: Formula) -> int:
         elif isinstance(g, Or):
             e = ext[g.left] | ext[g.right]
         elif isinstance(g, Imp):
-            bad = ext[g.left] & ~ext[g.right]
-            e = _subset_rows(pre, ~bad, n)
+            e = m.pre.box(~ext[g.left] | ext[g.right])
         elif isinstance(g, Box):
-            e = _subset_rows(relation("pre_mod").rows, ext[g.body], n)
+            e = relation("pre_mod").box(ext[g.body])
         elif isinstance(g, BoxStar):
-            e = _subset_rows(relation("box_star").rows, ext[g.body], n)
+            e = relation("box_star").box(ext[g.body])
         elif isinstance(g, Dia):
-            good = _nonempty_meet(m.mod.rows, ext[g.body], n)
-            e = _subset_rows(pre, good, n)
+            e = m.pre.box(m.mod.dia(ext[g.body]))
         elif isinstance(g, DiaStar):
             # The clause takes a single intuitionistic step, then R*.
-            good = _nonempty_meet(relation("mod_star").rows, ext[g.body], n)
-            e = _subset_rows(pre, good, n)
+            e = m.pre.box(relation("mod_star").dia(ext[g.body]))
         else:
             raise TypeError(f"not a constructive formula: {type(g).__name__}")
         ext[g] = e
@@ -159,7 +135,6 @@ def program_relation(m: PdlModel, p: Program,
 
 
 def pdl_extension(m: PdlModel, f: PdlFormula) -> int:
-    n = m.worlds
     full = m.full_mask()
     memo: dict[Program, Relation] = {}
     ext: dict[PdlFormula, int] = {}
@@ -173,8 +148,7 @@ def pdl_extension(m: PdlModel, f: PdlFormula) -> int:
         elif isinstance(g, PdlOr):
             e = ext[g.left] | ext[g.right]
         elif isinstance(g, BoxP):
-            rel = program_relation(m, g.prog, memo)
-            e = _subset_rows(rel.rows, ext[g.body], n)
+            e = program_relation(m, g.prog, memo).box(ext[g.body])
         else:
             raise TypeError(f"not a PDL formula: {type(g).__name__}")
         ext[g] = e

@@ -670,15 +670,15 @@ class _Tableau:
                     edges[x].add((last_w, v))
                     last_w = v
         n = len(order)
-        val: dict[str, set[int]] = {}
-        for node in order:
-            w = index[node]
+        val: dict[str, int] = {}
+        for w, node in enumerate(order):
             for code in self.states[node]:
                 if code < self.marker_base and code & 1 \
                         and self.kind[code >> 1] == _ATOM:
-                    val.setdefault(self.args[code >> 1], set()).add(w)
+                    name = self.args[code >> 1]
+                    val[name] = val.get(name, 0) | 1 << w
         rho = {a: Relation.from_pairs(n, sorted(ps)) for a, ps in edges.items()}
-        return PdlModel(n, rho, {p: frozenset(ws) for p, ws in val.items()})
+        return PdlModel(n, rho, val)
 
 
 def pdl_satisfiable(f: PdlFormula, stats: "dict | None" = None):

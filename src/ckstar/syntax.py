@@ -565,6 +565,19 @@ def variables(f: AnyFormula) -> list[str]:
     return sorted(names)
 
 
+def program_atoms(f: PdlFormula) -> list[str]:
+    """Program atom names occurring in f's boxes, lexicographically sorted."""
+    names = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, PAtom):
+            names.add(g.name)
+        else:
+            stack.extend(_node_children(g))
+    return sorted(names)
+
+
 def program_size(p: Program) -> int:
     if isinstance(p, PAtom):
         return 1

@@ -190,9 +190,8 @@ def wk_model_to_ck(m: BiModel, f: Formula) -> BiModel:
     _validated(m, "wk")
     atoms = variables(f)
     bot_mask = extension(m, _falsum_image(atoms))
-    val = {name: m.val.get(name, frozenset()) for name in atoms}
-    return BiModel(m.worlds, m.pre, m.mod, val,
-                   frozenset(worlds_of(bot_mask)), "ck")
+    val = {name: m.val.get(name, 0) for name in atoms}
+    return BiModel(m.worlds, m.pre, m.mod, val, bot_mask, "ck")
 
 
 def pdl_model_to_wk(m: PdlModel) -> BiModel:
@@ -202,12 +201,8 @@ def pdl_model_to_wk(m: PdlModel) -> BiModel:
         if name not in m.rho:
             raise TranslationError(f"model does not interpret program atom {name!r}")
     pre = rel_star(m.rho["i"])
-    val = {}
-    for name, ws in m.val.items():
-        target = mask_of(ws)
-        val[name] = frozenset(w for w in range(m.worlds)
-                              if pre.rows[w] & ~target == 0)
-    return BiModel(m.worlds, pre, m.rho["m"], val, frozenset(), "wk")
+    val = {name: pre.box(ws) for name, ws in m.val.items()}
+    return BiModel(m.worlds, pre, m.rho["m"], val, kind="wk")
 
 
 def ck_model_to_cs4(m: BiModel) -> BiModel:
@@ -234,9 +229,7 @@ def ck_model_to_cs4(m: BiModel) -> BiModel:
         pre_rows.append(both)
         mod_rows.append(mask_of(2 * v for v in worlds_of(mod_star.rows[w])))
         mod_rows.append(spread(iter_star.rows[w]))
-    val = {name: frozenset(2 * w + i for w in ws for i in (0, 1))
-           for name, ws in m.val.items()}
-    bot = frozenset(2 * w + i for w in m.bot for i in (0, 1))
+    val = {name: spread(ws) for name, ws in m.val.items()}
     kind = "ws4" if m.kind == "wk" else "cs4"
     return BiModel(n2, Relation(n2, tuple(pre_rows)), Relation(n2, tuple(mod_rows)),
-                   val, bot, kind)
+                   val, spread(m.bot), kind)

@@ -14,7 +14,7 @@ from array import array
 import numpy as np
 
 from ckstar.oracle import EnumSpec, _enumerate_raw
-from ckstar.relmodel import BiModel, Relation, worlds_of
+from ckstar.relmodel import BiModel, Relation
 from ckstar.syntax import (
     Atom,
     And,
@@ -162,6 +162,5 @@ class ModelBank:
         n = int(self.n[i])
         pre = Relation(n, tuple(int(self.pre[i, w]) for w in range(n)))
         mod = Relation(n, tuple(int(self.mod[i, w]) for w in range(n)))
-        val = {a: frozenset(worlds_of(int(col[i]))) for a, col in self.val.items()}
-        return BiModel(n, pre, mod, val,
-                       frozenset(worlds_of(int(self.bot[i]))), self.spec.kind)
+        val = {a: int(col[i]) for a, col in self.val.items()}
+        return BiModel(n, pre, mod, val, int(self.bot[i]), self.spec.kind)

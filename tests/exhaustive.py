@@ -9,7 +9,7 @@ to it; the package does not ship it.
 
 from __future__ import annotations
 
-from ckstar.relmodel import PdlModel, Relation, rel_compose, rel_star
+from ckstar.relmodel import PdlModel, Relation, mask_of, rel_compose, rel_star
 from ckstar.semantics import pdl_satisfies
 from ckstar.solver import CertificationError, ClosureSet, fl_closure
 from ckstar.syntax import (
@@ -23,27 +23,9 @@ from ckstar.syntax import (
     PdlOr,
     Program,
     Star,
+    program_atoms,
     render,
 )
-
-from helpers import iter_nodes
-
-
-def program_atoms(f: PdlFormula) -> list[str]:
-    """Sorted names of the program atoms in f's boxes."""
-    names: set[str] = set()
-    for g in iter_nodes(f):
-        if isinstance(g, BoxP):
-            stack = [g.prog]
-            while stack:
-                q = stack.pop()
-                if isinstance(q, PAtom):
-                    names.add(q.name)
-                elif isinstance(q, Comp):
-                    stack += (q.left, q.right)
-                else:
-                    stack.append(q.body)
-    return sorted(names)
 
 
 def _local_constraints(closure: ClosureSet) -> list[tuple]:
@@ -210,7 +192,7 @@ def pdl_satisfiable_exhaustive(f: PdlFormula, max_closure: int = 22,
     val = {}
     for j, g in enumerate(closure.formulas):
         if isinstance(g, PdlAtom):
-            val[g.name] = frozenset(idx[t] for t in keep if types[t] >> j & 1)
+            val[g.name] = mask_of(idx[t] for t in keep if types[t] >> j & 1)
     model = PdlModel(n, rho, val)
     world = idx[designated]
     if not pdl_satisfies(model, world, f):

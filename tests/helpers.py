@@ -13,9 +13,18 @@ from __future__ import annotations
 
 import contextlib
 import random
+import signal
 import sys
 
-from ckstar.relmodel import BiModel, PdlModel, Relation
+from ckstar.relmodel import (
+    BiModel,
+    PdlModel,
+    Relation,
+    mask_of,
+    rel_star,
+    validate,
+    worlds_of,
+)
 from ckstar.syntax import (
     Atom,
     And,
@@ -68,6 +77,21 @@ def stack_headroom(frames: int):
         sys.setrecursionlimit(old)
 
 
+@contextlib.contextmanager
+def alarm(seconds: int, what: str):
+    """Fail the body with TimeoutError if it runs longer than `seconds`."""
+    def expired(*_):
+        raise TimeoutError(what)
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def balanced_text(parts: list[str], op: str) -> str:
     """The parts joined by the binary operator `op` as a balanced tree."""
     if len(parts) == 1:
@@ -77,17 +101,17 @@ def balanced_text(parts: list[str], op: str) -> str:
 
 
 def bi_model(worlds: int, pre, mod, val=None, bot=(), kind: str = "ck") -> BiModel:
-    """Convenience constructor taking pair lists and plain sets."""
+    """Convenience constructor taking pair lists and plain sets of worlds."""
     pre_r = pre if isinstance(pre, Relation) else Relation.from_pairs(worlds, pre)
     mod_r = mod if isinstance(mod, Relation) else Relation.from_pairs(worlds, mod)
-    vals = {name: frozenset(ws) for name, ws in (val or {}).items()}
-    return BiModel(worlds, pre_r, mod_r, vals, frozenset(bot), kind)
+    vals = {name: mask_of(ws) for name, ws in (val or {}).items()}
+    return BiModel(worlds, pre_r, mod_r, vals, mask_of(bot), kind)
 
 
 def pdl_model(worlds: int, rho, val=None) -> PdlModel:
     rels = {a: (r if isinstance(r, Relation) else Relation.from_pairs(worlds, r))
             for a, r in rho.items()}
-    vals = {name: frozenset(ws) for name, ws in (val or {}).items()}
+    vals = {name: mask_of(ws) for name, ws in (val or {}).items()}
     return PdlModel(worlds, rels, vals)
 
 
@@ -159,8 +183,6 @@ def random_pdl(rng: random.Random, depth: int, atoms=("p", "q"), prog_atoms=("i"
 def rand_ck_model(rng: random.Random, max_worlds: int = 4, atoms=("p", "q"),
                   fallible: bool = True):
     """Random validated CK model (WK when fallible=False)."""
-    from ckstar.relmodel import BiModel, Relation, mask_of, rel_star, validate
-
     n = rng.randrange(1, max_worlds + 1)
     pre = rel_star(Relation.from_pairs(
         n, [(w, v) for w in range(n) for v in range(n) if rng.random() < 0.3]))
@@ -183,23 +205,20 @@ def rand_ck_model(rng: random.Random, max_worlds: int = 4, atoms=("p", "q"),
         for w in range(n):
             if base >> w & 1:
                 closed |= pre.rows[w]
-        val[a] = frozenset(w for w in range(n) if closed >> w & 1)
+        val[a] = closed
     kind = "ck" if bot else "wk"
-    m = BiModel(n, pre, mod, val,
-                frozenset(w for w in range(n) if bot >> w & 1), kind)
+    m = BiModel(n, pre, mod, val, bot, kind)
     assert validate(m, kind) == []
     return m
 
 
 def rand_pdl_model(rng: random.Random, max_worlds: int = 4,
                    prog_atoms=("i", "m"), atoms=("p", "q")):
-    from ckstar.relmodel import Relation, PdlModel
-
     n = rng.randrange(1, max_worlds + 1)
     rho = {a: Relation.from_pairs(
         n, [(w, v) for w in range(n) for v in range(n) if rng.random() < 0.3])
         for a in prog_atoms}
-    val = {a: frozenset(w for w in range(n) if rng.random() < 0.4) for a in atoms}
+    val = {a: mask_of(w for w in range(n) if rng.random() < 0.4) for a in atoms}
     return PdlModel(n, rho, val)
 
 
@@ -207,14 +226,12 @@ def random_pdl_model(seed: int, max_worlds: int,
                      prog_atoms: tuple[str, ...] = ("i", "m"),
                      atoms: tuple[str, ...] = ("p", "q")):
     """Random classical model, deterministic from the seed."""
-    from ckstar.relmodel import PdlModel, Relation
-
     rng = random.Random(seed)
     n = rng.randint(1, max_worlds)
     rho = {a: Relation.from_pairs(
         n, [(w, v) for w in range(n) for v in range(n) if rng.random() < 0.35])
         for a in prog_atoms}
-    val = {a: frozenset(w for w in range(n) if rng.random() < 0.45)
+    val = {a: mask_of(w for w in range(n) if rng.random() < 0.45)
            for a in atoms}
     return PdlModel(n, rho, val)
 
@@ -245,14 +262,14 @@ def naive_satisfies(m, w: int, f: Formula, *, alt_boxstar: bool = False) -> bool
     step = mod_star if alt_boxstar else mod
     comp_star = star({(x, z) for (x, y) in pre_r for (y2, z) in step if y == y2})
 
+    bot = set(worlds_of(m.bot))
+
     def val(name):
-        if name in m.val:
-            return set(m.val[name])
-        return set(m.bot)
+        return set(worlds_of(m.val[name])) if name in m.val else bot
 
     def sat(v, g) -> bool:
         if isinstance(g, Bot):
-            return v in m.bot
+            return v in bot
         if isinstance(g, Atom):
             return v in val(g.name)
         if isinstance(g, And):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from ckstar.syntax import (
 )
 
 from bank import ModelBank
-from helpers import iter_nodes, random_pdl_model
+from helpers import alarm, iter_nodes, random_pdl_model
 from truth_maps import falsifying_world
 
 
@@ -100,6 +101,17 @@ def test_brute_force_pdl():
     assert v.valid_up_to_bound
     w = brute_force_decide("k_star", parse_pdl("[a]p -> p"), EnumSpec(2, ("p",)))
     assert not w.valid_up_to_bound
+
+
+def test_pdl_oracle_interprets_only_the_formulas_programs():
+    # Over all of i, m and a, three worlds are about 1e9 models.
+    with alarm(5, "pdl oracle at 3 worlds"):
+        assert brute_force_decide("pdl", parse_pdl("p|!p"), EnumSpec(3)).valid_up_to_bound
+        v = brute_force_decide("pdl", parse_pdl("[i]p -> [i][i]p"), EnumSpec(3))
+    assert not v.valid_up_to_bound and set(v.model.rho) == {"i"}
+    assert falsifying_world(v.model, parse_pdl("[i]p -> [i][i]p")) == v.world
+    k = brute_force_decide("k_star", parse_pdl("p"), EnumSpec(1))
+    assert set(k.model.rho) == {"a"}
 
 
 def test_random_model_determinism_and_validity():
@@ -221,3 +233,33 @@ def test_bank_chunked_scan_consistency():
     bank = ModelBank(spec)
     f = parse_formula("[]p -> [][]p")
     assert bank.first_violation(f, chunk=7) == bank.first_violation(f)
+
+
+def _model_json_digest() -> str:
+    """sha256 of the model JSON that `decide`, the oracle and the random
+    model generator produce on fixed small inputs, one document a line."""
+    pq = ("p", "q")
+    lines = []
+    for logics, tag in ((("ck_star", "wk_star"), FragmentTag.LSTAR),
+                        (("cs4", "ws4"), FragmentTag.L)):
+        fs = enumerate_formulas(4, pq, tag)
+        for logic in logics:
+            lines.extend(json.dumps(decide(logic, f).to_obj(), sort_keys=True)
+                         for f in fs)
+    for s in range(100):
+        f = random_formula(s, 3, ("p",), FragmentTag.LK_STAR)
+        lines.append(json.dumps(decide("k_star", f).to_obj(), sort_keys=True))
+    for f in enumerate_formulas(4, pq):
+        found = brute_force_decide("ck_star", f, EnumSpec(2, pq))
+        lines.append("valid" if found.valid_up_to_bound
+                     else f"{found.world} {dump_model(found.model)}")
+    for kind in ("ck", "wk", "cs4", "ws4"):
+        lines.extend(dump_model(random_model(s, EnumSpec(4, pq, kind)))
+                     for s in range(50))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def test_model_json_is_pinned():
+    """Countermodels and generated models keep their JSON document for
+    document, whatever the in-memory format of a world set."""
+    assert _model_json_digest() == "39cba5f75525b705"

@@ -1,5 +1,4 @@
 import random
-import signal
 
 import pytest
 
@@ -16,8 +15,12 @@ from ckstar.relmodel import (
     rel_star,
     validate,
 )
+from ckstar.oracle import EnumSpec, enumerate_models, enumerate_pdl_models, random_model
+from ckstar.solver import decide
+from ckstar.syntax import parse_formula, parse_pdl
+from ckstar.translate import ck_model_to_cs4, pdl_model_to_wk, wk_model_to_ck
 
-from helpers import bi_model, pdl_model
+from helpers import alarm, bi_model, pdl_model
 from truth_maps import identity, restrict_to_infallible
 
 
@@ -79,7 +82,7 @@ def test_validate_confluence_witness():
     # failing triple is listed, in (w, v, v') order.
     pre = rel_star(Relation.from_pairs(5, [(1, 3), (2, 3), (3, 4)]))
     mod = Relation.from_pairs(5, [(0, 1), (0, 2), (3, 3), (4, 4)])
-    m = BiModel(5, pre, mod, {}, frozenset(), "ck")
+    m = BiModel(5, pre, mod, {}, 0, "ck")
     assert [(v.condition, v.worlds) for v in validate(m, "cs4")] == [
         ("mod-not-preorder", (0,)), ("mod-not-preorder", (1,)),
         ("mod-not-preorder", (2,)),
@@ -95,18 +98,9 @@ def test_validate_confluence_on_a_large_model():
     # declare up to MAX_WORLDS.
     n = 200
     full = Relation(n, ((1 << n) - 1,) * n)
-    m = BiModel(n, full, full, {}, frozenset(), "cs4")
-
-    def expired(*_):
-        raise TimeoutError("confluence check of a 200-world model")
-
-    previous = signal.signal(signal.SIGALRM, expired)
-    signal.alarm(5)
-    try:
+    m = BiModel(n, full, full, {}, 0, "cs4")
+    with alarm(5, "confluence check of a 200-world model"):
         assert validate(m, "cs4") == []
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_validate_pre_transitivity():
@@ -135,8 +129,8 @@ def test_validate_wk_implies_ck():
     for _ in range(200):
         n = rng.randrange(1, 4)
         m = BiModel(n, rel_star(rand_rel(rng, n)), rand_rel(rng, n),
-                    {"p": frozenset(w for w in range(n) if rng.random() < 0.5)},
-                    frozenset(), "wk")
+                    {"p": mask_of(w for w in range(n) if rng.random() < 0.5)},
+                    0, "wk")
         if validate(m, "wk") == []:
             assert validate(m, "ck") == []
 
@@ -153,7 +147,7 @@ def test_restrict_to_infallible():
     m = bi_model(2, [(0, 0), (1, 1)], [(1, 1)], {"p": {1}}, bot={1})
     assert validate(m, "ck") == []
     small, idx = restrict_to_infallible(m)
-    assert small.worlds == 1 and small.bot == frozenset()
+    assert small.worlds == 1 and small.bot == 0
     assert idx == {0: 0}
     assert validate(small, "wk") == []
 
@@ -211,4 +205,29 @@ def test_dump_is_sorted():
 
 def test_unmapped_atoms_default_to_bot():
     m = bi_model(2, [(0, 0), (1, 1)], [(1, 1)], {}, bot={1})
-    assert m.val_mask("anything") == mask_of({1})
+    assert m.val_mask("anything") == 0b10
+
+
+def test_every_producer_yields_int_world_sets():
+    """A set of worlds is one bit mask wherever a model comes from."""
+    models = []
+    for logic, text in (("ck_star", "p | ~<>false"), ("wk_star", "p -> <>p"),
+                        ("ck_star_box", "p -> [*]p"), ("cs4", "p | ~<>false"),
+                        ("ws4", "p -> []q")):
+        models.append(decide(logic, parse_formula(text)).model)
+    for logic in ("k_star", "pdl"):
+        models.append(decide(logic, parse_pdl("p -> [a]p")).model)
+    for kind in ("ck", "wk", "cs4", "ws4"):
+        models += list(enumerate_models(EnumSpec(2, ("p",), kind)))[-3:]
+        models += [random_model(s, EnumSpec(4, ("p", "q"), kind)) for s in range(5)]
+    models += list(enumerate_pdl_models(2, ("a",), ("p",)))[-3:]
+    models += [load_model(dump_model(m)) for m in models]
+    wk = bi_model(2, [(0, 0), (1, 1), (0, 1)], [(0, 1), (1, 1)], {"p": {1}}, kind="wk")
+    models += [wk_model_to_ck(wk, parse_formula("p")),
+               pdl_model_to_wk(pdl_model(2, {"i": [(0, 1)], "m": []}, {"p": {1}})),
+               ck_model_to_cs4(bi_model(1, [(0, 0)], [(0, 0)], {"p": {0}}, bot={0}))]
+    for m in models:
+        assert m.val, m
+        assert all(type(ws) is int for ws in m.val.values()), m
+        if isinstance(m, BiModel):
+            assert type(m.bot) is int, m

@@ -28,13 +28,14 @@ from ckstar.syntax import (
     formula_size,
     parse_formula,
     parse_pdl,
+    program_atoms,
     render,
     variables,
 )
 from ckstar.translate import iota
 
 from elimination import alive_steps, fulfilled, reference_alive
-from exhaustive import pdl_satisfiable_exhaustive, program_atoms
+from exhaustive import pdl_satisfiable_exhaustive
 from helpers import (
     balanced_text,
     random_lstar,
@@ -153,9 +154,7 @@ def brute_pdl_satisfiable(f, max_worlds=3):
                 n, [cells[i] for i in range(len(cells)) if rels[j] >> i & 1])
                 for j, a in enumerate(prog_atoms)}
             for valbits in itertools.product(range(1 << n), repeat=len(atoms)):
-                val = {a: frozenset(w for w in range(n) if valbits[j] >> w & 1)
-                       for j, a in enumerate(atoms)}
-                m = PdlModel(n, rho, val)
+                m = PdlModel(n, rho, dict(zip(atoms, valbits)))
                 for w in range(n):
                     if pdl_satisfies(m, w, f):
                         return m, w

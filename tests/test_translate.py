@@ -187,10 +187,10 @@ def test_kappa_goldens():
 def test_ck_model_to_wk_goldens():
     infallible = bi_model(1, [(0, 0)], [(0, 0)], {"p": {0}})
     wk = ck_model_to_wk(infallible)
-    assert wk.val["p_bot"] == frozenset() and wk.bot == frozenset()
+    assert wk.val["p_bot"] == 0 and wk.bot == 0
     fallible = bi_model(1, [(0, 0)], [(0, 0)], bot={0})
     wk2 = ck_model_to_wk(fallible)
-    assert wk2.val["p_bot"] == frozenset({0}) and wk2.bot == frozenset()
+    assert wk2.val["p_bot"] == 0b1 and wk2.bot == 0
     assert validate(wk2, "wk") == []
 
 
@@ -244,7 +244,7 @@ def test_classical_to_constructive_transfer():
 def test_pdl_model_to_wk_goldens():
     pm = pdl_model(2, {"i": [(0, 1)], "m": []}, {"p": {1}})
     wk = pdl_model_to_wk(pm)
-    assert wk.val["p"] == frozenset({1})
+    assert wk.val["p"] == 0b10
     none = pdl_model(2, {"i": [], "m": []}, {"p": {1}})
     assert pdl_model_to_wk(none).pre.pairs() == [(0, 0), (1, 1)]
     with pytest.raises(TranslationError):
@@ -277,7 +277,7 @@ def test_generated_submodel_classical_case():
     m = bi_model(2, [(0, 0), (1, 1)], [(0, 1)], {"p": {1}}, kind="wk")
     f = parse_pdl("[a]p")
     sub, classical, u = wk_generated_classical(m, f)
-    assert sub.worlds == 2 and u == frozenset({0, 1})
+    assert sub.worlds == 2 and u == 0b11
     assert classical.rho["a"].pairs() == [(0, 1)]
 
 

@@ -8,7 +8,15 @@ package ships only the maps `decide` runs; these live here.
 
 from __future__ import annotations
 
-from ckstar.relmodel import BiModel, PdlModel, Relation, rel_compose, validate, worlds_of
+from ckstar.relmodel import (
+    BiModel,
+    PdlModel,
+    Relation,
+    mask_of,
+    rel_compose,
+    validate,
+    worlds_of,
+)
 from ckstar.semantics import InvalidModelError, extension, pdl_extension
 from ckstar.syntax import P_BOT, FragmentError, FragmentTag, PdlFormula, check_fragment
 from ckstar.translate import TranslationError, _validated, iota_antecedent
@@ -30,12 +38,17 @@ def restrict(r: Relation, keep) -> Relation:
     return Relation(len(keep), tuple(rows))
 
 
+def restrict_mask(mask: int, keep) -> int:
+    """The worlds of mask that lie in `keep`, reindexed by position."""
+    return mask_of(i for i, w in enumerate(keep) if mask >> w & 1)
+
+
 def ck_model_to_wk(m: BiModel) -> BiModel:
     """Same frame; p_bot takes over the fallible set, which empties."""
     _validated(m, "ck")
     val = dict(m.val)
-    val[P_BOT] = frozenset(m.bot)
-    return BiModel(m.worlds, m.pre, m.mod, val, frozenset(), "wk")
+    val[P_BOT] = m.bot
+    return BiModel(m.worlds, m.pre, m.mod, val, 0, "wk")
 
 
 def wk_model_to_pdl(m: BiModel) -> PdlModel:
@@ -49,12 +62,12 @@ def k_model_to_ck(m: PdlModel) -> BiModel:
     if "a" not in m.rho:
         raise TranslationError("model does not interpret program atom 'a'")
     return BiModel(m.worlds, identity(m.worlds), m.rho["a"],
-                   dict(m.val), frozenset(), "ck")
+                   dict(m.val), 0, "ck")
 
 
 def wk_generated_classical(
     m: BiModel, f: PdlFormula
-) -> tuple[BiModel, PdlModel, frozenset[int]]:
+) -> tuple[BiModel, PdlModel, int]:
     """Submodel generated by the worlds forcing excluded middle for f's
     subformulas, paired with its classical companion over the composed
     relation.  Returns (submodel, classical model, generating set), all in
@@ -65,27 +78,22 @@ def wk_generated_classical(
     u_mask = extension(m, iota_antecedent(f))
     generated = m.pre.union(m.mod).forward_closure(u_mask)
     keep = worlds_of(generated)
-    idx = {w: i for i, w in enumerate(keep)}
-    val = {name: frozenset(idx[w] for w in ws if w in idx)
-           for name, ws in m.val.items()}
+    val = {name: restrict_mask(ws, keep) for name, ws in m.val.items()}
     sub = BiModel(len(keep), restrict(m.pre, keep), restrict(m.mod, keep),
-                  val, frozenset(), "wk")
+                  val, 0, "wk")
     classical = PdlModel(len(keep),
                          {"a": restrict(rel_compose(m.pre, m.mod), keep)},
                          val)
-    u_new = frozenset(idx[w] for w in worlds_of(u_mask))
-    return sub, classical, u_new
+    return sub, classical, restrict_mask(u_mask, keep)
 
 
 def restrict_to_infallible(m: BiModel) -> tuple[BiModel, dict[int, int]]:
     """Drop the worlds satisfying falsum; returns the model and old->new map."""
-    keep = [w for w in range(m.worlds) if w not in m.bot]
-    idx = {w: i for i, w in enumerate(keep)}
-    val = {name: frozenset(idx[w] for w in ws if w in idx)
-           for name, ws in m.val.items()}
+    keep = worlds_of(m.full_mask() & ~m.bot)
+    val = {name: restrict_mask(ws, keep) for name, ws in m.val.items()}
     restricted = BiModel(len(keep), restrict(m.pre, keep), restrict(m.mod, keep),
-                         val, frozenset(), "wk")
-    return restricted, idx
+                         val, 0, "wk")
+    return restricted, {w: i for i, w in enumerate(keep)}
 
 
 def valid_in_model(m, f) -> bool:
