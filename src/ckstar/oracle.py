@@ -2,9 +2,10 @@
 random generators for property testing.
 
 `enumerate_models` streams every validated model of a class up to a world
-bound, in a fixed deterministic order.  `brute_force_decide` scans that
-stream with the extension evaluator.  The module needs only the standard
-library.
+bound, in a fixed deterministic order.  It filters with the `relmodel`
+expressions that `validate` checks and states no model condition itself.
+`brute_force_decide` scans that stream with the extension evaluator.  The
+module needs only the standard library.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from .relmodel import (
     BiModel,
     PdlModel,
     Relation,
+    confluence_gaps,
     mask_of,
     rel_star,
     validate,
-    worlds_of,
 )
 from .semantics import extension, pdl_extension
 from .syntax import FRAGMENTS, FragmentTag, program_atoms, program_size, variables
@@ -51,87 +52,45 @@ class EnumSpec:
                 f"of {MAX_ENUM_WORLDS}")
 
 
-def _preorders(n: int) -> Iterator[tuple[int, ...]]:
-    """All preorders on n worlds as row tuples, ascending in the
-    off-diagonal bit pattern."""
-    cells = [(w, v) for w in range(n) for v in range(n) if w != v]
-    for bits in range(1 << len(cells)):
-        rows = [1 << w for w in range(n)]
-        for i, (w, v) in enumerate(cells):
-            if bits >> i & 1:
-                rows[w] |= 1 << v
-        ok = True
-        for w in range(n):
-            reach = 0
-            row = rows[w]
-            for v in range(n):
-                if row >> v & 1:
-                    reach |= rows[v]
-            if reach & ~row:
-                ok = False
-                break
-        if ok:
-            yield tuple(rows)
-
-
-def _relations(n: int) -> Iterator[tuple[int, ...]]:
+def _relations(n: int) -> Iterator[Relation]:
+    """Every relation on n worlds, ascending in the n*n-bit pattern whose
+    bits n*w to n*w + n - 1 are row w."""
     full = (1 << n) - 1
     for bits in range(1 << (n * n)):
-        yield tuple(bits >> (n * w) & full for w in range(n))
+        yield Relation(n, tuple(bits >> (n * w) & full for w in range(n)))
 
 
-def _is_closed(rows_pre, rows_mod, bot: int, n: int) -> bool:
-    for w in range(n):
-        if bot >> w & 1 and (rows_pre[w] | rows_mod[w]) & ~bot:
-            return False
-    return True
-
-
-def _is_serial_at(rows_mod, bot: int, n: int) -> bool:
-    return all(rows_mod[w] != 0 for w in range(n) if bot >> w & 1)
-
-
-def _upsets(rows_pre, n: int, superset_of: int) -> list[int]:
-    out = []
-    for mask in range(1 << n):
-        if mask & superset_of != superset_of:
-            continue
-        if all(not (mask >> w & 1) or rows_pre[w] & ~mask == 0 for w in range(n)):
-            out.append(mask)
-    return out
-
-
-def _confluent(rows_pre, rows_mod, n: int) -> bool:
-    for w in range(n):
-        for v in worlds_of(rows_mod[w]):
-            for vp in worlds_of(rows_pre[v]):
-                if not any(rows_mod[wp] >> vp & 1 for wp in worlds_of(rows_pre[w])):
-                    return False
-    return True
+def _preorders(n: int) -> list[Relation]:
+    """The preorders among `_relations(n)`, in its order."""
+    return [r for r in _relations(n)
+            if r.is_reflexive() and r.transitivity_witness() is None]
 
 
 def _enumerate_raw(spec: EnumSpec) -> Iterator[tuple]:
-    """(n, pre_rows, mod_rows, bot_mask, val_masks) in deterministic order."""
+    """(n, pre_rows, mod_rows, bot_mask, val_masks) in deterministic order.
+
+    Each filter is a condition `relmodel.validate` checks: atomic
+    persistence (an upset of pre), falsum persistence and seriality (a
+    fallible set closed under both relations, each of its worlds with a
+    mod-successor), infallibility, mod a preorder, and confluence."""
     infallible = spec.kind in ("wk", "ws4")
     preorder_mod = spec.kind in ("cs4", "ws4")
     for n in range(1, spec.max_worlds + 1):
-        for pre in _preorders(n):
-            upsets_all = _upsets(pre, n, 0)
-            mods = _preorders(n) if preorder_mod else _relations(n)
-            for mod in mods:
-                if preorder_mod and not _confluent(pre, mod, n):
+        full = (1 << n) - 1
+        preorders = _preorders(n)
+        for pre in preorders:
+            upsets = [u for u in range(full + 1) if pre.image(u) & ~u == 0]
+            for mod in preorders if preorder_mod else _relations(n):
+                if preorder_mod and any(confluence_gaps(pre, mod)):
                     continue
-                if infallible:
-                    bots: list[int] = [0]
-                else:
-                    bots = [b for b in range(1 << n)
-                            if _is_closed(pre, mod, b, n)
-                            and _is_serial_at(mod, b, n)]
+                serial = mod.dia(full)
+                bots = [0] if infallible else [
+                    b for b in range(full + 1) if b & ~serial == 0
+                    and (pre.image(b) | mod.image(b)) & ~b == 0]
                 for bot in bots:
-                    choices = (upsets_all if bot == 0
-                               else [u for u in upsets_all if u & bot == bot])
+                    choices = [u for u in upsets if u & bot == bot]
                     for vals in itertools.product(choices, repeat=len(spec.atoms)):
-                        yield n, pre, mod, bot, vals
+                        yield n, pre.rows, mod.rows, bot, vals
 
 
 def enumerate_models(spec: EnumSpec) -> Iterator[BiModel]:
@@ -151,7 +110,7 @@ def enumerate_pdl_models(max_worlds: int, prog_atoms: tuple[str, ...],
     for n in range(1, max_worlds + 1):
         rel_list = list(_relations(n))
         for rels in itertools.product(rel_list, repeat=len(prog_atoms)):
-            rho = {a: Relation(n, rels[i]) for i, a in enumerate(prog_atoms)}
+            rho = dict(zip(prog_atoms, rels))
             for vals in itertools.product(range(1 << n), repeat=len(atoms)):
                 yield PdlModel(n, rho, dict(zip(atoms, vals)))
 
@@ -227,20 +186,13 @@ def _random_ck(rng: random.Random, spec: EnumSpec) -> BiModel:
     if spec.kind == "ck":
         bot = mask_of(w for w in range(n) if rng.random() < 0.25)
         bot = pre.union(mod).forward_closure(bot)
-        rows = list(mod.rows)
-        for w in range(n):
-            if bot >> w & 1 and rows[w] == 0:
-                rows[w] |= 1 << w  # patch falsum seriality
-        mod = Relation(n, tuple(rows))
+        # Patch falsum seriality: a fallible world without successors sees itself.
+        mod = Relation(n, tuple(row or bot & 1 << w for w, row in enumerate(mod.rows)))
         bot = pre.union(mod).forward_closure(bot)
     val = {}
     for a in spec.atoms:
         base = bot | mask_of(w for w in range(n) if rng.random() < 0.45)
-        closed = base
-        for w in range(n):
-            if base >> w & 1:
-                closed |= pre.rows[w]
-        val[a] = closed
+        val[a] = base | pre.image(base)
     m = BiModel(n, pre, mod, val, bot, spec.kind)
     assert validate(m, spec.kind) == []
     return m

@@ -55,10 +55,12 @@ class Relation:
         return Relation(self.n, tuple(a | b for a, b in zip(self.rows, other.rows)))
 
     def image(self, mask: int) -> int:
+        """Successors of the worlds in mask; visits only its set bits."""
         out = 0
-        for w in range(self.n):
-            if mask >> w & 1:
-                out |= self.rows[w]
+        while mask:
+            low = mask & -mask
+            out |= self.rows[low.bit_length() - 1]
+            mask ^= low
         return out
 
     def box(self, mask: int) -> int:
@@ -90,12 +92,12 @@ class Relation:
         return all(self.rows[w] >> w & 1 for w in range(self.n))
 
     def transitivity_witness(self) -> "tuple[int, int, int] | None":
-        for w in range(self.n):
-            row = self.rows[w]
-            for v in range(self.n):
-                if row >> v & 1 and self.rows[v] & ~row:
-                    u = (self.rows[v] & ~row).bit_length() - 1
-                    return (w, v, u)
+        """(w, v, u) with w -> v -> u and not w -> u: the first w whose
+        image of its row leaves the row, its first such v, v's last such u."""
+        for w, row in enumerate(self.rows):
+            if self.image(row) & ~row:
+                v = next(v for v in worlds_of(row) if self.rows[v] & ~row)
+                return (w, v, (self.rows[v] & ~row).bit_length() - 1)
         return None
 
     def _check_dim(self, other: "Relation") -> None:
@@ -106,15 +108,7 @@ class Relation:
 def rel_compose(r: Relation, s: Relation) -> Relation:
     """x (r;s) y iff some z has x r z and z s y."""
     r._check_dim(s)
-    rows = []
-    for w in range(r.n):
-        out = 0
-        row = r.rows[w]
-        for z in range(r.n):
-            if row >> z & 1:
-                out |= s.rows[z]
-        rows.append(out)
-    return Relation(r.n, tuple(rows))
+    return Relation(r.n, tuple(s.image(row) for row in r.rows))
 
 
 def rel_star(r: Relation) -> Relation:
@@ -190,21 +184,34 @@ class ModelViolation:
     atom: "str | None" = None
 
 
+def _preorder_violations(r: Relation, condition: str) -> list[ModelViolation]:
+    """Each irreflexive world, then the first transitivity witness."""
+    out = [] if r.is_reflexive() else [
+        ModelViolation(condition, (w,)) for w in range(r.n) if not r.has(w, w)]
+    wit = r.transitivity_witness()
+    if wit is not None:
+        out.append(ModelViolation(condition, wit))
+    return out
+
+
+def confluence_gaps(pre: Relation, mod: Relation) -> list[int]:
+    """Per world w, the v' in (mod;pre)(w) but not in (pre;mod)(w).
+
+    Confluence asks that w R v <= v' have some w' with w <= w' R v', so
+    (w, v, v') fails exactly when v' is in w's gap: both products are
+    composed once for the whole model."""
+    pre_mod = rel_compose(pre, mod).rows
+    return [a & ~b for a, b in zip(rel_compose(mod, pre).rows, pre_mod)]
+
+
 def validate(m: BiModel, kind: str) -> list[ModelViolation]:
     """All condition violations for the given model class, with witnesses."""
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     out: list[ModelViolation] = []
-    n = m.worlds
     bot = m.bot
 
-    if not m.pre.is_reflexive():
-        for w in range(n):
-            if not m.pre.has(w, w):
-                out.append(ModelViolation("pre-not-preorder", (w,)))
-    wit = m.pre.transitivity_witness()
-    if wit is not None:
-        out.append(ModelViolation("pre-not-preorder", wit))
+    out.extend(_preorder_violations(m.pre, "pre-not-preorder"))
 
     for name, vmask in sorted(m.val.items()):
         for w in worlds_of(bot & ~vmask):
@@ -224,24 +231,11 @@ def validate(m: BiModel, kind: str) -> list[ModelViolation]:
             out.append(ModelViolation("infallibility", (w,)))
 
     if kind in ("cs4", "ws4"):
-        if not m.mod.is_reflexive():
-            for w in range(n):
-                if not m.mod.has(w, w):
-                    out.append(ModelViolation("mod-not-preorder", (w,)))
-        wit = m.mod.transitivity_witness()
-        if wit is not None:
-            out.append(ModelViolation("mod-not-preorder", wit))
-        # Confluence: w R v <= v' requires some w' with w <= w' R v'.  So
-        # (w, v, v') fails exactly when v' is in (mod;pre)(w) but not in
-        # (pre;mod)(w): both products are composed once, and triples are
-        # listed only at the worlds w where they differ.
-        pre_mod = rel_compose(m.pre, m.mod).rows
-        mod_pre = rel_compose(m.mod, m.pre).rows
-        for w in range(n):
-            missing = mod_pre[w] & ~pre_mod[w]
-            if missing:
+        out.extend(_preorder_violations(m.mod, "mod-not-preorder"))
+        for w, gap in enumerate(confluence_gaps(m.pre, m.mod)):
+            if gap:
                 for v in worlds_of(m.mod.rows[w]):
-                    for vp in worlds_of(m.pre.rows[v] & missing):
+                    for vp in worlds_of(m.pre.rows[v] & gap):
                         out.append(ModelViolation("not-confluent", (w, v, vp)))
     return out
 

@@ -66,6 +66,8 @@ _M = PAtom("m")
 _I_STAR = Star(_I)
 # kappa's reading of the base modalities.
 _MASTER = {Box: BoxStar, Dia: DiaStar}
+# iota's reading of the single-program fragment's box programs.
+_KSTAR_BOXES = {PAtom("a"): Box, Star(PAtom("a")): BoxStar}
 
 
 def _conjunction(parts: list) -> Formula:
@@ -134,11 +136,10 @@ def kstar_to_lstar(f: PdlFormula) -> Formula:
     if isinstance(f, PdlOr):
         return Or(kstar_to_lstar(f.left), kstar_to_lstar(f.right))
     if isinstance(f, BoxP):
-        if f.prog == PAtom("a"):
-            return Box(kstar_to_lstar(f.body))
-        if f.prog == Star(PAtom("a")):
-            return BoxStar(kstar_to_lstar(f.body))
-        raise FragmentError("program outside the single-program fragment")
+        box = _KSTAR_BOXES.get(f.prog)
+        if box is None:
+            raise FragmentError("program outside the single-program fragment")
+        return box(kstar_to_lstar(f.body))
     raise TypeError(f"unknown PDL node {type(f).__name__}")
 
 

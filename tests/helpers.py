@@ -87,6 +87,11 @@ def alarm(seconds: int, what: str):
     signal.alarm(seconds)
     try:
         yield
+    except TimeoutError:
+        # Raised from a tight loop, the handler's traceback can carry a
+        # frame whose line number is None (seen on CPython 3.11), and
+        # pytest then aborts the session instead of failing the test.
+        raise TimeoutError(what) from None
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

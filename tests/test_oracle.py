@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -10,10 +11,11 @@ from ckstar.oracle import (
     brute_force_decide,
     enumerate_formulas,
     enumerate_models,
+    enumerate_pdl_models,
     random_formula,
     random_model,
 )
-from ckstar.relmodel import dump_model, validate
+from ckstar.relmodel import BiModel, Relation, dump_model, validate
 from ckstar.solver import LOGICS, decide
 from ckstar.syntax import (
     FragmentError,
@@ -43,6 +45,60 @@ def test_enumerated_models_validate():
     for kind in ("ck", "wk", "cs4", "ws4"):
         for m in enumerate_models(EnumSpec(2, ("p",), kind)):
             assert validate(m, kind) == []
+
+
+def _validated_candidates(max_worlds, atoms, kind):
+    """Every BiModel up to the bound that `validate` accepts, built from
+    every pre, mod, bot and valuation in nested ascending bit order."""
+    for n in range(1, max_worlds + 1):
+        full = (1 << n) - 1
+        rels = [Relation(n, tuple(bits >> (n * w) & full for w in range(n)))
+                for bits in range(1 << (n * n))]
+        for pre, mod in itertools.product(rels, repeat=2):
+            for bot in range(1 << n):
+                for vals in itertools.product(range(1 << n), repeat=len(atoms)):
+                    m = BiModel(n, pre, mod, dict(zip(atoms, vals)), bot, kind)
+                    if validate(m, kind) == []:
+                        yield m
+
+
+@pytest.mark.parametrize("kind", ("ck", "wk", "cs4", "ws4"))
+def test_enumeration_yields_exactly_the_validated_models_in_order(kind):
+    for spec in (EnumSpec(2, ("p",), kind), EnumSpec(1, ("p", "q"), kind)):
+        assert list(enumerate_models(spec)) == list(
+            _validated_candidates(spec.max_worlds, spec.atoms, kind))
+
+
+def _model_stream_pin(models) -> tuple[int, str]:
+    """Count and sha256 prefix of a model stream, one repr a model."""
+    h = hashlib.sha256()
+    count = 0
+    for m in models:
+        count += 1
+        rel = ((m.pre.rows, m.mod.rows, m.bot) if isinstance(m, BiModel)
+               else sorted((a, r.rows) for a, r in m.rho.items()))
+        h.update(repr((m.worlds, rel, sorted(m.val.items()))).encode() + b"\n")
+    return count, h.hexdigest()[:16]
+
+
+_ENUMERATION_PINS = {
+    ("ck", 2, ("p", "q")): (717, "e313c8f5d5fea440"),
+    ("ck", 3, ("p",)): (89252, "172274a6242cd22f"),
+    ("wk", 2, ("p", "q")): (616, "0cda68095c08617e"),
+    ("wk", 3, ("p",)): (66756, "0f24a20b834a0b6c"),
+    ("cs4", 2, ("p", "q")): (205, "780070c3064b0f65"),
+    ("cs4", 3, ("p",)): (6002, "57f978b47a7051a6"),
+    ("ws4", 2, ("p", "q")): (156, "593eb1ff1fbde234"),
+    ("ws4", 3, ("p",)): (3175, "b3b44a8466822c27"),
+}
+
+
+def test_enumeration_is_pinned():
+    for (kind, max_worlds, atoms), pin in _ENUMERATION_PINS.items():
+        got = _model_stream_pin(enumerate_models(EnumSpec(max_worlds, atoms, kind)))
+        assert got == pin, (kind, max_worlds, atoms)
+    assert _model_stream_pin(enumerate_pdl_models(2, ("a", "i"), ("p",))) == \
+        (1032, "5eda73af5fd20e3a")
 
 
 def test_enumeration_guard():

@@ -94,13 +94,43 @@ def test_validate_confluence_witness():
 
 def test_validate_confluence_on_a_large_model():
     # Full relations are confluent.  A check that scans pre(w) for every
-    # triple (w, v, v') takes minutes at 200 worlds; model files may
-    # declare up to MAX_WORLDS.
+    # triple (w, v, v') takes minutes at 200 worlds.
     n = 200
     full = Relation(n, ((1 << n) - 1,) * n)
     m = BiModel(n, full, full, {}, 0, "cs4")
     with alarm(5, "confluence check of a 200-world model"):
         assert validate(m, "cs4") == []
+    # Model files may declare up to MAX_WORLDS.  There a check that scans
+    # every world for each row takes seconds even on the identity model;
+    # one that visits only the set bits of each row, well under a second.
+    ident = identity(MAX_WORLDS)
+    with alarm(2, "preorder and confluence checks of a MAX_WORLDS model"):
+        assert validate(BiModel(MAX_WORLDS, ident, ident, {}, 0, "cs4"), "cs4") == []
+
+
+def _first_transitivity_gap(r):
+    """The first w, then its first v, with v -> u and not w -> u for some
+    u, and the last such u: what `transitivity_witness` reports."""
+    for w in range(r.n):
+        for v in range(r.n):
+            us = [u for u in range(r.n) if r.has(w, v) and r.has(v, u)
+                  and not r.has(w, u)]
+            if us:
+                return (w, v, us[-1])
+    return None
+
+
+def test_transitivity_witness():
+    # World 0 sees 0, 1, 2; 1 sees 3 and 4 and 2 sees 4, so v = 1 and v = 2
+    # both fail at w = 0, and world 1 fails too (3 -> 0).
+    r = Relation.from_pairs(5, [(0, 0), (0, 1), (0, 2), (1, 1), (1, 3), (1, 4),
+                                (2, 2), (2, 4), (3, 3), (3, 0), (4, 4)])
+    assert r.transitivity_witness() == (0, 1, 4)
+    assert identity(4).transitivity_witness() is None
+    rng = random.Random(11)
+    for _ in range(300):
+        r = rand_rel(rng, rng.randrange(1, 7))
+        assert r.transitivity_witness() == _first_transitivity_gap(r)
 
 
 def test_validate_pre_transitivity():

@@ -162,6 +162,9 @@ def test_iota_antecedent_nests_logarithmically():
 def test_iota_fragment_error():
     with pytest.raises(FragmentError):
         iota(parse_pdl("[i]p"))
+    for text in ("[a;a]p", "[i]p", "[a][i]p"):
+        with pytest.raises(FragmentError):
+            kstar_to_lstar(parse_pdl(text))
 
 
 def test_iota_quadratic_bound():
