@@ -47,8 +47,7 @@ class Relation:
         return bool(self.rows[w] >> v & 1)
 
     def pairs(self) -> list[tuple[int, int]]:
-        return [(w, v) for w in range(self.n) for v in range(self.n)
-                if self.rows[w] >> v & 1]
+        return [(w, v) for w, row in enumerate(self.rows) for v in bits_of(row)]
 
     def union(self, other: "Relation") -> "Relation":
         self._check_dim(other)
@@ -57,10 +56,8 @@ class Relation:
     def image(self, mask: int) -> int:
         """Successors of the worlds in mask; visits only its set bits."""
         out = 0
-        while mask:
-            low = mask & -mask
-            out |= self.rows[low.bit_length() - 1]
-            mask ^= low
+        for w in bits_of(mask):
+            out |= self.rows[w]
         return out
 
     def box(self, mask: int) -> int:
@@ -96,7 +93,7 @@ class Relation:
         image of its row leaves the row, its first such v, v's last such u."""
         for w, row in enumerate(self.rows):
             if self.image(row) & ~row:
-                v = next(v for v in worlds_of(row) if self.rows[v] & ~row)
+                v = next(v for v in bits_of(row) if self.rows[v] & ~row)
                 return (w, v, (self.rows[v] & ~row).bit_length() - 1)
         return None
 
@@ -131,14 +128,14 @@ def mask_of(worlds: Iterable[int]) -> int:
     return out
 
 
-def worlds_of(mask: int) -> list[int]:
+def bits_of(mask: int) -> list[int]:
+    """The set bits of mask, ascending: the worlds of a set of worlds, or
+    the member codes of a tableau state.  Visits only the set bits."""
     out = []
-    w = 0
     while mask:
-        if mask & 1:
-            out.append(w)
-        mask >>= 1
-        w += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -214,28 +211,28 @@ def validate(m: BiModel, kind: str) -> list[ModelViolation]:
     out.extend(_preorder_violations(m.pre, "pre-not-preorder"))
 
     for name, vmask in sorted(m.val.items()):
-        for w in worlds_of(bot & ~vmask):
+        for w in bits_of(bot & ~vmask):
             out.append(ModelViolation("atomic-ex-falso", (w,), name))
-        for w in worlds_of(vmask):
-            for v in worlds_of(m.pre.rows[w] & ~vmask):
+        for w in bits_of(vmask):
+            for v in bits_of(m.pre.rows[w] & ~vmask):
                 out.append(ModelViolation("atomic-persistence", (w, v), name))
 
-    for w in worlds_of(bot):
-        for v in worlds_of((m.pre.rows[w] | m.mod.rows[w]) & ~bot):
+    for w in bits_of(bot):
+        for v in bits_of((m.pre.rows[w] | m.mod.rows[w]) & ~bot):
             out.append(ModelViolation("falsum-persistence", (w, v)))
         if m.mod.rows[w] == 0:
             out.append(ModelViolation("falsum-seriality", (w,)))
 
     if kind in ("wk", "ws4"):
-        for w in worlds_of(bot):
+        for w in bits_of(bot):
             out.append(ModelViolation("infallibility", (w,)))
 
     if kind in ("cs4", "ws4"):
         out.extend(_preorder_violations(m.mod, "mod-not-preorder"))
         for w, gap in enumerate(confluence_gaps(m.pre, m.mod)):
             if gap:
-                for v in worlds_of(m.mod.rows[w]):
-                    for vp in worlds_of(m.pre.rows[v] & gap):
+                for v in bits_of(m.mod.rows[w]):
+                    for vp in bits_of(m.pre.rows[v] & gap):
                         out.append(ModelViolation("not-confluent", (w, v, vp)))
     return out
 
@@ -254,7 +251,7 @@ def model_to_obj(m) -> dict:
             "kind": "pdl",
             "worlds": m.worlds,
             "rho": {a: _pairs_json(r) for a, r in sorted(m.rho.items())},
-            "val": {p: worlds_of(ws) for p, ws in sorted(m.val.items())},
+            "val": {p: bits_of(ws) for p, ws in sorted(m.val.items())},
         }
     if isinstance(m, BiModel):
         return {
@@ -262,8 +259,8 @@ def model_to_obj(m) -> dict:
             "worlds": m.worlds,
             "pre": _pairs_json(m.pre),
             "mod": _pairs_json(m.mod),
-            "val": {p: worlds_of(ws) for p, ws in sorted(m.val.items())},
-            "bot": worlds_of(m.bot),
+            "val": {p: bits_of(ws) for p, ws in sorted(m.val.items())},
+            "bot": bits_of(m.bot),
         }
     raise TypeError(f"cannot serialize {type(m).__name__}")
 

@@ -64,7 +64,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .relmodel import BiModel, PdlModel, Relation, validate
+from .relmodel import BiModel, PdlModel, Relation, bits_of, mask_of, validate
 from .semantics import pdl_satisfies, satisfies
 from .syntax import (
     BoxP,
@@ -222,15 +222,17 @@ class _Tableau:
                     kids = (a[0] << 1 | sign, a[1] << 1 | sign)
                     plan.append((_DET, kids) if sign else (_BRANCH_STAR, kids))
         self.plan = plan
-        # Codes by the phase of _process that reads them.
-        self.branches = frozenset(
+        # Code masks by the phase of _process or extract that reads them.
+        self.branches = mask_of(
             c for c, (mode, _) in enumerate(plan)
             if mode in (_BRANCH, _BRANCH_STAR))
-        self.boxes_true = frozenset(
+        self.boxes_true = mask_of(
             c for c in range(len(plan)) if c & 1 and kinds[c >> 1] == _BOX_A)
-        self.modals_false = frozenset(
+        self.modals_false = mask_of(
             c for c in range(len(plan))
             if not c & 1 and kinds[c >> 1] in (_BOX_A, _BOX_S))
+        self.atoms_true = mask_of(
+            c for c in range(len(plan)) if c & 1 and kinds[c >> 1] == _ATOM)
         # watch[c]: the branch members whose unit rule can fire once c is
         # present, namely c itself and those with a kid that c refutes.
         watch: list[list[int]] = [[] for _ in plan]
@@ -260,7 +262,7 @@ class _Tableau:
                         selects[x][r2 - r1] |= 1 << width + r2
             width += size
         self.steps = {x: tuple(sel.items()) for x, sel in selects.items()}
-        self.refuting = frozenset(self.refutes)
+        self.refuting = mask_of(self.refutes)
         # Per state id: the state, the codes to close it from (see _close),
         # its entry once expanded (None before), the ids that step to it,
         # its alive bit and marks (as settled in the last pass that reached
@@ -270,8 +272,8 @@ class _Tableau:
         # bits the state refutes); both list the successors at index 1.
         # deferred[i]: the (state, seed) of decomposition i's other
         # alternative, until it is released.
-        self.ids: dict[frozenset, int] = {}
-        self.states: list[frozenset] = []
+        self.ids: dict[int, int] = {}
+        self.states: list[int] = []
         self.seeds: list = []
         self.info: list = []
         self.parents: list[list[int]] = []
@@ -282,11 +284,11 @@ class _Tableau:
         self.defer = False  # whether the pass under way defers alternatives
         self.order: list[int] = []   # expanded ids, in expansion order
         # The root demands closure member 0, the goal, true: code 1.
-        self.root = self._discover(frozenset([1]), (1,))
+        self.root = self._discover(1 << 1, (1,))
         self.rounds: list[int] = []
         self.passes = 0
 
-    def _discover(self, state: frozenset, seed) -> int:
+    def _discover(self, state: int, seed) -> int:
         """The id of state, assigned on first sight together with its seed."""
         i = self.ids.get(state)
         if i is None:
@@ -300,7 +302,7 @@ class _Tableau:
             self.low.append(_UNSEEN)
         return i
 
-    def _close(self, state: frozenset, seed) -> "set | None":
+    def _close(self, state: int, seed) -> "int | None":
         """state closed under the single-successor rules, or None on a clash.
 
         Only the rules that a code of seed takes part in are tried first,
@@ -309,41 +311,40 @@ class _Tableau:
         refuted kid forces the other), so the closure does not depend on
         the order they fire in."""
         plan, watch, base = self.plan, self.watch, self.marker_base
-        cur = set(state)
+        cur = state
         work = list(seed)
         while work:
             c = work.pop()
             mode, kids = plan[c]
             if mode == _DET:
                 for k in kids:
-                    if k not in cur:
-                        if k ^ 1 in cur:
+                    if not cur >> k & 1:
+                        if cur >> (k ^ 1) & 1:
                             return None
-                        cur.add(k)
+                        cur |= 1 << k
                         work.append(k)
             for b in watch[c]:
-                if b not in cur:
+                if not cur >> b & 1:
                     continue
                 mode, (k0, k1) = plan[b]
-                marker = None
+                marker = 0
                 if mode == _BRANCH_STAR:
-                    marker = base + b
-                    if marker in cur:
+                    marker = 1 << base + b
+                    if cur & marker:
                         continue
-                elif k0 in cur or k1 in cur:
+                elif cur >> k0 & 1 or cur >> k1 & 1:
                     continue
-                if k0 ^ 1 in cur:
-                    if k1 ^ 1 in cur:
+                if cur >> (k0 ^ 1) & 1:
+                    if cur >> (k1 ^ 1) & 1:
                         return None  # both sides clash
                     forced = k1
-                elif k1 ^ 1 in cur:
+                elif cur >> (k1 ^ 1) & 1:
                     forced = k0
                 else:
                     continue
-                if marker is not None:
-                    cur.add(marker)
-                if forced not in cur:
-                    cur.add(forced)
+                cur |= marker
+                if not cur >> forced & 1:
+                    cur |= 1 << forced
                     work.append(forced)
         return cur
 
@@ -357,47 +358,46 @@ class _Tableau:
         cur = self._close(state, self.seeds[i])
         if cur is None:
             return ("or", ())
-        if len(cur) > len(state):
-            return ("or", (self._discover(frozenset(cur), ()),))
+        if cur != state:
+            return ("or", (self._discover(cur, ()),))
         # A closed state refutes neither kid of an open branch, so both
         # successors exist; each is closed from its one new member.  While
         # passes defer, the second is only recorded.
-        for c in sorted(state & self.branches):
+        for c in bits_of(state & self.branches):
             mode, (k0, k1) = plan[c]
             if mode == _BRANCH_STAR:
-                if base + c in state:
+                if state >> base + c & 1:
                     continue
-                tag = (base + c,)
-            elif k0 in state or k1 in state:
+                tagged = state | 1 << base + c
+            elif state >> k0 & 1 or state >> k1 & 1:
                 continue
             else:
-                tag = ()
-            first = self._discover(state.union(tag, (k0,)), (k0,))
+                tagged = state
+            first = self._discover(tagged | 1 << k0, (k0,))
             if self.defer:
-                self.deferred[i] = (state.union(tag, (k1,)), (k1,))
+                self.deferred[i] = (tagged | 1 << k1, (k1,))
                 return ("or", (first,))
-            return ("or", (first, self._discover(state.union(tag, (k1,)), (k1,))))
+            return ("or", (first, self._discover(tagged | 1 << k1, (k1,))))
         # Saturated: collect modal obligations and star eventualities.  A
         # consistent state never holds both [x]B and ![x]B, so no demand
         # {C : [x]C in state} + {!B} clashes as it is built.
         args = self.args
         positives: dict[str, list[int]] = {}
-        for c in sorted(state & self.boxes_true):
+        for c in bits_of(state & self.boxes_true):
             a, body = args[c >> 1]
             positives.setdefault(a, []).append(body)
         demands, letters, eventualities = [], [], []
         need = refute = 0
-        for c in sorted(state & self.modals_false):
+        for c in bits_of(state & self.modals_false):
             if self.kind[c >> 1] == _BOX_S:
                 eventualities.append(c >> 1)
                 need |= self.start_bit[c >> 1]
                 continue
             a, body = args[c >> 1]
-            demand = frozenset(b << 1 | 1 for b in positives.get(a, ())) \
-                | {body << 1}
-            demands.append(self._discover(demand, demand))
+            seed = [b << 1 | 1 for b in positives.get(a, ())] + [body << 1]
+            demands.append(self._discover(mask_of(seed), seed))
             letters.append(a)
-        for c in state & self.refuting:
+        for c in bits_of(state & self.refuting):
             refute |= self.refutes[c]
         return ("sat", demands, letters, eventualities, need, refute)
 
@@ -672,11 +672,9 @@ class _Tableau:
         n = len(order)
         val: dict[str, int] = {}
         for w, node in enumerate(order):
-            for code in self.states[node]:
-                if code < self.marker_base and code & 1 \
-                        and self.kind[code >> 1] == _ATOM:
-                    name = self.args[code >> 1]
-                    val[name] = val.get(name, 0) | 1 << w
+            for code in bits_of(self.states[node] & self.atoms_true):
+                name = self.args[code >> 1]
+                val[name] = val.get(name, 0) | 1 << w
         rho = {a: Relation.from_pairs(n, sorted(ps)) for a, ps in edges.items()}
         return PdlModel(n, rho, val)
 

@@ -20,11 +20,11 @@ from .relmodel import (
     BiModel,
     PdlModel,
     Relation,
+    bits_of,
     mask_of,
     rel_compose,
     rel_star,
     validate,
-    worlds_of,
 )
 from .semantics import InvalidModelError, extension
 from .syntax import (
@@ -218,7 +218,7 @@ def ck_model_to_cs4(m: BiModel) -> BiModel:
 
     def spread(mask: int) -> int:
         out = 0
-        for v in worlds_of(mask):
+        for v in bits_of(mask):
             out |= 0b11 << (2 * v)
         return out
 
@@ -228,7 +228,7 @@ def ck_model_to_cs4(m: BiModel) -> BiModel:
         both = spread(m.pre.rows[w])
         pre_rows.append(both)
         pre_rows.append(both)
-        mod_rows.append(mask_of(2 * v for v in worlds_of(mod_star.rows[w])))
+        mod_rows.append(mask_of(2 * v for v in bits_of(mod_star.rows[w])))
         mod_rows.append(spread(iter_star.rows[w]))
     val = {name: spread(ws) for name, ws in m.val.items()}
     kind = "ws4" if m.kind == "wk" else "cs4"

@@ -94,7 +94,7 @@ def fulfilled(engine, member: int, rev_steps: list, saturated: list) -> bytearra
     marks = [bytearray(len(states)) for _ in range(size)]
     work: list[tuple] = []
     for u in saturated:
-        if bad_code in states[u]:
+        if states[u] >> bad_code & 1:
             for r in accepting:
                 marks[r][u] = 1
                 work.append((u, r))

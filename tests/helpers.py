@@ -20,10 +20,10 @@ from ckstar.relmodel import (
     BiModel,
     PdlModel,
     Relation,
+    bits_of,
     mask_of,
     rel_star,
     validate,
-    worlds_of,
 )
 from ckstar.syntax import (
     Atom,
@@ -267,10 +267,10 @@ def naive_satisfies(m, w: int, f: Formula, *, alt_boxstar: bool = False) -> bool
     step = mod_star if alt_boxstar else mod
     comp_star = star({(x, z) for (x, y) in pre_r for (y2, z) in step if y == y2})
 
-    bot = set(worlds_of(m.bot))
+    bot = set(bits_of(m.bot))
 
     def val(name):
-        return set(worlds_of(m.val[name])) if name in m.val else bot
+        return set(bits_of(m.val[name])) if name in m.val else bot
 
     def sat(v, g) -> bool:
         if isinstance(g, Bot):

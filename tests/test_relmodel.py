@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -196,6 +197,19 @@ def test_dump_load_round_trip():
     ]
     for m in models:
         assert load_model(dump_model(m)) == m
+
+
+def test_dump_load_round_trip_at_the_world_cap():
+    # Serialising visits only the set bits of each row and world set; one
+    # that tests every cell of the identity relation at MAX_WORLDS takes
+    # seconds, one that walks the set bits well under one.
+    ident = identity(MAX_WORLDS)
+    m = BiModel(MAX_WORLDS, ident, ident, {"p": mask_of(range(0, MAX_WORLDS, 3))},
+                mask_of(range(1, MAX_WORLDS, 7)), "cs4")
+    with alarm(2, "dump and load of a MAX_WORLDS model"):
+        text = dump_model(m)
+        assert load_model(text) == m
+    assert json.loads(text)["pre"][-1] == [MAX_WORLDS - 1, MAX_WORLDS - 1]
 
 
 def test_load_minimal_document():

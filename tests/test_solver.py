@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ckstar import solver
-from ckstar.relmodel import PdlModel, Relation, validate
+from ckstar.relmodel import PdlModel, Relation, bits_of, validate
 from ckstar.semantics import pdl_satisfies, program_relation, satisfies
 from ckstar.solver import (
     LOGICS,
@@ -332,7 +332,8 @@ def test_settlement_matches_global_elimination(monkeypatch):
             if engine.info[i][0] == "sat":
                 for d in engine.info[i][1]:
                     state = engine.states[d]
-                    assert not any(c ^ 1 in state for c in state), render(f)
+                    assert not any(state >> (c ^ 1) & 1 for c in bits_of(state)), \
+                        render(f)
                     demands += 1
     assert passes.count(2) > 30 and passes.count(3) > 10, passes
     assert compared_pairs > 5000 and deleted > 20 and pairs > 10000
@@ -477,7 +478,7 @@ def test_incremental_closure_matches_closing_from_scratch(monkeypatch):
         engine.build()
         for i in engine.order:
             state, seed = engine.states[i], engine.seeds[i]
-            members = [c for c in state if c < engine.marker_base]
+            members = bits_of(state & (1 << engine.marker_base) - 1)
             full = engine._close(state, members)
             assert engine._close(state, seed) == full, render(f)
             checked += 1

@@ -12,10 +12,10 @@ from ckstar.relmodel import (
     BiModel,
     PdlModel,
     Relation,
+    bits_of,
     mask_of,
     rel_compose,
     validate,
-    worlds_of,
 )
 from ckstar.semantics import InvalidModelError, extension, pdl_extension
 from ckstar.syntax import P_BOT, FragmentError, FragmentTag, PdlFormula, check_fragment
@@ -77,7 +77,7 @@ def wk_generated_classical(
         raise FragmentError("formula is not in the single-program fragment")
     u_mask = extension(m, iota_antecedent(f))
     generated = m.pre.union(m.mod).forward_closure(u_mask)
-    keep = worlds_of(generated)
+    keep = bits_of(generated)
     val = {name: restrict_mask(ws, keep) for name, ws in m.val.items()}
     sub = BiModel(len(keep), restrict(m.pre, keep), restrict(m.mod, keep),
                   val, 0, "wk")
@@ -89,7 +89,7 @@ def wk_generated_classical(
 
 def restrict_to_infallible(m: BiModel) -> tuple[BiModel, dict[int, int]]:
     """Drop the worlds satisfying falsum; returns the model and old->new map."""
-    keep = worlds_of(m.full_mask() & ~m.bot)
+    keep = bits_of(m.full_mask() & ~m.bot)
     val = {name: restrict_mask(ws, keep) for name, ws in m.val.items()}
     restricted = BiModel(len(keep), restrict(m.pre, keep), restrict(m.mod, keep),
                          val, 0, "wk")
