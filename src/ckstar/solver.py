@@ -31,12 +31,14 @@ reached, or every deferred one if none of them died, and searches the
 cached graph from the root again: no state is expanded twice, and every
 state the pass reaches is settled anew.  A dead root whose subgraph
 holds no deferred alternative is dead in the whole graph.  Pass `PASSES`
-releases everything, so the answer stays exact.  States carry dense
-integer ids from their first discovery; each is closed from the codes
-that discovery added with a worklist and per-code watch lists.  An
-expanded state's entry is all that the search reads of it: a
-decomposition's successor ids, or a saturated state's demand ids, their
-letters, its eventualities and its need and refute mark bits.
+releases everything, so the answer stays exact.  A state is one int bit
+mask, closed from the codes its discovery added (a worklist and per-code
+watch lists) before it gets a dense integer id.  A clash gets no id: a
+clashing alternative is dropped, a clashing demand kills its saturated
+state, and a clashing goal is unsatisfiable.  An expanded state's entry
+is all that the search reads of it: a decomposition's successor ids, or
+a saturated state's demand ids, their letters, its eventualities and its
+need and refute mark bits.
 The tests pin the alive sets and marks to a global elimination with its
 own marking (`tests/elimination.py`), and the verdicts to an exhaustive
 type-elimination engine (`tests/exhaustive.py`).
@@ -179,9 +181,10 @@ _UNSEEN = -1
 _SETTLED = 1 << 62
 
 
-# States are frozensets of member codes (closure index << 1 | sign) with no
-# clashing pair.  Unsaturated states decompose one member per step, so
-# branch combinations share structure as a cached DAG instead of an
+# A state is an int with bit c set for each member code c (closure index
+# << 1 | sign), closed under the single-successor rules and with no
+# clashing pair.  Unsaturated states decompose one open branch per step,
+# so branch combinations share structure as a cached DAG instead of an
 # exponential enumeration of full saturations.  Each state gets a dense id
 # when it is first discovered; edges, alive sets and fulfilment marks are
 # kept per id.
@@ -263,18 +266,18 @@ class _Tableau:
             width += size
         self.steps = {x: tuple(sel.items()) for x, sel in selects.items()}
         self.refuting = mask_of(self.refutes)
-        # Per state id: the state, the codes to close it from (see _close),
-        # its entry once expanded (None before), the ids that step to it,
-        # its alive bit and marks (as settled in the last pass that reached
-        # it) and its Tarjan low link in the pass under way.
+        # ids: every mask a state was discovered under, unclosed or closed,
+        # to its id, or to None if it clashes.  Per state id: the closed
+        # mask, its entry once expanded (None before), the ids that step to
+        # it, its alive bit and marks (as settled in the last pass that
+        # reached it) and its Tarjan low link in the pass under way.
         # entry = ("or", successor ids followed) | ("sat", demand ids, their
         # program atoms, eventualities, the eventualities' start bits, the
         # bits the state refutes); both list the successors at index 1.
-        # deferred[i]: the (state, seed) of decomposition i's other
+        # deferred[i]: the (mask, seed) of decomposition i's other
         # alternative, until it is released.
-        self.ids: dict[int, int] = {}
+        self.ids: dict[int, "int | None"] = {}
         self.states: list[int] = []
-        self.seeds: list = []
         self.info: list = []
         self.parents: list[list[int]] = []
         self.alive = bytearray()
@@ -288,19 +291,21 @@ class _Tableau:
         self.rounds: list[int] = []
         self.passes = 0
 
-    def _discover(self, state: int, seed) -> int:
-        """The id of state, assigned on first sight together with its seed."""
-        i = self.ids.get(state)
-        if i is None:
-            i = self.ids[state] = len(self.states)
-            self.states.append(state)
-            self.seeds.append(seed)
-            self.info.append(None)
-            self.parents.append([])
-            self.alive.append(0)
-            self.marks.append(0)
-            self.low.append(_UNSEEN)
-        return i
+    def _discover(self, state: int, seed) -> "int | None":
+        """The id of state closed from the codes of seed (see _close), or
+        None on a clash.  Both masks map to it, so neither is closed again."""
+        if state not in self.ids:
+            closed = self._close(state, seed)
+            if closed is not None and closed not in self.ids:
+                self.ids[closed] = len(self.states)
+                self.states.append(closed)
+                self.info.append(None)
+                self.parents.append([])
+                self.alive.append(0)
+                self.marks.append(0)
+                self.low.append(_UNSEEN)
+            self.ids[state] = None if closed is None else self.ids[closed]
+        return self.ids[state]
 
     def _close(self, state: int, seed) -> "int | None":
         """state closed under the single-successor rules, or None on a clash.
@@ -352,17 +357,10 @@ class _Tableau:
         state = self.states[i]
         plan = self.plan
         base = self.marker_base
-        # Close under the single-successor rules first so deterministic
-        # chains cost one graph node instead of one per step.  The state
-        # this yields is closed, so its seed is empty.
-        cur = self._close(state, self.seeds[i])
-        if cur is None:
-            return ("or", ())
-        if cur != state:
-            return ("or", (self._discover(cur, ()),))
-        # A closed state refutes neither kid of an open branch, so both
-        # successors exist; each is closed from its one new member.  While
-        # passes defer, the second is only recorded.
+        # States are closed, and a closed state refutes neither kid of an
+        # open branch; each alternative is closed from its one new member.
+        # A clashing alternative is dropped, and the other is then the only
+        # successor.  While passes defer, the second is only recorded.
         for c in bits_of(state & self.branches):
             mode, (k0, k1) = plan[c]
             if mode == _BRANCH_STAR:
@@ -374,13 +372,15 @@ class _Tableau:
             else:
                 tagged = state
             first = self._discover(tagged | 1 << k0, (k0,))
-            if self.defer:
+            if first is not None and self.defer:
                 self.deferred[i] = (tagged | 1 << k1, (k1,))
                 return ("or", (first,))
-            return ("or", (first, self._discover(tagged | 1 << k1, (k1,))))
+            second = self._discover(tagged | 1 << k1, (k1,))
+            return ("or", tuple(t for t in (first, second) if t is not None))
         # Saturated: collect modal obligations and star eventualities.  A
         # consistent state never holds both [x]B and ![x]B, so no demand
-        # {C : [x]C in state} + {!B} clashes as it is built.
+        # {C : [x]C in state} + {!B} clashes as it is built; one that
+        # clashes once closed leaves the state dead, with no successor.
         args = self.args
         positives: dict[str, list[int]] = {}
         for c in bits_of(state & self.boxes_true):
@@ -395,7 +395,10 @@ class _Tableau:
                 continue
             a, body = args[c >> 1]
             seed = [b << 1 | 1 for b in positives.get(a, ())] + [body << 1]
-            demands.append(self._discover(mask_of(seed), seed))
+            d = self._discover(mask_of(seed), seed)
+            if d is None:
+                return ("or", ())
+            demands.append(d)
             letters.append(a)
         for c in bits_of(state & self.refuting):
             refute |= self.refutes[c]
@@ -410,10 +413,10 @@ class _Tableau:
         next pass is pass `PASSES`.  Each pass searches the cached graph
         from the root with every low link reset, so it settles every
         state it reaches; the bits of states it does not reach are stale
-        and never read."""
+        and never read.  A goal that clashes runs no pass."""
         info, parents, alive, low, deferred = (
             self.info, self.parents, self.alive, self.low, self.deferred)
-        while True:
+        while self.root is not None:
             self.passes += 1
             self.defer = self.passes < PASSES
             low[:] = [_UNSEEN] * len(low)
@@ -426,8 +429,10 @@ class _Tableau:
                 release = [i for i in reached if not alive[i]] or release
             for i in release:
                 t = self._discover(*deferred.pop(i))
-                info[i] = ("or", info[i][1] + (t,))
-                parents[t].append(i)
+                if t is not None:
+                    info[i] = ("or", info[i][1] + (t,))
+                    parents[t].append(i)
+        return alive
 
     def _search(self) -> None:
         """One pass: Tarjan's search from the root over the successors
@@ -500,11 +505,11 @@ class _Tableau:
         deletes states adds part's live count to `rounds`."""
         info, alive, marks, low, parents = (
             self.info, self.alive, self.marks, self.low, self.parents)
-        if len(part) == 1:
-            # No state steps to itself: a decomposition grows the state, and
-            # a demand lacks the negated box that spawned it.
-            u = part[0]
-            entry = info[u]
+        u = part[0]
+        entry = info[u]
+        if len(part) == 1 and u not in entry[1]:
+            # Not its own successor: a decomposition grows the state, but a
+            # demand can close to the saturated state that spawned it.
             if entry[0] == "or":
                 ok = any(alive[t] for t in entry[1])
             else:
@@ -687,7 +692,7 @@ def pdl_satisfiable(f: PdlFormula, stats: "dict | None" = None):
     all passes), `passes`, `closure` (closure members) and `rounds`: for
     each settlement step that deleted states for an unfulfilled
     eventuality, in search order, the number of states of the settled part
-    alive before it."""
+    alive before it.  `nodes` and `passes` are 0 when the goal clashes."""
     engine = _Tableau(f)
     alive = engine.build()
     if stats is not None:
@@ -695,7 +700,7 @@ def pdl_satisfiable(f: PdlFormula, stats: "dict | None" = None):
         stats["passes"] = engine.passes
         stats["rounds"] = engine.rounds
         stats["closure"] = len(engine.closure)
-    if not alive[engine.root]:
+    if engine.root is None or not alive[engine.root]:
         return None
     model = engine.extract(alive)
     if not pdl_satisfies(model, 0, f):
