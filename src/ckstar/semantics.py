@@ -8,6 +8,8 @@ coarser reading over (pre;mod*)* agrees with it on CK models.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .relmodel import (
     BiModel,
     ModelViolation,
@@ -54,6 +56,13 @@ class UnknownProgramAtomError(ValueError):
     pass
 
 
+@lru_cache(maxsize=1)
+def _bottom_up(f: "Formula | PdlFormula") -> tuple:
+    """`subformulas(f)`, kept for the last formula asked: the oracle
+    evaluates one formula on every model it enumerates."""
+    return tuple(subformulas(f))
+
+
 def extension(m: BiModel, f: Formula) -> int:
     """Bitmask of worlds satisfying f, computed per subformula."""
     cache: dict[str, Relation] = {}
@@ -71,7 +80,7 @@ def extension(m: BiModel, f: Formula) -> int:
         return cache[key]
 
     ext: dict[Formula, int] = {}
-    for g in subformulas(f):
+    for g in _bottom_up(f):
         if isinstance(g, Bot):
             e = m.bot
         elif isinstance(g, Atom):
@@ -138,7 +147,7 @@ def pdl_extension(m: PdlModel, f: PdlFormula) -> int:
     full = m.full_mask()
     memo: dict[Program, Relation] = {}
     ext: dict[PdlFormula, int] = {}
-    for g in subformulas(f):
+    for g in _bottom_up(f):
         if isinstance(g, PdlAtom):
             e = m.val_mask(g.name)
         elif isinstance(g, Neg):

@@ -6,7 +6,13 @@ arguments, see `ClosureSet`) that the tableau's plan and model
 extraction read.  The table also holds each star eventuality's word
 automaton: `[P*]B` unfolds through composition and starred boxes to
 atomic boxes, whose letters spell out the words of `P*` (Fischer and
-Ladner), so programs are decomposed nowhere else.
+Ladner), so programs are decomposed nowhere else.  A program atom x that
+occurs in the goal only as `x*` can be read as a preorder, so `[x*]B` is
+no eventuality but a preorder box: true, its body holds and every
+x-demand carries it; false, its body fails here or its obligation
+`![x]B` is planted (the S4 rules).  Where a star eventuality's automaton
+walks through the false box, the obligation is an alternative even when
+the body already fails, since the eventuality's path may need that step.
 
 `pdl_satisfiable` explores a globally cached decomposition graph whose
 states are consistent demand sets.  Saturated states carry modal
@@ -83,6 +89,7 @@ from .syntax import (
     Star,
     check_fragment,
     render,
+    starred_only_atoms,
     variables,
 )
 from .translate import (
@@ -99,8 +106,11 @@ class CertificationError(RuntimeError):
     """An Invalid verdict failed its independent re-check; never reported."""
 
 
-# Node kinds of closure members.
-_ATOM, _NEG, _AND, _OR, _BOX_A, _BOX_C, _BOX_S = range(7)
+# Node kinds of closure members.  _BOX_P is [x*]B for a program atom x
+# that occurs in the goal only as x*: the goal is satisfiable iff it is
+# satisfiable with x a preorder, where [x*]B is [x]B, so the box is read
+# as an S4 box (reflexive, inherited along x) with no star eventuality.
+_ATOM, _NEG, _AND, _OR, _BOX_A, _BOX_C, _BOX_S, _BOX_P = range(8)
 
 
 @dataclass(frozen=True)
@@ -108,8 +118,9 @@ class ClosureSet:
     """Closure members in breadth-first order, with each member's node kind
     and arguments: an atom's name, a negation's body index, a connective's
     (left, right) indices, an atomic box's (program atom, body index), a
-    composition box's unfolding index, and a starred box's (body index,
-    unfolding index)."""
+    composition box's unfolding index, a starred box's (body index,
+    unfolding index), and a preorder box [x*]B's (body index, index of the
+    atomic box [x]B)."""
 
     formulas: tuple[PdlFormula, ...]
     index: dict
@@ -123,8 +134,11 @@ class ClosureSet:
 def fl_closure(f: PdlFormula) -> ClosureSet:
     """Least superset of {f} closed under subformulas and program unfolding:
     a composition box unfolds to nested boxes, a starred box to its body and
-    its one-step unfolding.  Members are numbered the first time they are
-    seen, breadth first from f."""
+    its one-step unfolding.  A preorder box [x*]B, for a program atom x
+    that occurs in f only as x*, steps to its body and [x]B instead.
+    Members are numbered the first time they are seen, breadth first from
+    f."""
+    preorders = {PAtom(x) for x in starred_only_atoms(f)}
     order: list[PdlFormula] = [f]
     index: dict[PdlFormula, int] = {f: 0}
     kinds: list[int] = []
@@ -155,6 +169,9 @@ def fl_closure(f: PdlFormula) -> ClosureSet:
             elif isinstance(prog, Comp):
                 kinds.append(_BOX_C)
                 args.append(number(BoxP(prog.left, BoxP(prog.right, g.body))))
+            elif isinstance(prog, Star) and prog.body in preorders:
+                kinds.append(_BOX_P)
+                args.append((number(g.body), number(BoxP(prog.body, g.body))))
             elif isinstance(prog, Star):
                 kinds.append(_BOX_S)
                 args.append((number(g.body), number(BoxP(prog.body, g))))
@@ -189,12 +206,13 @@ _SETTLED = 1 << 62
 # when it is first discovered; edges, alive sets and fulfilment marks are
 # kept per id.
 #
-# A negated starred box must keep its deferral branch available even when
-# the fulfilling branch's demand is already present: the deferral is what
-# plants the modal obligation its own fulfillment path runs along.  Those
+# A negated starred box, and a negated preorder box that a starred box's
+# automaton walks through, must keep its deferral branch available even
+# when the fulfilling branch's demand is already present: the deferral is
+# what plants the modal obligation a fulfillment path runs along.  Those
 # members therefore branch under a decision marker (a code above the real
 # range) instead of the presence short-circuit, which stays sound for the
-# truth-functional connectives.
+# truth-functional connectives and the other preorder boxes.
 
 
 class _Tableau:
@@ -205,9 +223,32 @@ class _Tableau:
         # Every program atom of the goal ends up in an atomic box once
         # compound programs are unfolded.
         self.alphabet = sorted({a[0] for k, a in zip(kinds, args) if k == _BOX_A})
+        # Fulfilment marks: one bit per (star family, automaton state), so a
+        # state's marks are one int.  refutes[c]: the accepting bits of the
+        # families whose body code c refutes; steps[x]: (shift, select mask)
+        # pairs that map a demand's marks back over an x-step; walked: the
+        # preorder boxes that are automaton states.
+        self.start_bit: dict[int, int] = {}
+        self.refutes: dict[int, int] = defaultdict(int)
+        selects = {x: defaultdict(int) for x in self.alphabet}
+        walked = set()
+        width = 0
+        for m in [m for m, k in enumerate(kinds) if k == _BOX_S]:
+            accepting, states, rev = self._automaton(m)
+            walked.update(s for s in states if kinds[s] == _BOX_P)
+            self.start_bit[m] = 1 << width
+            code = args[m][0] << 1
+            self.refutes[code] |= sum(1 << width + r for r in accepting)
+            for x, preds in rev.items():
+                for r2, sources in enumerate(preds):
+                    for r1 in sources:
+                        selects[x][r2 - r1] |= 1 << width + r2
+            width += len(states)
+        self.steps = {x: tuple(sel.items()) for x, sel in selects.items()}
+        self.refuting = mask_of(self.refutes)
         # Decomposition plan per member code: literal, add-all, or branch.
         plan: list[tuple] = []
-        for k, a in zip(kinds, args):
+        for m, (k, a) in enumerate(zip(kinds, args)):
             for sign in (0, 1):
                 if k in (_ATOM, _BOX_A):
                     plan.append((_LIT, ()))
@@ -221,16 +262,32 @@ class _Tableau:
                     plan.append((_BRANCH, kids) if sign else (_DET, kids))
                 elif k == _BOX_C:
                     plan.append((_DET, (a << 1 | sign,)))
-                else:  # _BOX_S: body here, and again after one program step
+                else:
+                    # _BOX_S: body here, and again after one program step.
+                    # _BOX_P: body here; false here or after one x-step.  A
+                    # false one that no automaton walks through is met once
+                    # its body fails here, so it branches as a connective.
                     kids = (a[0] << 1 | sign, a[1] << 1 | sign)
-                    plan.append((_DET, kids) if sign else (_BRANCH_STAR, kids))
+                    if sign:
+                        plan.append((_DET, kids if k == _BOX_S else kids[:1]))
+                    elif k == _BOX_P and m not in walked:
+                        plan.append((_BRANCH, kids))
+                    else:
+                        plan.append((_BRANCH_STAR, kids))
         self.plan = plan
         # Code masks by the phase of _process or extract that reads them.
         self.branches = mask_of(
             c for c, (mode, _) in enumerate(plan)
             if mode in (_BRANCH, _BRANCH_STAR))
-        self.boxes_true = mask_of(
-            c for c in range(len(plan)) if c & 1 and kinds[c >> 1] == _BOX_A)
+        # carries[c]: the program atom x of true box c and the code that
+        # each x-demand gets from it: [x]B gives B, and [x*]B itself.
+        self.carries: dict[int, tuple] = {}
+        for m, (k, a) in enumerate(zip(kinds, args)):
+            if k == _BOX_A:
+                self.carries[m << 1 | 1] = (a[0], a[1] << 1 | 1)
+            elif k == _BOX_P:
+                self.carries[m << 1 | 1] = (args[a[1]][0], m << 1 | 1)
+        self.boxes_true = mask_of(self.carries)
         self.modals_false = mask_of(
             c for c in range(len(plan))
             if not c & 1 and kinds[c >> 1] in (_BOX_A, _BOX_S))
@@ -246,26 +303,6 @@ class _Tableau:
                     watch[k ^ 1].append(b)
         self.watch = watch
         self.marker_base = 2 * len(kinds)
-        # Fulfilment marks: one bit per (star family, automaton state), so a
-        # state's marks are one int.  refutes[c]: the accepting bits of the
-        # families whose body code c refutes; steps[x]: (shift, select mask)
-        # pairs that map a demand's marks back over an x-step.
-        self.start_bit: dict[int, int] = {}
-        self.refutes: dict[int, int] = defaultdict(int)
-        selects = {x: defaultdict(int) for x in self.alphabet}
-        width = 0
-        for m in [m for m, k in enumerate(kinds) if k == _BOX_S]:
-            accepting, size, rev = self._automaton(m)
-            self.start_bit[m] = 1 << width
-            code = args[m][0] << 1
-            self.refutes[code] |= sum(1 << width + r for r in accepting)
-            for x, preds in rev.items():
-                for r2, sources in enumerate(preds):
-                    for r1 in sources:
-                        selects[x][r2 - r1] |= 1 << width + r2
-            width += size
-        self.steps = {x: tuple(sel.items()) for x, sel in selects.items()}
-        self.refuting = mask_of(self.refutes)
         # ids: every mask a state was discovered under, unclosed or closed,
         # to its id, or to None if it clashes.  Per state id: the closed
         # mask, its entry once expanded (None before), the ids that step to
@@ -360,8 +397,13 @@ class _Tableau:
         # States are closed, and a closed state refutes neither kid of an
         # open branch; each alternative is closed from its one new member.
         # A clashing alternative is dropped, and the other is then the only
-        # successor.  While passes defer, the second is only recorded.
-        for c in bits_of(state & self.branches):
+        # successor.  While passes defer, the second is only recorded.  The
+        # branches are walked lowest code first, up to the first open one.
+        branches = state & self.branches
+        while branches:
+            low = branches & -branches
+            branches ^= low
+            c = low.bit_length() - 1
             mode, (k0, k1) = plan[c]
             if mode == _BRANCH_STAR:
                 if state >> base + c & 1:
@@ -377,15 +419,16 @@ class _Tableau:
                 return ("or", (first,))
             second = self._discover(tagged | 1 << k1, (k1,))
             return ("or", tuple(t for t in (first, second) if t is not None))
-        # Saturated: collect modal obligations and star eventualities.  A
-        # consistent state never holds both [x]B and ![x]B, so no demand
-        # {C : [x]C in state} + {!B} clashes as it is built; one that
-        # clashes once closed leaves the state dead, with no successor.
-        args = self.args
+        # Saturated: collect modal obligations and star eventualities.  The
+        # demand of ![x]B is {C : [x]C in state} + {[x*]C : [x*]C in state,
+        # a preorder box} + {!B}.  It clashes as it is built only if B is
+        # one of those [x*]C; one that clashes, then or once closed, leaves
+        # the state dead, with no successor.
+        args, carries = self.args, self.carries
         positives: dict[str, list[int]] = {}
         for c in bits_of(state & self.boxes_true):
-            a, body = args[c >> 1]
-            positives.setdefault(a, []).append(body)
+            a, carried = carries[c]
+            positives.setdefault(a, []).append(carried)
         demands, letters, eventualities = [], [], []
         need = refute = 0
         for c in bits_of(state & self.modals_false):
@@ -394,8 +437,9 @@ class _Tableau:
                 need |= self.start_bit[c >> 1]
                 continue
             a, body = args[c >> 1]
-            seed = [b << 1 | 1 for b in positives.get(a, ())] + [body << 1]
-            d = self._discover(mask_of(seed), seed)
+            seed = positives.get(a, []) + [body << 1]
+            mask = mask_of(seed)
+            d = None if mask >> (body << 1 | 1) & 1 else self._discover(mask, seed)
             if d is None:
                 return ("or", ())
             demands.append(d)
@@ -553,15 +597,17 @@ class _Tableau:
 
     def _automaton(self, member: int) -> tuple:
         """Word automaton of a starred box member [P*]B, read off the node
-        table: accepting state indices, number of states, and reversed
-        transitions by letter as one list of predecessor indices per state
-        index.  State 0, the member itself, is the start.
+        table: accepting state indices, the states (closure indices), and
+        reversed transitions by letter as one list of predecessor indices
+        per state index.  State 0, the member itself, is the start.
 
-        The states are the member itself and the body D of every atomic box
-        [x]D its unfolding reaches.  From a state, composition boxes unfold
-        and starred boxes step to both kids without reading a letter; each
-        atomic box [x]D reached is an x-transition to D, and the state
-        accepts if the walk reaches B."""
+        The states are the member itself, the body D of every atomic box
+        [x]D its unfolding reaches and every preorder box [x*]D it reaches.
+        From a state, composition boxes unfold and starred boxes step to
+        both kids without reading a letter; each atomic box [x]D reached is
+        an x-transition to D, each preorder box [x*]D reached is an
+        x-transition to the state [x*]D and steps to D without reading a
+        letter, and the state accepts if the walk reaches B."""
         kinds, args = self.kind, self.args
         body = args[member][0]
         states = [member]
@@ -576,20 +622,22 @@ class _Tableau:
                 k = kinds[g]
                 if g == body:
                     accepting.append(i)
-                elif k == _BOX_A:
-                    x, d = args[g]
+                    continue
+                if k == _BOX_A or k == _BOX_P:
+                    x, d = args[g] if k == _BOX_A else (args[args[g][1]][0], g)
                     if d not in pos:
                         pos[d] = len(states)
                         states.append(d)
                         for preds in rev.values():
                             preds.append([])
                     rev[x][pos[d]].append(i)
-                else:  # _BOX_C or _BOX_S: no letter read
-                    for h in (args[g],) if k == _BOX_C else args[g]:
+                if k != _BOX_A:  # the moves that read no letter
+                    for h in ((args[g],) if k == _BOX_C else
+                              args[g] if k == _BOX_S else args[g][:1]):
                         if h not in seen:
                             seen.add(h)
                             work.append(h)
-        return tuple(accepting), len(states), rev
+        return tuple(accepting), states, rev
 
     def _witness(self, node: int, member: int) -> list:
         """A shortest path that fulfils eventuality member of saturated

@@ -578,6 +578,43 @@ def program_atoms(f: PdlFormula) -> list[str]:
     return sorted(names)
 
 
+def starred_only_atoms(f: PdlFormula) -> set[str]:
+    """Program atom names that occur in f only as the body of a star."""
+    programs: dict[Program, None] = {}  # the distinct programs of f's boxes
+    seen = {f}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, BoxP):
+            programs[g.prog] = None
+            kids: tuple = (g.body,)
+        elif isinstance(g, (PdlAnd, PdlOr)):
+            kids = (g.left, g.right)
+        elif isinstance(g, Neg):
+            kids = (g.body,)
+        else:
+            continue
+        for h in kids:
+            if h not in seen:
+                seen.add(h)
+                stack.append(h)
+    starred, bare = set(), set()
+    work = list(programs)
+    while work:
+        p = work.pop()
+        if isinstance(p, Star) and isinstance(p.body, PAtom):
+            starred.add(p.body.name)
+            continue
+        if isinstance(p, PAtom):
+            bare.add(p.name)
+            continue
+        for q in (p.body,) if isinstance(p, Star) else (p.left, p.right):
+            if q not in programs:
+                programs[q] = None
+                work.append(q)
+    return starred - bare
+
+
 def program_size(p: Program) -> int:
     if isinstance(p, PAtom):
         return 1

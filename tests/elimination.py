@@ -88,10 +88,10 @@ def fulfilled(engine, member: int, rev_steps: list, saturated: list) -> bytearra
     reaches an alive saturated state demanding the body false, as one byte
     per state id.  rev_steps and saturated are those of `alive_steps`."""
     body = engine.args[member][0]
-    accepting, size, rev_aut = engine._automaton(member)
+    accepting, automaton_states, rev_aut = engine._automaton(member)
     bad_code = body << 1
     states = engine.states
-    marks = [bytearray(len(states)) for _ in range(size)]
+    marks = [bytearray(len(states)) for _ in automaton_states]
     work: list[tuple] = []
     for u in saturated:
         if states[u] >> bad_code & 1:

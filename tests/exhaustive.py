@@ -3,15 +3,17 @@
 Textbook type elimination: every locally consistent sign vector over the
 Fischer-Ladner closure is a type, and types with an unwitnessed negative
 box are deleted to a fixpoint.  It is exponential in the closure, so
-`max_closure` guards it.  The tests pin `ckstar.solver.pdl_satisfiable`
-to it; the package does not ship it.
+`max_closure` guards it.  Its closure is the classic one, which unfolds
+every starred box, and is built here rather than taken from the solver.
+The tests pin `ckstar.solver.pdl_satisfiable` to it; the package does not
+ship it.
 """
 
 from __future__ import annotations
 
 from ckstar.relmodel import PdlModel, Relation, mask_of, rel_compose, rel_star
 from ckstar.semantics import pdl_satisfies
-from ckstar.solver import CertificationError, ClosureSet, fl_closure
+from ckstar.solver import CertificationError
 from ckstar.syntax import (
     BoxP,
     Comp,
@@ -28,12 +30,36 @@ from ckstar.syntax import (
 )
 
 
-def _local_constraints(closure: ClosureSet) -> list[tuple]:
+def fl_closure(f: PdlFormula) -> list[PdlFormula]:
+    """The Fischer-Ladner closure of f in breadth-first order: subformulas,
+    [P;Q]B unfolded to [P][Q]B, and [P*]B to B and [P][P*]B."""
+    order = [f]
+    seen = {f}
+    for g in order:  # grows while it is read
+        if isinstance(g, Neg):
+            kids = [g.body]
+        elif isinstance(g, (PdlAnd, PdlOr)):
+            kids = [g.left, g.right]
+        elif isinstance(g, BoxP) and isinstance(g.prog, Comp):
+            kids = [BoxP(g.prog.left, BoxP(g.prog.right, g.body))]
+        elif isinstance(g, BoxP) and isinstance(g.prog, Star):
+            kids = [g.body, BoxP(g.prog.body, g)]
+        elif isinstance(g, BoxP):
+            kids = [g.body]
+        else:
+            kids = []
+        for h in kids:
+            if h not in seen:
+                seen.add(h)
+                order.append(h)
+    return order
+
+
+def _local_constraints(closure: list, idx: dict) -> list[tuple]:
     """Sign constraints between closure members, each tagged with the last
     index it mentions so backtracking can check it as early as possible."""
-    idx = closure.index
     cons = []
-    for i, g in enumerate(closure.formulas):
+    for i, g in enumerate(closure):
         if isinstance(g, Neg):
             cons.append(("neg", i, idx[g.body]))
         elif isinstance(g, PdlAnd):
@@ -48,13 +74,13 @@ def _local_constraints(closure: ClosureSet) -> list[tuple]:
     return cons
 
 
-def _consistent_types(closure: ClosureSet) -> list[int]:
+def _consistent_types(closure: list, idx: dict) -> list[int]:
     """All locally consistent sign vectors, generated by backtracking over
     the closure order (star constraints can be cyclic, so signs are not a
     function of the atomic members; enumeration keeps every solution)."""
     k = len(closure)
     by_trigger: list[list[tuple]] = [[] for _ in range(k)]
-    for con in _local_constraints(closure):
+    for con in _local_constraints(closure, idx):
         by_trigger[max(con[1:])].append(con)
 
     def holds(con: tuple, bits: int) -> bool:
@@ -93,10 +119,11 @@ def pdl_satisfiable_exhaustive(f: PdlFormula, max_closure: int = 22,
         raise ValueError(
             f"closure of {len(closure)} members exceeds the exhaustive "
             f"engine's limit of {max_closure}")
-    types = _consistent_types(closure)
+    index = {g: i for i, g in enumerate(closure)}
+    types = _consistent_types(closure, index)
     atoms = program_atoms(f)
-    boxes = [(i, g) for i, g in enumerate(closure.formulas) if isinstance(g, BoxP)]
-    atomic_boxes = {a: [(i, closure.index[g.body]) for i, g in boxes
+    boxes = [(i, g) for i, g in enumerate(closure) if isinstance(g, BoxP)]
+    atomic_boxes = {a: [(i, index[g.body]) for i, g in boxes
                         if isinstance(g.prog, PAtom) and g.prog.name == a]
                     for a in atoms}
 
@@ -105,7 +132,7 @@ def pdl_satisfiable_exhaustive(f: PdlFormula, max_closure: int = 22,
     while True:
         pos = {}
         full = (1 << len(alive)) - 1
-        for j, g in enumerate(closure.formulas):
+        for j in range(len(closure)):
             mask = 0
             for k, t in enumerate(alive):
                 if types[t] >> j & 1:
@@ -143,7 +170,7 @@ def pdl_satisfiable_exhaustive(f: PdlFormula, max_closure: int = 22,
             for i, g in boxes:
                 if types[t] >> i & 1:
                     continue
-                body_idx = closure.index[g.body]
+                body_idx = index[g.body]
                 witnesses = delta(g.prog).rows[k] & (full & ~pos[body_idx])
                 if witnesses == 0:
                     ok = False
@@ -159,7 +186,7 @@ def pdl_satisfiable_exhaustive(f: PdlFormula, max_closure: int = 22,
         stats["rounds"] = rounds
         stats["closure"] = len(closure)
 
-    goal_idx = closure.index[f]
+    goal_idx = index[f]
     designated = next((t for t in alive if types[t] >> goal_idx & 1), None)
     if designated is None:
         return None
@@ -190,7 +217,7 @@ def pdl_satisfiable_exhaustive(f: PdlFormula, max_closure: int = 22,
                         for i, b in atomic_boxes[a])]
         rho[a] = Relation.from_pairs(n, pairs)
     val = {}
-    for j, g in enumerate(closure.formulas):
+    for j, g in enumerate(closure):
         if isinstance(g, PdlAtom):
             val[g.name] = mask_of(idx[t] for t in keep if types[t] >> j & 1)
     model = PdlModel(n, rho, val)
