@@ -1,11 +1,16 @@
 """Brute-force ground truth: exhaustive small-model search and seeded
 random generators for property testing.
 
-`enumerate_models` streams every validated model of a class up to a world
-bound, in a fixed deterministic order.  It filters with the `relmodel`
-expressions that `validate` checks and states no model condition itself.
-`brute_force_decide` scans that stream with the extension evaluator.  The
-module needs only the standard library.
+`_enumerate_raw` streams every validated n-world model of a class in a
+fixed deterministic order, as relation rows and world sets; it filters
+with the `relmodel` expressions that `validate` checks and states no model
+condition itself.  `_enumerate_pdl_raw` is its classical counterpart.
+`brute_force_decide` packs these streams into blocks: disjoint unions of
+up to BLOCK_MODELS same-size models over `relmodel.BlockRelation`s, one
+model per bit lane.  Truth is invariant under disjoint unions, so one
+`extension` call answers every model of a block.  Blocks are built at the
+first query that reaches them and kept per model class, up to CACHE_BITS
+bits of lane masks in all.  The module needs only the standard library.
 """
 
 from __future__ import annotations
@@ -19,9 +24,14 @@ from typing import Iterator
 from .relmodel import (
     MODEL_KINDS,
     BiModel,
+    BlockRelation,
     PdlModel,
     Relation,
+    bits_of,
+    block_mask,
     confluence_gaps,
+    lane_slices,
+    lane_worlds,
     mask_of,
     rel_star,
     validate,
@@ -66,53 +76,126 @@ def _preorders(n: int) -> list[Relation]:
             if r.is_reflexive() and r.transitivity_witness() is None]
 
 
-def _enumerate_raw(spec: EnumSpec) -> Iterator[tuple]:
-    """(n, pre_rows, mod_rows, bot_mask, val_masks) in deterministic order.
+def _enumerate_raw(kind: str, atoms: tuple[str, ...], n: int) -> Iterator[tuple]:
+    """Every validated n-world model of the class with valuations over
+    atoms, no isomorphism reduction, in deterministic order: pairs of
+    relation rows (pre, mod) and world sets (bot, *vals).
 
     Each filter is a condition `relmodel.validate` checks: atomic
     persistence (an upset of pre), falsum persistence and seriality (a
     fallible set closed under both relations, each of its worlds with a
     mod-successor), infallibility, mod a preorder, and confluence."""
-    infallible = spec.kind in ("wk", "ws4")
-    preorder_mod = spec.kind in ("cs4", "ws4")
-    for n in range(1, spec.max_worlds + 1):
-        full = (1 << n) - 1
-        preorders = _preorders(n)
-        for pre in preorders:
-            upsets = [u for u in range(full + 1) if pre.image(u) & ~u == 0]
-            for mod in preorders if preorder_mod else _relations(n):
-                if preorder_mod and any(confluence_gaps(pre, mod)):
-                    continue
-                serial = mod.dia(full)
-                bots = [0] if infallible else [
-                    b for b in range(full + 1) if b & ~serial == 0
-                    and (pre.image(b) | mod.image(b)) & ~b == 0]
-                for bot in bots:
-                    choices = [u for u in upsets if u & bot == bot]
-                    for vals in itertools.product(choices, repeat=len(spec.atoms)):
-                        yield n, pre.rows, mod.rows, bot, vals
+    infallible = kind in ("wk", "ws4")
+    preorder_mod = kind in ("cs4", "ws4")
+    full = (1 << n) - 1
+    preorders = _preorders(n)
+    for pre in preorders:
+        upsets = [u for u in range(full + 1) if pre.image(u) & ~u == 0]
+        for mod in preorders if preorder_mod else _relations(n):
+            if preorder_mod and any(confluence_gaps(pre, mod)):
+                continue
+            rels = pre.rows, mod.rows
+            serial = mod.dia(full)
+            bots = [0] if infallible else [
+                b for b in range(full + 1) if b & ~serial == 0
+                and (pre.image(b) | mod.image(b)) & ~b == 0]
+            for bot in bots:
+                choices = [u for u in upsets if u & bot == bot]
+                yield from zip(itertools.repeat(rels), itertools.product(
+                    (bot,), *[choices] * len(atoms)))
 
 
-def enumerate_models(spec: EnumSpec) -> Iterator[BiModel]:
-    """Every validated model of the class with at most max_worlds worlds,
-    valuations over spec.atoms, no isomorphism reduction."""
-    kind = spec.kind
-    for n, pre, mod, bot, vals in _enumerate_raw(spec):
-        yield BiModel(n, Relation(n, pre), Relation(n, mod),
-                      dict(zip(spec.atoms, vals)), bot, kind)
+def _enumerate_pdl_raw(prog_atoms: tuple[str, ...], atoms: tuple[str, ...],
+                       n: int) -> Iterator[tuple]:
+    """Every classical n-world model, relations unconstrained, as pairs of
+    relation rows (one per program atom) and valuations (one per atom)."""
+    rows = [r.rows for r in _relations(n)]
+    for rels in itertools.product(rows, repeat=len(prog_atoms)):
+        yield from zip(itertools.repeat(rels), itertools.product(
+            range(1 << n), repeat=len(atoms)))
 
 
-def enumerate_pdl_models(max_worlds: int, prog_atoms: tuple[str, ...],
-                         atoms: tuple[str, ...]) -> Iterator[PdlModel]:
-    """All classical models up to the bound; relations unconstrained."""
-    if max_worlds > MAX_ENUM_WORLDS:
-        raise ValueError("bound exceeds the enumeration guard")
-    for n in range(1, max_worlds + 1):
-        rel_list = list(_relations(n))
-        for rels in itertools.product(rel_list, repeat=len(prog_atoms)):
-            rho = dict(zip(prog_atoms, rels))
-            for vals in itertools.product(range(1 << n), repeat=len(atoms)):
-                yield PdlModel(n, rho, dict(zip(atoms, vals)))
+# ---------------------------------------------------------------------------
+# Blocks: the enumeration stream as bit-sliced disjoint unions
+
+# Models per block, one per bit lane.
+BLOCK_MODELS = 1 << 16
+# Lane-mask bits the block cache holds over all classes.  Past it a block
+# is built, scanned and dropped.  The 3-world `ck` class over two atoms
+# takes about 10 million.
+CACHE_BITS = 1 << 25
+
+
+def _pack(stream: Iterator[tuple], n: int) -> Iterator[tuple]:
+    """An n-world raw stream cut into runs of at most BLOCK_MODELS models
+    and bit-sliced: per run its lane count, its relations as
+    `BlockRelation`s and its world sets as block world sets."""
+    cells = n * n
+    worlds_of = [bits_of(ws) for ws in range(1 << n)]
+    for first in stream:
+        r, s = len(first[0]), len(first[1])
+        # One bit a lane: relation i's cell (w, v) at i*cells + w*n + v,
+        # then world set j's world w at r*cells + j*n + w.
+        bufs = [bytearray(BLOCK_MODELS // 8) for _ in range(r * cells + s * n)]
+        set_targets = [[[bufs[r * cells + j * n + w] for w in ws] for ws in worlds_of]
+                       for j in range(s)]
+        last = None
+        lanes = 0
+        for rels, sets in itertools.chain((first,), itertools.islice(
+                stream, BLOCK_MODELS - 1)):
+            if rels is not last:  # the stream repeats one rows object per run
+                last = rels
+                rel_targets = [bufs[i * cells + w * n + v]
+                               for i, rows in enumerate(rels)
+                               for w, row in enumerate(rows) for v in worlds_of[row]]
+            byte, bit = lanes >> 3, 1 << (lanes & 7)
+            for buf in rel_targets:
+                buf[byte] |= bit
+            for targets, ws in zip(set_targets, sets):
+                for buf in targets[ws]:
+                    buf[byte] |= bit
+            lanes += 1
+        masks = [int.from_bytes(buf, "little") for buf in bufs]
+        yield (lanes,
+               [BlockRelation(n, lanes, tuple(masks[i * cells:(i + 1) * cells]))
+                for i in range(r)],
+               [block_mask(masks[r * cells + j * n:r * cells + (j + 1) * n], lanes)
+                for j in range(s)])
+
+
+class _BlockCache:
+    """Packed blocks per (model class, world count), CACHE_BITS lane-mask
+    bits at most over all of them."""
+
+    def __init__(self):
+        self.entries: dict[tuple, tuple] = {}  # key -> (all packed?, blocks)
+        self.bits = 0
+
+    def blocks(self, key: tuple, n: int, stream: Iterator[tuple]) -> Iterator[tuple]:
+        """`_pack`'s blocks of the class's n-world models: the cached ones,
+        then ones packed from the rest of the stream, each kept while the
+        bound allows."""
+        done, built = self.entries.get(key, (False, []))
+        yield from built
+        if done:
+            return
+        built = list(built)
+        kept = True
+        skip = sum(lanes for lanes, _, _ in built)
+        for block in _pack(itertools.islice(stream, skip, None), n):
+            lanes, rels, sets = block
+            bits = lanes * (len(rels) * n * n + len(sets) * n)
+            kept = kept and self.bits + bits <= CACHE_BITS
+            if kept:
+                built.append(block)
+                self.bits += bits
+                self.entries[key] = (False, built)
+            yield block
+        if kept:
+            self.entries[key] = (True, built)
+
+
+_BLOCKS = _BlockCache()
 
 
 # ---------------------------------------------------------------------------
@@ -132,25 +215,47 @@ def brute_force_decide(logic: str, f, spec: EnumSpec) -> BoundedVerdict:
     to the bound.  The input language and the model class are the logic's
     row of the logic table; the kind named in `spec` is ignored.  A
     classical model interprets only the formula's program atoms (`k_star`
-    models always interpret `a`)."""
+    models always interpret `a`).
+
+    One `extension` (or `pdl_extension`) call evaluates a whole block,
+    since truth is invariant under disjoint unions.  The answer is the
+    lowest failing lane of the first failing block, with that lane's least
+    failing world: the pair a scan model by model meets first."""
     row = check_input(logic, f)
     if row.classical:
         prog_atoms = ("a",) if row.kind == "k" else tuple(program_atoms(f))
-        models = enumerate_pdl_models(spec.max_worlds, prog_atoms,
-                                      tuple(variables(f)))
+        atoms = tuple(variables(f))
+        key = ("pdl", prog_atoms, atoms)
+        stream = partial(_enumerate_pdl_raw, prog_atoms, atoms)
+
+        def make(worlds, rels, sets):
+            return PdlModel(worlds, dict(zip(prog_atoms, rels)),
+                            dict(zip(atoms, sets)))
         evaluate = pdl_extension
     else:
         if not set(variables(f)) <= set(spec.atoms):
             raise ValueError("spec.atoms must cover the formula's atoms")
-        models = enumerate_models(EnumSpec(spec.max_worlds, spec.atoms,
-                                           row.kind))
+        key = (row.kind, spec.atoms)
+        stream = partial(_enumerate_raw, row.kind, spec.atoms)
+
+        def make(worlds, rels, sets):
+            return BiModel(worlds, *rels, dict(zip(spec.atoms, sets[1:])),
+                           sets[0], row.kind)
         evaluate = extension
-    for m in models:
-        ext = evaluate(m, f)
-        if ext != m.full_mask():
-            missing = m.full_mask() & ~ext
-            return BoundedVerdict(False, spec.max_worlds, m,
-                                  (missing & -missing).bit_length() - 1)
+    for n in range(1, spec.max_worlds + 1):
+        for lanes, rels, sets in _BLOCKS.blocks(key + (n,), n, stream(n)):
+            block = make(n * lanes, rels, sets)
+            missing = block.full_mask() & ~evaluate(block, f)
+            if missing:
+                failing = 0
+                for lane_mask in lane_slices(missing, n, lanes):
+                    failing |= lane_mask
+                k = (failing & -failing).bit_length() - 1
+                at_k = lane_worlds(missing, n, lanes, k)
+                model = make(n, [r.lane(k) for r in rels],
+                             [lane_worlds(ws, n, lanes, k) for ws in sets])
+                return BoundedVerdict(False, spec.max_worlds, model,
+                                      (at_k & -at_k).bit_length() - 1)
     return BoundedVerdict(True, spec.max_worlds)
 
 

@@ -46,7 +46,6 @@ from ckstar.translate import (
 )
 from ckstar.syntax import subformulas
 
-from bank import ModelBank
 from helpers import iter_nodes, naive_satisfies, random_pdl_model
 from truth_maps import (
     ck_model_to_wk,
@@ -98,15 +97,7 @@ GOLDEN = [
 
 
 @pytest.fixture(scope="module")
-def banks():
-    return {
-        "wk": ModelBank(EnumSpec(3, ATOMS, "wk")),
-        "ck": ModelBank(EnumSpec(3, ATOMS, "ck")),
-    }
-
-
-@pytest.fixture(scope="module")
-def records(banks):
+def records():
     """Every decision made by suites 1 and 2, for criteria 1/2/5/6."""
     golden = []
     t0 = time.perf_counter()
@@ -129,13 +120,12 @@ def records(banks):
     for f in corpus:
         for logic in ("wk_star", "ck_star"):
             verdict = decide(logic, f)
-            bank = banks["wk" if logic == "wk_star" else "ck"]
             rows.append({
                 "logic": logic,
                 "formula": f,
                 "verdict": verdict,
                 "closure": len(fl_closure(sat_query(logic, f))),
-                "oracle": bank.first_violation(f),
+                "oracle": brute_force_decide(logic, f, EnumSpec(3, ATOMS)),
             })
     return {
         "golden": golden,
@@ -155,7 +145,7 @@ def test_criterion_1_golden_decision_table(records):
             f"golden table took {records['golden_seconds']:.3f}s")
 
 
-def test_criterion_2_oracle_equivalence(records, banks):
+def test_criterion_2_oracle_equivalence(records):
     with criterion(2, f"oracle equivalence on {len(records['corpus']) // 2} formulas"):
         # Diamond-free validity must not depend on fallibility.
         verdicts = {}
@@ -169,16 +159,14 @@ def test_criterion_2_oracle_equivalence(records, banks):
             verdict, oracle = row["verdict"], row["oracle"]
             name = f"{row['logic']} {render(row['formula'])}"
             if verdict.valid:
-                assert oracle is None, f"solver-valid but oracle-invalid: {name}"
+                assert oracle.valid_up_to_bound, f"solver-valid but oracle-invalid: {name}"
             elif verdict.model.worlds <= 3:
-                assert oracle is not None, (
+                assert not oracle.valid_up_to_bound, (
                     f"solver found a {verdict.model.worlds}-world "
                     f"countermodel but the oracle scan found none: {name}")
-            if oracle is not None and spot % 97 == 0:
-                bank = banks["wk" if row["logic"] == "wk_star" else "ck"]
-                witness = bank.model_at(oracle[0])
-                ext = extension(witness, row["formula"])
-                assert not ext >> oracle[1] & 1
+            if not oracle.valid_up_to_bound and spot % 97 == 0:
+                ext = extension(oracle.model, row["formula"])
+                assert not ext >> oracle.world & 1
             spot += 1
 
 

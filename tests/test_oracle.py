@@ -6,17 +6,16 @@ from pathlib import Path
 
 import pytest
 
+from ckstar import oracle
 from ckstar.oracle import (
     EnumSpec,
     brute_force_decide,
     enumerate_formulas,
-    enumerate_models,
-    enumerate_pdl_models,
     random_formula,
     random_model,
 )
 from ckstar.relmodel import BiModel, Relation, dump_model, validate
-from ckstar.solver import LOGICS, decide
+from ckstar.solver import LOGIC_TABLE, LOGICS, decide
 from ckstar.syntax import (
     FragmentError,
     FragmentTag,
@@ -28,8 +27,8 @@ from ckstar.syntax import (
     variables,
 )
 
-from bank import ModelBank
 from helpers import alarm, iter_nodes, random_pdl_model
+from reference_oracle import enumerate_models, enumerate_pdl_models, reference_decide
 from truth_maps import falsifying_world
 
 
@@ -258,37 +257,65 @@ def test_enumerate_formulas_counts_and_order():
     assert parse_pdl("[a]p") in small
 
 
-def test_bank_matches_reference_enumeration():
-    spec = EnumSpec(2, ("p", "q"), "ck")
-    bank = ModelBank(spec)
-    models = list(enumerate_models(spec))
-    assert bank.count == len(models)
-    for i in (0, 1, len(models) // 2, len(models) - 1):
-        assert bank.model_at(i) == models[i]
+def _logic_corpus(logic: str) -> list:
+    """The logic's formulas of at most 4 nodes over p and q; `pdl` adds a
+    few over the programs i and m."""
+    row = LOGIC_TABLE[logic]
+    fs = enumerate_formulas(4, ("p", "q"), row.language or FragmentTag.LK_STAR)
+    if logic == "pdl":
+        fs += [parse_pdl(text) for text in (
+            "[i;m]p -> [i][m]p", "[(i;m)*]p -> p", "[i]p | [m]!p", "[i*]p -> [i][i]p")]
+    return fs
 
 
-def test_bank_first_violation_matches_brute_force():
-    spec = EnumSpec(2, ("p", "q"), "ck")
-    bank = ModelBank(spec)
-    formulas = [parse_formula(s) for s in
-                ("p->p", "p", "~<>false", "[]p -> p", "[*]p -> []p",
-                 "p|q", "p->q", "<>p -> <*>p", "[*](p&q) -> [*]p")]
-    for f in formulas:
-        ref = brute_force_decide("ck_star", f, spec)
-        got = bank.first_violation(f)
-        if ref.valid_up_to_bound:
-            assert got is None
-        else:
-            i, w = got
-            assert bank.model_at(i) == ref.model
-            assert w == ref.world
+def _answer(v) -> tuple:
+    return v.valid_up_to_bound, v.model, v.world
 
 
-def test_bank_chunked_scan_consistency():
-    spec = EnumSpec(2, ("p",), "wk")
-    bank = ModelBank(spec)
-    f = parse_formula("[]p -> [][]p")
-    assert bank.first_violation(f, chunk=7) == bank.first_violation(f)
+@pytest.mark.parametrize("logic", LOGICS)
+def test_block_scan_matches_the_reference_scan(logic):
+    """Every answer, model and world included, is the one the scan model
+    by model finds."""
+    for max_worlds in (1, 2):
+        spec = EnumSpec(max_worlds, ("p", "q"))
+        for f in _logic_corpus(logic):
+            assert _answer(brute_force_decide(logic, f, spec)) == \
+                _answer(reference_decide(logic, f, spec)[0]), (max_worlds, render(f))
+
+
+def test_block_scan_past_the_first_block():
+    # Bounded depth 2: the first falsifier needs a 3-world pre chain, which
+    # comes late among the 3-world preorders.
+    f = parse_formula("q | (q -> (p | ~p))")
+    spec = EnumSpec(3, ("p", "q"))
+    ref, passed = reference_decide("ck_star", f, spec)
+    small = sum(1 for _ in enumerate_models(EnumSpec(2, ("p", "q"), "ck")))
+    assert passed - small >= oracle.BLOCK_MODELS
+    assert _answer(brute_force_decide("ck_star", f, spec)) == _answer(ref)
+
+
+def test_small_blocks_and_a_full_cache(monkeypatch):
+    """Blocks cut inside a world count, a cache that fills up mid-class,
+    and a class resumed after its cached blocks all give the reference
+    answers, and the cache stays within its bound."""
+    monkeypatch.setattr(oracle, "BLOCK_MODELS", 64)
+    monkeypatch.setattr(oracle, "CACHE_BITS", 20_000)
+    monkeypatch.setattr(oracle, "_BLOCKS", oracle._BlockCache())
+    spec = EnumSpec(2, ("p", "q"))
+    cases = [(logic, f) for logic in ("ck_star", "wk_star", "cs4", "pdl")
+             for f in _logic_corpus(logic)[::7]]
+    for _ in range(2):
+        for logic, f in cases:
+            assert _answer(brute_force_decide(logic, f, spec)) == \
+                _answer(reference_decide(logic, f, spec)[0]), (logic, render(f))
+    assert 0 < oracle._BLOCKS.bits <= oracle.CACHE_BITS
+    assert any(not done for done, _ in oracle._BLOCKS.entries.values())
+    # A class resumed after its cached blocks holds each model once.
+    for key, (done, built) in oracle._BLOCKS.entries.items():
+        if done and key[0] != "pdl":
+            kind, atoms, n = key
+            assert sum(lanes for lanes, _, _ in built) == sum(
+                m.worlds == n for m in enumerate_models(EnumSpec(n, atoms, kind))), key
 
 
 def _model_json_digest() -> str:

@@ -6,22 +6,27 @@ import pytest
 from ckstar.relmodel import (
     MAX_WORLDS,
     BiModel,
+    BlockRelation,
     ModelFormatError,
     ModelViolation,
     Relation,
+    block_mask,
     dump_model,
+    lane_slices,
+    lane_worlds,
     load_model,
     mask_of,
     rel_compose,
     rel_star,
     validate,
 )
-from ckstar.oracle import EnumSpec, enumerate_models, enumerate_pdl_models, random_model
+from ckstar.oracle import EnumSpec, brute_force_decide, random_model
 from ckstar.solver import decide
 from ckstar.syntax import parse_formula, parse_pdl
 from ckstar.translate import ck_model_to_cs4, pdl_model_to_wk, wk_model_to_ck
 
 from helpers import alarm, bi_model, pdl_model
+from reference_oracle import enumerate_models, enumerate_pdl_models
 from truth_maps import identity, restrict_to_infallible
 
 
@@ -247,6 +252,44 @@ def test_dump_is_sorted():
     assert '"q": [0, 1]' in text
 
 
+def _block(rels: list) -> BlockRelation:
+    """Same-size relations as the lanes of one block relation."""
+    n = rels[0].n
+    return BlockRelation(n, len(rels), tuple(
+        sum((r.rows[w] >> v & 1) << k for k, r in enumerate(rels))
+        for w in range(n) for v in range(n)))
+
+
+def test_block_relation_matches_each_lane():
+    rng = random.Random(23)
+    for n in (1, 2, 3, 4):
+        for lanes in (1, 3, 70):
+            rels = [rand_rel(rng, n) for _ in range(lanes)]
+            # An empty and a full relation ride along in the wider blocks.
+            if lanes > 1:
+                rels[0] = Relation.empty(n)
+                rels[1] = Relation.from_pairs(n, [(w, v) for w in range(n) for v in range(n)])
+            others = [rand_rel(rng, n) for _ in range(lanes)]
+            masks = [rng.randrange(1 << n) for _ in range(lanes)]
+            block, other = _block(rels), _block(others)
+            worlds = block_mask([mask_of(k for k, m in enumerate(masks) if m >> w & 1)
+                                 for w in range(n)], lanes)
+            box, outside, dia = block.box(worlds), block.box(~worlds), block.dia(worlds)
+            comp, star = rel_compose(block, other), rel_star(block)
+            assert block_mask(lane_slices(worlds, n, lanes), lanes) == worlds
+            assert (box | dia) >> (n * lanes) == 0
+            for k, (r, s, m) in enumerate(zip(rels, others, masks)):
+                assert block.lane(k) == r
+                assert lane_worlds(worlds, n, lanes, k) == m
+                assert lane_worlds(box, n, lanes, k) == r.box(m)
+                assert lane_worlds(outside, n, lanes, k) == r.box(~m)
+                assert lane_worlds(dia, n, lanes, k) == r.dia(m)
+                assert comp.lane(k) == rel_compose(r, s)
+                assert star.lane(k) == rel_star(r)
+    with pytest.raises(ValueError):
+        rel_compose(_block([Relation.empty(2)]), _block([Relation.empty(2)] * 2))
+
+
 def test_unmapped_atoms_default_to_bot():
     m = bi_model(2, [(0, 0), (1, 1)], [(1, 1)], {}, bot={1})
     assert m.val_mask("anything") == 0b10
@@ -265,6 +308,8 @@ def test_every_producer_yields_int_world_sets():
         models += list(enumerate_models(EnumSpec(2, ("p",), kind)))[-3:]
         models += [random_model(s, EnumSpec(4, ("p", "q"), kind)) for s in range(5)]
     models += list(enumerate_pdl_models(2, ("a",), ("p",)))[-3:]
+    models += [brute_force_decide("ck_star", parse_formula("[]p -> p"), EnumSpec(2, ("p",))).model,
+               brute_force_decide("pdl", parse_pdl("[i]p -> p"), EnumSpec(2)).model]
     models += [load_model(dump_model(m)) for m in models]
     wk = bi_model(2, [(0, 0), (1, 1), (0, 1)], [(0, 1), (1, 1)], {"p": {1}}, kind="wk")
     models += [wk_model_to_ck(wk, parse_formula("p")),
