@@ -221,10 +221,10 @@ def brute_force_decide(logic: str, f, spec: EnumSpec) -> BoundedVerdict:
     since truth is invariant under disjoint unions.  The answer is the
     lowest failing lane of the first failing block, with that lane's least
     failing world: the pair a scan model by model meets first."""
-    row = check_input(logic, f)
+    atoms = tuple(variables(f))
+    row = check_input(logic, f, atoms)
     if row.classical:
         prog_atoms = ("a",) if row.kind == "k" else tuple(program_atoms(f))
-        atoms = tuple(variables(f))
         key = ("pdl", prog_atoms, atoms)
         stream = partial(_enumerate_pdl_raw, prog_atoms, atoms)
 
@@ -233,7 +233,7 @@ def brute_force_decide(logic: str, f, spec: EnumSpec) -> BoundedVerdict:
                             dict(zip(atoms, sets)))
         evaluate = pdl_extension
     else:
-        if not set(variables(f)) <= set(spec.atoms):
+        if not set(atoms) <= set(spec.atoms):
             raise ValueError("spec.atoms must cover the formula's atoms")
         key = (row.kind, spec.atoms)
         stream = partial(_enumerate_raw, row.kind, spec.atoms)

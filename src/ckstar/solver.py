@@ -28,9 +28,13 @@ below it; fulfilment marks are one int per state, a bit per (star
 family, automaton state).  The search runs in passes.  A pass follows
 every demand of a saturated state but only the first alternative of each
 decomposition not yet released, and counts the states it does not reach
-as dead.  The surviving set only grows with the graph, so a root alive
-after a pass is alive in the whole graph: the search stops there and
-extracts its model, whose eventuality witnesses are shortest paths
+as dead.  A saturated state needs every demand alive, so once one of them
+is settled dead the pass follows none of the rest: a settled state's
+alive bit and marks are final for the pass, and a dead one gives its
+parents nothing, so no other visited state's bit or marks depend on the
+demands skipped.  The surviving set only grows with the graph, so a root
+alive after a pass is alive in the whole graph: the search stops there
+and extracts its model, whose eventuality witnesses are shortest paths
 through the (state, mark bit) pairs set in the marks.  Otherwise the next
 pass releases the other alternatives of the dead decompositions the pass
 reached, or every deferred one if none of them died, and searches the
@@ -483,10 +487,18 @@ class _Tableau:
         followed, expanding states depth first, first branch first, and
         settling each strongly connected component when it closes.  A
         state is expanded the first time a pass visits it; the states the
-        pass never visits count as dead."""
-        info, low, parents = self.info, self.low, self.parents
+        pass never visits count as dead.
+
+        A saturated state follows none of its demands if one is settled
+        dead when it is pushed, and no more of them once one it meets or
+        returns from is.  It is dead then whatever the others hold, and
+        `_settle` finds that from the dead demand: `all()` stops there,
+        and only alive states gather marks.  The stop rule of `build`
+        still holds: the cut edges leave dead states only."""
+        info, low, parents, alive = self.info, self.low, self.parents, self.alive
         open_: list[int] = []  # visited and not yet settled
-        frames: list[tuple] = []  # (state id, its targets left, its slot)
+        # (state id, its targets left, its slot, whether it is saturated)
+        frames: list[tuple] = []
         i = self.root
         while True:
             if i is not None:  # visit i and push it
@@ -496,29 +508,40 @@ class _Tableau:
                     self.order.append(i)
                     for t in entry[1]:
                         parents[t].append(i)
+                targets = entry[1]
+                sat = entry[0] == "sat"
+                if sat and any(low[t] == _SETTLED and not alive[t] for t in targets):
+                    targets = ()
                 low[i] = len(open_)
-                frames.append((i, iter(entry[1]), len(open_)))
+                frames.append((i, iter(targets), len(open_), sat))
                 open_.append(i)
-            i, targets, slot = frames[-1]
+            u, targets, slot, sat = frames[-1]
+            i = None
             for t in targets:
                 if low[t] == _UNSEEN:
                     i = t
                     break
-                if low[t] < low[i]:
-                    low[i] = low[t]
-            else:
-                frames.pop()
-                if low[i] == slot:  # i roots the component open_[slot:]
-                    part = open_[slot:]
-                    del open_[slot:]
-                    self._settle(part, slot)
-                    for u in part:
-                        low[u] = _SETTLED
-                if not frames:
-                    return
-                parent = frames[-1][0]
-                low[parent] = min(low[parent], low[i])
-                i = None
+                if low[t] == _SETTLED:
+                    if sat and not alive[t]:
+                        break  # a dead demand: u is dead, follow no more
+                elif low[t] < low[u]:
+                    low[u] = low[t]
+            if i is not None:
+                continue
+            frames.pop()
+            if low[u] == slot:  # u roots the component open_[slot:]
+                part = open_[slot:]
+                del open_[slot:]
+                self._settle(part, slot)
+                for v in part:
+                    low[v] = _SETTLED
+            if not frames:
+                return
+            parent, _, pslot, psat = frames[-1]
+            if low[u] != _SETTLED:
+                low[parent] = min(low[parent], low[u])
+            elif psat and not alive[u]:
+                frames[-1] = (parent, iter(()), pslot, psat)
 
     def _gather(self, u: int) -> int:
         """Marks of alive state u from its successors' marks: their union
@@ -845,16 +868,18 @@ LOGIC_TABLE = {
 LOGICS = tuple(LOGIC_TABLE)
 
 
-def check_input(logic: str, f) -> Logic:
+def check_input(logic: str, f, atoms: "tuple[str, ...] | None" = None) -> Logic:
     """The table row of `logic`, after checking that f is in its input
-    language: ValueError for an unknown logic, FragmentError for f."""
+    language: ValueError for an unknown logic, FragmentError for f.
+    `atoms`, f's atom names (`variables(f)`) if the caller has them
+    already, spares a second walk of f."""
     row = LOGIC_TABLE.get(logic)
     if row is None:
         raise ValueError(f"unknown logic {logic!r}")
     if not (isinstance(f, PdlFormula) if row.language is None
             else check_fragment(f, row.language)):
         raise FragmentError(f"formula is not in the input language of {logic}")
-    if not row.p_bot and P_BOT in variables(f):
+    if not row.p_bot and P_BOT in (variables(f) if atoms is None else atoms):
         raise FragmentError(
             f"atom {P_BOT!r} is reserved and not in the language of {logic}")
     return row

@@ -346,15 +346,10 @@ def test_tableau_agrees_with_bounded_model_search():
 
 
 def reached(engine) -> list:
-    """The ids reachable from the root along the successors the last pass
-    followed."""
-    seen, work = {engine.root}, [engine.root]
-    while work:
-        for t in engine.info[work.pop()][1]:
-            if t not in seen:
-                seen.add(t)
-                work.append(t)
-    return sorted(seen)
+    """The ids the last pass visited: the subgraph it settled.  A pass
+    skips the other demands of a saturated state with a dead one, so these
+    can be fewer than the ids its successors reach."""
+    return [u for u, l in enumerate(engine.low) if l != solver._UNSEEN]
 
 
 def assert_settled_as_reference(engine, present) -> int:
@@ -539,6 +534,14 @@ GRAPH_PINS = [
                 "((((false | p) | (p -> p))) -> [*](((false | p) | (p -> p))))",
      150, 3, [4, 9, 12, 26], 50),
     ("cs4", "[]((<>q & (q | p))) -> [][]((<>q & (q | p)))", 62, 3, [4, 12, 23], 29),
+    # The heaviest `theorems` schema, K under cs4: 1839 states before a
+    # pass stopped following a saturated state's demands at a dead one.
+    ("cs4", "[](([]<>false) -> ((<>q | <>q))) -> "
+            "([]([]<>false) -> []((<>q | <>q)))", 200, 3, [7, 17, 26, 24], 64),
+    # The <*> tower: m also occurs bare, so every [m*] stays a star
+    # eventuality; 15,094 states before that cut.
+    ("ck_star", "<*>" * 9 + "[]p -> " + "<*>" * 8 + "[]p",
+     3055, 3, [10, 46, 512, 192, 96, 48, 24, 12, 6, 3], 66),
     # Deep closures over i*: an odd tower of ~ (Invalid, many branch
     # states) and right-nested implications (Valid; i occurs only starred,
     # so no state has a star eventuality and no step deletes one).
@@ -591,6 +594,20 @@ def test_a_clashing_demand_kills_its_saturated_state():
     assert engine.info[first] == ("or", ()) and not alive[first] and alive[second]
     model, world = pdl_satisfiable(f)
     assert model.val.get("q", 0) >> world & 1 and engine.passes == 2
+
+
+def test_a_dead_demand_stops_the_search_of_its_saturated_state():
+    # The saturated root demands [a]p & <a>!p over a, first, and r over m.
+    # The first demand's state dies in a component below the root, so the
+    # root is dead whatever the second holds: the pass never expands it.
+    f = parse_pdl("<a>([a]p & <a>!p) & <m>r")
+    engine = solver._Tableau(f)
+    alive = engine.build()
+    kind, (first, second), letters = engine.info[engine.root][:3]
+    assert kind == "sat" and letters == ["a", "m"]
+    assert not alive[first] and engine.low[first] == solver._SETTLED
+    assert engine.info[second] is None and not alive[engine.root]
+    assert pdl_satisfiable(f) is None and pdl_satisfiable_exhaustive(f) is None
 
 
 def test_a_demand_that_clashes_as_it_is_built_kills_its_state():
