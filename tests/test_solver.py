@@ -520,7 +520,8 @@ def test_wide_disjunction_decides_within_a_state_cap(monkeypatch):
 # with no star eventuality.  A change to the engine's
 # internals that keeps its decomposition graph, expansion order and pass
 # rules keeps them exactly.  None as logic means `pdl_satisfiable` on the
-# PDL formula itself.
+# PDL formula itself.  New rows go at the end: pytest names a row by its
+# index among the rows, so an insertion renames the ones after it.
 GRAPH_PINS = [
     (None, "![a*]p & [a](p | [a*]!p)", 2, 1, [], 10),
     # `oracle.random_formula` (seed, depth) over p, q, r.
@@ -534,14 +535,6 @@ GRAPH_PINS = [
                 "((((false | p) | (p -> p))) -> [*](((false | p) | (p -> p))))",
      150, 3, [4, 9, 12, 26], 50),
     ("cs4", "[]((<>q & (q | p))) -> [][]((<>q & (q | p)))", 62, 3, [4, 12, 23], 29),
-    # The heaviest `theorems` schema, K under cs4: 1839 states before a
-    # pass stopped following a saturated state's demands at a dead one.
-    ("cs4", "[](([]<>false) -> ((<>q | <>q))) -> "
-            "([]([]<>false) -> []((<>q | <>q)))", 200, 3, [7, 17, 26, 24], 64),
-    # The <*> tower: m also occurs bare, so every [m*] stays a star
-    # eventuality; 15,094 states before that cut.
-    ("ck_star", "<*>" * 9 + "[]p -> " + "<*>" * 8 + "[]p",
-     3055, 3, [10, 46, 512, 192, 96, 48, 24, 12, 6, 3], 66),
     # Deep closures over i*: an odd tower of ~ (Invalid, many branch
     # states) and right-nested implications (Valid; i occurs only starred,
     # so no state has a star eventuality and no step deletes one).
@@ -550,6 +543,14 @@ GRAPH_PINS = [
     ("ck_star", "p->" * 100 + "p", 10100, 3, [], 305),
     # A goal that clashes as it is closed: no state, no pass.
     (None, "p & !p", 0, 0, [], 3),
+    # The heaviest `theorems` schema, K under cs4: 1839 states before a
+    # pass stopped following a saturated state's demands at a dead one.
+    ("cs4", "[](([]<>false) -> ((<>q | <>q))) -> "
+            "([]([]<>false) -> []((<>q | <>q)))", 200, 3, [7, 17, 26, 24], 64),
+    # The <*> tower: m also occurs bare, so every [m*] stays a star
+    # eventuality; 15,094 states before that cut.
+    ("ck_star", "<*>" * 9 + "[]p -> " + "<*>" * 8 + "[]p",
+     3055, 3, [10, 46, 512, 192, 96, 48, 24, 12, 6, 3], 66),
 ]
 
 
