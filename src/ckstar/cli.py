@@ -52,11 +52,13 @@ _USER_ERRORS = (ParseError, FragmentError, TranslationError, ModelFormatError,
                 InvalidModelError, UnknownProgramAtomError, ValueError, OSError)
 
 
+# `translate --map`: each map with the parser of its input language.
+_MAPS = {"omega": (parse_formula, omega), "tau": (parse_formula, tau),
+         "iota": (parse_pdl, iota), "kappa": (parse_formula, kappa)}
+
+
 def _parse_for_logic(logic: str, text: str):
-    row = LOGIC_TABLE[logic]
-    if row.classical:
-        return parse_pdl(text)
-    return parse_formula(text, allow_p_bot=row.p_bot)
+    return (parse_pdl if LOGIC_TABLE[logic].classical else parse_formula)(text)
 
 
 def _emit(obj) -> None:
@@ -91,15 +93,8 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    if args.map == "tau":
-        out = tau(parse_formula(args.formula, allow_p_bot=True))
-    elif args.map == "omega":
-        out = omega(parse_formula(args.formula))
-    elif args.map == "kappa":
-        out = kappa(parse_formula(args.formula, allow_p_bot=True))
-    else:
-        out = iota(parse_pdl(args.formula))
-    print(render(out))
+    parse, translate = _MAPS[args.map]
+    print(render(translate(parse(args.formula))))
     return 0
 
 
@@ -113,11 +108,9 @@ def _cmd_eval(args) -> int:
     if not 0 <= args.world < model.worlds:
         raise ValueError(f"world {args.world} out of range for {model.worlds} worlds")
     if isinstance(model, BiModel):
-        f = parse_formula(args.formula, allow_p_bot=True)
-        value = satisfies(model, args.world, f)
+        value = satisfies(model, args.world, parse_formula(args.formula))
     else:
-        f = parse_pdl(args.formula)
-        value = pdl_satisfies(model, args.world, f)
+        value = pdl_satisfies(model, args.world, parse_pdl(args.formula))
     print("true" if value else "false")
     return 0 if value else 1
 
@@ -187,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("translate", help="apply a formula translation")
-    p.add_argument("--map", required=True, choices=("omega", "tau", "iota", "kappa"))
+    p.add_argument("--map", required=True, choices=tuple(_MAPS))
     p.add_argument("formula")
     p.set_defaults(func=_cmd_translate)
 

@@ -203,6 +203,8 @@ def rel_star(r: "Relation | BlockRelation") -> "Relation | BlockRelation":
     for k in range(n):
         rk = rows[k]
         bit = 1 << k
+        if rk == bit:   # k reaches only itself: nothing to add through k
+            continue
         for w in range(n):
             if rows[w] & bit:
                 rows[w] |= rk

@@ -8,8 +8,6 @@ coarser reading over (pre;mod*)* agrees with it on CK models.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .relmodel import (
     BiModel,
     ModelViolation,
@@ -56,13 +54,6 @@ class UnknownProgramAtomError(ValueError):
     pass
 
 
-@lru_cache(maxsize=1)
-def _bottom_up(f: "Formula | PdlFormula") -> tuple:
-    """`subformulas(f)`, kept for the last formula asked: the oracle
-    evaluates one formula on every model it enumerates."""
-    return tuple(subformulas(f))
-
-
 def extension(m: BiModel, f: Formula) -> int:
     """Bitmask of worlds satisfying f, computed per subformula."""
     cache: dict[str, Relation] = {}
@@ -80,7 +71,7 @@ def extension(m: BiModel, f: Formula) -> int:
         return cache[key]
 
     ext: dict[Formula, int] = {}
-    for g in _bottom_up(f):
+    for g in subformulas(f):
         if isinstance(g, Bot):
             e = m.bot
         elif isinstance(g, Atom):
@@ -147,7 +138,7 @@ def pdl_extension(m: PdlModel, f: PdlFormula) -> int:
     full = m.full_mask()
     memo: dict[Program, Relation] = {}
     ext: dict[PdlFormula, int] = {}
-    for g in _bottom_up(f):
+    for g in subformulas(f):
         if isinstance(g, PdlAtom):
             e = m.val_mask(g.name)
         elif isinstance(g, Neg):

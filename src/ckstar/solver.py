@@ -831,7 +831,7 @@ class Logic:
     """
 
     parent: "str | None"            # None only for the root, pdl
-    language: "FragmentTag | None"  # None is all of test-free PDL
+    language: "FragmentTag | None"  # check_fragment's tag; None: all PDL
     p_bot: bool                     # input may use the reserved atom p_bot
     kind: str                       # a BiModel kind, "k" or "pdl"
     down: "Callable | None" = None
@@ -870,14 +870,14 @@ LOGICS = tuple(LOGIC_TABLE)
 
 def check_input(logic: str, f, atoms: "tuple[str, ...] | None" = None) -> Logic:
     """The table row of `logic`, after checking that f is in its input
-    language: ValueError for an unknown logic, FragmentError for f.
-    `atoms`, f's atom names (`variables(f)`) if the caller has them
-    already, spares a second walk of f."""
+    language, the reserved atom p_bot included (the parsers read it as an
+    atom): ValueError for an unknown logic, FragmentError for f.  `atoms`,
+    f's atom names (`variables(f)`) if the caller has them already, spares
+    a second walk of f."""
     row = LOGIC_TABLE.get(logic)
     if row is None:
         raise ValueError(f"unknown logic {logic!r}")
-    if not (isinstance(f, PdlFormula) if row.language is None
-            else check_fragment(f, row.language)):
+    if not check_fragment(f, row.language):
         raise FragmentError(f"formula is not in the input language of {logic}")
     if not row.p_bot and P_BOT in (variables(f) if atoms is None else atoms):
         raise FragmentError(

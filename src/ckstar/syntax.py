@@ -316,15 +316,13 @@ def _parse(text: str, grammar: _Grammar):
     return _check_depth(f, text)
 
 
-def parse_formula(text: str, *, allow_p_bot: bool = False) -> Formula:
+def parse_formula(text: str) -> Formula:
     """Parse a constructive-language formula.
 
-    ``~x`` is sugar for ``x -> false``.  The reserved atom ``p_bot`` is
-    rejected unless ``allow_p_bot`` is set (it belongs to the infallible
-    language only).
+    ``~x`` is sugar for ``x -> false``.  The reserved atom ``p_bot`` is read
+    as an atom; which logics admit it is `solver.check_input`'s to decide.
     """
-    return _parse(text, _Grammar(Imp, Or, And, _prefix,
-                                 partial(_atom, allow=allow_p_bot)))
+    return _parse(text, _Grammar(Imp, Or, And, _prefix, _atom))
 
 
 def parse_pdl(text: str) -> PdlFormula:
@@ -387,13 +385,8 @@ def _prefix(cur: _Cursor) -> "Callable | None":
     return None
 
 
-def _atom(cur: _Cursor, name: str, start: int, allow: bool) -> Formula:
-    if name == FALSUM_WORD:
-        return Bot()
-    if name == P_BOT and not allow:
-        raise ParseError(f"atom {P_BOT!r} is reserved in this language",
-                         cur.byte_offset(start))
-    return Atom(name)
+def _atom(cur: _Cursor, name: str, start: int) -> Formula:
+    return Bot() if name == FALSUM_WORD else Atom(name)
 
 
 def _pdl_prefix(cur: _Cursor) -> "Callable | None":
@@ -636,21 +629,23 @@ def formula_size(f: AnyFormula) -> int:
 
 
 # Per fragment: the node classes it admits, and the programs its boxes may
-# carry.
+# carry.  None is all of test-free PDL, whose boxes carry any program.
 _ADMITTED = {
     tag: (frozenset(leaves) | {cls for cls, _ in operators},
           frozenset(prog for _, prog in operators if prog is not None))
     for tag, (leaves, operators) in FRAGMENTS.items()}
+_ADMITTED[None] = (frozenset((PdlAtom, Neg, PdlAnd, PdlOr, BoxP)), None)
 
 
-def check_fragment(f: AnyFormula, tag: FragmentTag) -> bool:
+def check_fragment(f: AnyFormula, tag: "FragmentTag | None") -> bool:
     """True iff every node of f is permitted by the tag's row of
-    `FRAGMENTS`; KeyError for an unknown tag."""
+    `FRAGMENTS` (None: by test-free PDL); KeyError for an unknown tag."""
     classes, programs = _ADMITTED[tag]
     stack = [f]
     while stack:
         g = stack.pop()
-        if type(g) not in classes or (type(g) is BoxP and g.prog not in programs):
+        if type(g) not in classes or (type(g) is BoxP and programs is not None
+                                      and g.prog not in programs):
             return False
         stack.extend(_children(g))
     return True

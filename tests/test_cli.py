@@ -9,9 +9,11 @@ import pytest
 
 import ckstar
 from ckstar.cli import MAX_GEN_DEPTH, main
+from ckstar.oracle import EnumSpec, brute_force_decide
 from ckstar.relmodel import MAX_WORLDS, dump_model, load_model
 from ckstar.semantics import satisfies
-from ckstar.syntax import parse_formula
+from ckstar.solver import decide
+from ckstar.syntax import Atom, FragmentError, parse_formula
 
 from helpers import bi_model, pdl_model
 
@@ -67,6 +69,35 @@ def test_decide_batch_answers_every_line(tmp_path, capsys):
     assert code == 2 and len(lines) == 3
     assert lines[0] == {"verdict": "valid", "formula": "p->p"}
     assert lines[1]["formula"] == "p ->" and "offset" in lines[1]["error"]
+    assert lines[2]["verdict"] == "invalid" and lines[2]["formula"] == "p"
+
+
+def test_p_bot_is_read_as_an_atom_and_refused_by_check_input(tmp_path, capsys):
+    f = parse_formula("p_bot")
+    assert f == Atom("p_bot")
+    spec = EnumSpec(1, ("p_bot",))
+    for logic in ("ck_star", "ck_star_box", "cs4"):
+        with pytest.raises(FragmentError):
+            decide(logic, f)
+        with pytest.raises(FragmentError):
+            brute_force_decide(logic, f, spec)
+    for logic in ("wk_star", "ws4"):
+        assert not decide(logic, f).valid
+        assert not brute_force_decide(logic, f, spec).valid_up_to_bound
+    refused = "atom 'p_bot' is reserved and not in the language of ck_star"
+    for argv in (("decide", "--logic", "ck_star", "p_bot"),
+                 ("oracle", "--logic", "ck_star", "p_bot")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and refused in err
+    code, out, err = run(capsys, "translate", "--map", "omega", "p_bot")
+    assert code == 2 and out == "" and "'p_bot' must not occur" in err
+    batch = tmp_path / "formulas.txt"
+    batch.write_text("p->p\np_bot\np\n", encoding="utf-8")
+    code, out, err = run(capsys, "decide", "--logic", "ck_star", f"@{batch}")
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert code == 2 and len(lines) == 3
+    assert lines[0] == {"verdict": "valid", "formula": "p->p"}
+    assert lines[1] == {"error": refused, "formula": "p_bot"}
     assert lines[2]["verdict"] == "invalid" and lines[2]["formula"] == "p"
 
 

@@ -17,8 +17,12 @@ from ckstar.oracle import (
 from ckstar.relmodel import BiModel, Relation, dump_model, validate
 from ckstar.solver import LOGIC_TABLE, LOGICS, decide
 from ckstar.syntax import (
+    Atom,
+    Box,
     FragmentError,
     FragmentTag,
+    PdlAnd,
+    PdlAtom,
     check_fragment,
     formula_size,
     parse_formula,
@@ -129,7 +133,7 @@ def test_brute_force_fragment_checks():
 _INPUTS = (
     parse_formula("<>p"),                       # outside the diamond-free fragment
     parse_formula("[*]p"),                      # outside the iteration-free fragment
-    parse_formula("p_bot", allow_p_bot=True),   # the reserved atom
+    parse_formula("p_bot"),                     # the reserved atom
     parse_pdl("[a]p"),                          # PDL, single-program fragment
     parse_pdl("[i]p"),                          # PDL, outside that fragment
 )
@@ -149,6 +153,17 @@ def test_decide_and_oracle_accept_the_same_inputs(logic, f):
     spec = EnumSpec(1, tuple(variables(f)))
     assert _accepts(lambda: decide(logic, f)) == \
         _accepts(lambda: brute_force_decide(logic, f, spec))
+
+
+def test_pdl_input_is_checked_node_by_node():
+    # A constructive box under a PDL root: neither entry point may reach
+    # the PDL closure or evaluator with it.
+    f = PdlAnd(Box(Atom("p")), PdlAtom("q"))
+    assert not check_fragment(f, None)
+    with pytest.raises(FragmentError):
+        decide("pdl", f)
+    with pytest.raises(FragmentError):
+        brute_force_decide("pdl", f, EnumSpec(1, ("p", "q")))
 
 
 def test_brute_force_pdl():

@@ -714,7 +714,7 @@ def test_decide_fragment_errors():
     with pytest.raises(FragmentError):
         decide("k_star", parse_pdl("[i]p"))
     with pytest.raises(FragmentError):
-        decide("ck_star", parse_formula("p_bot", allow_p_bot=True))
+        decide("ck_star", parse_formula("p_bot"))
     with pytest.raises(ValueError):
         decide("nope", parse_formula("p"))
 

@@ -58,15 +58,6 @@ def test_parse_precedence_and_associativity():
     assert parse_formula("[*]p & <*>q") == And(BoxStar(p), DiaStar(q))
 
 
-def test_parse_rejects_p_bot_by_default():
-    with pytest.raises(ParseError):
-        parse_formula("p_bot")
-    assert parse_formula("p_bot", allow_p_bot=True) == Atom(P_BOT_NAME)
-
-
-P_BOT_NAME = "p_bot"
-
-
 def test_parse_error_offsets():
     with pytest.raises(ParseError) as err:
         parse_formula("p -> ")
