@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 from typing import Iterator
 
@@ -37,7 +37,7 @@ from .relmodel import (
     validate,
 )
 from .semantics import extension, pdl_extension
-from .syntax import FRAGMENTS, FragmentTag, program_atoms, program_size, variables
+from .syntax import CHILDREN, FRAGMENTS, Bot, FragmentTag, formula_size, program_atoms
 from .solver import check_input
 from .translate import ck_model_to_cs4
 
@@ -221,8 +221,7 @@ def brute_force_decide(logic: str, f, spec: EnumSpec) -> BoundedVerdict:
     since truth is invariant under disjoint unions.  The answer is the
     lowest failing lane of the first failing block, with that lane's least
     failing world: the pair a scan model by model meets first."""
-    atoms = tuple(variables(f))
-    row = check_input(logic, f, atoms)
+    row, atoms = check_input(logic, f)
     if row.classical:
         prog_atoms = ("a",) if row.kind == "k" else tuple(program_atoms(f))
         key = ("pdl", prog_atoms, atoms)
@@ -303,21 +302,16 @@ def _random_ck(rng: random.Random, spec: EnumSpec) -> BiModel:
     return m
 
 
-def _leaves(fragment: FragmentTag, atoms: tuple[str, ...]) -> list:
-    """The fragment's leaves: falsum once, a named leaf per atom."""
-    leaf_classes, _ = FRAGMENTS[fragment]
-    return [leaf for cls in leaf_classes
-            for leaf in ([cls(a) for a in atoms] if fields(cls) else [cls()])]
-
-
-def _operators(fragment: FragmentTag) -> list:
-    """The fragment's operators in table order, each as its constructor over
-    formula children, the number of those children (the node class's
-    fields, less the box program) and the nodes the operator adds."""
-    _, operators = FRAGMENTS[fragment]
-    return [(cls, len(fields(cls)), 1) if prog is None else
-            (partial(cls, prog), len(fields(cls)) - 1, 1 + program_size(prog))
-            for cls, prog in operators]
+def _grammar(fragment: FragmentTag, atoms: tuple[str, ...]) -> tuple[list, list]:
+    """The fragment's leaves, falsum once and a named leaf per atom, and its
+    operators in table order, each as its constructor over formula
+    children, the number of those children and the nodes it adds."""
+    leaf_classes, operators = FRAGMENTS[fragment]
+    return ([leaf for cls in leaf_classes
+             for leaf in ([Bot()] if cls is Bot else [cls(a) for a in atoms])],
+            [(cls, CHILDREN[cls].arity, 1) if prog is None else
+             (partial(cls, prog), CHILDREN[cls].arity, 1 + formula_size(prog))
+             for cls, prog in operators])
 
 
 def random_formula(seed: int, depth: int, atoms: tuple[str, ...],
@@ -325,8 +319,8 @@ def random_formula(seed: int, depth: int, atoms: tuple[str, ...],
     """Uniform over a leaf and the fragment's operators down to the depth
     bound."""
     rng = random.Random(seed)
-    leaves = _leaves(fragment, atoms)
-    choices = [None, *_operators(fragment)]  # None draws a leaf
+    leaves, operators = _grammar(fragment, atoms)
+    choices = [None, *operators]  # None draws a leaf
 
     def go(d: int):
         op = rng.choice(choices) if d > 0 else None
@@ -347,8 +341,9 @@ def enumerate_formulas(max_size: int, atoms: tuple[str, ...],
     """Every formula of the fragment with at most max_size AST nodes, in
     deterministic size-then-structure order: within a size, unary operators
     before binary ones, each in table order."""
-    by_size: dict[int, list] = {1: _leaves(fragment, atoms)}
-    ops = sorted(_operators(fragment), key=lambda op: op[1])
+    leaves, operators = _grammar(fragment, atoms)
+    by_size: dict[int, list] = {1: leaves}
+    ops = sorted(operators, key=lambda op: op[1])
     for s in range(2, max_size + 1):
         layer: list = []
         for make, arity, cost in ops:

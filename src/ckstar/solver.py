@@ -53,21 +53,21 @@ The tests pin the alive sets and marks to a global elimination with its
 own marking (`tests/elimination.py`), and the verdicts to an exhaustive
 type-elimination engine (`tests/exhaustive.py`).
 
-`LOGIC_TABLE` has one row per logic: its input language, whether the
-reserved atom p_bot may occur, its countermodel class, its parent logic,
-the formula map into the parent and the model map back.  The rows form
-the paper's chain of reductions: `pdl` is the root, `k_star` and
-`wk_star` (by `tau`) sit on it, `ck_star` (by `omega`), `ck_star_box`
-(identity) and `ws4` (by `kappa`) on `wk_star`, and `cs4` (by `kappa`)
-on `ck_star`.  `decide` checks the input, decides the mapped formula in
-the parent, and maps a countermodel back.  `pdl_satisfiable` checks its
-PDL model with the independent evaluator.  After each model map into a
-constructive class, `decide` checks the model with `validate` against
-that class and with `satisfies` against the source formula; `satisfies`
-validates its model as a `ck` model first, and `wk_model_to_ck` and
-`ck_model_to_cs4` validate the model they are given.  So one Invalid
-verdict runs `validate` 2 times under `wk_star`, 5 under `ck_star` and 8
-under `cs4`.  The oracle and the CLI read the same table.
+`LOGIC_TABLE` has one row per logic: its input language, its
+countermodel class, its parent logic, the formula map into the parent
+and the model map back.  The rows form the paper's chain of reductions:
+`pdl` is the root, `k_star` and `wk_star` (by `tau`) sit on it,
+`ck_star` (by `omega`), `ck_star_box` (identity) and `ws4` (by `kappa`)
+on `wk_star`, and `cs4` (by `kappa`) on `ck_star`.  `decide` checks the
+input, decides the mapped formula in the parent, and maps a countermodel
+back.  `pdl_satisfiable` checks its PDL model with the independent
+evaluator.  After each model map into a constructive class, `decide`
+checks the model with `validate` against that class and with `satisfies`
+against the source formula; `satisfies` validates its model as a `ck`
+model first, and `wk_model_to_ck` and `ck_model_to_cs4` validate the
+model they are given.  So one Invalid verdict runs `validate` 2 times
+under `wk_star`, 5 under `ck_star` and 8 under `cs4`.  The oracle and
+the CLI read the same table.
 """
 
 from __future__ import annotations
@@ -92,6 +92,7 @@ from .syntax import (
     P_BOT,
     Star,
     check_fragment,
+    depth_error,
     render,
     starred_only_atoms,
     variables,
@@ -832,7 +833,6 @@ class Logic:
 
     parent: "str | None"            # None only for the root, pdl
     language: "FragmentTag | None"  # check_fragment's tag; None: all PDL
-    p_bot: bool                     # input may use the reserved atom p_bot
     kind: str                       # a BiModel kind, "k" or "pdl"
     down: "Callable | None" = None
     back: "Callable | None" = None
@@ -844,45 +844,50 @@ class Logic:
 
 
 LOGIC_TABLE = {
-    "ck_star": Logic("wk_star", FragmentTag.LSTAR, False, "ck",
+    "ck_star": Logic("wk_star", FragmentTag.LSTAR, "ck",
                      lambda f: omega(f),
                      lambda m, w, f: (wk_model_to_ck(m, f), w)),
-    "wk_star": Logic("pdl", FragmentTag.LSTAR, True, "wk",
+    "wk_star": Logic("pdl", FragmentTag.LSTAR, "wk",
                      lambda f: tau(f),
                      lambda m, w, f: (pdl_model_to_wk(_ensure_rho(m, ("i", "m"))), w)),
     # Diamond-free validity does not depend on fallibility, so the
     # infallible countermodel is already a constructive one.
-    "ck_star_box": Logic("wk_star", FragmentTag.LSTAR_BOX, False, "ck"),
+    "ck_star_box": Logic("wk_star", FragmentTag.LSTAR_BOX, "ck"),
     # World w of the parent countermodel is world 2w (its first copy) of
     # the doubled bi-preorder.
-    "cs4": Logic("ck_star", FragmentTag.L, False, "cs4",
+    "cs4": Logic("ck_star", FragmentTag.L, "cs4",
                  lambda f: kappa(f),
                  lambda m, w, f: (ck_model_to_cs4(m), 2 * w)),
-    "ws4": Logic("wk_star", FragmentTag.L, True, "ws4",
+    "ws4": Logic("wk_star", FragmentTag.L, "ws4",
                  lambda f: kappa(f),
                  lambda m, w, f: (ck_model_to_cs4(m), 2 * w)),
-    "k_star": Logic("pdl", FragmentTag.LK_STAR, True, "k",
+    "k_star": Logic("pdl", FragmentTag.LK_STAR, "k",
                     back=lambda m, w, f: (_ensure_rho(m, ("a",)), w)),
-    "pdl": Logic(None, None, True, "pdl"),
+    "pdl": Logic(None, None, "pdl"),
 }
 LOGICS = tuple(LOGIC_TABLE)
 
 
-def check_input(logic: str, f, atoms: "tuple[str, ...] | None" = None) -> Logic:
-    """The table row of `logic`, after checking that f is in its input
-    language, the reserved atom p_bot included (the parsers read it as an
-    atom): ValueError for an unknown logic, FragmentError for f.  `atoms`,
-    f's atom names (`variables(f)`) if the caller has them already, spares
-    a second walk of f."""
+def check_input(logic: str, f) -> "tuple[Logic, tuple[str, ...]]":
+    """The table row of `logic` and f's atom names (`variables(f)`), after
+    checking that f is in its input language: ValueError for an unknown
+    logic, FragmentError for f.  Each node must sit where the language
+    admits it, within MAX_DEPTH levels as in the parsers.  Logics with
+    fallible countermodels (kind ck or cs4) refuse the atom p_bot: `omega`
+    carries the fallible worlds into the infallible logics as that atom.
+    The parsers read p_bot as an atom."""
     row = LOGIC_TABLE.get(logic)
     if row is None:
         raise ValueError(f"unknown logic {logic!r}")
     if not check_fragment(f, row.language):
         raise FragmentError(f"formula is not in the input language of {logic}")
-    if not row.p_bot and P_BOT in (variables(f) if atoms is None else atoms):
+    if (error := depth_error(f)) is not None:
+        raise FragmentError(error)
+    atoms = tuple(variables(f))
+    if row.kind in ("ck", "cs4") and P_BOT in atoms:
         raise FragmentError(
             f"atom {P_BOT!r} is reserved and not in the language of {logic}")
-    return row
+    return row, atoms
 
 
 def decide(logic: str, f) -> Verdict:
@@ -890,7 +895,7 @@ def decide(logic: str, f) -> Verdict:
     PDL.  An Invalid verdict's countermodel is mapped back one row at a
     time and certified once per map into a constructive model class: the
     model must meet that class's conditions and falsify the source."""
-    return _decide(check_input(logic, f), f)
+    return _decide(check_input(logic, f)[0], f)
 
 
 def _decide(row: Logic, f) -> Verdict:

@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
+from operator import attrgetter
 from typing import Callable, NamedTuple, Union
 
 P_BOT = "p_bot"
@@ -50,6 +51,31 @@ class FragmentError(ValueError):
 # Syntax nodes
 
 
+class Children(NamedTuple):
+    """Getters of the tuple of a node's children in formula positions, in
+    program positions and in both, and the number of formula positions."""
+
+    formulas: Callable
+    programs: Callable
+    nodes: Callable
+    arity: int
+
+
+# Node class -> its `Children`, recorded by `_node` from the field
+# annotations: a `str` field is a leaf's name, a `Program` field a program
+# position and any other field a formula position.
+CHILDREN: dict[type, Children] = {}
+
+
+def _getter(names: tuple) -> Callable:
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        get = attrgetter(*names)
+        return lambda g: (get(g),)
+    return lambda g: ()
+
+
 def _node(cls):
     """A frozen dataclass whose hash is computed once, at construction: the
     dataclass hash of its fields, whose own hashes are stored already, so
@@ -62,6 +88,11 @@ def _node(cls):
     cls.__hash__ = lambda self: self._hash
     cls.__reduce__ = lambda self: (
         type(self), tuple(getattr(self, f.name) for f in fields(self)))
+    kids = [(f.name, f.type == "Program") for f in fields(cls) if f.type != "str"]
+    formulas = tuple(name for name, program in kids if not program)
+    CHILDREN[cls] = Children(
+        _getter(formulas), _getter(tuple(name for name, program in kids if program)),
+        _getter(tuple(name for name, _ in kids)), len(formulas))
     return cls
 
 
@@ -276,20 +307,6 @@ class _Cursor:
         return len(self.text[:pos].encode("utf-8"))
 
 
-def _check_depth(f, text: str):
-    """f, unless it nests more than MAX_DEPTH operators; walked level by
-    level, without recursion.  Each level of a branch takes at least one
-    character of the text, so a text this short needs no walk."""
-    if len(text) <= MAX_DEPTH:
-        return f
-    level = [f]
-    for _ in range(MAX_DEPTH + 1):
-        level = [k for g in level for k in _node_children(g)]
-        if not level:
-            return f
-    raise ParseError(f"formula nests more than {MAX_DEPTH} operators", 0)
-
-
 def is_atom_name(name: str) -> bool:
     """True iff the parsers read `name` as an atom: it is an identifier
     and not the falsum word."""
@@ -313,7 +330,11 @@ def _parse(text: str, grammar: _Grammar):
     f = _imp(cur, grammar)
     if not cur.eof():
         cur.error("unexpected trailing input")
-    return _check_depth(f, text)
+    # Each level of a branch takes at least one character of the text, so a
+    # text this short needs no walk.
+    if len(text) > MAX_DEPTH and (error := depth_error(f)) is not None:
+        raise ParseError(error, 0)
+    return f
 
 
 def parse_formula(text: str) -> Formula:
@@ -497,34 +518,22 @@ def _render_prog(p: Program, minimum: int) -> str:
 # Structural metadata
 
 
-def _children(f: AnyFormula) -> tuple:
-    if isinstance(f, (Bot, Atom, PdlAtom)):
-        return ()
-    if isinstance(f, (And, Or, Imp, PdlAnd, PdlOr)):
-        return (f.left, f.right)
-    if isinstance(f, (Box, Dia, BoxStar, DiaStar, Neg, BoxP)):
-        return (f.body,)
-    raise TypeError(f"unknown node {type(f).__name__}")
-
-
 def rebuild(f: Formula, fn: Callable) -> Formula:
     """f's constructive node over fn applied to each of its children; a
     leaf is returned as it is."""
-    kids = _children(f)
+    kids = CHILDREN[type(f)].formulas(f)
     return type(f)(*map(fn, kids)) if kids else f
 
 
-def _node_children(node) -> tuple:
-    """Children of a formula or program node, programs included."""
-    if isinstance(node, BoxP):
-        return (node.prog, node.body)
-    if isinstance(node, Comp):
-        return (node.left, node.right)
-    if isinstance(node, Star):
-        return (node.body,)
-    if isinstance(node, PAtom):
-        return ()
-    return _children(node)
+def depth_error(f) -> "str | None":
+    """The error if f nests more than MAX_DEPTH operators on one branch,
+    programs included, else None; walked level by level, not recursively."""
+    level = [f]
+    for _ in range(MAX_DEPTH + 1):
+        level = [k for g in level for k in CHILDREN[type(g)].nodes(g)]
+        if not level:
+            return None
+    return f"formula nests more than {MAX_DEPTH} operators"
 
 
 def subformulas(f: AnyFormula) -> list:
@@ -537,7 +546,7 @@ def subformulas(f: AnyFormula) -> list:
     def walk(g) -> None:
         if g in seen:
             return
-        for child in _children(g):
+        for child in CHILDREN[type(g)].formulas(g):
             walk(child)
         seen[g] = None
 
@@ -554,78 +563,52 @@ def variables(f: AnyFormula) -> list[str]:
         if isinstance(g, (Atom, PdlAtom)):
             names.add(g.name)
         else:
-            stack.extend(_children(g))
+            stack.extend(CHILDREN[type(g)].formulas(g))
     return sorted(names)
 
 
-def program_atoms(f: PdlFormula) -> list[str]:
-    """Program atom names occurring in f's boxes, lexicographically sorted."""
-    names = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, PAtom):
-            names.add(g.name)
-        else:
-            stack.extend(_node_children(g))
-    return sorted(names)
-
-
-def starred_only_atoms(f: PdlFormula) -> set[str]:
-    """Program atom names that occur in f only as the body of a star."""
-    programs: dict[Program, None] = {}  # the distinct programs of f's boxes
+def _program_atom_census(f: PdlFormula) -> tuple[set[str], set[str]]:
+    """The program atoms of f's boxes that occur bare, and those that occur
+    as the body of a star: one walk over f's distinct nodes."""
+    bare, starred = set(), set()
     seen = {f}
     stack = [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, BoxP):
-            programs[g.prog] = None
-            kids: tuple = (g.body,)
-        elif isinstance(g, (PdlAnd, PdlOr)):
-            kids = (g.left, g.right)
-        elif isinstance(g, Neg):
-            kids = (g.body,)
+        if type(g) is PAtom:
+            bare.add(g.name)
+        elif type(g) is Star and type(g.body) is PAtom:
+            starred.add(g.body.name)
         else:
-            continue
-        for h in kids:
-            if h not in seen:
-                seen.add(h)
-                stack.append(h)
-    starred, bare = set(), set()
-    work = list(programs)
-    while work:
-        p = work.pop()
-        if isinstance(p, Star) and isinstance(p.body, PAtom):
-            starred.add(p.body.name)
-            continue
-        if isinstance(p, PAtom):
-            bare.add(p.name)
-            continue
-        for q in (p.body,) if isinstance(p, Star) else (p.left, p.right):
-            if q not in programs:
-                programs[q] = None
-                work.append(q)
+            for h in CHILDREN[type(g)].nodes(g):
+                if h not in seen:
+                    seen.add(h)
+                    stack.append(h)
+    return bare, starred
+
+
+def program_atoms(f: PdlFormula) -> list[str]:
+    """Program atom names occurring in f's boxes, lexicographically sorted."""
+    bare, starred = _program_atom_census(f)
+    return sorted(bare | starred)
+
+
+def starred_only_atoms(f: PdlFormula) -> set[str]:
+    """Program atom names that occur in f only as the body of a star."""
+    bare, starred = _program_atom_census(f)
     return starred - bare
 
 
-def program_size(p: Program) -> int:
-    if isinstance(p, PAtom):
-        return 1
-    if isinstance(p, Comp):
-        return 1 + program_size(p.left) + program_size(p.right)
-    if isinstance(p, Star):
-        return 1 + program_size(p.body)
-    raise TypeError(f"unknown program node {type(p).__name__}")
-
-
-def formula_size(f: AnyFormula) -> int:
-    """Total AST node count; a program-boxed modality counts 1 plus its
-    program's nodes."""
-    if isinstance(f, (Bot, Atom, PdlAtom)):
-        return 1
-    if isinstance(f, BoxP):
-        return 1 + program_size(f.prog) + formula_size(f.body)
-    return 1 + sum(formula_size(c) for c in _children(f))
+def formula_size(f) -> int:
+    """Total AST node count, programs included: a program-boxed modality
+    counts 1 plus its program's nodes."""
+    size = 0
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        size += 1
+        stack.extend(CHILDREN[type(g)].nodes(g))
+    return size
 
 
 # Per fragment: the node classes it admits, and the programs its boxes may
@@ -638,14 +621,23 @@ _ADMITTED[None] = (frozenset((PdlAtom, Neg, PdlAnd, PdlOr, BoxP)), None)
 
 
 def check_fragment(f: AnyFormula, tag: "FragmentTag | None") -> bool:
-    """True iff every node of f is permitted by the tag's row of
-    `FRAGMENTS` (None: by test-free PDL); KeyError for an unknown tag."""
+    """True iff every node of f is admitted at its position by the tag's
+    row of `FRAGMENTS` (None: by test-free PDL); KeyError for an unknown
+    tag.  A node's class is checked before its children are read."""
     classes, programs = _ADMITTED[tag]
-    stack = [f]
+    stack, boxed = [f], []
     while stack:
         g = stack.pop()
-        if type(g) not in classes or (type(g) is BoxP and programs is not None
-                                      and g.prog not in programs):
+        if type(g) not in classes:
             return False
-        stack.extend(_children(g))
+        kids = CHILDREN[type(g)]
+        stack.extend(kids.formulas(g))
+        boxed.extend(kids.programs(g))
+    if programs is not None:
+        return programs.issuperset(boxed)
+    while boxed:
+        p = boxed.pop()
+        if type(p) not in (PAtom, Comp, Star):
+            return False
+        boxed.extend(CHILDREN[type(p)].programs(p))
     return True

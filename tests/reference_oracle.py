@@ -21,7 +21,7 @@ from ckstar.oracle import (
 from ckstar.relmodel import BiModel, PdlModel, Relation
 from ckstar.semantics import extension, pdl_extension
 from ckstar.solver import check_input
-from ckstar.syntax import program_atoms, variables
+from ckstar.syntax import program_atoms
 
 
 def enumerate_models(spec: EnumSpec) -> Iterator[BiModel]:
@@ -47,11 +47,10 @@ def enumerate_pdl_models(max_worlds: int, prog_atoms: tuple[str, ...],
 def reference_decide(logic: str, f, spec: EnumSpec) -> tuple[BoundedVerdict, int]:
     """`brute_force_decide`, one model at a time, and the number of models
     it passed before the answer."""
-    row = check_input(logic, f)
+    row, atoms = check_input(logic, f)
     if row.classical:
         prog_atoms = ("a",) if row.kind == "k" else tuple(program_atoms(f))
-        models = enumerate_pdl_models(spec.max_worlds, prog_atoms,
-                                      tuple(variables(f)))
+        models = enumerate_pdl_models(spec.max_worlds, prog_atoms, atoms)
         evaluate = pdl_extension
     else:
         models = enumerate_models(EnumSpec(spec.max_worlds, spec.atoms, row.kind))

@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -17,12 +19,26 @@ from ckstar.oracle import (
 from ckstar.relmodel import BiModel, Relation, dump_model, validate
 from ckstar.solver import LOGIC_TABLE, LOGICS, decide
 from ckstar.syntax import (
+    MAX_DEPTH,
+    And,
     Atom,
+    Bot,
     Box,
+    BoxP,
+    BoxStar,
+    Comp,
+    Dia,
+    DiaStar,
     FragmentError,
     FragmentTag,
+    Imp,
+    Neg,
+    Or,
+    PAtom,
     PdlAnd,
     PdlAtom,
+    PdlOr,
+    Star,
     check_fragment,
     formula_size,
     parse_formula,
@@ -164,6 +180,66 @@ def test_pdl_input_is_checked_node_by_node():
         decide("pdl", f)
     with pytest.raises(FragmentError):
         brute_force_decide("pdl", f, EnumSpec(1, ("p", "q")))
+
+
+_P, _Q, _A = Atom("p"), PdlAtom("p"), PAtom("a")
+# A well-formed node of every class, and a string, to put in every position.
+_FILLERS = (Bot(), _P, And(_P, _P), Or(_P, _P), Imp(_P, _P), Box(_P), Dia(_P),
+            BoxStar(_P), DiaStar(_P), _A, Comp(_A, _A), Star(_A), _Q, Neg(_Q),
+            PdlAnd(_Q, _Q), PdlOr(_Q, _Q), BoxP(_A, _Q), "x")
+
+
+def _placed(node, fillers) -> list:
+    """node with each filler in turn at each of its child positions."""
+    return [dataclasses.replace(node, **{field.name: filler})
+            for field in dataclasses.fields(node)
+            if not isinstance(getattr(node, field.name), str)
+            for filler in fillers]
+
+
+# Every class in every position one level down, and those trees again
+# under a constructive box and in both positions of a PDL box, so that a
+# bad node also sits below a good one, as in a box over `Star(Box(p))`.
+_ONE_LEVEL = [t for node in _FILLERS[:-1] for t in _placed(node, _FILLERS)]
+_HAND_BUILT = _ONE_LEVEL + [t for node in (Box(_P), BoxP(_A, _Q))
+                            for t in _placed(node, _ONE_LEVEL)]
+
+
+def test_hand_built_trees_end_in_documented_errors():
+    spec = EnumSpec(1, ("p",))
+    for f in _HAND_BUILT:
+        for logic in LOGICS:  # FragmentError is a ValueError
+            with contextlib.suppress(ValueError):
+                decide(logic, f)
+            with contextlib.suppress(ValueError):
+                brute_force_decide(logic, f, spec)
+        with contextlib.suppress(TypeError):
+            render(f)
+
+
+def _chain(make, leaf, n: int):
+    for _ in range(n):
+        leaf = make(leaf)
+    return leaf
+
+
+# Trees of n nested operators on one branch, and a logic that admits them.
+_DEEP = {"box": ("ck_star", lambda n: _chain(Box, _P, n)),
+         "negation": ("pdl", lambda n: _chain(Neg, _Q, n)),
+         "program": ("pdl", lambda n: BoxP(_chain(Star, _A, n - 1), _Q))}
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEP))
+def test_the_gate_refuses_trees_nested_past_the_depth_cap(shape):
+    logic, tree = _DEEP[shape]
+    spec = EnumSpec(1, ("p",))
+    decide(logic, tree(MAX_DEPTH))
+    brute_force_decide(logic, tree(MAX_DEPTH), spec)
+    for n in (MAX_DEPTH + 1, 1200):
+        with pytest.raises(FragmentError, match="nests more than"):
+            decide(logic, tree(n))
+        with pytest.raises(FragmentError, match="nests more than"):
+            brute_force_decide(logic, tree(n), spec)
 
 
 def test_brute_force_pdl():

@@ -156,8 +156,7 @@ def enumerate_small_pdl(sizes, atoms=("p",)):
         for f in by_size.get(s - 1, []):
             layer.append(Neg(f))
         for prog in progs:
-            from ckstar.syntax import program_size
-            cost = 1 + program_size(prog)
+            cost = 1 + formula_size(prog)
             for f in by_size.get(s - cost, []):
                 layer.append(BoxP(prog, f))
         for i in range(1, s - 1):
