@@ -225,88 +225,78 @@ class _Tableau:
         self.closure = fl_closure(goal)
         kinds = self.kind = self.closure.kind
         args = self.args = self.closure.args
+        # One pass over the members.  Per member code: its plan entry (a
+        # literal, an add-all or a branch), its bit in the code masks that
+        # _process and extract read, and its watch entries.  watch[c]: the
+        # branch codes whose unit rule can fire once c is present, namely c
+        # itself and those with a kid that c refutes.  carries[c]: the
+        # program atom x of true box c and the code that each x-demand gets
+        # from it: [x]B gives B, and [x*]B itself.
+        plan = self.plan = []
+        watch = self.watch = [[] for _ in range(2 * len(kinds))]
+        carries = self.carries = {}
+        starred: list[int] = []
+        branches = modals_false = atoms_true = 0
+        for m, (k, a) in enumerate(zip(kinds, args)):
+            false, true = m << 1, m << 1 | 1
+            if k == _ATOM or k == _BOX_A:
+                entries = (_LIT, ()), (_LIT, ())
+            elif k == _NEG:
+                entries = (_DET, (a << 1 | 1,)), (_DET, (a << 1,))
+            elif k == _BOX_C:
+                entries = (_DET, (a << 1,)), (_DET, (a << 1 | 1,))
+            else:
+                kids = (a[0] << 1, a[1] << 1)
+                both = (kids[0] | 1, kids[1] | 1)
+                # _BOX_S: body here, and again after one program step.
+                # _BOX_P: body here; false here or after one x-step.  A false
+                # one is met once its body fails here, so it branches as a
+                # connective, unless an automaton below walks through it.
+                entries = ((_DET, kids), (_BRANCH, both)) if k == _OR else (
+                    (_BRANCH_STAR if k == _BOX_S else _BRANCH, kids),
+                    (_DET, both[:1] if k == _BOX_P else both))
+            for c, (mode, kids) in enumerate(entries, false):
+                plan.append((mode, kids))
+                if mode >= _BRANCH:
+                    branches |= 1 << c
+                    for w in (c, *(kid ^ 1 for kid in kids)):
+                        watch[w].append(c)
+            if k == _ATOM:
+                atoms_true |= 1 << true
+            elif k == _BOX_A:
+                carries[true] = (a[0], a[1] << 1 | 1)
+                modals_false |= 1 << false
+            elif k == _BOX_P:
+                carries[true] = (args[a[1]][0], true)
+            elif k == _BOX_S:
+                modals_false |= 1 << false
+                starred.append(m)
+        self.branches, self.modals_false, self.atoms_true = (
+            branches, modals_false, atoms_true)
+        self.boxes_true = mask_of(carries)
         # Every program atom of the goal ends up in an atomic box once
-        # compound programs are unfolded.
-        self.alphabet = sorted({a[0] for k, a in zip(kinds, args) if k == _BOX_A})
+        # compound programs are unfolded, and every atomic box carries.
+        self.alphabet = sorted({x for x, _ in carries.values()})
         # Fulfilment marks: one bit per (star family, automaton state), so a
         # state's marks are one int.  refutes[c]: the accepting bits of the
         # families whose body code c refutes; steps[x]: (shift, select mask)
-        # pairs that map a demand's marks back over an x-step; walked: the
-        # preorder boxes that are automaton states.
+        # pairs that map a demand's marks back over an x-step.
         self.start_bit: dict[int, int] = {}
         self.refutes: dict[int, int] = defaultdict(int)
         selects = {x: defaultdict(int) for x in self.alphabet}
-        walked = set()
         width = 0
-        for m in [m for m, k in enumerate(kinds) if k == _BOX_S]:
-            accepting, states, rev = self._automaton(m)
-            walked.update(s for s in states if kinds[s] == _BOX_P)
+        for m in starred:
+            accepting, states, moves = self._automaton(m)
             self.start_bit[m] = 1 << width
-            code = args[m][0] << 1
-            self.refutes[code] |= sum(1 << width + r for r in accepting)
-            for x, preds in rev.items():
-                for r2, sources in enumerate(preds):
-                    for r1 in sources:
-                        selects[x][r2 - r1] |= 1 << width + r2
+            self.refutes[args[m][0] << 1] |= sum(1 << width + r for r in accepting)
+            for x, r1, r2 in moves:
+                selects[x][r2 - r1] |= 1 << width + r2
+            for s in states:
+                if kinds[s] == _BOX_P:
+                    plan[s << 1] = (_BRANCH_STAR, plan[s << 1][1])
             width += len(states)
         self.steps = {x: tuple(sel.items()) for x, sel in selects.items()}
         self.refuting = mask_of(self.refutes)
-        # Decomposition plan per member code: literal, add-all, or branch.
-        plan: list[tuple] = []
-        for m, (k, a) in enumerate(zip(kinds, args)):
-            for sign in (0, 1):
-                if k in (_ATOM, _BOX_A):
-                    plan.append((_LIT, ()))
-                elif k == _NEG:
-                    plan.append((_DET, (a << 1 | (sign ^ 1),)))
-                elif k == _AND:
-                    kids = (a[0] << 1 | sign, a[1] << 1 | sign)
-                    plan.append((_DET, kids) if sign else (_BRANCH, kids))
-                elif k == _OR:
-                    kids = (a[0] << 1 | sign, a[1] << 1 | sign)
-                    plan.append((_BRANCH, kids) if sign else (_DET, kids))
-                elif k == _BOX_C:
-                    plan.append((_DET, (a << 1 | sign,)))
-                else:
-                    # _BOX_S: body here, and again after one program step.
-                    # _BOX_P: body here; false here or after one x-step.  A
-                    # false one that no automaton walks through is met once
-                    # its body fails here, so it branches as a connective.
-                    kids = (a[0] << 1 | sign, a[1] << 1 | sign)
-                    if sign:
-                        plan.append((_DET, kids if k == _BOX_S else kids[:1]))
-                    elif k == _BOX_P and m not in walked:
-                        plan.append((_BRANCH, kids))
-                    else:
-                        plan.append((_BRANCH_STAR, kids))
-        self.plan = plan
-        # Code masks by the phase of _process or extract that reads them.
-        self.branches = mask_of(
-            c for c, (mode, _) in enumerate(plan)
-            if mode in (_BRANCH, _BRANCH_STAR))
-        # carries[c]: the program atom x of true box c and the code that
-        # each x-demand gets from it: [x]B gives B, and [x*]B itself.
-        self.carries: dict[int, tuple] = {}
-        for m, (k, a) in enumerate(zip(kinds, args)):
-            if k == _BOX_A:
-                self.carries[m << 1 | 1] = (a[0], a[1] << 1 | 1)
-            elif k == _BOX_P:
-                self.carries[m << 1 | 1] = (args[a[1]][0], m << 1 | 1)
-        self.boxes_true = mask_of(self.carries)
-        self.modals_false = mask_of(
-            c for c in range(len(plan))
-            if not c & 1 and kinds[c >> 1] in (_BOX_A, _BOX_S))
-        self.atoms_true = mask_of(
-            c for c in range(len(plan)) if c & 1 and kinds[c >> 1] == _ATOM)
-        # watch[c]: the branch members whose unit rule can fire once c is
-        # present, namely c itself and those with a kid that c refutes.
-        watch: list[list[int]] = [[] for _ in plan]
-        for b, (mode, kids) in enumerate(plan):
-            if mode in (_BRANCH, _BRANCH_STAR):
-                watch[b].append(b)
-                for k in kids:
-                    watch[k ^ 1].append(b)
-        self.watch = watch
         self.marker_base = 2 * len(kinds)
         # ids: every mask a state was discovered under, unclosed or closed,
         # to its id, or to None if it clashes.  Per state id: the closed
@@ -622,8 +612,9 @@ class _Tableau:
     def _automaton(self, member: int) -> tuple:
         """Word automaton of a starred box member [P*]B, read off the node
         table: accepting state indices, the states (closure indices), and
-        reversed transitions by letter as one list of predecessor indices
-        per state index.  State 0, the member itself, is the start.
+        the transitions as one list of (letter, from index, to index)
+        triples, in the order the walk finds them.  State 0, the member
+        itself, is the start.
 
         The states are the member itself, the body D of every atomic box
         [x]D its unfolding reaches and every preorder box [x*]D it reaches.
@@ -636,8 +627,7 @@ class _Tableau:
         body = args[member][0]
         states = [member]
         pos = {member: 0}
-        accepting = []
-        rev: dict = {x: [[]] for x in self.alphabet}
+        accepting, moves = [], []
         for i, s in enumerate(states):  # grows while it is read
             seen = {s}
             work = [s]
@@ -652,16 +642,14 @@ class _Tableau:
                     if d not in pos:
                         pos[d] = len(states)
                         states.append(d)
-                        for preds in rev.values():
-                            preds.append([])
-                    rev[x][pos[d]].append(i)
+                    moves.append((x, i, pos[d]))
                 if k != _BOX_A:  # the moves that read no letter
                     for h in ((args[g],) if k == _BOX_C else
                               args[g] if k == _BOX_S else args[g][:1]):
                         if h not in seen:
                             seen.add(h)
                             work.append(h)
-        return tuple(accepting), states, rev
+        return tuple(accepting), states, moves
 
     def _witness(self, node: int, member: int) -> list:
         """A shortest path that fulfils eventuality member of saturated
@@ -871,18 +859,19 @@ LOGICS = tuple(LOGIC_TABLE)
 def check_input(logic: str, f) -> "tuple[Logic, tuple[str, ...]]":
     """The table row of `logic` and f's atom names (`variables(f)`), after
     checking that f is in its input language: ValueError for an unknown
-    logic, FragmentError for f.  Each node must sit where the language
-    admits it, within MAX_DEPTH levels as in the parsers.  Logics with
-    fallible countermodels (kind ck or cs4) refuse the atom p_bot: `omega`
-    carries the fallible worlds into the infallible logics as that atom.
-    The parsers read p_bot as an atom."""
+    logic, FragmentError for f.  First f must have at most MAX_DEPTH levels
+    and MAX_NODES node occurrences (`depth_error`), so later walks are
+    bounded.  Then each node must sit where the language admits it, with
+    string leaf names.  Logics with fallible countermodels (kind ck or cs4)
+    refuse the atom p_bot: `omega` carries the fallible worlds into the
+    infallible logics as that atom.  The parsers read p_bot as an atom."""
     row = LOGIC_TABLE.get(logic)
     if row is None:
         raise ValueError(f"unknown logic {logic!r}")
-    if not check_fragment(f, row.language):
-        raise FragmentError(f"formula is not in the input language of {logic}")
     if (error := depth_error(f)) is not None:
         raise FragmentError(error)
+    if not check_fragment(f, row.language):
+        raise FragmentError(f"formula is not in the input language of {logic}")
     atoms = tuple(variables(f))
     if row.kind in ("ck", "cs4") and P_BOT in atoms:
         raise FragmentError(

@@ -31,6 +31,9 @@ PROGRAM_ATOMS = ("i", "m", "a")
 # within Python's default recursion limit.  Node hashes do not recurse: each
 # is computed once, when its node is built (see `_node`).
 MAX_DEPTH = 100
+# Most node occurrences in a checked formula, programs included: a walk
+# over a hand-built tree that shares subtrees counts paths, not nodes.
+MAX_NODES = 1_000_000
 
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*")
 
@@ -526,11 +529,17 @@ def rebuild(f: Formula, fn: Callable) -> Formula:
 
 
 def depth_error(f) -> "str | None":
-    """The error if f nests more than MAX_DEPTH operators on one branch,
-    programs included, else None; walked level by level, not recursively."""
-    level = [f]
+    """The error if f nests more than MAX_DEPTH operators on one branch or
+    has more than MAX_NODES node occurrences, programs included, else None;
+    walked level by level, not recursively.  An object of a class that is
+    no syntax node counts as a leaf."""
+    level, count = [f], 1
     for _ in range(MAX_DEPTH + 1):
-        level = [k for g in level for k in CHILDREN[type(g)].nodes(g)]
+        level = [k for g in level if type(g) in CHILDREN
+                 for k in CHILDREN[type(g)].nodes(g)]
+        count += len(level)
+        if count > MAX_NODES:
+            return f"formula has more than {MAX_NODES} nodes"
         if not level:
             return None
     return f"formula nests more than {MAX_DEPTH} operators"
@@ -622,8 +631,9 @@ _ADMITTED[None] = (frozenset((PdlAtom, Neg, PdlAnd, PdlOr, BoxP)), None)
 
 def check_fragment(f: AnyFormula, tag: "FragmentTag | None") -> bool:
     """True iff every node of f is admitted at its position by the tag's
-    row of `FRAGMENTS` (None: by test-free PDL); KeyError for an unknown
-    tag.  A node's class is checked before its children are read."""
+    row of `FRAGMENTS` (None: by test-free PDL) and every leaf name is a
+    string; KeyError for an unknown tag.  A node's class is checked before
+    its children are read."""
     classes, programs = _ADMITTED[tag]
     stack, boxed = [f], []
     while stack:
@@ -631,13 +641,17 @@ def check_fragment(f: AnyFormula, tag: "FragmentTag | None") -> bool:
         if type(g) not in classes:
             return False
         kids = CHILDREN[type(g)]
-        stack.extend(kids.formulas(g))
-        boxed.extend(kids.programs(g))
+        if kids.arity:
+            stack.extend(kids.formulas(g))
+            boxed.extend(kids.programs(g))
+        elif not isinstance(getattr(g, "name", ""), str):
+            return False
     if programs is not None:
         return programs.issuperset(boxed)
     while boxed:
         p = boxed.pop()
-        if type(p) not in (PAtom, Comp, Star):
+        if type(p) not in (PAtom, Comp, Star) or (
+                type(p) is PAtom and not isinstance(p.name, str)):
             return False
         boxed.extend(CHILDREN[type(p)].programs(p))
     return True

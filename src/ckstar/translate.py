@@ -10,7 +10,8 @@ fact the tests check.
 
 `omega` and `kappa` stay in the constructive language and rebuild each
 node with `syntax.rebuild`; `tau` and `kstar_to_lstar` change language,
-so they spell out every node class.  The long conjunctions, omega's
+so they spell out every node class (`kstar_to_lstar` reads each distinct
+subformula once, as the evaluators do).  The long conjunctions, omega's
 falsum image and iota's antecedent, are built balanced.
 """
 
@@ -66,8 +67,6 @@ _M = PAtom("m")
 _I_STAR = Star(_I)
 # kappa's reading of the base modalities.
 _MASTER = {Box: BoxStar, Dia: DiaStar}
-# iota's reading of the single-program fragment's box programs.
-_KSTAR_BOXES = {PAtom("a"): Box, Star(PAtom("a")): BoxStar}
 
 
 def _conjunction(parts: list) -> Formula:
@@ -123,42 +122,39 @@ def tau(f: Formula) -> PdlFormula:
     raise TypeError(f"unknown formula node {type(f).__name__}")
 
 
+def _kstar_images(f: PdlFormula) -> dict:
+    """Each distinct subformula of a single-program classical formula f, in
+    `subformulas` order, to its reading in the diamond-free constructive
+    language: [a] becomes box, [a*] the master box, and negation becomes
+    implication into falsum."""
+    if not check_fragment(f, FragmentTag.LK_STAR):
+        raise FragmentError("formula is not in the single-program fragment")
+    image: dict = {}
+    for g in subformulas(f):
+        if isinstance(g, PdlAtom):
+            h = Atom(g.name)
+        elif isinstance(g, Neg):
+            h = Imp(image[g.body], Bot())
+        elif isinstance(g, (PdlAnd, PdlOr)):
+            h = (And if isinstance(g, PdlAnd) else Or)(image[g.left], image[g.right])
+        else:  # a box over a or a*
+            h = (BoxStar if isinstance(g.prog, Star) else Box)(image[g.body])
+        image[g] = h
+    return image
+
+
 def kstar_to_lstar(f: PdlFormula) -> Formula:
-    """Read a single-program classical formula in the diamond-free
-    constructive language: [a] becomes box, [a*] the master box, and
-    negation becomes implication into falsum."""
-    if isinstance(f, PdlAtom):
-        return Atom(f.name)
-    if isinstance(f, Neg):
-        return Imp(kstar_to_lstar(f.body), Bot())
-    if isinstance(f, PdlAnd):
-        return And(kstar_to_lstar(f.left), kstar_to_lstar(f.right))
-    if isinstance(f, PdlOr):
-        return Or(kstar_to_lstar(f.left), kstar_to_lstar(f.right))
-    if isinstance(f, BoxP):
-        box = _KSTAR_BOXES.get(f.prog)
-        if box is None:
-            raise FragmentError("program outside the single-program fragment")
-        return box(kstar_to_lstar(f.body))
-    raise TypeError(f"unknown PDL node {type(f).__name__}")
-
-
-def iota_antecedent(f: PdlFormula) -> Formula:
-    """Excluded middle, master-boxed, for every subformula of f (read
-    constructively), in deterministic subformula order."""
-    conjuncts = []
-    for sub in subformulas(f):
-        mapped = kstar_to_lstar(sub)
-        conjuncts.append(Or(mapped, Imp(mapped, Bot())))
-    return BoxStar(_conjunction(conjuncts))
+    """f read in the diamond-free constructive language (`_kstar_images`)."""
+    return _kstar_images(f)[f]
 
 
 def iota(f: PdlFormula) -> Formula:
     """Embed the classical single-program fragment into the diamond-free
-    constructive language."""
-    if not check_fragment(f, FragmentTag.LK_STAR):
-        raise FragmentError("formula is not in the single-program fragment")
-    return Imp(iota_antecedent(f), kstar_to_lstar(f))
+    constructive language.  The antecedent is excluded middle, master-boxed,
+    for the reading of every subformula of f, in `subformulas` order."""
+    image = _kstar_images(f)
+    conjuncts = [Or(h, Imp(h, Bot())) for h in image.values()]
+    return Imp(BoxStar(_conjunction(conjuncts)), image[f])
 
 
 def kappa(f: Formula) -> Formula:

@@ -16,6 +16,8 @@ The package does not ship it.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 
 def reference_alive(engine, present=None) -> bytearray:
     """States of `engine` (a `ckstar.solver._Tableau`) that survive
@@ -88,7 +90,10 @@ def fulfilled(engine, member: int, rev_steps: list, saturated: list) -> bytearra
     reaches an alive saturated state demanding the body false, as one byte
     per state id.  rev_steps and saturated are those of `alive_steps`."""
     body = engine.args[member][0]
-    accepting, automaton_states, rev_aut = engine._automaton(member)
+    accepting, automaton_states, moves = engine._automaton(member)
+    preds = defaultdict(list)  # (letter, to state): its from states
+    for x, r1, r2 in moves:
+        preds[x, r2].append(r1)
     bad_code = body << 1
     states = engine.states
     marks = [bytearray(len(states)) for _ in automaton_states]
@@ -102,7 +107,7 @@ def fulfilled(engine, member: int, rev_steps: list, saturated: list) -> bytearra
         u2, r2 = work.pop()
         for x, u1 in rev_steps[u2]:
             # A decomposition step reads no letter.
-            for r1 in (r2,) if x is None else rev_aut[x][r2]:
+            for r1 in (r2,) if x is None else preds[x, r2]:
                 if not marks[r1][u1]:
                     marks[r1][u1] = 1
                     work.append((u1, r1))

@@ -183,10 +183,12 @@ def test_pdl_input_is_checked_node_by_node():
 
 
 _P, _Q, _A = Atom("p"), PdlAtom("p"), PAtom("a")
-# A well-formed node of every class, and a string, to put in every position.
+# A well-formed node of every class, a leaf of each named class whose name
+# is no string, and a string, to put in every position.
 _FILLERS = (Bot(), _P, And(_P, _P), Or(_P, _P), Imp(_P, _P), Box(_P), Dia(_P),
             BoxStar(_P), DiaStar(_P), _A, Comp(_A, _A), Star(_A), _Q, Neg(_Q),
-            PdlAnd(_Q, _Q), PdlOr(_Q, _Q), BoxP(_A, _Q), "x")
+            PdlAnd(_Q, _Q), PdlOr(_Q, _Q), BoxP(_A, _Q),
+            Atom(3), PdlAtom(3), PAtom(3), "x")
 
 
 def _placed(node, fillers) -> list:
@@ -240,6 +242,22 @@ def test_the_gate_refuses_trees_nested_past_the_depth_cap(shape):
             decide(logic, tree(n))
         with pytest.raises(FragmentError, match="nests more than"):
             brute_force_decide(logic, tree(n), spec)
+
+
+def test_the_gate_refuses_trees_past_the_node_cap():
+    # Each level shares its subtree twice, so 40 levels are 2^41 - 1 node
+    # occurrences over 41 distinct nodes: a walk that counts paths never
+    # ends, and the gate must refuse the tree by the node count first.
+    def shared(n):
+        return _chain(lambda g: And(g, g), _P, n)
+
+    spec = EnumSpec(1, ("p",))
+    with alarm(5, "gate on a tree of shared subtrees"):
+        decide("ck_star", shared(10))  # 2,047 occurrences: within the cap
+        for run in (lambda: decide("ck_star", shared(40)),
+                    lambda: brute_force_decide("ck_star", shared(40), spec)):
+            with pytest.raises(FragmentError, match="nodes"):
+                run()
 
 
 def test_brute_force_pdl():

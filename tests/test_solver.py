@@ -255,15 +255,15 @@ def test_star_automaton_accepts_exactly_the_star_language():
     for _ in range(200):
         star = Star(random_program(rng, 3))
         engine = solver._Tableau(Neg(BoxP(star, p)))
-        accepting, states, rev = engine._automaton(
+        accepting, states, moves = engine._automaton(
             engine.closure.index[BoxP(star, p)])
         letters = engine.alphabet
         for length in range(5):
             for word in itertools.product(letters, repeat=length):
                 current = {0}  # the start state
                 for x in word:
-                    current = {r for r in range(len(states))
-                               if not current.isdisjoint(rev[x][r])}
+                    current = {r2 for y, r1, r2 in moves
+                               if y == x and r1 in current}
                 relation = program_relation(path_model(word, letters), star)
                 assert (not current.isdisjoint(accepting)) == relation.has(0, length), \
                     (render(BoxP(star, p)), word)

@@ -19,7 +19,7 @@ from ckstar.relmodel import (
 )
 from ckstar.semantics import InvalidModelError, extension, pdl_extension
 from ckstar.syntax import P_BOT, FragmentError, FragmentTag, PdlFormula, check_fragment
-from ckstar.translate import TranslationError, _validated, iota_antecedent
+from ckstar.translate import TranslationError, _validated, iota
 
 
 def identity(n: int) -> Relation:
@@ -75,7 +75,7 @@ def wk_generated_classical(
     _validated(m, "wk")
     if not check_fragment(f, FragmentTag.LK_STAR):
         raise FragmentError("formula is not in the single-program fragment")
-    u_mask = extension(m, iota_antecedent(f))
+    u_mask = extension(m, iota(f).left)  # iota's antecedent
     generated = m.pre.union(m.mod).forward_closure(u_mask)
     keep = bits_of(generated)
     val = {name: restrict_mask(ws, keep) for name, ws in m.val.items()}
