@@ -1,12 +1,16 @@
 """Satisfaction over finite models.
 
-Extensions are computed bottom-up per subformula as world bitmasks, which
-makes truth persistence and validity checks set operations.  The master
-box reads over the iterated relation (pre;mod)*; the tests check that the
-coarser reading over (pre;mod*)* agrees with it on CK models.
+Extensions are computed bottom-up, once per distinct subformula (by
+`syntax.images`, from a table of clauses), as world bitmasks, which makes
+truth persistence and validity checks set operations.  The master box reads
+over the iterated relation (pre;mod)*; the tests check that the coarser
+reading over (pre;mod*)* agrees with it on CK models.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
+from types import SimpleNamespace
 
 from .relmodel import (
     BiModel,
@@ -38,7 +42,7 @@ from .syntax import (
     PdlOr,
     Program,
     Star,
-    subformulas,
+    images,
 )
 
 
@@ -54,47 +58,36 @@ class UnknownProgramAtomError(ValueError):
     pass
 
 
+class _Frame:
+    """A bi-model and its relations pre;mod, mod* and (pre;mod)*, each built
+    the first time a rule reads it."""
+
+    def __init__(self, m: BiModel):
+        self.m = m
+
+    pre_mod = cached_property(lambda self: rel_compose(self.m.pre, self.m.mod))
+    mod_star = cached_property(lambda self: rel_star(self.m.mod))
+    box_star = cached_property(lambda self: rel_star(self.pre_mod))
+
+
+# The constructive clauses, one rule per node class, over a `_Frame`.
+_EXTENSION = {
+    Bot: lambda g, ext, c: c.m.bot,
+    Atom: lambda g, ext, c: c.m.val_mask(g.name),
+    And: lambda g, ext, c: ext[g.left] & ext[g.right],
+    Or: lambda g, ext, c: ext[g.left] | ext[g.right],
+    Imp: lambda g, ext, c: c.m.pre.box(~ext[g.left] | ext[g.right]),
+    Box: lambda g, ext, c: c.pre_mod.box(ext[g.body]),
+    BoxStar: lambda g, ext, c: c.box_star.box(ext[g.body]),
+    Dia: lambda g, ext, c: c.m.pre.box(c.m.mod.dia(ext[g.body])),
+    # The clause takes a single intuitionistic step, then R*.
+    DiaStar: lambda g, ext, c: c.m.pre.box(c.mod_star.dia(ext[g.body])),
+}
+
+
 def extension(m: BiModel, f: Formula) -> int:
-    """Bitmask of worlds satisfying f, computed per subformula."""
-    cache: dict[str, Relation] = {}
-
-    def relation(key: str) -> Relation:
-        if key not in cache:
-            if key == "pre_mod":
-                cache[key] = rel_compose(m.pre, m.mod)
-            elif key == "mod_star":
-                cache[key] = rel_star(m.mod)
-            elif key == "box_star":
-                cache[key] = rel_star(relation("pre_mod"))
-            else:
-                raise KeyError(key)
-        return cache[key]
-
-    ext: dict[Formula, int] = {}
-    for g in subformulas(f):
-        if isinstance(g, Bot):
-            e = m.bot
-        elif isinstance(g, Atom):
-            e = m.val_mask(g.name)
-        elif isinstance(g, And):
-            e = ext[g.left] & ext[g.right]
-        elif isinstance(g, Or):
-            e = ext[g.left] | ext[g.right]
-        elif isinstance(g, Imp):
-            e = m.pre.box(~ext[g.left] | ext[g.right])
-        elif isinstance(g, Box):
-            e = relation("pre_mod").box(ext[g.body])
-        elif isinstance(g, BoxStar):
-            e = relation("box_star").box(ext[g.body])
-        elif isinstance(g, Dia):
-            e = m.pre.box(m.mod.dia(ext[g.body]))
-        elif isinstance(g, DiaStar):
-            # The clause takes a single intuitionistic step, then R*.
-            e = m.pre.box(relation("mod_star").dia(ext[g.body]))
-        else:
-            raise TypeError(f"not a constructive formula: {type(g).__name__}")
-        ext[g] = e
-    return ext[f]
+    """Bitmask of worlds satisfying f, computed per distinct subformula."""
+    return images(f, _EXTENSION, _Frame(m))[f]
 
 
 def _check_bimodel(m: BiModel, w: int) -> None:
@@ -134,25 +127,21 @@ def program_relation(m: PdlModel, p: Program,
     return r
 
 
+# The classical clauses; the context holds the model, its full mask and
+# the memo of `program_relation`.
+_PDL_EXTENSION = {
+    PdlAtom: lambda g, ext, c: c.m.val_mask(g.name),
+    Neg: lambda g, ext, c: c.full & ~ext[g.body],
+    PdlAnd: lambda g, ext, c: ext[g.left] & ext[g.right],
+    PdlOr: lambda g, ext, c: ext[g.left] | ext[g.right],
+    BoxP: lambda g, ext, c: program_relation(c.m, g.prog, c.memo).box(ext[g.body]),
+}
+
+
 def pdl_extension(m: PdlModel, f: PdlFormula) -> int:
-    full = m.full_mask()
-    memo: dict[Program, Relation] = {}
-    ext: dict[PdlFormula, int] = {}
-    for g in subformulas(f):
-        if isinstance(g, PdlAtom):
-            e = m.val_mask(g.name)
-        elif isinstance(g, Neg):
-            e = full & ~ext[g.body]
-        elif isinstance(g, PdlAnd):
-            e = ext[g.left] & ext[g.right]
-        elif isinstance(g, PdlOr):
-            e = ext[g.left] | ext[g.right]
-        elif isinstance(g, BoxP):
-            e = program_relation(m, g.prog, memo).box(ext[g.body])
-        else:
-            raise TypeError(f"not a PDL formula: {type(g).__name__}")
-        ext[g] = e
-    return ext[f]
+    """Bitmask of worlds satisfying f, computed per distinct subformula."""
+    return images(f, _PDL_EXTENSION,
+                  SimpleNamespace(m=m, full=m.full_mask(), memo={}))[f]
 
 
 def pdl_satisfies(m: PdlModel, w: int, f: PdlFormula) -> bool:

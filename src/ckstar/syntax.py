@@ -26,10 +26,10 @@ P_BOT = "p_bot"
 FALSUM_WORD = "false"
 PROGRAM_ATOMS = ("i", "m", "a")
 # Most operators on one branch of a parsed formula, and most nested
-# parentheses.  The translations, printers, evaluators and node equality
-# recurse once per level or more; every logic decides a formula this deep
-# within Python's default recursion limit.  Node hashes do not recurse: each
-# is computed once, when its node is built (see `_node`).
+# parentheses.  `images` (under every formula map and evaluator), the
+# printers and node equality recurse once per level; every logic decides a
+# formula this deep within Python's default recursion limit.  Node hashes do
+# not recurse: each is computed once, when its node is built (see `_node`).
 MAX_DEPTH = 100
 # Most node occurrences in a checked formula, programs included: a walk
 # over a hand-built tree that shares subtrees counts paths, not nodes.
@@ -521,13 +521,6 @@ def _render_prog(p: Program, minimum: int) -> str:
 # Structural metadata
 
 
-def rebuild(f: Formula, fn: Callable) -> Formula:
-    """f's constructive node over fn applied to each of its children; a
-    leaf is returned as it is."""
-    kids = CHILDREN[type(f)].formulas(f)
-    return type(f)(*map(fn, kids)) if kids else f
-
-
 def depth_error(f) -> "str | None":
     """The error if f nests more than MAX_DEPTH operators on one branch or
     has more than MAX_NODES node occurrences, programs included, else None;
@@ -545,33 +538,48 @@ def depth_error(f) -> "str | None":
     return f"formula nests more than {MAX_DEPTH} operators"
 
 
+def images(f, rules: dict, context=None) -> dict:
+    """Each distinct subformula g of f, in post-order of first occurrence, to
+    `rules[type(g)](g, image, context)`: a rule reads its children's images
+    from `image`, this dict.  Recurses once per level; programs are not
+    walked.  TypeError for a class with no rule, before its children."""
+    image: dict = {}
+
+    def walk(g) -> None:
+        rule = rules.get(type(g))
+        if rule is None:
+            raise TypeError(f"no rule for {type(g).__name__}")
+        for child in CHILDREN[type(g)].formulas(g):
+            if child not in image:
+                walk(child)
+        image[g] = rule(g, image, context)
+
+    walk(f)
+    return image
+
+
+# A rule for every node class, so `images` with it only lists the nodes.
+_LIST_ONLY = dict.fromkeys(CHILDREN, lambda g, image, context: None)
+
+
 def subformulas(f: AnyFormula) -> list:
     """All subformulas of f, deduplicated, in post-order of first occurrence.
 
     Includes f itself; for PDL formulas programs contribute no members.
     """
-    seen: dict = {}
-
-    def walk(g) -> None:
-        if g in seen:
-            return
-        for child in CHILDREN[type(g)].formulas(g):
-            walk(child)
-        seen[g] = None
-
-    walk(f)
-    return list(seen)
+    return list(images(f, _LIST_ONLY))
 
 
 def variables(f: AnyFormula) -> list[str]:
     """Atom names occurring in f, lexicographically sorted."""
-    names = set()
+    names, seen = set(), set()
     stack = [f]
     while stack:
         g = stack.pop()
         if isinstance(g, (Atom, PdlAtom)):
             names.add(g.name)
-        else:
+        elif g not in seen:  # each distinct node once
+            seen.add(g)
             stack.extend(CHILDREN[type(g)].formulas(g))
     return sorted(names)
 

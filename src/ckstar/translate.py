@@ -8,11 +8,11 @@ modalities.  The model constructions here are the ones `decide` uses to
 map a countermodel back; each is the companion of a truth-preservation
 fact the tests check.
 
-`omega` and `kappa` stay in the constructive language and rebuild each
-node with `syntax.rebuild`; `tau` and `kstar_to_lstar` change language,
-so they spell out every node class (`kstar_to_lstar` reads each distinct
-subformula once, as the evaluators do).  The long conjunctions, omega's
-falsum image and iota's antecedent, are built balanced.
+Each formula map is a table of rules, one per node class, read by
+`syntax.images`: each distinct subformula is mapped once, from its
+children's images, and `omega` and `kappa` rebuild each node they keep
+(`_rebuilt`).  The long conjunctions, omega's falsum image and iota's
+antecedent, are built balanced.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .syntax import (
     Box,
     BoxP,
     BoxStar,
+    CHILDREN,
     Comp,
     Dia,
     DiaStar,
@@ -52,8 +53,7 @@ from .syntax import (
     P_BOT,
     Star,
     check_fragment,
-    rebuild,
-    subformulas,
+    images,
     variables,
 )
 
@@ -65,8 +65,12 @@ class TranslationError(ValueError):
 _I = PAtom("i")
 _M = PAtom("m")
 _I_STAR = Star(_I)
-# kappa's reading of the base modalities.
-_MASTER = {Box: BoxStar, Dia: DiaStar}
+
+
+def _rebuilt(g: Formula, image: dict, context) -> Formula:
+    """The rule keeping g's node over its children's images, or g's leaf."""
+    kids = CHILDREN[type(g)].formulas(g)
+    return type(g)(*map(image.__getitem__, kids)) if kids else g
 
 
 def _conjunction(parts: list) -> Formula:
@@ -85,62 +89,58 @@ def _falsum_image(atoms) -> Formula:
     return BoxStar(And(_conjunction(parts + [Atom(P_BOT)]), Dia(Atom(P_BOT))))
 
 
+# omega's rules: the context is the falsum image.
+_OMEGA = dict.fromkeys((Atom, And, Or, Imp, Box, Dia, BoxStar, DiaStar), _rebuilt)
+_OMEGA[Bot] = lambda g, image, falsum: falsum
+
+
 def omega(f: Formula) -> Formula:
     """Replace every falsum leaf by the master-boxed full conjunction plus a
     seriality witness; identity elsewhere."""
     atoms = variables(f)
     if P_BOT in atoms:
         raise TranslationError(f"{P_BOT!r} must not occur in the input formula")
-    replacement = _falsum_image(atoms)
+    return images(f, _OMEGA, _falsum_image(atoms))[f]
 
-    def walk(g: Formula) -> Formula:
-        return replacement if isinstance(g, Bot) else rebuild(g, walk)
 
-    return walk(f)
+_TAU_BOX = Comp(_I_STAR, _M)
+# tau's rules, one per constructive node class.
+_TAU = {
+    Bot: lambda g, image, _: PdlAnd(PdlAtom(P_BOT), Neg(PdlAtom(P_BOT))),
+    Atom: lambda g, image, _: BoxP(_I_STAR, PdlAtom(g.name)),
+    And: lambda g, image, _: PdlAnd(image[g.left], image[g.right]),
+    Or: lambda g, image, _: PdlOr(image[g.left], image[g.right]),
+    Imp: lambda g, image, _: BoxP(_I_STAR, PdlOr(Neg(image[g.left]), image[g.right])),
+    Box: lambda g, image, _: BoxP(_TAU_BOX, image[g.body]),
+    BoxStar: lambda g, image, _: BoxP(Star(_TAU_BOX), image[g.body]),
+    Dia: lambda g, image, _: BoxP(_I_STAR, Neg(BoxP(_M, Neg(image[g.body])))),
+    DiaStar: lambda g, image, _: BoxP(_I_STAR, Neg(BoxP(Star(_M), Neg(image[g.body])))),
+}
 
 
 def tau(f: Formula) -> PdlFormula:
     """Gödel-Tarski translation into test-free PDL over programs i and m."""
-    if isinstance(f, Bot):
-        return PdlAnd(PdlAtom(P_BOT), Neg(PdlAtom(P_BOT)))
-    if isinstance(f, Atom):
-        return BoxP(_I_STAR, PdlAtom(f.name))
-    if isinstance(f, And):
-        return PdlAnd(tau(f.left), tau(f.right))
-    if isinstance(f, Or):
-        return PdlOr(tau(f.left), tau(f.right))
-    if isinstance(f, Imp):
-        return BoxP(_I_STAR, PdlOr(Neg(tau(f.left)), tau(f.right)))
-    if isinstance(f, Box):
-        return BoxP(Comp(_I_STAR, _M), tau(f.body))
-    if isinstance(f, BoxStar):
-        return BoxP(Star(Comp(_I_STAR, _M)), tau(f.body))
-    if isinstance(f, Dia):
-        return BoxP(_I_STAR, Neg(BoxP(_M, Neg(tau(f.body)))))
-    if isinstance(f, DiaStar):
-        return BoxP(_I_STAR, Neg(BoxP(Star(_M), Neg(tau(f.body)))))
-    raise TypeError(f"unknown formula node {type(f).__name__}")
+    return images(f, _TAU)[f]
+
+
+# The single-program fragment's reading: [a] becomes box, [a*] the master
+# box, and negation becomes implication into falsum.
+_KSTAR = {
+    PdlAtom: lambda g, image, _: Atom(g.name),
+    Neg: lambda g, image, _: Imp(image[g.body], Bot()),
+    PdlAnd: lambda g, image, _: And(image[g.left], image[g.right]),
+    PdlOr: lambda g, image, _: Or(image[g.left], image[g.right]),
+    BoxP: lambda g, image, _: (BoxStar if type(g.prog) is Star else Box)(image[g.body]),
+}
 
 
 def _kstar_images(f: PdlFormula) -> dict:
     """Each distinct subformula of a single-program classical formula f, in
     `subformulas` order, to its reading in the diamond-free constructive
-    language: [a] becomes box, [a*] the master box, and negation becomes
-    implication into falsum."""
+    language (`_KSTAR`)."""
     if not check_fragment(f, FragmentTag.LK_STAR):
         raise FragmentError("formula is not in the single-program fragment")
-    image: dict = {}
-    for g in subformulas(f):
-        if isinstance(g, PdlAtom):
-            h = Atom(g.name)
-        elif isinstance(g, Neg):
-            h = Imp(image[g.body], Bot())
-        elif isinstance(g, (PdlAnd, PdlOr)):
-            h = (And if isinstance(g, PdlAnd) else Or)(image[g.left], image[g.right])
-        else:  # a box over a or a*
-            h = (BoxStar if isinstance(g.prog, Star) else Box)(image[g.body])
-        image[g] = h
-    return image
+    return images(f, _KSTAR)
 
 
 def kstar_to_lstar(f: PdlFormula) -> Formula:
@@ -157,17 +157,18 @@ def iota(f: PdlFormula) -> Formula:
     return Imp(BoxStar(_conjunction(conjuncts)), image[f])
 
 
+# kappa's rules: the base modalities are read as master modalities.
+_KAPPA = dict.fromkeys((Bot, Atom, And, Or, Imp), _rebuilt)
+_KAPPA[Box] = lambda g, image, _: BoxStar(image[g.body])
+_KAPPA[Dia] = lambda g, image, _: DiaStar(image[g.body])
+
+
 def kappa(f: Formula) -> Formula:
     """Replace each box by the master box and each diamond by the master
     diamond."""
     if not check_fragment(f, FragmentTag.L):
         raise FragmentError("formula is not in the iteration-free fragment")
-
-    def walk(g: Formula) -> Formula:
-        master = _MASTER.get(type(g))
-        return rebuild(g, walk) if master is None else master(walk(g.body))
-
-    return walk(f)
+    return images(f, _KAPPA)[f]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from functools import lru_cache
 from ckstar.oracle import random_formula
 from ckstar.solver import decide
 from ckstar.syntax import (
+    CHILDREN,
     And,
     Atom,
     Box,
@@ -16,8 +17,8 @@ from ckstar.syntax import (
     Imp,
     check_fragment,
     parse_formula,
+    images,
     parse_pdl,
-    rebuild,
     render,
 )
 from ckstar.translate import iota
@@ -37,10 +38,15 @@ def valid(f, logic="ck_star") -> bool:
     return decide(logic, f).valid
 
 
+def _renamed_node(g, image: dict, names: dict):
+    if isinstance(g, Atom):
+        return Atom(names.get(g.name, g.name))
+    kids = CHILDREN[type(g)].formulas(g)
+    return type(g)(*[image[k] for k in kids]) if kids else g
+
+
 def renamed(f, names: dict):
-    if isinstance(f, Atom):
-        return Atom(names.get(f.name, f.name))
-    return rebuild(f, lambda g: renamed(g, names))
+    return images(f, dict.fromkeys(CHILDREN, _renamed_node), names)[f]
 
 
 def test_pool_meets_both_verdicts():

@@ -248,12 +248,19 @@ def test_the_gate_refuses_trees_past_the_node_cap():
     # Each level shares its subtree twice, so 40 levels are 2^41 - 1 node
     # occurrences over 41 distinct nodes: a walk that counts paths never
     # ends, and the gate must refuse the tree by the node count first.
+    # Within the cap, only the gate counts occurrences: the maps and the
+    # evaluators read each distinct node once, so 16 levels (131,071
+    # occurrences, 17 distinct nodes) decide at once under every
+    # constructive logic.
     def shared(n):
         return _chain(lambda g: And(g, g), _P, n)
 
     spec = EnumSpec(1, ("p",))
     with alarm(5, "gate on a tree of shared subtrees"):
         decide("ck_star", shared(10))  # 2,047 occurrences: within the cap
+        for logic in ("ck_star", "wk_star", "ck_star_box", "cs4", "ws4"):
+            assert not decide(logic, shared(16)).valid, logic
+        assert not brute_force_decide("ck_star", shared(16), spec).valid_up_to_bound
         for run in (lambda: decide("ck_star", shared(40)),
                     lambda: brute_force_decide("ck_star", shared(40), spec)):
             with pytest.raises(FragmentError, match="nodes"):

@@ -2,7 +2,10 @@ import random
 
 import pytest
 
+from ckstar.relmodel import Relation
+from ckstar.semantics import extension, pdl_extension
 from ckstar.syntax import (
+    CHILDREN,
     MAX_DEPTH,
     Atom,
     And,
@@ -15,6 +18,7 @@ from ckstar.syntax import (
     DiaStar,
     FragmentTag,
     Imp,
+    images,
     Neg,
     Or,
     PAtom,
@@ -32,8 +36,16 @@ from ckstar.syntax import (
     subformulas,
     variables,
 )
+from ckstar.translate import _kstar_images, tau
 
-from helpers import iter_nodes, random_lkstar, random_lstar, random_pdl
+from helpers import (
+    bi_model,
+    iter_nodes,
+    pdl_model,
+    random_lkstar,
+    random_lstar,
+    random_pdl,
+)
 
 p, q = Atom("p"), Atom("q")
 
@@ -117,6 +129,63 @@ def test_subformulas_closed_and_bounded():
         assert len(subs) <= formula_size(f)
         for s in subs:
             assert set(subformulas(s)) <= set(subs)
+
+
+def test_images_runs_each_rule_once_per_distinct_node():
+    # 12 levels of a shared subtree: 8,191 node occurrences over 13 distinct
+    # nodes.  Each image counts its leaf occurrences, so every rule reads
+    # its children's images.
+    f = p
+    for _ in range(12):
+        f = And(f, f)
+    calls = []
+    rules = {Atom: lambda g, image, seen: seen.append(g) or 1,
+             And: lambda g, image, seen: seen.append(g) or image[g.left] + image[g.right]}
+    image = images(f, rules, calls)
+    assert len(calls) == len(image) == 13
+    assert calls[-1] == f and image[f] == 2 ** 12
+
+
+def _first_occurrence_postorder(f) -> list:
+    """Reference order: each node when its first occurrence is finished,
+    walking every occurrence."""
+    out = []
+
+    def walk(g):
+        for k in CHILDREN[type(g)].formulas(g):
+            walk(k)
+        if g not in out:
+            out.append(g)
+
+    walk(f)
+    return out
+
+
+def test_images_keys_follow_subformulas_order():
+    # iota's antecedent lists the readings in this order.
+    rng = random.Random(5)
+    for _ in range(150):
+        for f in (random_lstar(rng, 4), random_pdl(rng, 4)):
+            assert subformulas(f) == _first_occurrence_postorder(f)
+        g = random_lkstar(rng, 4)
+        assert list(_kstar_images(g)) == subformulas(g)
+
+
+def test_images_raises_type_error_for_a_class_with_no_rule():
+    ck = bi_model(1, [(0, 0)], [(0, 0)])
+    pdl = pdl_model(1, {"a": Relation.empty(1)})
+    with pytest.raises(TypeError, match="no rule for PdlAtom"):
+        tau(PdlAtom("p"))
+    with pytest.raises(TypeError, match="no rule for PdlAtom"):
+        extension(ck, And(p, PdlAtom("p")))
+    with pytest.raises(TypeError, match="no rule for Atom"):
+        pdl_extension(pdl, Neg(Atom("p")))
+    with pytest.raises(TypeError, match="no rule for str"):
+        subformulas(And(p, "q"))
+    # The class is checked before its children are read: the walk never
+    # reaches the string under the PDL negation.
+    with pytest.raises(TypeError, match="no rule for Neg"):
+        tau(And(p, Neg("q")))
 
 
 def test_variables():
