@@ -63,13 +63,8 @@ class Relation:
         return out
 
     def box(self, mask: int) -> int:
-        """Worlds all of whose successors lie in mask."""
-        out = 0
-        outside = ~mask
-        for w, row in enumerate(self.rows):
-            if row & outside == 0:
-                out |= 1 << w
-        return out
+        """Worlds all of whose successors lie in mask: no successor outside."""
+        return ((1 << self.n) - 1) ^ self.dia(~mask)
 
     def dia(self, mask: int) -> int:
         """Worlds with a successor in mask."""

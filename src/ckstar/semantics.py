@@ -36,10 +36,7 @@ from .syntax import (
     Neg,
     Or,
     PAtom,
-    PdlAnd,
-    PdlAtom,
     PdlFormula,
-    PdlOr,
     Program,
     Star,
     images,
@@ -127,13 +124,12 @@ def program_relation(m: PdlModel, p: Program,
     return r
 
 
-# The classical clauses; the context holds the model, its full mask and
-# the memo of `program_relation`.
+# The classical clauses: the atom and Boolean ones are the constructive
+# ones, which read only the model (`.m`); the context also holds the full
+# mask and the memo of `program_relation`.
 _PDL_EXTENSION = {
-    PdlAtom: lambda g, ext, c: c.m.val_mask(g.name),
+    **{cls: _EXTENSION[cls] for cls in (Atom, And, Or)},
     Neg: lambda g, ext, c: c.full & ~ext[g.body],
-    PdlAnd: lambda g, ext, c: ext[g.left] & ext[g.right],
-    PdlOr: lambda g, ext, c: ext[g.left] | ext[g.right],
     BoxP: lambda g, ext, c: program_relation(c.m, g.prog, c.memo).box(ext[g.body]),
 }
 

@@ -79,16 +79,16 @@ from typing import Callable
 from .relmodel import BiModel, PdlModel, Relation, bits_of, mask_of, validate
 from .semantics import pdl_satisfies, satisfies
 from .syntax import (
+    And,
+    Atom,
     BoxP,
     Comp,
     FragmentError,
     FragmentTag,
     Neg,
+    Or,
     PAtom,
-    PdlAnd,
-    PdlAtom,
     PdlFormula,
-    PdlOr,
     P_BOT,
     Star,
     check_fragment,
@@ -157,14 +157,14 @@ def fl_closure(f: PdlFormula) -> ClosureSet:
         return i
 
     for g in order:  # grows while it is read: the breadth-first queue
-        if isinstance(g, PdlAtom):
+        if isinstance(g, Atom):
             kinds.append(_ATOM)
             args.append(g.name)
         elif isinstance(g, Neg):
             kinds.append(_NEG)
             args.append(number(g.body))
-        elif isinstance(g, (PdlAnd, PdlOr)):
-            kinds.append(_AND if isinstance(g, PdlAnd) else _OR)
+        elif isinstance(g, (And, Or)):
+            kinds.append(_AND if isinstance(g, And) else _OR)
             args.append((number(g.left), number(g.right)))
         elif isinstance(g, BoxP):
             prog = g.prog

@@ -6,11 +6,14 @@ classical target language is test-free PDL over the three program atoms
 ``i``, ``m`` and ``a``; its diamond is parse-time sugar, so PDL ASTs never
 contain a diamond node.
 
-The two languages share the grammar of `->` (right associative), `|`, `&`,
-prefix operators and parentheses, so one parser reads both: a language
-gives it only its node constructors, its prefix reader and its atom
-reader.  One printer writes both from a table of infix symbols with their
-binding levels and a table of prefix texts.
+The two languages share their atoms and the Boolean connectives: `Atom`,
+`And` and `Or` are formulas of both, so a formula built from them alone is
+in both languages, and `Bot`, `Imp` and the modalities, or `Neg` and
+`BoxP`, tell them apart.  They share the grammar of `->` (right
+associative), `|`, `&`, prefix operators and parentheses, so one parser
+reads both: a language gives it only its implication, its prefix reader
+and its atom reader.  One printer writes both from a table of infix
+symbols with their binding levels and a table of prefix texts.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ def _node(cls):
 
 
 # ---------------------------------------------------------------------------
-# Constructive language
+# Formulas of both languages
 
 
 @_node
@@ -109,25 +112,37 @@ class Formula:
 
 
 @_node
-class Bot(Formula):
-    pass
+class PdlFormula:
+    """Base class for test-free PDL formulas."""
 
 
 @_node
-class Atom(Formula):
+class Atom(Formula, PdlFormula):
     name: str
 
 
 @_node
-class And(Formula):
-    left: Formula
-    right: Formula
+class And(Formula, PdlFormula):
+    left: AnyFormula
+    right: AnyFormula
 
 
 @_node
-class Or(Formula):
-    left: Formula
-    right: Formula
+class Or(Formula, PdlFormula):
+    left: AnyFormula
+    right: AnyFormula
+
+
+AnyFormula = Union[Formula, PdlFormula]
+
+
+# ---------------------------------------------------------------------------
+# Constructive language
+
+
+@_node
+class Bot(Formula):
+    pass
 
 
 @_node
@@ -187,30 +202,8 @@ class Star(Program):
 
 
 @_node
-class PdlFormula:
-    """Base class for test-free PDL formulas."""
-
-
-@_node
-class PdlAtom(PdlFormula):
-    name: str
-
-
-@_node
 class Neg(PdlFormula):
     body: PdlFormula
-
-
-@_node
-class PdlAnd(PdlFormula):
-    left: PdlFormula
-    right: PdlFormula
-
-
-@_node
-class PdlOr(PdlFormula):
-    left: PdlFormula
-    right: PdlFormula
 
 
 @_node
@@ -222,9 +215,6 @@ class BoxP(PdlFormula):
 def diamond(prog: Program, body: PdlFormula) -> PdlFormula:
     """<prog>body as its definitional expansion !([prog]!body)."""
     return Neg(BoxP(prog, Neg(body)))
-
-
-AnyFormula = Union[Formula, PdlFormula]
 
 
 class FragmentTag(Enum):
@@ -247,7 +237,7 @@ FRAGMENTS = {
                         _plain(Box, Dia, BoxStar, DiaStar, And, Or, Imp)),
     FragmentTag.LSTAR_BOX: ((Bot, Atom), _plain(Box, BoxStar, And, Or, Imp)),
     FragmentTag.L: ((Bot, Atom), _plain(Box, Dia, And, Or, Imp)),
-    FragmentTag.LK_STAR: ((PdlAtom,), _plain(Neg, PdlAnd, PdlOr) + (
+    FragmentTag.LK_STAR: ((Atom,), _plain(Neg, And, Or) + (
         (BoxP, PAtom("a")), (BoxP, Star(PAtom("a"))))),
 }
 
@@ -317,13 +307,11 @@ def is_atom_name(name: str) -> bool:
 
 
 class _Grammar(NamedTuple):
-    """What a language gives the shared parser: node constructors for `->`,
-    `|` and `&`, a reader taking one prefix operator to its constructor (or
-    None), and a reader turning an identifier at an offset into a leaf."""
+    """What a language gives the shared parser: its node constructor for
+    `->`, a reader taking one prefix operator to its constructor (or None),
+    and a reader turning an identifier at an offset into a leaf."""
 
     imp: Callable
-    or_: Callable
-    and_: Callable
     prefix: Callable
     atom: Callable
 
@@ -346,14 +334,13 @@ def parse_formula(text: str) -> Formula:
     ``~x`` is sugar for ``x -> false``.  The reserved atom ``p_bot`` is read
     as an atom; which logics admit it is `solver.check_input`'s to decide.
     """
-    return _parse(text, _Grammar(Imp, Or, And, _prefix, _atom))
+    return _parse(text, _Grammar(Imp, _prefix, _atom))
 
 
 def parse_pdl(text: str) -> PdlFormula:
     """Parse a test-free PDL formula; ``a -> b`` is read as ``!a | b`` and
     diamonds are expanded eagerly."""
-    return _parse(text, _Grammar(lambda a, b: PdlOr(Neg(a), b), PdlOr, PdlAnd,
-                                 _pdl_prefix, _pdl_atom))
+    return _parse(text, _Grammar(lambda a, b: Or(Neg(a), b), _pdl_prefix, _pdl_atom))
 
 
 def _imp(cur: _Cursor, g: _Grammar):
@@ -369,14 +356,14 @@ def _imp(cur: _Cursor, g: _Grammar):
 def _or(cur: _Cursor, g: _Grammar):
     f = _and(cur, g)
     while cur.take("|"):
-        f = g.or_(f, _and(cur, g))
+        f = Or(f, _and(cur, g))
     return f
 
 
 def _and(cur: _Cursor, g: _Grammar):
     f = _unary(cur, g)
     while cur.take("&"):
-        f = g.and_(f, _unary(cur, g))
+        f = And(f, _unary(cur, g))
     return f
 
 
@@ -427,11 +414,11 @@ def _pdl_prefix(cur: _Cursor) -> "Callable | None":
     return None
 
 
-def _pdl_atom(cur: _Cursor, name: str, start: int) -> PdlFormula:
+def _pdl_atom(cur: _Cursor, name: str, start: int) -> Atom:
     if name == FALSUM_WORD:
         raise ParseError(f"{FALSUM_WORD!r} is reserved and not a PDL atom",
                          cur.byte_offset(start))
-    return PdlAtom(name)
+    return Atom(name)
 
 
 def _prog(cur: _Cursor) -> Program:
@@ -466,9 +453,8 @@ def _pstar(cur: _Cursor) -> Program:
 _IMP, _OR, _AND, _UNARY = 1, 2, 3, 4
 # Infix node class -> (symbol, its level, left operand's, right operand's):
 # implication groups to the right, the others to the left.
-_INFIX = {Imp: (" -> ", _IMP, _OR, _IMP),
-          Or: (" | ", _OR, _OR, _AND), PdlOr: (" | ", _OR, _OR, _AND),
-          And: (" & ", _AND, _AND, _UNARY), PdlAnd: (" & ", _AND, _AND, _UNARY)}
+_INFIX = {Imp: (" -> ", _IMP, _OR, _IMP), Or: (" | ", _OR, _OR, _AND),
+          And: (" & ", _AND, _AND, _UNARY)}
 _PREFIX_TEXT = {Box: "[]", Dia: "<>", BoxStar: "[*]", DiaStar: "<*>", Neg: "!"}
 
 
@@ -477,10 +463,6 @@ def render(f: AnyFormula) -> str:
     if not isinstance(f, (Formula, PdlFormula)):
         raise TypeError(f"cannot render {type(f).__name__}")
     return _render(f, _IMP)
-
-
-def render_program(p: Program) -> str:
-    return _render_prog(p, 1)
 
 
 def _wrap(s: str, level: int, minimum: int) -> str:
@@ -498,7 +480,7 @@ def _render(f: AnyFormula, minimum: int) -> str:
         prefix = f"[{_render_prog(f.prog, 1)}]"
     if prefix is not None:
         return prefix + _render(f.body, _UNARY)
-    if isinstance(f, (Atom, PdlAtom)):
+    if isinstance(f, Atom):
         return f.name
     if isinstance(f, Bot):
         return FALSUM_WORD
@@ -576,7 +558,7 @@ def variables(f: AnyFormula) -> list[str]:
     stack = [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, (Atom, PdlAtom)):
+        if isinstance(g, Atom):
             names.add(g.name)
         elif g not in seen:  # each distinct node once
             seen.add(g)
@@ -634,7 +616,7 @@ _ADMITTED = {
     tag: (frozenset(leaves) | {cls for cls, _ in operators},
           frozenset(prog for _, prog in operators if prog is not None))
     for tag, (leaves, operators) in FRAGMENTS.items()}
-_ADMITTED[None] = (frozenset((PdlAtom, Neg, PdlAnd, PdlOr, BoxP)), None)
+_ADMITTED[None] = (frozenset((Atom, Neg, And, Or, BoxP)), None)
 
 
 def check_fragment(f: AnyFormula, tag: "FragmentTag | None") -> bool:

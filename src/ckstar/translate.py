@@ -10,12 +10,15 @@ fact the tests check.
 
 Each formula map is a table of rules, one per node class, read by
 `syntax.images`: each distinct subformula is mapped once, from its
-children's images, and `omega` and `kappa` rebuild each node they keep
-(`_rebuilt`).  The long conjunctions, omega's falsum image and iota's
-antecedent, are built balanced.
+children's images, and `omega`, `kappa` and iota's reading rebuild each
+node they keep (`_rebuilt`).  The long conjunctions, omega's falsum image
+and iota's antecedent, are built balanced; the falsum image is built once
+per atom set.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .relmodel import (
     BiModel,
@@ -46,10 +49,7 @@ from .syntax import (
     Neg,
     Or,
     PAtom,
-    PdlAnd,
-    PdlAtom,
     PdlFormula,
-    PdlOr,
     P_BOT,
     Star,
     check_fragment,
@@ -82,10 +82,12 @@ def _conjunction(parts: list) -> Formula:
     return And(_conjunction(parts[:k]), _conjunction(parts[k:]))
 
 
-def _falsum_image(atoms) -> Formula:
-    """omega's image of falsum over the given atoms: the master-boxed
-    conjunction of the sorted atoms and p_bot, plus a seriality witness."""
-    parts = [Atom(name) for name in sorted(a for a in atoms if a != P_BOT)]
+@lru_cache(maxsize=256)
+def _falsum_image(atoms: tuple) -> Formula:
+    """omega's image of falsum over the given sorted atoms: the master-boxed
+    conjunction of the atoms and p_bot, plus a seriality witness.  Built
+    once per atom tuple."""
+    parts = [Atom(name) for name in atoms if name != P_BOT]
     return BoxStar(And(_conjunction(parts + [Atom(P_BOT)]), Dia(Atom(P_BOT))))
 
 
@@ -100,17 +102,17 @@ def omega(f: Formula) -> Formula:
     atoms = variables(f)
     if P_BOT in atoms:
         raise TranslationError(f"{P_BOT!r} must not occur in the input formula")
-    return images(f, _OMEGA, _falsum_image(atoms))[f]
+    return images(f, _OMEGA, _falsum_image(tuple(atoms)))[f]
 
 
 _TAU_BOX = Comp(_I_STAR, _M)
 # tau's rules, one per constructive node class.
 _TAU = {
-    Bot: lambda g, image, _: PdlAnd(PdlAtom(P_BOT), Neg(PdlAtom(P_BOT))),
-    Atom: lambda g, image, _: BoxP(_I_STAR, PdlAtom(g.name)),
-    And: lambda g, image, _: PdlAnd(image[g.left], image[g.right]),
-    Or: lambda g, image, _: PdlOr(image[g.left], image[g.right]),
-    Imp: lambda g, image, _: BoxP(_I_STAR, PdlOr(Neg(image[g.left]), image[g.right])),
+    Bot: lambda g, image, _: And(Atom(P_BOT), Neg(Atom(P_BOT))),
+    Atom: lambda g, image, _: BoxP(_I_STAR, g),
+    And: lambda g, image, _: And(image[g.left], image[g.right]),
+    Or: lambda g, image, _: Or(image[g.left], image[g.right]),
+    Imp: lambda g, image, _: BoxP(_I_STAR, Or(Neg(image[g.left]), image[g.right])),
     Box: lambda g, image, _: BoxP(_TAU_BOX, image[g.body]),
     BoxStar: lambda g, image, _: BoxP(Star(_TAU_BOX), image[g.body]),
     Dia: lambda g, image, _: BoxP(_I_STAR, Neg(BoxP(_M, Neg(image[g.body])))),
@@ -123,36 +125,22 @@ def tau(f: Formula) -> PdlFormula:
     return images(f, _TAU)[f]
 
 
-# The single-program fragment's reading: [a] becomes box, [a*] the master
-# box, and negation becomes implication into falsum.
-_KSTAR = {
-    PdlAtom: lambda g, image, _: Atom(g.name),
-    Neg: lambda g, image, _: Imp(image[g.body], Bot()),
-    PdlAnd: lambda g, image, _: And(image[g.left], image[g.right]),
-    PdlOr: lambda g, image, _: Or(image[g.left], image[g.right]),
-    BoxP: lambda g, image, _: (BoxStar if type(g.prog) is Star else Box)(image[g.body]),
-}
-
-
-def _kstar_images(f: PdlFormula) -> dict:
-    """Each distinct subformula of a single-program classical formula f, in
-    `subformulas` order, to its reading in the diamond-free constructive
-    language (`_KSTAR`)."""
-    if not check_fragment(f, FragmentTag.LK_STAR):
-        raise FragmentError("formula is not in the single-program fragment")
-    return images(f, _KSTAR)
-
-
-def kstar_to_lstar(f: PdlFormula) -> Formula:
-    """f read in the diamond-free constructive language (`_kstar_images`)."""
-    return _kstar_images(f)[f]
+# The single-program fragment's reading in the diamond-free constructive
+# language: atoms and the Boolean connectives are kept, [a] becomes box,
+# [a*] the master box, and negation becomes implication into falsum.
+_KSTAR = dict.fromkeys((Atom, And, Or), _rebuilt)
+_KSTAR[Neg] = lambda g, image, _: Imp(image[g.body], Bot())
+_KSTAR[BoxP] = lambda g, image, _: (BoxStar if type(g.prog) is Star else Box)(image[g.body])
 
 
 def iota(f: PdlFormula) -> Formula:
     """Embed the classical single-program fragment into the diamond-free
-    constructive language.  The antecedent is excluded middle, master-boxed,
-    for the reading of every subformula of f, in `subformulas` order."""
-    image = _kstar_images(f)
+    constructive language: f read by `_KSTAR`, under the antecedent of
+    excluded middle, master-boxed, for the reading of every subformula of
+    f, in `subformulas` order."""
+    if not check_fragment(f, FragmentTag.LK_STAR):
+        raise FragmentError("formula is not in the single-program fragment")
+    image = images(f, _KSTAR)
     conjuncts = [Or(h, Imp(h, Bot())) for h in image.values()]
     return Imp(BoxStar(_conjunction(conjuncts)), image[f])
 
@@ -187,7 +175,7 @@ def wk_model_to_ck(m: BiModel, f: Formula) -> BiModel:
     valuation, everything else defaults to that set."""
     _validated(m, "wk")
     atoms = variables(f)
-    bot_mask = extension(m, _falsum_image(atoms))
+    bot_mask = extension(m, _falsum_image(tuple(atoms)))
     val = {name: m.val.get(name, 0) for name in atoms}
     return BiModel(m.worlds, m.pre, m.mod, val, bot_mask, "ck")
 

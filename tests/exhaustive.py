@@ -15,14 +15,14 @@ from ckstar.relmodel import PdlModel, Relation, mask_of, rel_compose, rel_star
 from ckstar.semantics import pdl_satisfies
 from ckstar.solver import CertificationError
 from ckstar.syntax import (
+    And,
+    Atom,
     BoxP,
     Comp,
     Neg,
+    Or,
     PAtom,
-    PdlAnd,
-    PdlAtom,
     PdlFormula,
-    PdlOr,
     Program,
     Star,
     program_atoms,
@@ -38,7 +38,7 @@ def fl_closure(f: PdlFormula) -> list[PdlFormula]:
     for g in order:  # grows while it is read
         if isinstance(g, Neg):
             kids = [g.body]
-        elif isinstance(g, (PdlAnd, PdlOr)):
+        elif isinstance(g, (And, Or)):
             kids = [g.left, g.right]
         elif isinstance(g, BoxP) and isinstance(g.prog, Comp):
             kids = [BoxP(g.prog.left, BoxP(g.prog.right, g.body))]
@@ -62,9 +62,9 @@ def _local_constraints(closure: list, idx: dict) -> list[tuple]:
     for i, g in enumerate(closure):
         if isinstance(g, Neg):
             cons.append(("neg", i, idx[g.body]))
-        elif isinstance(g, PdlAnd):
+        elif isinstance(g, And):
             cons.append(("and", i, idx[g.left], idx[g.right]))
-        elif isinstance(g, PdlOr):
+        elif isinstance(g, Or):
             cons.append(("or", i, idx[g.left], idx[g.right]))
         elif isinstance(g, BoxP) and isinstance(g.prog, Comp):
             unfolded = BoxP(g.prog.left, BoxP(g.prog.right, g.body))
@@ -218,7 +218,7 @@ def pdl_satisfiable_exhaustive(f: PdlFormula, max_closure: int = 22,
         rho[a] = Relation.from_pairs(n, pairs)
     val = {}
     for j, g in enumerate(closure):
-        if isinstance(g, PdlAtom):
+        if isinstance(g, Atom):
             val[g.name] = mask_of(idx[t] for t in keep if types[t] >> j & 1)
     model = PdlModel(n, rho, val)
     world = idx[designated]

@@ -1,6 +1,7 @@
 """Shared test utilities: a formula node walker, model constructors from
-pair lists, seeded AST and model generators, a naive evaluator, and a
-recursion-limit guard for wide formulas.
+pair lists, seeded AST and model generators, a naive evaluator, the
+single-program fragment's constructive reading, and a recursion-limit guard
+for wide formulas.
 
 The naive evaluator follows the satisfaction clauses literally with
 world-by-world recursion and explicit path search, so it is independent of
@@ -40,13 +41,11 @@ from ckstar.syntax import (
     Neg,
     Or,
     PAtom,
-    PdlAnd,
-    PdlAtom,
     PdlFormula,
-    PdlOr,
     Program,
     Star,
 )
+from ckstar.translate import iota
 
 
 def iter_nodes(f):
@@ -120,6 +119,12 @@ def pdl_model(worlds: int, rho, val=None) -> PdlModel:
     return PdlModel(worlds, rels, vals)
 
 
+def kstar_to_lstar(f: PdlFormula) -> Formula:
+    """A single-program classical formula read in the diamond-free
+    constructive language: the consequent of its `iota` image."""
+    return iota(f).right
+
+
 def random_lstar(rng: random.Random, depth: int, atoms=("p", "q")) -> Formula:
     leaves = [Bot()] + [Atom(a) for a in atoms]
     if depth <= 0:
@@ -155,16 +160,16 @@ def random_program(rng: random.Random, depth: int, atoms=("i", "m", "a")) -> Pro
 def random_lkstar(rng: random.Random, depth: int, atoms=("p", "q")) -> PdlFormula:
     """Classical formulas whose only programs are a and a*."""
     if depth <= 0:
-        return PdlAtom(rng.choice(atoms))
+        return Atom(rng.choice(atoms))
     kind = rng.randrange(7)
     if kind == 0:
-        return PdlAtom(rng.choice(atoms))
+        return Atom(rng.choice(atoms))
     if kind == 1:
         return Neg(random_lkstar(rng, depth - 1, atoms))
     if kind == 2:
-        return PdlAnd(random_lkstar(rng, depth - 1, atoms), random_lkstar(rng, depth - 1, atoms))
+        return And(random_lkstar(rng, depth - 1, atoms), random_lkstar(rng, depth - 1, atoms))
     if kind == 3:
-        return PdlOr(random_lkstar(rng, depth - 1, atoms), random_lkstar(rng, depth - 1, atoms))
+        return Or(random_lkstar(rng, depth - 1, atoms), random_lkstar(rng, depth - 1, atoms))
     if kind == 4:
         return BoxP(PAtom("a"), random_lkstar(rng, depth - 1, atoms))
     return BoxP(Star(PAtom("a")), random_lkstar(rng, depth - 1, atoms))
@@ -172,16 +177,16 @@ def random_lkstar(rng: random.Random, depth: int, atoms=("p", "q")) -> PdlFormul
 
 def random_pdl(rng: random.Random, depth: int, atoms=("p", "q"), prog_atoms=("i", "m", "a")) -> PdlFormula:
     if depth <= 0:
-        return PdlAtom(rng.choice(atoms))
+        return Atom(rng.choice(atoms))
     kind = rng.randrange(6)
     if kind == 0:
-        return PdlAtom(rng.choice(atoms))
+        return Atom(rng.choice(atoms))
     if kind == 1:
         return Neg(random_pdl(rng, depth - 1, atoms, prog_atoms))
     if kind == 2:
-        return PdlAnd(random_pdl(rng, depth - 1, atoms, prog_atoms), random_pdl(rng, depth - 1, atoms, prog_atoms))
+        return And(random_pdl(rng, depth - 1, atoms, prog_atoms), random_pdl(rng, depth - 1, atoms, prog_atoms))
     if kind == 3:
-        return PdlOr(random_pdl(rng, depth - 1, atoms, prog_atoms), random_pdl(rng, depth - 1, atoms, prog_atoms))
+        return Or(random_pdl(rng, depth - 1, atoms, prog_atoms), random_pdl(rng, depth - 1, atoms, prog_atoms))
     return BoxP(random_program(rng, 2, prog_atoms), random_pdl(rng, depth - 1, atoms, prog_atoms))
 
 

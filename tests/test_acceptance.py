@@ -38,7 +38,6 @@ from ckstar.translate import (
     ck_model_to_cs4,
     iota,
     kappa,
-    kstar_to_lstar,
     omega,
     pdl_model_to_wk,
     tau,
@@ -46,7 +45,7 @@ from ckstar.translate import (
 )
 from ckstar.syntax import subformulas
 
-from helpers import iter_nodes, naive_satisfies, random_pdl_model
+from helpers import iter_nodes, kstar_to_lstar, naive_satisfies, random_pdl_model
 from truth_maps import (
     ck_model_to_wk,
     k_model_to_ck,

@@ -35,9 +35,6 @@ from ckstar.syntax import (
     Neg,
     Or,
     PAtom,
-    PdlAnd,
-    PdlAtom,
-    PdlOr,
     Star,
     check_fragment,
     formula_size,
@@ -150,6 +147,7 @@ _INPUTS = (
     parse_formula("<>p"),                       # outside the diamond-free fragment
     parse_formula("[*]p"),                      # outside the iteration-free fragment
     parse_formula("p_bot"),                     # the reserved atom
+    parse_pdl("p & q"),                         # in both languages
     parse_pdl("[a]p"),                          # PDL, single-program fragment
     parse_pdl("[i]p"),                          # PDL, outside that fragment
 )
@@ -174,7 +172,7 @@ def test_decide_and_oracle_accept_the_same_inputs(logic, f):
 def test_pdl_input_is_checked_node_by_node():
     # A constructive box under a PDL root: neither entry point may reach
     # the PDL closure or evaluator with it.
-    f = PdlAnd(Box(Atom("p")), PdlAtom("q"))
+    f = And(Box(Atom("p")), Atom("q"))
     assert not check_fragment(f, None)
     with pytest.raises(FragmentError):
         decide("pdl", f)
@@ -182,13 +180,12 @@ def test_pdl_input_is_checked_node_by_node():
         brute_force_decide("pdl", f, EnumSpec(1, ("p", "q")))
 
 
-_P, _Q, _A = Atom("p"), PdlAtom("p"), PAtom("a")
+_P, _A = Atom("p"), PAtom("a")
 # A well-formed node of every class, a leaf of each named class whose name
 # is no string, and a string, to put in every position.
 _FILLERS = (Bot(), _P, And(_P, _P), Or(_P, _P), Imp(_P, _P), Box(_P), Dia(_P),
-            BoxStar(_P), DiaStar(_P), _A, Comp(_A, _A), Star(_A), _Q, Neg(_Q),
-            PdlAnd(_Q, _Q), PdlOr(_Q, _Q), BoxP(_A, _Q),
-            Atom(3), PdlAtom(3), PAtom(3), "x")
+            BoxStar(_P), DiaStar(_P), _A, Comp(_A, _A), Star(_A), Neg(_P),
+            BoxP(_A, _P), Atom(3), PAtom(3), "x")
 
 
 def _placed(node, fillers) -> list:
@@ -203,7 +200,7 @@ def _placed(node, fillers) -> list:
 # under a constructive box and in both positions of a PDL box, so that a
 # bad node also sits below a good one, as in a box over `Star(Box(p))`.
 _ONE_LEVEL = [t for node in _FILLERS[:-1] for t in _placed(node, _FILLERS)]
-_HAND_BUILT = _ONE_LEVEL + [t for node in (Box(_P), BoxP(_A, _Q))
+_HAND_BUILT = _ONE_LEVEL + [t for node in (Box(_P), BoxP(_A, _P))
                             for t in _placed(node, _ONE_LEVEL)]
 
 
@@ -227,8 +224,8 @@ def _chain(make, leaf, n: int):
 
 # Trees of n nested operators on one branch, and a logic that admits them.
 _DEEP = {"box": ("ck_star", lambda n: _chain(Box, _P, n)),
-         "negation": ("pdl", lambda n: _chain(Neg, _Q, n)),
-         "program": ("pdl", lambda n: BoxP(_chain(Star, _A, n - 1), _Q))}
+         "negation": ("pdl", lambda n: _chain(Neg, _P, n)),
+         "program": ("pdl", lambda n: BoxP(_chain(Star, _A, n - 1), _P))}
 
 
 @pytest.mark.parametrize("shape", sorted(_DEEP))
@@ -317,7 +314,7 @@ def test_random_formula_determinism_and_coverage():
                              "Box", "Dia", "BoxStar", "DiaStar"}),
         (FragmentTag.LSTAR_BOX, {"Box", "BoxStar"}),
         (FragmentTag.L, {"Box", "Dia"}),
-        (FragmentTag.LK_STAR, {"PdlAtom", "Neg", "PdlAnd", "PdlOr", "BoxP"}),
+        (FragmentTag.LK_STAR, {"Atom", "Neg", "And", "Or", "BoxP"}),
     ):
         seen = set()
         for seed in range(1000):

@@ -17,14 +17,14 @@ from ckstar.solver import (
 )
 from ckstar.syntax import (
     MAX_DEPTH,
+    And,
+    Atom,
     BoxP,
     Comp,
     FragmentError,
     Neg,
+    Or,
     PAtom,
-    PdlAnd,
-    PdlAtom,
-    PdlOr,
     Star,
     formula_size,
     parse_formula,
@@ -150,7 +150,7 @@ def enumerate_small_pdl(sizes, atoms=("p",)):
     programs drawn from a fixed small pool."""
     progs = [PAtom("a"), Star(PAtom("a")), Comp(PAtom("a"), PAtom("a")),
              Star(Comp(Star(PAtom("i")), PAtom("m")))]
-    by_size = {1: [PdlAtom(a) for a in atoms]}
+    by_size = {1: [Atom(a) for a in atoms]}
     for s in range(2, sizes + 1):
         layer = []
         for f in by_size.get(s - 1, []):
@@ -162,9 +162,8 @@ def enumerate_small_pdl(sizes, atoms=("p",)):
         for i in range(1, s - 1):
             for l in by_size.get(i, []):
                 for r in by_size.get(s - 1 - i, []):
-                    from ckstar.syntax import PdlAnd, PdlOr
-                    layer.append(PdlAnd(l, r))
-                    layer.append(PdlOr(l, r))
+                    layer.append(And(l, r))
+                    layer.append(Or(l, r))
         by_size[s] = layer
     for s in sorted(by_size):
         yield from by_size[s]
@@ -251,7 +250,7 @@ def test_star_automaton_accepts_exactly_the_star_language():
     # The automaton read off the node table, run forward on every short
     # word, against the starred program's relation on that word's path.
     rng = random.Random(71)
-    p = PdlAtom("p")
+    p = Atom("p")
     for _ in range(200):
         star = Star(random_program(rng, 3))
         engine = solver._Tableau(Neg(BoxP(star, p)))
@@ -297,12 +296,12 @@ def random_mixed_program(rng: random.Random, depth: int):
 
 def random_mixed_pdl(rng: random.Random, depth: int):
     if depth <= 0 or rng.random() < 0.15:
-        return PdlAtom(rng.choice("pq"))
+        return Atom(rng.choice("pq"))
     kind = rng.randrange(5)
     if kind == 0:
         return Neg(random_mixed_pdl(rng, depth - 1))
     if kind in (1, 2):
-        cls = PdlAnd if kind == 1 else PdlOr
+        cls = And if kind == 1 else Or
         return cls(random_mixed_pdl(rng, depth - 1), random_mixed_pdl(rng, depth - 1))
     return BoxP(random_mixed_program(rng, 1), random_mixed_pdl(rng, depth - 1))
 
@@ -315,8 +314,8 @@ def test_engines_agree_when_one_atom_occurs_only_starred():
     compared = sat = 0
     while compared < 150:
         # ![P]A & [Q]B & C: a diamond that a box may keep from being met.
-        f = PdlAnd(Neg(BoxP(random_mixed_program(rng, 2), random_mixed_pdl(rng, 2))),
-                   PdlAnd(BoxP(random_mixed_program(rng, 2), random_mixed_pdl(rng, 2)),
+        f = And(Neg(BoxP(random_mixed_program(rng, 2), random_mixed_pdl(rng, 2))),
+                   And(BoxP(random_mixed_program(rng, 2), random_mixed_pdl(rng, 2)),
                           random_mixed_pdl(rng, 2)))
         kinds = set(fl_closure(f).kind)
         if "a" in bare_atoms(f) or "m" not in bare_atoms(f) \
@@ -396,9 +395,9 @@ def test_settlement_matches_global_elimination(monkeypatch):
     # alternative is followed in the pass that finds the clash.
     rng = random.Random(29)
     pieces = dict(atoms=("p", "q"), prog_atoms=("a", "m"))
-    formulas = [PdlAnd(Neg(BoxP(Star(random_program(rng, 2, ("a", "m"))),
+    formulas = [And(Neg(BoxP(Star(random_program(rng, 2, ("a", "m"))),
                                 random_pdl(rng, 3, **pieces))),
-                       PdlAnd(BoxP(Star(random_program(rng, 2, ("a", "m"))),
+                       And(BoxP(Star(random_program(rng, 2, ("a", "m"))),
                                    random_pdl(rng, 3, **pieces)),
                               random_pdl(rng, 3, **pieces)))
                 for _ in range(240)]
@@ -652,7 +651,7 @@ def test_incremental_closure_matches_closing_from_scratch(monkeypatch):
     for _ in range(60):
         f = random_pdl(rng, 4, atoms=("p", "q"), prog_atoms=("a", "m"))
         for _ in range(3):
-            f = PdlAnd(f, random_pdl(rng, 4, atoms=("p", "q"), prog_atoms=("a", "m")))
+            f = And(f, random_pdl(rng, 4, atoms=("p", "q"), prog_atoms=("a", "m")))
         discovered.clear()
         engine = solver._Tableau(f)
         engine.build()

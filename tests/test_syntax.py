@@ -23,8 +23,6 @@ from ckstar.syntax import (
     Or,
     PAtom,
     ParseError,
-    PdlAtom,
-    PdlOr,
     Star,
     check_fragment,
     diamond,
@@ -32,11 +30,10 @@ from ckstar.syntax import (
     parse_formula,
     parse_pdl,
     render,
-    render_program,
     subformulas,
     variables,
 )
-from ckstar.translate import _kstar_images, tau
+from ckstar.translate import _KSTAR, tau
 
 from helpers import (
     bi_model,
@@ -80,8 +77,8 @@ def test_parse_error_offsets():
 
 
 def test_parse_pdl_diamond_is_sugar():
-    assert parse_pdl("<a>p") == Neg(BoxP(PAtom("a"), Neg(PdlAtom("p"))))
-    assert parse_pdl("[i*;m]p") == BoxP(Comp(Star(PAtom("i")), PAtom("m")), PdlAtom("p"))
+    assert parse_pdl("<a>p") == Neg(BoxP(PAtom("a"), Neg(Atom("p"))))
+    assert parse_pdl("[i*;m]p") == BoxP(Comp(Star(PAtom("i")), PAtom("m")), Atom("p"))
 
 
 def test_parse_pdl_rejects_falsum_and_unknown_programs():
@@ -93,16 +90,25 @@ def test_parse_pdl_rejects_falsum_and_unknown_programs():
 
 
 def test_parse_pdl_implication_sugar():
-    assert parse_pdl("p -> q") == PdlOr(Neg(PdlAtom("p")), PdlAtom("q"))
+    assert parse_pdl("p -> q") == Or(Neg(Atom("p")), Atom("q"))
 
 
 def test_render_goldens():
     assert render(Imp(p, Bot())) == "p -> false"
     assert render(Box(BoxStar(p))) == "[][*]p"
-    assert render(BoxP(Comp(Star(PAtom("i")), PAtom("m")), PdlAtom("p"))) == "[i*;m]p"
+    assert render(BoxP(Comp(Star(PAtom("i")), PAtom("m")), Atom("p"))) == "[i*;m]p"
     assert render(And(p, And(q, p))) == "p & (q & p)"
-    assert render_program(Star(Star(PAtom("i")))) == "i**"
-    assert render_program(Star(Comp(PAtom("i"), PAtom("m")))) == "(i;m)*"
+    assert render(BoxP(Star(Star(PAtom("i"))), p)) == "[i**]p"
+    assert render(BoxP(Star(Comp(PAtom("i"), PAtom("m"))), p)) == "[(i;m)*]p"
+
+
+def test_both_languages_read_atoms_and_boolean_connectives_alike():
+    for text in ("p", "p & q", "p | q & r", "(p | q) & r", "p & (q & p)",
+                 "p | (q | r)"):
+        f = parse_pdl(text)
+        assert f == parse_formula(text)
+        assert render(f) == text
+        assert parse_pdl(render(f)) == f
 
 
 def test_render_round_trip_random():
@@ -168,18 +174,18 @@ def test_images_keys_follow_subformulas_order():
         for f in (random_lstar(rng, 4), random_pdl(rng, 4)):
             assert subformulas(f) == _first_occurrence_postorder(f)
         g = random_lkstar(rng, 4)
-        assert list(_kstar_images(g)) == subformulas(g)
+        assert list(images(g, _KSTAR)) == subformulas(g)
 
 
 def test_images_raises_type_error_for_a_class_with_no_rule():
     ck = bi_model(1, [(0, 0)], [(0, 0)])
     pdl = pdl_model(1, {"a": Relation.empty(1)})
-    with pytest.raises(TypeError, match="no rule for PdlAtom"):
-        tau(PdlAtom("p"))
-    with pytest.raises(TypeError, match="no rule for PdlAtom"):
-        extension(ck, And(p, PdlAtom("p")))
-    with pytest.raises(TypeError, match="no rule for Atom"):
-        pdl_extension(pdl, Neg(Atom("p")))
+    with pytest.raises(TypeError, match="no rule for Neg"):
+        tau(Neg(p))
+    with pytest.raises(TypeError, match="no rule for Neg"):
+        extension(ck, And(p, Neg(p)))
+    with pytest.raises(TypeError, match="no rule for Imp"):
+        pdl_extension(pdl, Neg(Imp(p, p)))
     with pytest.raises(TypeError, match="no rule for str"):
         subformulas(And(p, "q"))
     # The class is checked before its children are read: the walk never
@@ -197,7 +203,7 @@ def test_variables():
 def test_formula_size():
     assert formula_size(p) == 1
     assert formula_size(Imp(p, Bot())) == 3
-    assert formula_size(BoxP(Comp(Star(PAtom("i")), PAtom("m")), PdlAtom("p"))) == 6
+    assert formula_size(BoxP(Comp(Star(PAtom("i")), PAtom("m")), Atom("p"))) == 6
 
 
 def test_check_fragment():
@@ -207,7 +213,7 @@ def test_check_fragment():
     assert check_fragment(parse_pdl("[a*]p"), FragmentTag.LK_STAR)
     assert check_fragment(Box(p), FragmentTag.L)
     assert not check_fragment(BoxStar(p), FragmentTag.L)
-    assert not check_fragment(parse_pdl("p"), FragmentTag.LSTAR)
+    assert not check_fragment(parse_pdl("!p"), FragmentTag.LSTAR)
     assert not check_fragment(Box(p), FragmentTag.LK_STAR)
     assert not check_fragment(parse_formula("false"), FragmentTag.LK_STAR)
     for text in ("[a*;a]p", "[(a;a)*]p", "[i*]p"):
@@ -221,30 +227,30 @@ def test_check_fragment():
         FragmentTag.LSTAR_BOX: {"Bot", "Atom", "And", "Or", "Imp",
                                 "Box", "BoxStar"},
         FragmentTag.L: {"Bot", "Atom", "And", "Or", "Imp", "Box", "Dia"},
-        FragmentTag.LK_STAR: {"PdlAtom", "Neg", "PdlAnd", "PdlOr", "BoxP"},
+        FragmentTag.LK_STAR: {"Atom", "Neg", "And", "Or", "BoxP"},
     }
     rng = random.Random(5)
     for make in (random_lstar, random_pdl, random_lkstar):
         for _ in range(500):
             f = make(rng, 4)
             names = {type(g).__name__ for g in iter_nodes(f)}
-            progs = {render_program(g.prog) for g in iter_nodes(f)
-                     if isinstance(g, BoxP)}
+            progs = {g.prog for g in iter_nodes(f) if isinstance(g, BoxP)}
             for tag, classes in allowed.items():
                 assert check_fragment(f, tag) == (
-                    names <= classes and progs <= {"a", "a*"}), (render(f), tag)
+                    names <= classes and progs <= {PAtom("a"), Star(PAtom("a"))}), (
+                        render(f), tag)
 
 
 def test_expand_diamonds():
     f = parse_pdl("<a>p")
-    assert f == Neg(BoxP(PAtom("a"), Neg(PdlAtom("p"))))
+    assert f == Neg(BoxP(PAtom("a"), Neg(Atom("p"))))
     assert check_fragment(f, FragmentTag.LK_STAR)
     assert parse_pdl("<a*>!p") == parse_pdl("![a*]!!p")
     assert not check_fragment(parse_pdl("[i]p"), FragmentTag.LK_STAR)
 
 
 def test_diamond_helper():
-    assert diamond(PAtom("m"), PdlAtom("p")) == parse_pdl("<m>p")
+    assert diamond(PAtom("m"), Atom("p")) == parse_pdl("<m>p")
 
 
 # Shapes that nest `n` operators, or `n` parentheses, on one branch.

@@ -20,8 +20,6 @@ from ckstar.syntax import (
     Neg,
     Or,
     PAtom,
-    PdlAnd,
-    PdlAtom,
     Star,
     check_fragment,
     formula_size,
@@ -36,7 +34,6 @@ from ckstar.translate import (
     ck_model_to_cs4,
     iota,
     kappa,
-    kstar_to_lstar,
     omega,
     pdl_model_to_wk,
     tau,
@@ -47,6 +44,7 @@ from helpers import (
     balanced_text,
     bi_model,
     iter_nodes,
+    kstar_to_lstar,
     pdl_model,
     rand_ck_model,
     rand_pdl_model,
@@ -81,6 +79,8 @@ def test_falsum_image_nests_logarithmically():
     r = Atom("r")
     got = omega(Imp(And(r, And(q, p)), Bot())).right
     assert got == BoxStar(And(And(p, And(q, And(r, pb))), Dia(pb)))
+    # It is built once per atom set, not once per formula.
+    assert omega(Imp(Or(q, And(r, p)), Bot())).right is got
     # 64 atoms: one And per atom would need more frames to hash than the
     # headroom allows.
     f = parse_formula(balanced_text([f"p{i}" for i in range(64)], "|"))
@@ -118,7 +118,7 @@ def test_tau_goldens():
     assert tau(DiaStar(Bot())) == BoxP(
         Star(PAtom("i")),
         Neg(BoxP(Star(PAtom("m")),
-                 Neg(PdlAnd(PdlAtom("p_bot"), Neg(PdlAtom("p_bot")))))))
+                 Neg(And(Atom("p_bot"), Neg(Atom("p_bot")))))))
     assert render(tau(Box(p))) == "[i*;m][i*]p"
 
 
