@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 for valid/true/clean, 1 for invalid/false/violations, 2 for
-usage, parse, fragment, or model-format errors.  Stdout carries exactly one
-JSON value per query; diagnostics go to stderr.  A `decide @file` batch
+usage, parse, fragment, or model-format errors (deep nesting included).
+Stdout carries exactly one JSON value per query; diagnostics go to stderr;
+a closed stdout ends the command by SIGPIPE.  A `decide @file` batch
 answers every line, writes `{"formula", "error"}` for a line that fails to
 parse or is outside the logic's language, and exits with the worst code
 of its lines.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 
 from .oracle import EnumSpec, brute_force_decide, random_formula, random_model
@@ -24,32 +26,25 @@ from .relmodel import (
     model_to_obj,
     validate,
 )
-from .semantics import (
-    InvalidModelError,
-    UnknownProgramAtomError,
-    pdl_satisfies,
-    satisfies,
-)
+from .semantics import pdl_satisfies, satisfies
 from .solver import LOGIC_TABLE, LOGICS, CertificationError, decide
 from .syntax import (
-    FragmentError,
     FragmentTag,
-    ParseError,
     is_atom_name,
     parse_formula,
     parse_pdl,
     render,
     variables,
 )
-from .translate import TranslationError, iota, kappa, omega, tau
+from .translate import iota, kappa, omega, tau
 
 # Deepest `gen-formula --depth`.  Generated size grows about 4-fold every 5
 # levels: over seeds 0-99 the largest formula has 16,799 nodes at depth 30
 # and 158,496 at 40, and depth 2000 overflows the recursion limit.
 MAX_GEN_DEPTH = 30
 
-_USER_ERRORS = (ParseError, FragmentError, TranslationError, ModelFormatError,
-                InvalidModelError, UnknownProgramAtomError, ValueError, OSError)
+# Parse, fragment, translation and model errors are all ValueErrors.
+_USER_ERRORS = (ValueError, OSError)
 
 
 # `translate --map`: each map with the parser of its input language.
@@ -236,6 +231,10 @@ def main(argv: "list[str] | None" = None) -> int:
 
 
 def console_main() -> None:
+    # A closed stdout ends the command quietly, as it ends other filters;
+    # `main` called in-process keeps Python's default (BrokenPipeError).
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -402,6 +402,8 @@ def load_model(text: str):
         obj = json.loads(text)
     except json.JSONDecodeError as err:
         raise ModelFormatError(f"not valid JSON: {err}") from err
+    except RecursionError:
+        raise ModelFormatError("document nests too deeply") from None
     _require(isinstance(obj, dict), "document must be a JSON object")
     _require("kind" in obj, "missing key 'kind'")
     kind = obj["kind"]

@@ -2,15 +2,14 @@
 
 Extensions are computed bottom-up, once per distinct subformula (by
 `syntax.images`, from a table of clauses), as world bitmasks, which makes
-truth persistence and validity checks set operations.  The master box reads
-over the iterated relation (pre;mod)*; the tests check that the coarser
-reading over (pre;mod*)* agrees with it on CK models.
+truth persistence and validity checks set operations.  Both evaluators read
+program relations from one memo, `_Frame.relation`: a PDL model's letters are
+its program atoms, a bi-model's are `pre` and `mod`, and the constructive
+modalities are programs over them, as `tau` writes them.  The master box
+reads (pre;mod)*; the tests check that (pre;mod*)* agrees on CK models.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
-from types import SimpleNamespace
 
 from .relmodel import (
     BiModel,
@@ -56,16 +55,37 @@ class UnknownProgramAtomError(ValueError):
 
 
 class _Frame:
-    """A bi-model and its relations pre;mod, mod* and (pre;mod)*, each built
-    the first time a rule reads it."""
+    """A model, its letters' relations, and a memo of program relations."""
 
-    def __init__(self, m: BiModel):
+    def __init__(self, m: "BiModel | PdlModel", letters: dict):
         self.m = m
+        self.full = m.full_mask()
+        self.letters = letters
+        self.memo: dict = {}
 
-    pre_mod = cached_property(lambda self: rel_compose(self.m.pre, self.m.mod))
-    mod_star = cached_property(lambda self: rel_star(self.m.mod))
-    box_star = cached_property(lambda self: rel_star(self.pre_mod))
+    def relation(self, p: Program) -> Relation:
+        """The letters' relations extended homomorphically to program p."""
+        r = self.memo.get(p)
+        if r is None:
+            if isinstance(p, PAtom):
+                r = self.letters.get(p.name)
+                if r is None:
+                    raise UnknownProgramAtomError(
+                        f"model does not interpret program atom {p.name!r}")
+            elif isinstance(p, Comp):
+                r = rel_compose(self.relation(p.left), self.relation(p.right))
+            elif isinstance(p, Star):
+                r = rel_star(self.relation(p.body))
+            else:
+                raise TypeError(f"unknown program node {type(p).__name__}")
+            self.memo[p] = r
+        return r
 
+
+# tau's programs i*;m, (i*;m)* and m*, where the preorder pre reads i*.
+_MOD = PAtom("mod")
+_PRE_MOD = Comp(PAtom("pre"), _MOD)
+_BOX_STAR, _MOD_STAR = Star(_PRE_MOD), Star(_MOD)
 
 # The constructive clauses, one rule per node class, over a `_Frame`.
 _EXTENSION = {
@@ -74,17 +94,17 @@ _EXTENSION = {
     And: lambda g, ext, c: ext[g.left] & ext[g.right],
     Or: lambda g, ext, c: ext[g.left] | ext[g.right],
     Imp: lambda g, ext, c: c.m.pre.box(~ext[g.left] | ext[g.right]),
-    Box: lambda g, ext, c: c.pre_mod.box(ext[g.body]),
-    BoxStar: lambda g, ext, c: c.box_star.box(ext[g.body]),
+    Box: lambda g, ext, c: c.relation(_PRE_MOD).box(ext[g.body]),
+    BoxStar: lambda g, ext, c: c.relation(_BOX_STAR).box(ext[g.body]),
     Dia: lambda g, ext, c: c.m.pre.box(c.m.mod.dia(ext[g.body])),
     # The clause takes a single intuitionistic step, then R*.
-    DiaStar: lambda g, ext, c: c.m.pre.box(c.mod_star.dia(ext[g.body])),
+    DiaStar: lambda g, ext, c: c.m.pre.box(c.relation(_MOD_STAR).dia(ext[g.body])),
 }
 
 
 def extension(m: BiModel, f: Formula) -> int:
     """Bitmask of worlds satisfying f, computed per distinct subformula."""
-    return images(f, _EXTENSION, _Frame(m))[f]
+    return images(f, _EXTENSION, _Frame(m, {"pre": m.pre, "mod": m.mod}))[f]
 
 
 def _check_bimodel(m: BiModel, w: int) -> None:
@@ -100,44 +120,18 @@ def satisfies(m: BiModel, w: int, f: Formula) -> bool:
     return bool(extension(m, f) >> w & 1)
 
 
-def program_relation(m: PdlModel, p: Program,
-                     memo: "dict[Program, Relation] | None" = None) -> Relation:
-    """rho extended homomorphically to compound programs."""
-    if memo is None:
-        memo = {}
-    if p in memo:
-        return memo[p]
-    if isinstance(p, PAtom):
-        try:
-            r = m.rho[p.name]
-        except KeyError:
-            raise UnknownProgramAtomError(
-                f"model does not interpret program atom {p.name!r}") from None
-    elif isinstance(p, Comp):
-        r = rel_compose(program_relation(m, p.left, memo),
-                        program_relation(m, p.right, memo))
-    elif isinstance(p, Star):
-        r = rel_star(program_relation(m, p.body, memo))
-    else:
-        raise TypeError(f"unknown program node {type(p).__name__}")
-    memo[p] = r
-    return r
-
-
 # The classical clauses: the atom and Boolean ones are the constructive
-# ones, which read only the model (`.m`); the context also holds the full
-# mask and the memo of `program_relation`.
+# ones, which read only the model (`.m`).
 _PDL_EXTENSION = {
     **{cls: _EXTENSION[cls] for cls in (Atom, And, Or)},
     Neg: lambda g, ext, c: c.full & ~ext[g.body],
-    BoxP: lambda g, ext, c: program_relation(c.m, g.prog, c.memo).box(ext[g.body]),
+    BoxP: lambda g, ext, c: c.relation(g.prog).box(ext[g.body]),
 }
 
 
 def pdl_extension(m: PdlModel, f: PdlFormula) -> int:
     """Bitmask of worlds satisfying f, computed per distinct subformula."""
-    return images(f, _PDL_EXTENSION,
-                  SimpleNamespace(m=m, full=m.full_mask(), memo={}))[f]
+    return images(f, _PDL_EXTENSION, _Frame(m, m.rho))[f]
 
 
 def pdl_satisfies(m: PdlModel, w: int, f: PdlFormula) -> bool:

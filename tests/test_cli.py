@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -180,6 +181,18 @@ def test_check_model_rejects_too_many_worlds(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("doc", ["[" * 200000, '{"a": ' * 5000],
+                         ids=["arrays", "objects"])
+def test_deeply_nested_model_file_is_a_format_error(tmp_path, capsys, doc):
+    path = tmp_path / "deep.json"
+    path.write_text(doc, encoding="utf-8")
+    for argv in (("check-model", "--kind", "ck", str(path)),
+                 ("eval", "--model", str(path), "--world", "0", "p")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: document nests too deeply\n"
+
+
 def test_oracle_command(capsys):
     code, out, _ = run(capsys, "oracle", "--logic", "ck_star",
                        "--max-worlds", "2", "p->p")
@@ -233,6 +246,14 @@ def test_gen_model_rejects_bad_atoms(capsys):
                                  "--atoms", atoms))
 
 
+def _env_with_src() -> dict:
+    """This environment, with the package's source first on PYTHONPATH."""
+    src = str(Path(ckstar.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
 def test_package_runs_without_numpy():
     script = textwrap.dedent("""
         import sys
@@ -243,9 +264,7 @@ def test_package_runs_without_numpy():
                  main(["oracle", "--logic", "ck_star", "--max-worlds", "2", "p->p"])]
         sys.exit(0 if codes == [1, 0] else f"exit codes {codes}")
     """)
-    src = str(Path(ckstar.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env = _env_with_src()
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -253,14 +272,29 @@ def test_package_runs_without_numpy():
 
 @pytest.mark.parametrize("module", ["ckstar", "ckstar.cli"])
 def test_runs_as_a_module(module, capsys):
-    src = str(Path(ckstar.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env = _env_with_src()
     done = subprocess.run([sys.executable, "-m", module, "decide", "--logic", "ck_star", "p"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 1, done.stderr
     code, out, _ = run(capsys, "decide", "--logic", "ck_star", "p")
     assert done.stdout == out and json.loads(out)["verdict"] == "invalid"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+def test_closed_stdout_ends_quietly_by_sigpipe(tmp_path):
+    # About 120 KB of answers, more than a pipe buffer holds, so the command
+    # is still writing when its reader goes away.
+    batch = tmp_path / "many.txt"
+    batch.write_text("p & q\n" * 1000, encoding="utf-8")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ckstar", "decide", "--logic", "ck_star", f"@{batch}"],
+        env=_env_with_src(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(1)) == 1
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == -signal.SIGPIPE
+    assert err == b""
 
 
 def test_gen_commands_deterministic(capsys):

@@ -236,6 +236,10 @@ def test_load_errors():
         load_model('{"kind":"ck","worlds":1,"pre":[[0,7]],"mod":[],"val":{},"bot":[]}')
     with pytest.raises(ModelFormatError):
         load_model("not json")
+    # Nesting past the JSON reader's recursion limit.
+    for deep in ("[" * 200000, '{"a": ' * 5000):
+        with pytest.raises(ModelFormatError, match="nests too deeply"):
+            load_model(deep)
 
 
 def test_world_count_is_capped():

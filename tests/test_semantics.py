@@ -13,6 +13,7 @@ from ckstar.semantics import (
 from ckstar.syntax import (
     Atom,
     Box,
+    BoxP,
     BoxStar,
     Dia,
     FragmentTag,
@@ -113,6 +114,9 @@ def test_pdl_unknown_program_atom():
     m = pdl_model(1, {"i": []}, {})
     with pytest.raises(UnknownProgramAtomError):
         pdl_satisfies(m, 0, parse_pdl("[m]p"))
+    # A box whose program is not a program node.
+    with pytest.raises(TypeError):
+        pdl_satisfies(m, 0, BoxP("x", p))
 
 
 def test_valid_in_model():
