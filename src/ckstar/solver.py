@@ -41,9 +41,14 @@ reached, or every deferred one if none of them died, and searches the
 cached graph from the root again: no state is expanded twice, and every
 state the pass reaches is settled anew.  A dead root whose subgraph
 holds no deferred alternative is dead in the whole graph.  Pass `PASSES`
-releases everything, so the answer stays exact.  A state is one int bit
-mask, closed from the codes its discovery added (a worklist and per-code
-watch lists) before it gets a dense integer id.  A clash gets no id: a
+releases everything, so the answer stays exact.  When the closure holds a
+preorder box, the last pass is first decided on a twin (`_twin`): a graph
+over the same tables in which a false preorder box only plants its
+obligation, exact too with x a preorder, and far smaller.  A dead twin
+root makes the goal unsatisfiable; a live one sends it on to pass
+`PASSES`, whose graph extraction reads, as the twin's models are larger.
+A state is one int bit mask, closed from the codes its discovery added
+(a worklist and per-code watch lists) before it gets a dense integer id.  A clash gets no id: a
 clashing alternative is dropped, a clashing demand kills its saturated
 state, and a clashing goal is unsatisfiable.  An expanded state's entry
 is all that the search reads of it: a decomposition's successor ids, or
@@ -72,6 +77,7 @@ the CLI read the same table.
 
 from __future__ import annotations
 
+import copy
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable
@@ -236,6 +242,7 @@ class _Tableau:
         watch = self.watch = [[] for _ in range(2 * len(kinds))]
         carries = self.carries = {}
         starred: list[int] = []
+        preorders = self.preorders = []  # the false preorder box codes
         branches = modals_false = atoms_true = 0
         for m, (k, a) in enumerate(zip(kinds, args)):
             false, true = m << 1, m << 1 | 1
@@ -268,6 +275,7 @@ class _Tableau:
                 modals_false |= 1 << false
             elif k == _BOX_P:
                 carries[true] = (args[a[1]][0], true)
+                preorders.append(false)
             elif k == _BOX_S:
                 modals_false |= 1 << false
                 starred.append(m)
@@ -298,6 +306,11 @@ class _Tableau:
         self.steps = {x: tuple(sel.items()) for x, sel in selects.items()}
         self.refuting = mask_of(self.refutes)
         self.marker_base = 2 * len(kinds)
+        self.twin: "_Tableau | None" = None
+        self._start()
+
+    def _start(self) -> None:
+        """An empty graph holding only the root."""
         # ids: every mask a state was discovered under, unclosed or closed,
         # to its id, or to None if it clashes.  Per state id: the closed
         # mask, its entry once expanded (None before), the ids that step to
@@ -318,10 +331,32 @@ class _Tableau:
         self.deferred: dict[int, tuple] = {}
         self.defer = False  # whether the pass under way defers alternatives
         self.order: list[int] = []   # expanded ids, in expansion order
-        # The root demands closure member 0, the goal, true: code 1.
-        self.root = self._discover(1 << 1, (1,))
         self.rounds: list[int] = []
         self.passes = 0
+        # The root demands closure member 0, the goal, true: code 1.
+        self.root = self._discover(1 << 1, (1,))
+
+    def _twin(self) -> "_Tableau":
+        """A second graph over the same closure and tables, in which a
+        false preorder box [x*]B never branches but plants its obligation
+        ![x]B, searched in one pass that defers nothing.  Exact, since x
+        occurs only as x*: the goal is satisfiable iff it is with x a
+        preorder, where [x*]B is [x]B.  Its models are larger, so it only
+        refutes."""
+        twin = copy.copy(self)
+        plan = twin.plan = list(self.plan)
+        watch = twin.watch = list(self.watch)
+        for c in self.preorders:
+            kids = plan[c][1]
+            plan[c] = (_DET, kids[1:])
+            for w in (c, *(kid ^ 1 for kid in kids)):
+                watch[w] = [b for b in watch[w] if b != c]
+        twin.branches = self.branches & ~mask_of(self.preorders)
+        twin._start()
+        if twin.root is not None:
+            twin.passes = 1
+            twin._search()
+        return twin
 
     def _discover(self, state: int, seed) -> "int | None":
         """The id of state closed from the codes of seed (see _close), or
@@ -446,10 +481,11 @@ class _Tableau:
     def build(self) -> bytearray:
         """Search in passes (`_search`) and return the alive set that
         decided: that of the first pass after which the root is alive, or
-        whose subgraph holds no deferred alternative.  Between passes the
-        alternatives of the dead decompositions the pass reached are
-        released, or every deferred one if none of those died or if the
-        next pass is pass `PASSES`.  Each pass searches the cached graph
+        whose subgraph holds no deferred alternative, or of pass
+        `PASSES - 1` if the twin (`_twin`) refutes the goal.  Between
+        passes the alternatives of the dead decompositions the pass reached
+        are released, or every deferred one if none of those died or if
+        the next pass is pass `PASSES`.  Each pass searches the cached graph
         from the root with every low link reset, so it settles every
         state it reaches; the bits of states it does not reach are stale
         and never read.  A goal that clashes runs no pass."""
@@ -463,6 +499,10 @@ class _Tableau:
             reached = [i for i in deferred if low[i] == _SETTLED]
             if alive[self.root] or not reached:
                 return alive
+            if self.passes + 1 == PASSES and self.preorders:
+                twin = self.twin = self._twin()
+                if twin.root is None or not twin.alive[twin.root]:
+                    return alive
             release = list(deferred)
             if self.passes + 1 < PASSES:
                 release = [i for i in reached if not alive[i]] or release
@@ -749,16 +789,19 @@ def pdl_satisfiable(f: PdlFormula, stats: "dict | None" = None):
     re-checked with the independent evaluator.
 
     `stats`, when given, receives `nodes` (distinct states expanded over
-    all passes), `passes`, `closure` (closure members) and `rounds`: for
-    each settlement step that deleted states for an unfulfilled
-    eventuality, in search order, the number of states of the settled part
-    alive before it.  `nodes` and `passes` are 0 when the goal clashes."""
+    all passes, the twin's included), `passes` (the twin's one pass
+    included), `closure` (closure members) and `rounds`: for each
+    settlement step that deleted states for an unfulfilled eventuality, in
+    search order, the number of states of the settled part alive before
+    it, the twin's after the main graph's.  `nodes` and `passes` are 0 when
+    the goal clashes."""
     engine = _Tableau(f)
     alive = engine.build()
     if stats is not None:
-        stats["nodes"] = len(engine.order)
-        stats["passes"] = engine.passes
-        stats["rounds"] = engine.rounds
+        graphs = [engine] if engine.twin is None else [engine, engine.twin]
+        stats["nodes"] = sum(len(g.order) for g in graphs)
+        stats["passes"] = sum(g.passes for g in graphs)
+        stats["rounds"] = [r for g in graphs for r in g.rounds]
         stats["closure"] = len(engine.closure)
     if engine.root is None or not alive[engine.root]:
         return None

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import random
 
 import pytest
@@ -309,17 +310,44 @@ def random_mixed_pdl(rng: random.Random, depth: int):
     return BoxP(random_mixed_program(rng, 1), random_mixed_pdl(rng, depth - 1))
 
 
-def test_engines_agree_when_one_atom_occurs_only_starred():
+def random_mixed_goal(rng: random.Random, depth: int):
+    """![P]A & [Q]B & C: a diamond that a box may keep from being met,
+    over the programs of `random_mixed_program`."""
+    return And(Neg(BoxP(random_mixed_program(rng, 2), random_mixed_pdl(rng, depth))),
+               And(BoxP(random_mixed_program(rng, 2), random_mixed_pdl(rng, depth)),
+                   random_mixed_pdl(rng, depth)))
+
+
+def recorded_engines(monkeypatch) -> list:
+    """Every `_Tableau` whose `build` runs from now on, in call order."""
+    seen = []
+    original = solver._Tableau.build
+
+    def recorded(engine):
+        seen.append(engine)
+        return original(engine)
+
+    monkeypatch.setattr(solver._Tableau, "build", recorded)
+    return seen
+
+
+def twin_refuted(engine) -> bool:
+    """Whether the twin ran and found the goal unsatisfiable."""
+    twin = engine.twin
+    return twin is not None and (twin.root is None or not twin.alive[twin.root])
+
+
+def test_engines_agree_when_one_atom_occurs_only_starred(monkeypatch):
     # a occurs only as a*, so each [a*]B is one preorder box; m occurs
     # bare as well, so each [m*]B stays a star eventuality.  The
-    # exhaustive engine unfolds every star in its own closure.
+    # exhaustive engine unfolds every star in its own closure.  Some of
+    # the unsatisfiable goals are decided by the twin, whose false
+    # preorder boxes only plant their obligations.
+    engines = recorded_engines(monkeypatch)
     rng = random.Random(37)
-    compared = sat = 0
+    compared = sat = by_twin = 0
     while compared < 150:
-        # ![P]A & [Q]B & C: a diamond that a box may keep from being met.
-        f = And(Neg(BoxP(random_mixed_program(rng, 2), random_mixed_pdl(rng, 2))),
-                   And(BoxP(random_mixed_program(rng, 2), random_mixed_pdl(rng, 2)),
-                          random_mixed_pdl(rng, 2)))
+        f = random_mixed_goal(rng, 2)
         kinds = set(fl_closure(f).kind)
         if "a" in bare_atoms(f) or "m" not in bare_atoms(f) \
                 or not {solver._BOX_P, solver._BOX_S} <= kinds:
@@ -332,7 +360,9 @@ def test_engines_agree_when_one_atom_occurs_only_starred():
         assert (got_tab is None) == (got_exh is None), render(f)
         compared += 1
         sat += got_tab is not None
+        by_twin += twin_refuted(engines[-1])
     assert 20 < sat < 130, sat
+    assert by_twin > 2, by_twin
 
 
 def test_tableau_agrees_with_bounded_model_search():
@@ -380,22 +410,31 @@ def test_settlement_matches_global_elimination(monkeypatch):
     # member's start bit must be the reference's own fulfilment, since
     # extraction reads its witness paths off the marks.  Once after every pass, then with every alternative
     # released from the start, where one pass settles the whole graph.
+    # The twin's one pass is compared the same way, and its verdict with
+    # that of the main graph searched whole.
     passes = []
-    compared_pairs = 0
+    compared_pairs = twin_pairs = 0
     original = solver._Tableau._settle
 
     def compared(engine, part, floor):
-        nonlocal compared_pairs
+        nonlocal compared_pairs, twin_pairs
         original(engine, part, floor)
         if floor == 0:
-            compared_pairs += assert_settled_as_reference(engine, reached(engine))
-            passes.append(engine.passes)
+            pairs = assert_settled_as_reference(engine, reached(engine))
+            compared_pairs += pairs
+            # A twin's false preorder boxes plant their obligations only.
+            if engine.preorders and engine.plan[engine.preorders[0]][0] == solver._DET:
+                passes.append("twin")
+                twin_pairs += pairs
+            else:
+                passes.append(engine.passes)
 
     monkeypatch.setattr(solver._Tableau, "_settle", compared)
     # ![P*]A & [Q*]B & C: an eventuality that a box may keep from being
     # fulfilled, over random programs and formulas: enough of them that
     # passes 2 and 3 run often, although the sibling of a clashing
-    # alternative is followed in the pass that finds the clash.
+    # alternative is followed in the pass that finds the clash.  Then goals
+    # in which a occurs only as a*, so that the twin runs.
     rng = random.Random(29)
     pieces = dict(atoms=("p", "q"), prog_atoms=("a", "m"))
     formulas = [And(Neg(BoxP(Star(random_program(rng, 2, ("a", "m"))),
@@ -404,11 +443,12 @@ def test_settlement_matches_global_elimination(monkeypatch):
                                    random_pdl(rng, 3, **pieces)),
                               random_pdl(rng, 3, **pieces)))
                 for _ in range(240)]
+    formulas += [random_mixed_goal(rng, 3) for _ in range(240)]
     for f in formulas:
         pdl_satisfiable(f)
     monkeypatch.undo()
     monkeypatch.setattr(solver, "PASSES", 0)
-    deleted = pairs = demands = 0
+    deleted = pairs = demands = twins = 0
     for f in formulas:
         engine = solver._Tableau(f)
         alive = engine.build()
@@ -419,6 +459,15 @@ def test_settlement_matches_global_elimination(monkeypatch):
         assert alive == reference_alive(engine)
         deleted += bool(engine.rounds)
         pairs += assert_settled_as_reference(engine, engine.order)
+        if engine.preorders:
+            twin = engine._twin()
+            twin_alive = twin.root is not None and twin.alive[twin.root]
+            assert twin_alive == alive[engine.root], render(f)
+            if twin.root is not None:
+                assert reached(twin) == sorted(twin.order)
+                assert twin.alive == reference_alive(twin)
+                pairs += assert_settled_as_reference(twin, twin.order)
+            twins += 1
         # A saturated state never holds both [x]B and ![x]B, so each demand
         # it spawns is clash-free as built: the entry lists every one.
         for i in engine.order:
@@ -429,8 +478,9 @@ def test_settlement_matches_global_elimination(monkeypatch):
                         render(f)
                     demands += 1
     assert passes.count(2) > 30 and passes.count(3) > 10, passes
+    assert passes.count("twin") > 10 and twin_pairs > 200, passes
     assert compared_pairs > 5000 and deleted > 20 and pairs > 10000
-    assert demands > 1000
+    assert demands > 1000 and twins > 50
 
 
 def test_search_stops_once_the_root_survives(monkeypatch):
@@ -510,15 +560,19 @@ def test_wide_disjunction_decides_within_a_state_cap(monkeypatch):
 
 
 # Graph counters of the PDL query behind each formula: `nodes` (distinct
-# states expanded over all passes), `passes`, `rounds` (the live count of
-# each settlement step that deleted states for an unfulfilled eventuality,
-# over all passes in search order) and `closure`.  Every row was
+# states expanded over all passes, the twin's included), `passes`, `rounds`
+# (the live count of each settlement step that deleted states for an
+# unfulfilled eventuality, over all passes in search order, then the
+# twin's) and `closure`.  Every row was
 # re-recorded when the search in passes replaced the checkpoints, and
 # again when states were closed as they are discovered: closing a state
 # and a clash take no graph node, and the sibling of a clashing
 # alternative is followed in the same pass; and again when a starred box
 # over a program atom that occurs only starred became one preorder box
-# with no star eventuality.  A change to the engine's
+# with no star eventuality.  The Valid rows with a preorder box were
+# re-recorded when the twin (plan (a): a false preorder box only plants its
+# obligation) came to decide the last pass; their passes column counts the
+# twin's one pass as pass 3.  A change to the engine's
 # internals that keeps its decomposition graph, expansion order and pass
 # rules keeps them exactly.  None as logic means `pdl_satisfiable` on the
 # PDL formula itself.  New rows go at the end: pytest names a row by its
@@ -531,27 +585,32 @@ GRAPH_PINS = [
     # One `theorems` benchmark instance each of K and induction (ck_star)
     # and of 4 (cs4).
     ("ck_star", "[]((((false | p) | (p -> p))) -> (<>[]p)) -> "
-                "([](((false | p) | (p -> p))) -> [](<>[]p))", 16, 3, [], 58),
+                "([](((false | p) | (p -> p))) -> [](<>[]p))", 17, 3, [], 58),
     ("ck_star", "[*]((((false | p) | (p -> p))) -> [](((false | p) | (p -> p)))) -> "
                 "((((false | p) | (p -> p))) -> [*](((false | p) | (p -> p))))",
-     150, 3, [4, 9, 12, 26], 50),
-    ("cs4", "[]((<>q & (q | p))) -> [][]((<>q & (q | p)))", 62, 3, [4, 12, 23], 29),
+     84, 3, [4, 9, 8, 14], 50),
+    ("cs4", "[]((<>q & (q | p))) -> [][]((<>q & (q | p)))", 61, 3, [4, 12, 15], 29),
     # Deep closures over i*: an odd tower of ~ (Invalid, many branch
     # states) and right-nested implications (Valid; i occurs only starred,
-    # so no state has a star eventuality and no step deletes one).
+    # so no state has a star eventuality and no step deletes one).  The
+    # implications' passes 1 and 2 expand 249 and 5,249 states, the twin
+    # 20 and 100.
     ("ck_star", "~" * 21 + "p", 29, 1, [], 103),
-    ("ck_star", "p->" * 20 + "p", 420, 3, [], 65),
-    ("ck_star", "p->" * 100 + "p", 10100, 3, [], 305),
+    ("ck_star", "p->" * 20 + "p", 269, 3, [], 65),
+    ("ck_star", "p->" * 100 + "p", 5349, 3, [], 305),
     # A goal that clashes as it is closed: no state, no pass.
     (None, "p & !p", 0, 0, [], 3),
     # The heaviest `theorems` schema, K under cs4: 1839 states before a
     # pass stopped following a saturated state's demands at a dead one.
     ("cs4", "[](([]<>false) -> ((<>q | <>q))) -> "
-            "([]([]<>false) -> []((<>q | <>q)))", 200, 3, [7, 17, 26, 24], 64),
+            "([]([]<>false) -> []((<>q | <>q)))", 165, 3, [7, 17, 18, 18], 64),
     # The <*> tower: m also occurs bare, so every [m*] stays a star
-    # eventuality; 15,094 states before that cut.
-    ("ck_star", "<*>" * 9 + "[]p -> " + "<*>" * 8 + "[]p",
-     3055, 3, [10, 46, 512, 192, 96, 48, 24, 12, 6, 3], 66),
+    # eventuality; 15,094 states before that cut, and 3,055 before the twin
+    # decided the last pass (215 states in passes 1 and 2, 17 in the twin).
+    ("ck_star", "<*>" * 9 + "[]p -> " + "<*>" * 8 + "[]p", 232, 3, [10, 46, 2], 66),
+    # The same tower at n = 30, out of reach of a whole-graph last pass:
+    # 2,085 states in passes 1 and 2, 39 in the twin, one more a level.
+    ("ck_star", "<*>" * 31 + "[]p -> " + "<*>" * 30 + "[]p", 2124, 3, [32, 497, 2], 198),
 ]
 
 
@@ -570,6 +629,33 @@ def test_decomposition_graph_is_pinned(logic, source, nodes, passes, rounds,
         stats, = seen
     assert (stats["nodes"], stats["passes"], stats["rounds"], stats["closure"]) == \
         (nodes, passes, rounds, closure)
+
+
+# `hard` depth-5 seed 177 and depth-6 seed 4 under ck_star: pass 2 ends
+# with the root dead and the twin's root alive, so pass 3 searches the main
+# graph whole and extraction reads it.  Each answer was recorded before the
+# twin existed.
+TWIN_ALIVE_PINS = [
+    ("[*](([*](false | r) | <*><*>false) -> [][](r & q))",
+     '{"verdict": "invalid", "world": 0, "model": {"kind": "ck", "worlds": 3, '
+     '"pre": [[0, 0], [1, 1], [2, 2]], "mod": [[0, 1], [1, 2]], '
+     '"val": {"q": [], "r": [0, 1, 2]}, "bot": []}}'),
+    ("[*]<*>[]((<>false -> []false) | (<*>false | [*]q))",
+     '{"verdict": "invalid", "world": 0, "model": {"kind": "ck", "worlds": 6, '
+     '"pre": [[0, 0], [1, 1], [1, 2], [2, 2], [3, 3], [4, 4], [5, 5]], '
+     '"mod": [[0, 1], [1, 1], [2, 3], [2, 4], [4, 5], [5, 5]], '
+     '"val": {"q": [4, 5]}, "bot": [4, 5]}}'),
+]
+
+
+@pytest.mark.parametrize("source, answer", TWIN_ALIVE_PINS)
+def test_a_living_twin_leaves_the_countermodel_as_it_was(source, answer, monkeypatch):
+    engines = recorded_engines(monkeypatch)
+    v = decide("ck_star", parse_formula(source))
+    engine, = engines
+    assert engine.twin is not None and not twin_refuted(engine)
+    assert engine.passes == solver.PASSES
+    assert json.dumps(v.to_obj()) == answer
 
 
 def test_a_demand_can_close_to_the_state_that_spawned_it():
