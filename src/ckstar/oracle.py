@@ -22,7 +22,7 @@ from functools import partial
 from typing import Iterator
 
 from .relmodel import (
-    MODEL_KINDS,
+    MODEL_CLASSES,
     BiModel,
     BlockRelation,
     PdlModel,
@@ -51,7 +51,7 @@ class EnumSpec:
     kind: str = "ck"
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
+        if self.kind not in MODEL_CLASSES:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.max_worlds < 1:
             raise ValueError(
@@ -85,8 +85,8 @@ def _enumerate_raw(kind: str, atoms: tuple[str, ...], n: int) -> Iterator[tuple]
     persistence (an upset of pre), falsum persistence and seriality (a
     fallible set closed under both relations, each of its worlds with a
     mod-successor), infallibility, mod a preorder, and confluence."""
-    infallible = kind in ("wk", "ws4")
-    preorder_mod = kind in ("cs4", "ws4")
+    fallible, base = MODEL_CLASSES[kind]
+    preorder_mod = base is not None
     full = (1 << n) - 1
     preorders = _preorders(n)
     for pre in preorders:
@@ -96,7 +96,7 @@ def _enumerate_raw(kind: str, atoms: tuple[str, ...], n: int) -> Iterator[tuple]
                 continue
             rels = pre.rows, mod.rows
             serial = mod.dia(full)
-            bots = [0] if infallible else [
+            bots = [0] if not fallible else [
                 b for b in range(full + 1) if b & ~serial == 0
                 and (pre.image(b) | mod.image(b)) & ~b == 0]
             for bot in bots:
@@ -267,15 +267,14 @@ def random_model(seed: int, spec: EnumSpec) -> BiModel:
     worlds.  A `cs4`/`ws4` model doubles a constructive one, so it needs
     room for two worlds: ValueError below that."""
     rng = random.Random(seed)
-    kind = spec.kind
-    if kind in ("cs4", "ws4"):
-        if spec.max_worlds < 2:
-            raise ValueError(f"a {kind} model has at least 2 worlds, "
-                             f"max_worlds is {spec.max_worlds}")
-        base_spec = EnumSpec(spec.max_worlds // 2, spec.atoms,
-                             "ck" if kind == "cs4" else "wk")
-        return ck_model_to_cs4(_random_ck(rng, base_spec))
-    return _random_ck(rng, spec)
+    base = MODEL_CLASSES[spec.kind].base
+    if base is None:
+        return _random_ck(rng, spec)
+    if spec.max_worlds < 2:
+        raise ValueError(f"a {spec.kind} model has at least 2 worlds, "
+                         f"max_worlds is {spec.max_worlds}")
+    base_spec = EnumSpec(spec.max_worlds // 2, spec.atoms, base)
+    return ck_model_to_cs4(_random_ck(rng, base_spec))
 
 
 def _random_ck(rng: random.Random, spec: EnumSpec) -> BiModel:
@@ -283,16 +282,15 @@ def _random_ck(rng: random.Random, spec: EnumSpec) -> BiModel:
     density = 0.35
     pre = rel_star(Relation.from_pairs(
         n, [(w, v) for w in range(n) for v in range(n) if rng.random() < density]))
-    mod_pairs = [(w, v) for w in range(n) for v in range(n)
-                 if rng.random() < density]
-    mod = Relation.from_pairs(n, mod_pairs)
+    mod = Relation.from_pairs(
+        n, [(w, v) for w in range(n) for v in range(n) if rng.random() < density])
     bot = 0
-    if spec.kind == "ck":
+    if MODEL_CLASSES[spec.kind].fallible:
         bot = mask_of(w for w in range(n) if rng.random() < 0.25)
-        bot = pre.union(mod).forward_closure(bot)
-        # Patch falsum seriality: a fallible world without successors sees itself.
+        bot = rel_star(pre.union(mod)).image(bot)
+        # Patch falsum seriality: a fallible world without successors sees
+        # itself, which keeps bot closed.
         mod = Relation(n, tuple(row or bot & 1 << w for w, row in enumerate(mod.rows)))
-        bot = pre.union(mod).forward_closure(bot)
     val = {}
     for a in spec.atoms:
         base = bot | mask_of(w for w in range(n) if rng.random() < 0.45)

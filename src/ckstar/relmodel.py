@@ -13,9 +13,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-MODEL_KINDS = ("ck", "wk", "cs4", "ws4")
+# The four model classes: whether each admits fallible worlds, and for the
+# transitive ones (mod a preorder confluent with pre) the class whose models
+# `translate.ck_model_to_cs4` doubles into them; None for `ck` and `wk`.
+ModelClass = NamedTuple("ModelClass", [("fallible", bool), ("base", "str | None")])
+MODEL_CLASSES = {"ck": ModelClass(True, None), "wk": ModelClass(False, None),
+                 "cs4": ModelClass(True, "ck"), "ws4": ModelClass(False, "wk")}
+MODEL_KINDS = tuple(MODEL_CLASSES)
 
 # Largest world count a model document may declare.  Loading allocates one
 # row per world before any pair is read, so the count is checked first.
@@ -73,14 +79,6 @@ class Relation:
             if row & mask:
                 out |= 1 << w
         return out
-
-    def forward_closure(self, mask: int) -> int:
-        closed = mask
-        while True:
-            grown = closed | self.image(closed)
-            if grown == closed:
-                return closed
-            closed = grown
 
     def is_reflexive(self) -> bool:
         return all(self.rows[w] >> w & 1 for w in range(self.n))
@@ -288,7 +286,7 @@ def confluence_gaps(pre: Relation, mod: Relation) -> list[int]:
 
 def validate(m: BiModel, kind: str) -> list[ModelViolation]:
     """All condition violations for the given model class, with witnesses."""
-    if kind not in MODEL_KINDS:
+    if kind not in MODEL_CLASSES:
         raise ValueError(f"unknown model kind {kind!r}")
     out: list[ModelViolation] = []
     bot = m.bot
@@ -308,11 +306,10 @@ def validate(m: BiModel, kind: str) -> list[ModelViolation]:
         if m.mod.rows[w] == 0:
             out.append(ModelViolation("falsum-seriality", (w,)))
 
-    if kind in ("wk", "ws4"):
-        for w in bits_of(bot):
-            out.append(ModelViolation("infallibility", (w,)))
+    if not MODEL_CLASSES[kind].fallible:
+        out.extend(ModelViolation("infallibility", (w,)) for w in bits_of(bot))
 
-    if kind in ("cs4", "ws4"):
+    if MODEL_CLASSES[kind].base is not None:
         out.extend(_preorder_violations(m.mod, "mod-not-preorder"))
         for w, gap in enumerate(confluence_gaps(m.pre, m.mod)):
             if gap:
@@ -327,7 +324,7 @@ def validate(m: BiModel, kind: str) -> list[ModelViolation]:
 
 
 def _pairs_json(r: Relation) -> list[list[int]]:
-    return [[w, v] for w, v in sorted(r.pairs())]
+    return [[w, v] for w, v in r.pairs()]
 
 
 def model_to_obj(m) -> dict:

@@ -82,7 +82,8 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .relmodel import BiModel, PdlModel, Relation, bits_of, mask_of, validate
+from .relmodel import (
+    MODEL_CLASSES, BiModel, PdlModel, Relation, bits_of, mask_of, validate)
 from .semantics import pdl_satisfies, satisfies
 from .syntax import (
     And,
@@ -780,7 +781,7 @@ class _Tableau:
             for code in bits_of(self.states[node] & self.atoms_true):
                 name = self.args[code >> 1]
                 val[name] = val.get(name, 0) | 1 << w
-        rho = {a: Relation.from_pairs(n, sorted(ps)) for a, ps in edges.items()}
+        rho = {a: Relation.from_pairs(n, ps) for a, ps in edges.items()}
         return PdlModel(n, rho, val)
 
 
@@ -871,7 +872,7 @@ class Logic:
     @property
     def classical(self) -> bool:
         """Input is PDL syntax and countermodels are `PdlModel`s."""
-        return self.kind in ("k", "pdl")
+        return self.kind not in MODEL_CLASSES
 
 
 LOGIC_TABLE = {
@@ -916,7 +917,7 @@ def check_input(logic: str, f) -> "tuple[Logic, tuple[str, ...]]":
     if not check_fragment(f, row.language):
         raise FragmentError(f"formula is not in the input language of {logic}")
     atoms = tuple(variables(f))
-    if row.kind in ("ck", "cs4") and P_BOT in atoms:
+    if P_BOT in atoms and not row.classical and MODEL_CLASSES[row.kind].fallible:
         raise FragmentError(
             f"atom {P_BOT!r} is reserved and not in the language of {logic}")
     return row, atoms

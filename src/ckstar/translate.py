@@ -21,6 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .relmodel import (
+    MODEL_CLASSES,
     BiModel,
     PdlModel,
     Relation,
@@ -53,6 +54,7 @@ from .syntax import (
     P_BOT,
     Star,
     check_fragment,
+    depth_error,
     images,
     variables,
 )
@@ -138,6 +140,8 @@ def iota(f: PdlFormula) -> Formula:
     constructive language: f read by `_KSTAR`, under the antecedent of
     excluded middle, master-boxed, for the reading of every subformula of
     f, in `subformulas` order."""
+    if (error := depth_error(f)) is not None:
+        raise FragmentError(error)
     if not check_fragment(f, FragmentTag.LK_STAR):
         raise FragmentError("formula is not in the single-program fragment")
     image = images(f, _KSTAR)
@@ -154,6 +158,8 @@ _KAPPA[Dia] = lambda g, image, _: DiaStar(image[g.body])
 def kappa(f: Formula) -> Formula:
     """Replace each box by the master box and each diamond by the master
     diamond."""
+    if (error := depth_error(f)) is not None:
+        raise FragmentError(error)
     if not check_fragment(f, FragmentTag.L):
         raise FragmentError("formula is not in the iteration-free fragment")
     return images(f, _KAPPA)[f]
@@ -207,15 +213,12 @@ def ck_model_to_cs4(m: BiModel) -> BiModel:
             out |= 0b11 << (2 * v)
         return out
 
-    pre_rows = []
+    pre_rows = [both for both in map(spread, m.pre.rows) for _ in range(2)]
     mod_rows = []
     for w in range(n):
-        both = spread(m.pre.rows[w])
-        pre_rows.append(both)
-        pre_rows.append(both)
         mod_rows.append(mask_of(2 * v for v in bits_of(mod_star.rows[w])))
         mod_rows.append(spread(iter_star.rows[w]))
     val = {name: spread(ws) for name, ws in m.val.items()}
-    kind = "ws4" if m.kind == "wk" else "cs4"
+    kind = next((k for k, c in MODEL_CLASSES.items() if c.base == m.kind), "cs4")
     return BiModel(n2, Relation(n2, tuple(pre_rows)), Relation(n2, tuple(mod_rows)),
                    val, spread(m.bot), kind)

@@ -201,13 +201,13 @@ def rand_ck_model(rng: random.Random, max_worlds: int = 4, atoms=("p", "q"),
     bot = 0
     if fallible:
         bot = mask_of(w for w in range(n) if rng.random() < 0.2)
-        bot = pre.union(mod).forward_closure(bot)
+        bot = rel_star(pre.union(mod)).image(bot)
         rows = list(mod.rows)
         for w in range(n):
             if bot >> w & 1 and rows[w] == 0:
                 rows[w] |= 1 << w
         mod = Relation(n, tuple(rows))
-        bot = pre.union(mod).forward_closure(bot)
+        bot = rel_star(pre.union(mod)).image(bot)
     val = {}
     for a in atoms:
         base = bot | mask_of(w for w in range(n) if rng.random() < 0.4)

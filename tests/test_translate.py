@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ckstar.relmodel import validate, rel_compose
+from ckstar.relmodel import MODEL_KINDS, validate, rel_compose
 from ckstar.semantics import extension, pdl_extension
 from ckstar.solver import decide
 from ckstar.syntax import (
@@ -41,6 +41,7 @@ from ckstar.translate import (
 )
 
 from helpers import (
+    alarm,
     balanced_text,
     bi_model,
     iter_nodes,
@@ -183,6 +184,31 @@ def test_kappa_goldens():
         kappa(BoxStar(p))
 
 
+def test_kappa_and_iota_refuse_over_deep_trees():
+    # Their walks recurse once per level: past MAX_DEPTH they refuse the
+    # input, as `check_input` does, instead of overflowing the stack.
+    boxes, negs = p, p
+    for _ in range(5000):
+        boxes, negs = Box(boxes), Neg(negs)
+    with pytest.raises(FragmentError, match="nests more than"):
+        kappa(boxes)
+    with pytest.raises(FragmentError, match="nests more than"):
+        iota(negs)
+
+
+def test_kappa_and_iota_refuse_over_cap_shared_trees():
+    # 40 levels of one shared subtree: 41 distinct nodes but about 2 * 10^12
+    # node occurrences, which the fragment check would walk one by one.
+    f = p
+    for _ in range(40):
+        f = And(f, f)
+    with alarm(2, "kappa and iota on a shared tree past MAX_NODES"):
+        with pytest.raises(FragmentError, match="nodes"):
+            kappa(f)
+        with pytest.raises(FragmentError, match="nodes"):
+            iota(f)
+
+
 # ---------------------------------------------------------------------------
 # model constructions
 
@@ -301,6 +327,16 @@ def test_doubling_construction_transfer():
         # World v is copy v % 2 of world v // 2.
         for v in range(cs4.worlds):
             assert bool(lifted >> v & 1) == bool(base >> (v // 2) & 1)
+
+
+def test_doubling_kind_for_every_input_kind():
+    # A wk model doubles into ws4; a model of any other kind, transitive
+    # ones included, into cs4.
+    doubled = {"ck": "cs4", "wk": "ws4", "cs4": "cs4", "ws4": "cs4"}
+    assert set(doubled) == set(MODEL_KINDS)
+    for kind, expected in doubled.items():
+        m = bi_model(1, [(0, 0)], [(0, 0)], kind=kind)
+        assert ck_model_to_cs4(m).kind == expected
 
 
 def test_cs4_one_world_remark():

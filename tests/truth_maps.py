@@ -15,6 +15,7 @@ from ckstar.relmodel import (
     bits_of,
     mask_of,
     rel_compose,
+    rel_star,
     validate,
 )
 from ckstar.semantics import InvalidModelError, extension, pdl_extension
@@ -76,7 +77,7 @@ def wk_generated_classical(
     if not check_fragment(f, FragmentTag.LK_STAR):
         raise FragmentError("formula is not in the single-program fragment")
     u_mask = extension(m, iota(f).left)  # iota's antecedent
-    generated = m.pre.union(m.mod).forward_closure(u_mask)
+    generated = rel_star(m.pre.union(m.mod)).image(u_mask)
     keep = bits_of(generated)
     val = {name: restrict_mask(ws, keep) for name, ws in m.val.items()}
     sub = BiModel(len(keep), restrict(m.pre, keep), restrict(m.mod, keep),
