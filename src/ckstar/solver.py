@@ -35,18 +35,22 @@ parents nothing, so no other visited state's bit or marks depend on the
 demands skipped.  The surviving set only grows with the graph, so a root
 alive after a pass is alive in the whole graph: the search stops there
 and extracts its model, whose eventuality witnesses are shortest paths
-through the (state, mark bit) pairs set in the marks.  Otherwise the next
+through the (state, mark bit) pairs set in the marks; a pass ends as
+soon as the root is known alive (`_root_chain`).  Otherwise the next
 pass releases the other alternatives of the dead decompositions the pass
 reached, or every deferred one if none of them died, and searches the
 cached graph from the root again: no state is expanded twice, and every
 state the pass reaches is settled anew.  A dead root whose subgraph
 holds no deferred alternative is dead in the whole graph.  Pass `PASSES`
-releases everything, so the answer stays exact.  When the closure holds a
-preorder box, the last pass is first decided on a twin (`_twin`): a graph
-over the same tables in which a false preorder box only plants its
-obligation, exact too with x a preorder, and far smaller.  A dead twin
-root makes the goal unsatisfiable; a live one sends it on to pass
-`PASSES`, whose graph extraction reads, as the twin's models are larger.
+releases everything, so the answer stays exact.  When the closure holds
+a preorder box and pass 1 leaves the root dead, the goal is first
+decided on a twin (`_twin`): a graph over the same tables in which a
+false preorder box only plants its obligation, exact too with x a
+preorder, far smaller, and searched in passes of its own.  A dead twin
+root makes the goal unsatisfiable, so a Valid goal costs pass 1 and at
+most `PASSES` twin passes; a live one sends it on to passes 2 and
+`PASSES` of the main graph, whose graph extraction reads, as the twin's
+models are larger.
 A state is one int bit mask, closed from the codes its discovery added
 (a worklist and per-code watch lists) before it gets a dense integer id.  A clash gets no id: a
 clashing alternative is dropped, a clashing demand kills its saturated
@@ -340,9 +344,10 @@ class _Tableau:
     def _twin(self) -> "_Tableau":
         """A second graph over the same closure and tables, in which a
         false preorder box [x*]B never branches but plants its obligation
-        ![x]B, searched in one pass that defers nothing.  Exact, since x
-        occurs only as x*: the goal is satisfiable iff it is with x a
-        preorder, where [x*]B is [x]B.  Its models are larger, so it only
+        ![x]B, searched in passes (`build`) as the main graph is.  No
+        preorder box branches in it, so it has no twin of its own.  Exact,
+        since x occurs only as x*: the goal is satisfiable iff it is with x
+        a preorder, where [x*]B is [x]B.  Its models are larger, so it only
         refutes."""
         twin = copy.copy(self)
         plan = twin.plan = list(self.plan)
@@ -353,10 +358,9 @@ class _Tableau:
             for w in (c, *(kid ^ 1 for kid in kids)):
                 watch[w] = [b for b in watch[w] if b != c]
         twin.branches = self.branches & ~mask_of(self.preorders)
+        twin.preorders = []
         twin._start()
-        if twin.root is not None:
-            twin.passes = 1
-            twin._search()
+        twin.build()
         return twin
 
     def _discover(self, state: int, seed) -> "int | None":
@@ -482,14 +486,15 @@ class _Tableau:
     def build(self) -> bytearray:
         """Search in passes (`_search`) and return the alive set that
         decided: that of the first pass after which the root is alive, or
-        whose subgraph holds no deferred alternative, or of pass
-        `PASSES - 1` if the twin (`_twin`) refutes the goal.  Between
-        passes the alternatives of the dead decompositions the pass reached
-        are released, or every deferred one if none of those died or if
-        the next pass is pass `PASSES`.  Each pass searches the cached graph
-        from the root with every low link reset, so it settles every
-        state it reaches; the bits of states it does not reach are stale
-        and never read.  A goal that clashes runs no pass."""
+        whose subgraph holds no deferred alternative, or of pass 1 if the
+        twin (`_twin`), built when pass 1 leaves the root dead, refutes the
+        goal.  Between passes the alternatives of the dead decompositions
+        the pass reached are released, or every deferred one if none of
+        those died or if the next pass is pass `PASSES`.  Each pass
+        searches the cached graph from the root with every low link reset,
+        so it settles every state it reaches; the bits of states it does
+        not reach are stale and never read.  A goal that clashes runs no
+        pass."""
         info, parents, alive, low, deferred = (
             self.info, self.parents, self.alive, self.low, self.deferred)
         while self.root is not None:
@@ -500,7 +505,7 @@ class _Tableau:
             reached = [i for i in deferred if low[i] == _SETTLED]
             if alive[self.root] or not reached:
                 return alive
-            if self.passes + 1 == PASSES and self.preorders:
+            if self.passes == 1 and self.preorders:
                 twin = self.twin = self._twin()
                 if twin.root is None or not twin.alive[twin.root]:
                     return alive
@@ -526,7 +531,8 @@ class _Tableau:
         returns from is.  It is dead then whatever the others hold, and
         `_settle` finds that from the dead demand: `all()` stops there,
         and only alive states gather marks.  The stop rule of `build`
-        still holds: the cut edges leave dead states only."""
+        still holds: the cut edges leave dead states only.  The pass ends
+        early once `_root_chain` finds the root alive."""
         info, low, parents, alive = self.info, self.low, self.parents, self.alive
         open_: list[int] = []  # visited and not yet settled
         # (state id, its targets left, its slot, whether it is saturated)
@@ -567,6 +573,8 @@ class _Tableau:
                 self._settle(part, slot)
                 for v in part:
                     low[v] = _SETTLED
+                if alive[u] and self._root_chain(frames, open_):
+                    return
             if not frames:
                 return
             parent, _, pslot, psat = frames[-1]
@@ -574,6 +582,21 @@ class _Tableau:
                 low[parent] = min(low[parent], low[u])
             elif psat and not alive[u]:
                 frames[-1] = (parent, iter(()), pslot, psat)
+
+    def _root_chain(self, frames: list, open_: list) -> bool:
+        """Whether the root is alive, asked as a component settles alive
+        above the frames: it is if the open states are the frames alone
+        (each low link then equals its slot), each a decomposition, since
+        each steps to the next and the last to that component.  Marks them
+        alive and settled; no settled state reaches them, and what they
+        followed before the next frame is settled, as extraction needs.
+        The walk stops at the first saturated frame from the top."""
+        if len(open_) != len(frames) or any(f[3] for f in reversed(frames)):
+            return False
+        for v, *_ in frames:
+            self.alive[v] = 1
+            self.low[v] = _SETTLED
+        return True
 
     def _gather(self, u: int) -> int:
         """Marks of alive state u from its successors' marks: their union
@@ -790,7 +813,7 @@ def pdl_satisfiable(f: PdlFormula, stats: "dict | None" = None):
     re-checked with the independent evaluator.
 
     `stats`, when given, receives `nodes` (distinct states expanded over
-    all passes, the twin's included), `passes` (the twin's one pass
+    all passes, the twin's included), `passes` (the twin's passes
     included), `closure` (closure members) and `rounds`: for each
     settlement step that deleted states for an unfulfilled eventuality, in
     search order, the number of states of the settled part alive before

@@ -319,15 +319,17 @@ def random_mixed_goal(rng: random.Random, depth: int):
 
 
 def recorded_engines(monkeypatch) -> list:
-    """Every `_Tableau` whose `build` runs from now on, in call order."""
+    """Every `_Tableau` made from a goal from now on, in order, as
+    `pdl_satisfiable` makes them.  A twin is a copy of its main graph, so
+    it is not among them, although its `build` runs too."""
     seen = []
-    original = solver._Tableau.build
+    original = solver._Tableau.__init__
 
-    def recorded(engine):
+    def recorded(engine, goal):
+        original(engine, goal)
         seen.append(engine)
-        return original(engine)
 
-    monkeypatch.setattr(solver._Tableau, "build", recorded)
+    monkeypatch.setattr(solver._Tableau, "__init__", recorded)
     return seen
 
 
@@ -383,10 +385,11 @@ def reached(engine) -> list:
     return [u for u, l in enumerate(engine.low) if l != solver._UNSEEN]
 
 
-def assert_settled_as_reference(engine, present) -> int:
+def assert_settled_as_reference(engine, present, marked=None) -> int:
     """The alive bits of the states present, and each alive one's mark at
     every starred member's start bit, equal the reference elimination's on
-    the subgraph they span; returns the number of marks compared."""
+    the subgraph they span; returns the number of marks compared.  Only
+    the marks of the states in marked are compared, if it is given."""
     reference = reference_alive(engine, present)
     goal = render(engine.closure.formulas[0])
     assert [engine.alive[u] for u in present] == [reference[u] for u in present], goal
@@ -394,42 +397,72 @@ def assert_settled_as_reference(engine, present) -> int:
     pairs = 0
     for m, bit in engine.start_bit.items():
         expected = fulfilled(engine, m, rev_steps, saturated)
-        for u in present:
+        for u in present if marked is None else marked:
             if reference[u]:
                 assert bool(engine.marks[u] & bit) == bool(expected[u]), (goal, u, m)
                 pairs += 1
     return pairs
 
 
+def check_each_pass(monkeypatch, check) -> None:
+    """From now on, after each pass (`_search`), call check(engine,
+    settled) with the states that `_settle` settled in the pass: every
+    state the pass reached, but for the decompositions that the root-chain
+    exit marked alive."""
+    settled = []
+    settle, search = solver._Tableau._settle, solver._Tableau._search
+
+    def recorded(engine, part, floor):
+        settle(engine, part, floor)
+        settled.extend(part)
+
+    def checked(engine):
+        settled.clear()
+        search(engine)
+        check(engine, list(settled))
+
+    monkeypatch.setattr(solver._Tableau, "_settle", recorded)
+    monkeypatch.setattr(solver._Tableau, "_search", checked)
+
+
+def assert_pass_as_reference(engine, settled) -> int:
+    """The pass that just ended settled every state it reached as the
+    reference does, and the ones it did not settle are alive
+    decompositions; returns the number of marks compared."""
+    present = reached(engine)
+    chain = set(present) - set(settled)
+    assert all(engine.info[u][0] == "or" and engine.alive[u] for u in chain)
+    return assert_settled_as_reference(engine, present, settled)
+
+
 def test_settlement_matches_global_elimination(monkeypatch):
     # A pass ends when the root's component settles, from the bottom of
-    # Tarjan's stack.  Every state reachable along the successors the pass
-    # followed is then settled for that subgraph by this pass, which
-    # searched it from the root again: its alive bit must be the global
-    # fixpoint's on the subgraph, and each alive state's mark at a starred
-    # member's start bit must be the reference's own fulfilment, since
-    # extraction reads its witness paths off the marks.  Once after every pass, then with every alternative
-    # released from the start, where one pass settles the whole graph.
-    # The twin's one pass is compared the same way, and its verdict with
-    # that of the main graph searched whole.
+    # Tarjan's stack, or when the root-chain exit finds the root alive.
+    # Every state reachable along the successors the pass followed is then
+    # settled for that subgraph by this pass, which searched it from the
+    # root again: its alive bit must be the global fixpoint's on the
+    # subgraph, and each alive state's mark at a starred member's start
+    # bit must be the reference's own fulfilment, since extraction reads
+    # its witness paths off the marks.  Once after every pass, then with
+    # every alternative released from the start and the root-chain exit
+    # off, where one pass settles the whole graph.  The twin's passes are
+    # compared the same way, and its verdict with that of the main graph
+    # searched whole.
     passes = []
     compared_pairs = twin_pairs = 0
-    original = solver._Tableau._settle
+    mains = recorded_engines(monkeypatch)
 
-    def compared(engine, part, floor):
+    def compared(engine, settled):
         nonlocal compared_pairs, twin_pairs
-        original(engine, part, floor)
-        if floor == 0:
-            pairs = assert_settled_as_reference(engine, reached(engine))
-            compared_pairs += pairs
-            # A twin's false preorder boxes plant their obligations only.
-            if engine.preorders and engine.plan[engine.preorders[0]][0] == solver._DET:
-                passes.append("twin")
-                twin_pairs += pairs
-            else:
-                passes.append(engine.passes)
+        pairs = assert_pass_as_reference(engine, settled)
+        compared_pairs += pairs
+        if engine not in mains:
+            passes.append("twin")
+            twin_pairs += pairs
+        else:
+            passes.append(engine.passes)
 
-    monkeypatch.setattr(solver._Tableau, "_settle", compared)
+    check_each_pass(monkeypatch, compared)
     # ![P*]A & [Q*]B & C: an eventuality that a box may keep from being
     # fulfilled, over random programs and formulas: enough of them that
     # passes 2 and 3 run often, although the sibling of a clashing
@@ -448,6 +481,7 @@ def test_settlement_matches_global_elimination(monkeypatch):
         pdl_satisfiable(f)
     monkeypatch.undo()
     monkeypatch.setattr(solver, "PASSES", 0)
+    monkeypatch.setattr(solver._Tableau, "_root_chain", lambda *_: False)
     deleted = pairs = demands = twins = 0
     for f in formulas:
         engine = solver._Tableau(f)
@@ -483,14 +517,64 @@ def test_settlement_matches_global_elimination(monkeypatch):
     assert demands > 1000 and twins > 50
 
 
+def test_the_root_chain_exit_is_exact(monkeypatch):
+    # A pass ends as soon as an alive component settles with only
+    # decompositions open below it, each a parent of the next: the root is
+    # then alive.  The answers and the extracted models must be those of
+    # the same search with the exit off, and every state each pass settled
+    # must be the reference's.  The last goal, searched whole, has a
+    # saturated state whose demand decomposes back into the decomposition
+    # above it; that decomposition's other alternative settles alive while
+    # the first is still open, and no exit may fire there.
+    from ckstar.oracle import random_formula
+    exits = pairs = 0
+
+    def compared(engine, settled):
+        nonlocal exits, pairs
+        pairs += assert_pass_as_reference(engine, settled)
+        exits += len(reached(engine)) > len(settled)
+
+    rng = random.Random(41)
+    goals = [(None, random_mixed_goal(rng, 3), 3) for _ in range(120)]
+    goals += [("ck_star", random_formula(s, d, ("p", "q", "r")), 3)
+              for d, n in ((5, 80), (6, 40)) for s in range(n)]
+    goals.append((None, parse_pdl("[m*]((!r | s) & (![m]r | t))"), 0))
+    models = []
+    extract = solver._Tableau.extract
+
+    def extracted(engine, alive):
+        models.append(extract(engine, alive))
+        return models[-1]
+
+    def answers() -> list:
+        monkeypatch.setattr(solver._Tableau, "extract", extracted)
+        out = []
+        for logic, f, cap in goals:
+            monkeypatch.setattr(solver, "PASSES", cap)
+            out.append(pdl_satisfiable(f) if logic is None
+                       else json.dumps(decide(logic, f).to_obj()))
+        return out
+
+    check_each_pass(monkeypatch, compared)
+    with_exit = answers()
+    with_exit_models = models[:]
+    monkeypatch.undo()
+    models.clear()
+    monkeypatch.setattr(solver._Tableau, "_root_chain", lambda *_: False)
+    assert answers() == with_exit
+    assert models == with_exit_models
+    assert exits > 150 and pairs > 5000, (exits, pairs)
+
+
 def test_search_stops_once_the_root_survives(monkeypatch):
     f = parse_pdl("[m*;m*]([(a;a)*][m;m]p | ![m**]q)")
     stats = {}
     model, world = pdl_satisfiable(f, stats=stats)
     assert pdl_satisfies(model, world, f)
-    # A pass cap of 0 releases every alternative from the start, so the
-    # one pass searches the whole graph.
+    # A pass cap of 0 releases every alternative from the start, so with
+    # the root-chain exit off the one pass searches the whole graph.
     monkeypatch.setattr(solver, "PASSES", 0)
+    monkeypatch.setattr(solver._Tableau, "_root_chain", lambda *_: False)
     full = {}
     assert pdl_satisfiable(f, stats=full) is not None
     assert stats["nodes"] < full["nodes"] and full["passes"] == 1
@@ -547,6 +631,20 @@ def test_cs4_four_diamond_tower_decides_within_a_state_cap(monkeypatch):
     assert seen[0]["nodes"] <= 1000
 
 
+@pytest.mark.parametrize("source, cap", [
+    ("<*>" * 61 + "[]p -> " + "<*>" * 60 + "[]p", 400),
+    ("p->" * 100 + "p", 300),
+], ids=["star_tower_60", "implications_100"])
+def test_valid_towers_decide_within_a_state_cap(source, cap, monkeypatch):
+    # Pass 1 leaves the root dead and the twin refutes the goal in one
+    # pass.  The <*> tower at n = 60 took 257 states and the implications
+    # 201, where a last pass over the main graph doubled the tower's states
+    # a level and took 10,100 for the implications.
+    seen = recorded_stats(monkeypatch)
+    assert decide("ck_star", parse_formula(source)).valid
+    assert seen[0]["nodes"] <= cap
+
+
 def test_wide_disjunction_decides_within_a_state_cap(monkeypatch):
     # Refuting a disjunction of 512 conjunctions: 4096 states before the
     # search ran in passes, for a one-world countermodel.
@@ -571,8 +669,10 @@ def test_wide_disjunction_decides_within_a_state_cap(monkeypatch):
 # over a program atom that occurs only starred became one preorder box
 # with no star eventuality.  The Valid rows with a preorder box were
 # re-recorded when the twin (plan (a): a false preorder box only plants its
-# obligation) came to decide the last pass; their passes column counts the
-# twin's one pass as pass 3.  A change to the engine's
+# obligation) came to decide the last pass, and again when it came to
+# decide right after pass 1, in passes of its own, and a pass came to end
+# once the root's chain of decompositions is alive; their passes column
+# counts pass 1 and the twin's passes.  A change to the engine's
 # internals that keeps its decomposition graph, expansion order and pass
 # rules keeps them exactly.  None as logic means `pdl_satisfiable` on the
 # PDL formula itself.  New rows go at the end: pytest names a row by its
@@ -585,32 +685,33 @@ GRAPH_PINS = [
     # One `theorems` benchmark instance each of K and induction (ck_star)
     # and of 4 (cs4).
     ("ck_star", "[]((((false | p) | (p -> p))) -> (<>[]p)) -> "
-                "([](((false | p) | (p -> p))) -> [](<>[]p))", 17, 3, [], 58),
+                "([](((false | p) | (p -> p))) -> [](<>[]p))", 8, 2, [], 58),
     ("ck_star", "[*]((((false | p) | (p -> p))) -> [](((false | p) | (p -> p)))) -> "
                 "((((false | p) | (p -> p))) -> [*](((false | p) | (p -> p))))",
-     84, 3, [4, 9, 8, 14], 50),
-    ("cs4", "[]((<>q & (q | p))) -> [][]((<>q & (q | p)))", 61, 3, [4, 12, 15], 29),
+     57, 4, [4, 5, 8, 14], 50),
+    ("cs4", "[]((<>q & (q | p))) -> [][]((<>q & (q | p)))", 39, 4, [4, 5, 11, 15], 29),
     # Deep closures over i*: an odd tower of ~ (Invalid, many branch
     # states) and right-nested implications (Valid; i occurs only starred,
     # so no state has a star eventuality and no step deletes one).  The
-    # implications' passes 1 and 2 expand 249 and 5,249 states, the twin
-    # 20 and 100.
+    # implications' pass 1 expands 21 and 101 states, the twin 20 and 100.
     ("ck_star", "~" * 21 + "p", 29, 1, [], 103),
-    ("ck_star", "p->" * 20 + "p", 269, 3, [], 65),
-    ("ck_star", "p->" * 100 + "p", 5349, 3, [], 305),
+    ("ck_star", "p->" * 20 + "p", 41, 2, [], 65),
+    ("ck_star", "p->" * 100 + "p", 201, 2, [], 305),
     # A goal that clashes as it is closed: no state, no pass.
     (None, "p & !p", 0, 0, [], 3),
     # The heaviest `theorems` schema, K under cs4: 1839 states before a
     # pass stopped following a saturated state's demands at a dead one.
     ("cs4", "[](([]<>false) -> ((<>q | <>q))) -> "
-            "([]([]<>false) -> []((<>q | <>q)))", 165, 3, [7, 17, 18, 18], 64),
+            "([]([]<>false) -> []((<>q | <>q)))", 112, 4, [7, 10, 16, 18, 18], 64),
     # The <*> tower: m also occurs bare, so every [m*] stays a star
-    # eventuality; 15,094 states before that cut, and 3,055 before the twin
-    # decided the last pass (215 states in passes 1 and 2, 17 in the twin).
-    ("ck_star", "<*>" * 9 + "[]p -> " + "<*>" * 8 + "[]p", 232, 3, [10, 46, 2], 66),
+    # eventuality; 15,094 states before that cut, 3,055 before the twin
+    # decided the last pass, and 232 before it decided right after pass 1
+    # (32 states in pass 1, 17 in the twin).
+    ("ck_star", "<*>" * 9 + "[]p -> " + "<*>" * 8 + "[]p", 49, 2, [10, 2], 66),
     # The same tower at n = 30, out of reach of a whole-graph last pass:
-    # 2,085 states in passes 1 and 2, 39 in the twin, one more a level.
-    ("ck_star", "<*>" * 31 + "[]p -> " + "<*>" * 30 + "[]p", 2124, 3, [32, 497, 2], 198),
+    # 98 states in pass 1 and 39 in the twin; pass 1 grows by 3 states a
+    # level and the twin by 1.
+    ("ck_star", "<*>" * 31 + "[]p -> " + "<*>" * 30 + "[]p", 137, 2, [32, 2], 198),
 ]
 
 
@@ -715,8 +816,8 @@ def test_a_demand_that_clashes_as_it_is_built_kills_its_state():
 @pytest.mark.parametrize("logic", ["ck_star", "wk_star", "ck_star_box", "cs4", "ws4"])
 def test_long_implication_chain_is_valid(logic):
     # Each nesting level adds a box over i*, read as a preorder box with no
-    # star eventuality; the Valid verdict builds the whole graph, 10,100
-    # states.
+    # star eventuality; the whole graph has 10,100 states, and pass 1 and
+    # the twin decide the Valid verdict over 201 of them under ck_star.
     assert decide(logic, parse_formula("p->" * 100 + "p")).valid
 
 
@@ -724,9 +825,10 @@ def test_incremental_closure_matches_closing_from_scratch(monkeypatch):
     # Each state is closed as it is discovered, only from the codes its
     # discovery added; closing it from every member must give the same
     # state or the same clash.  Conjunctions of four random formulas, with
-    # the whole graph expanded, give states with many members and many
-    # clashes.
+    # the whole graph expanded (every alternative released and the
+    # root-chain exit off), give states with many members and many clashes.
     monkeypatch.setattr(solver, "PASSES", 0)
+    monkeypatch.setattr(solver._Tableau, "_root_chain", lambda *_: False)
     discovered = []
     original = solver._Tableau._discover
 
