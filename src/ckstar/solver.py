@@ -48,9 +48,10 @@ decided on a twin (`_twin`): a graph over the same tables in which a
 false preorder box only plants its obligation, exact too with x a
 preorder, far smaller, and searched in passes of its own.  A dead twin
 root makes the goal unsatisfiable, so a Valid goal costs pass 1 and at
-most `PASSES` twin passes; a live one sends it on to passes 2 and
-`PASSES` of the main graph, whose graph extraction reads, as the twin's
-models are larger.
+most `PASSES` twin passes.  A live one sends it on to passes 2 to
+`PASSES` of the main graph, whose models are smaller, under a state
+limit: as many new states as the two graphs expanded before them.  Past
+it the main search stops and extraction reads the twin.
 A state is one int bit mask, closed from the codes its discovery added
 (a worklist and per-code watch lists) before it gets a dense integer id.  A clash gets no id: a
 clashing alternative is dropped, a clashing demand kills its saturated
@@ -338,6 +339,7 @@ class _Tableau:
         self.order: list[int] = []   # expanded ids, in expansion order
         self.rounds: list[int] = []
         self.passes = 0
+        self.limit = float("inf")  # the states `order` may hold
         # The root demands closure member 0, the goal, true: code 1.
         self.root = self._discover(1 << 1, (1,))
 
@@ -347,8 +349,8 @@ class _Tableau:
         ![x]B, searched in passes (`build`) as the main graph is.  No
         preorder box branches in it, so it has no twin of its own.  Exact,
         since x occurs only as x*: the goal is satisfiable iff it is with x
-        a preorder, where [x*]B is [x]B.  Its models are larger, so it only
-        refutes."""
+        a preorder, where [x*]B is [x]B.  Its models are larger, so they
+        are read only once the main graph reaches its state limit."""
         twin = copy.copy(self)
         plan = twin.plan = list(self.plan)
         watch = twin.watch = list(self.watch)
@@ -483,32 +485,36 @@ class _Tableau:
             refute |= self.refutes[c]
         return ("sat", demands, letters, eventualities, need, refute)
 
-    def build(self) -> bytearray:
-        """Search in passes (`_search`) and return the alive set that
-        decided: that of the first pass after which the root is alive, or
-        whose subgraph holds no deferred alternative, or of pass 1 if the
-        twin (`_twin`), built when pass 1 leaves the root dead, refutes the
-        goal.  Between passes the alternatives of the dead decompositions
-        the pass reached are released, or every deferred one if none of
-        those died or if the next pass is pass `PASSES`.  Each pass
-        searches the cached graph from the root with every low link reset,
-        so it settles every state it reaches; the bits of states it does
-        not reach are stale and never read.  A goal that clashes runs no
-        pass."""
+    def build(self) -> "_Tableau":
+        """Search in passes (`_search`) and return the graph whose alive
+        set decided: this one after the first pass that leaves the root
+        alive or whose subgraph holds no deferred alternative, or the twin
+        (`_twin`), built when pass 1 leaves the root dead, if it refutes
+        the goal or if passes 2 to `PASSES` reach their state `limit`.  A
+        live twin sets it: these passes may expand as many new states as
+        this graph and the twin expanded before them.  Between passes the
+        alternatives of the dead decompositions the pass reached are
+        released, or every deferred one if none of those died or if the
+        next pass is pass `PASSES`.  Each pass searches the cached graph
+        from the root with every low link reset, so it settles every state
+        it reaches; the bits of states it does not reach are stale and
+        never read.  A goal that clashes runs no pass."""
         info, parents, alive, low, deferred = (
             self.info, self.parents, self.alive, self.low, self.deferred)
         while self.root is not None:
             self.passes += 1
             self.defer = self.passes < PASSES
             low[:] = [_UNSEEN] * len(low)
-            self._search()
+            if self._search():
+                return self.twin
             reached = [i for i in deferred if low[i] == _SETTLED]
             if alive[self.root] or not reached:
-                return alive
+                return self
             if self.passes == 1 and self.preorders:
                 twin = self.twin = self._twin()
                 if twin.root is None or not twin.alive[twin.root]:
-                    return alive
+                    return twin
+                self.limit = 2 * len(self.order) + len(twin.order)
             release = list(deferred)
             if self.passes + 1 < PASSES:
                 release = [i for i in reached if not alive[i]] or release
@@ -517,14 +523,15 @@ class _Tableau:
                 if t is not None:
                     info[i] = ("or", info[i][1] + (t,))
                     parents[t].append(i)
-        return alive
+        return self
 
-    def _search(self) -> None:
+    def _search(self) -> bool:
         """One pass: Tarjan's search from the root over the successors
         followed, expanding states depth first, first branch first, and
         settling each strongly connected component when it closes.  A
         state is expanded the first time a pass visits it; the states the
-        pass never visits count as dead.
+        pass never visits count as dead.  Returns whether the pass stopped
+        at the state `limit`, with the bits it left stale.
 
         A saturated state follows none of its demands if one is settled
         dead when it is pushed, and no more of them once one it meets or
@@ -542,6 +549,8 @@ class _Tableau:
             if i is not None:  # visit i and push it
                 entry = info[i]
                 if entry is None:
+                    if len(self.order) >= self.limit:
+                        return True
                     entry = info[i] = self._process(i)
                     self.order.append(i)
                     for t in entry[1]:
@@ -574,9 +583,9 @@ class _Tableau:
                 for v in part:
                     low[v] = _SETTLED
                 if alive[u] and self._root_chain(frames, open_):
-                    return
+                    return False
             if not frames:
-                return
+                return False
             parent, _, pslot, psat = frames[-1]
             if low[u] != _SETTLED:
                 low[parent] = min(low[parent], low[u])
@@ -757,21 +766,21 @@ class _Tableau:
             here = prev
         return hops[::-1]
 
-    def _saturation(self, i: int, alive: bytearray) -> int:
+    def _saturation(self, i: int) -> int:
         """The alive saturated state reached from alive state i by taking
         the first alive successor at each decomposition.  The graph only
         grows states, so it is acyclic, and after settlement every alive
         decomposition state has an alive successor."""
         while self.info[i][0] != "sat":
-            i = next(t for t in self.info[i][1] if alive[t])
+            i = next(t for t in self.info[i][1] if self.alive[t])
         return i
 
-    def extract(self, alive: bytearray) -> PdlModel:
+    def extract(self) -> PdlModel:
         """Minimal model whose world 0 satisfies the goal: one witness per
         modal obligation plus the saturated states along a shortest
         fulfilment path per eventuality (`_witness`), instead of
         everything reachable."""
-        designated = self._saturation(self.root, alive)
+        designated = self._saturation(self.root)
         order = [designated]
         index = {designated: 0}
         queue = deque([designated])
@@ -790,7 +799,7 @@ class _Tableau:
             w = index[node]
             _, demands, letters, eventualities = self.info[node][:4]
             for demand, a in zip(demands, letters):
-                target = self._saturation(demand, alive)
+                target = self._saturation(demand)
                 edges[a].add((w, world_of(target)))
             for m in eventualities:
                 last_w = w
@@ -813,23 +822,24 @@ def pdl_satisfiable(f: PdlFormula, stats: "dict | None" = None):
     re-checked with the independent evaluator.
 
     `stats`, when given, receives `nodes` (distinct states expanded over
-    all passes, the twin's included), `passes` (the twin's passes
-    included), `closure` (closure members) and `rounds`: for each
-    settlement step that deleted states for an unfulfilled eventuality, in
-    search order, the number of states of the settled part alive before
-    it, the twin's after the main graph's.  `nodes` and `passes` are 0 when
-    the goal clashes."""
+    all passes, the twin's included), `passes` (the twin's included, and
+    one the main graph's state limit stopped), `closure` (closure members)
+    and `rounds`: for each settlement step that deleted states for an
+    unfulfilled eventuality, in search order, the number of states of the
+    settled part alive before it, the twin's after the main graph's.
+    `nodes` and `passes` are 0 when the goal clashes.  Once the limit
+    stops the main graph, the model is the twin's."""
     engine = _Tableau(f)
-    alive = engine.build()
+    graph = engine.build()
     if stats is not None:
         graphs = [engine] if engine.twin is None else [engine, engine.twin]
         stats["nodes"] = sum(len(g.order) for g in graphs)
         stats["passes"] = sum(g.passes for g in graphs)
         stats["rounds"] = [r for g in graphs for r in g.rounds]
         stats["closure"] = len(engine.closure)
-    if engine.root is None or not alive[engine.root]:
+    if graph.root is None or not graph.alive[graph.root]:
         return None
-    model = engine.extract(alive)
+    model = graph.extract()
     if not pdl_satisfies(model, 0, f):
         raise CertificationError(
             f"extracted model does not satisfy {render(f)!r}")

@@ -408,7 +408,8 @@ def check_each_pass(monkeypatch, check) -> None:
     """From now on, after each pass (`_search`), call check(engine,
     settled) with the states that `_settle` settled in the pass: every
     state the pass reached, but for the decompositions that the root-chain
-    exit marked alive."""
+    exit marked alive.  A pass stopped at the state limit leaves its bits
+    stale and is not checked."""
     settled = []
     settle, search = solver._Tableau._settle, solver._Tableau._search
 
@@ -418,8 +419,10 @@ def check_each_pass(monkeypatch, check) -> None:
 
     def checked(engine):
         settled.clear()
-        search(engine)
-        check(engine, list(settled))
+        stopped = search(engine)
+        if not stopped:
+            check(engine, list(settled))
+        return stopped
 
     monkeypatch.setattr(solver._Tableau, "_settle", recorded)
     monkeypatch.setattr(solver._Tableau, "_search", checked)
@@ -433,6 +436,18 @@ def assert_pass_as_reference(engine, settled) -> int:
     chain = set(present) - set(settled)
     assert all(engine.info[u][0] == "or" and engine.alive[u] for u in chain)
     return assert_settled_as_reference(engine, present, settled)
+
+
+def lift_state_limit(monkeypatch) -> None:
+    """From now on, every pass searches with no state limit, so passes 2
+    to `PASSES` after a live twin search as far as they need."""
+    search = solver._Tableau._search
+
+    def unlimited(engine):
+        engine.limit = float("inf")
+        return search(engine)
+
+    monkeypatch.setattr(solver._Tableau, "_search", unlimited)
 
 
 def test_settlement_matches_global_elimination(monkeypatch):
@@ -485,7 +500,7 @@ def test_settlement_matches_global_elimination(monkeypatch):
     deleted = pairs = demands = twins = 0
     for f in formulas:
         engine = solver._Tableau(f)
-        alive = engine.build()
+        alive = engine.build().alive
         if engine.root is None:  # the goal clashes, so no pass runs
             assert engine.passes == 0 and not engine.order
             continue
@@ -525,7 +540,10 @@ def test_the_root_chain_exit_is_exact(monkeypatch):
     # must be the reference's.  The last goal, searched whole, has a
     # saturated state whose demand decomposes back into the decomposition
     # above it; that decomposition's other alternative settles alive while
-    # the first is still open, and no exit may fire there.
+    # the first is still open, and no exit may fire there.  Both runs lift
+    # the main graph's state limit after a live twin: the exit saves states,
+    # so the run without it could reach the limit and answer from the twin
+    # where the run with it does not.
     from ckstar.oracle import random_formula
     exits = pairs = 0
 
@@ -542,12 +560,13 @@ def test_the_root_chain_exit_is_exact(monkeypatch):
     models = []
     extract = solver._Tableau.extract
 
-    def extracted(engine, alive):
-        models.append(extract(engine, alive))
+    def extracted(engine):
+        models.append(extract(engine))
         return models[-1]
 
     def answers() -> list:
         monkeypatch.setattr(solver._Tableau, "extract", extracted)
+        lift_state_limit(monkeypatch)
         out = []
         for logic, f, cap in goals:
             monkeypatch.setattr(solver, "PASSES", cap)
@@ -732,20 +751,15 @@ def test_decomposition_graph_is_pinned(logic, source, nodes, passes, rounds,
         (nodes, passes, rounds, closure)
 
 
-# `hard` depth-5 seed 177 and depth-6 seed 4 under ck_star: pass 2 ends
-# with the root dead and the twin's root alive, so pass 3 searches the main
-# graph whole and extraction reads it.  Each answer was recorded before the
-# twin existed.
+# `hard` depth-5 seed 177 under ck_star: pass 2 ends with the root dead
+# and the twin's root alive, so pass 3 searches the main graph whole, within
+# its state limit, and extraction reads it.  The answer was recorded before
+# the twin existed.
 TWIN_ALIVE_PINS = [
     ("[*](([*](false | r) | <*><*>false) -> [][](r & q))",
      '{"verdict": "invalid", "world": 0, "model": {"kind": "ck", "worlds": 3, '
      '"pre": [[0, 0], [1, 1], [2, 2]], "mod": [[0, 1], [1, 2]], '
      '"val": {"q": [], "r": [0, 1, 2]}, "bot": []}}'),
-    ("[*]<*>[]((<>false -> []false) | (<*>false | [*]q))",
-     '{"verdict": "invalid", "world": 0, "model": {"kind": "ck", "worlds": 6, '
-     '"pre": [[0, 0], [1, 1], [1, 2], [2, 2], [3, 3], [4, 4], [5, 5]], '
-     '"mod": [[0, 1], [1, 1], [2, 3], [2, 4], [4, 5], [5, 5]], '
-     '"val": {"q": [4, 5]}, "bot": [4, 5]}}'),
 ]
 
 
@@ -755,8 +769,41 @@ def test_a_living_twin_leaves_the_countermodel_as_it_was(source, answer, monkeyp
     v = decide("ck_star", parse_formula(source))
     engine, = engines
     assert engine.twin is not None and not twin_refuted(engine)
-    assert engine.passes == solver.PASSES
+    assert engine.passes == solver.PASSES and len(engine.order) < engine.limit
     assert json.dumps(v.to_obj()) == answer
+
+
+def test_a_main_graph_past_its_state_limit_answers_from_the_twin(monkeypatch):
+    # `hard` depth-6 seed 4 under ck_star: pass 1 expands 13 states and
+    # leaves the root dead, and the twin lives on 19.  Passes 2 and 3 then
+    # took the main graph to 2,135 states for a 6-world model; now they may
+    # expand only 13 + 19 more, so the main graph stops at 45 and the model
+    # is the twin's, certified at every layer on its way back.
+    from ckstar.translate import omega, tau
+    engines = recorded_engines(monkeypatch)
+    f = parse_formula("[*]<*>[]((<>false -> []false) | (<*>false | [*]q))")
+    wk_goal = omega(f)
+    pdl_goal = Neg(tau(wk_goal))
+    model, world = pdl_satisfiable(pdl_goal)
+    engine, = engines
+    twin = engine.twin
+    assert twin is not None and twin.alive[twin.root] and len(twin.order) == 19
+    assert len(engine.order) == engine.limit == 2 * 13 + 19
+    assert engine.passes == 2
+    assert pdl_satisfies(model, world, pdl_goal)
+    wk_model, world = solver.LOGIC_TABLE["wk_star"].back(model, world, wk_goal)
+    assert validate(wk_model, "wk") == [] and not satisfies(wk_model, world, wk_goal)
+    ck_model, world = solver.LOGIC_TABLE["ck_star"].back(wk_model, world, f)
+    assert validate(ck_model, "ck") == [] and not satisfies(ck_model, world, f)
+    v = decide("ck_star", f)
+    assert (v.model, v.world) == (ck_model, world)
+    assert json.dumps(v.to_obj()) == (
+        '{"verdict": "invalid", "world": 0, "model": {"kind": "ck", "worlds": 11, '
+        '"pre": [[0, 0], [0, 1], [0, 2], [1, 1], [1, 2], [2, 2], [3, 3], [3, 4], '
+        '[3, 5], [3, 6], [3, 7], [4, 4], [4, 7], [5, 5], [5, 6], [6, 6], [7, 7], '
+        '[8, 8], [9, 6], [9, 9], [10, 10]], '
+        '"mod": [[2, 3], [4, 8], [7, 8], [7, 9], [8, 10], [10, 10]], '
+        '"val": {"q": [8, 10]}, "bot": [8, 10]}}')
 
 
 def test_a_demand_can_close_to_the_state_that_spawned_it():
@@ -776,7 +823,7 @@ def test_a_clashing_demand_kills_its_saturated_state():
     # from the other disjunct, released in the second pass.
     f = parse_pdl("<a>(p & !p) | q")
     engine = solver._Tableau(f)
-    alive = engine.build()
+    alive = engine.build().alive
     first, second = engine.info[engine.root][1]
     negated_box = engine.closure.index[parse_pdl("[a]!(p & !p)")] << 1
     assert engine.states[first] >> negated_box & 1
@@ -791,7 +838,7 @@ def test_a_dead_demand_stops_the_search_of_its_saturated_state():
     # root is dead whatever the second holds: the pass never expands it.
     f = parse_pdl("<a>([a]p & <a>!p) & <m>r")
     engine = solver._Tableau(f)
-    alive = engine.build()
+    alive = engine.build().alive
     kind, (first, second), letters = engine.info[engine.root][:3]
     assert kind == "sat" and letters == ["a", "m"]
     assert not alive[first] and engine.low[first] == solver._SETTLED
@@ -805,7 +852,7 @@ def test_a_demand_that_clashes_as_it_is_built_kills_its_state():
     # closed, and no state holds a member with both signs.
     f = parse_pdl("[a*]p & ![a*][a*]p")
     engine = solver._Tableau(f)
-    alive = engine.build()
+    alive = engine.build().alive
     assert engine.info[engine.root] == ("or", ()) and not alive[engine.root]
     assert engine.states == [engine.states[engine.root]]
     state = engine.states[engine.root]
