@@ -1,18 +1,20 @@
 """Test-free PDL satisfiability and the logic table that decides validity.
 
-`fl_closure` is the one place that knows how a PDL formula decomposes: its
-breadth-first pass builds the node table (each closure member's kind and
-arguments, see `ClosureSet`) that the tableau's plan and model
-extraction read.  The table also holds each star eventuality's word
-automaton: `[P*]B` unfolds through composition and starred boxes to
-atomic boxes, whose letters spell out the words of `P*` (Fischer and
-Ladner), so programs are decomposed nowhere else.  A program atom x that
-occurs in the goal only as `x*` can be read as a preorder, so `[x*]B` is
-no eventuality but a preorder box: true, its body holds and every
-x-demand carries it; false, its body fails here or its obligation
-`![x]B` is planted (the S4 rules).  Where a star eventuality's automaton
-walks through the false box, the obligation is an alternative even when
-the body already fails, since the eventuality's path may need that step.
+`fl_closure` is the one place that knows how a PDL formula decomposes:
+its breadth-first pass builds the node table (each closure member's kind
+and arguments, see `ClosureSet`) that model extraction reads, then walks
+the signed codes the goal reaches and their kids, the only codes the
+tableau's plan covers.  The table also yields the word automaton of each
+star eventuality the goal reaches false: `[P*]B` unfolds through
+composition and starred boxes to atomic boxes, whose letters spell out
+the words of `P*` (Fischer and Ladner), so programs are decomposed
+nowhere else.  A program atom x that occurs in the goal only as `x*` can
+be read as a preorder, so `[x*]B` is no eventuality but a preorder box:
+true, its body holds and every x-demand carries it; false, its body fails
+here or its obligation `![x]B` is planted (the S4 rules).  Where a star
+eventuality's automaton walks through the false box, the obligation is an
+alternative even when the body already fails, since the eventuality's
+path may need that step.
 
 `pdl_satisfiable` explores a globally cached decomposition graph whose
 states are consistent demand sets.  Saturated states carry modal
@@ -42,8 +44,8 @@ reached, or every deferred one if none of them died, and searches the
 cached graph from the root again: no state is expanded twice, and every
 state the pass reaches is settled anew.  A dead root whose subgraph
 holds no deferred alternative is dead in the whole graph.  Pass `PASSES`
-releases everything, so the answer stays exact.  When the closure holds
-a preorder box and pass 1 leaves the root dead, the goal is first
+releases everything, so the answer stays exact.  When the goal reaches
+a false preorder box and pass 1 leaves the root dead, the goal is first
 decided on a twin (`_twin`): a graph over the same tables in which a
 false preorder box only plants its obligation, exact too with x a
 preorder, far smaller, and searched in passes of its own.  A dead twin
@@ -137,12 +139,17 @@ class ClosureSet:
     (left, right) indices, an atomic box's (program atom, body index), a
     composition box's unfolding index, a starred box's (body index,
     unfolding index), and a preorder box [x*]B's (body index, index of the
-    atomic box [x]B)."""
+    atomic box [x]B).  codes: the signed codes (index << 1 | sign) reached
+    from the goal's true code 1, in the order reached; kids: the codes each
+    one reaches in one step; alphabet: the atomic boxes' program atoms."""
 
     formulas: tuple[PdlFormula, ...]
     index: dict
     kind: tuple[int, ...]
     args: tuple
+    codes: list[int]
+    kids: list[tuple[int, ...]]
+    alphabet: list[str]
 
     def __len__(self) -> int:
         return len(self.formulas)
@@ -154,49 +161,76 @@ def fl_closure(f: PdlFormula) -> ClosureSet:
     its one-step unfolding.  A preorder box [x*]B, for a program atom x
     that occurs in f only as x*, steps to its body and [x]B instead.
     Members are numbered the first time they are seen, breadth first from
-    f."""
-    preorders = {PAtom(x) for x in starred_only_atoms(f)}
+    f.  Then the signed codes are walked from f true as the tableau's rules
+    reach them (Smullyan's signed formulas): a negation flips the sign, and
+    each other step keeps it, but a true preorder box reaches only its body."""
+    preorders = starred_only_atoms(f)
     order: list[PdlFormula] = [f]
     index: dict[PdlFormula, int] = {f: 0}
     kinds: list[int] = []
     args: list = []
+    letters: set[str] = set()
 
     def number(g: PdlFormula) -> int:
-        i = index.get(g)
-        if i is None:
-            i = index[g] = len(order)
+        i = index.setdefault(g, len(order))
+        if i == len(order):
             order.append(g)
         return i
 
     for g in order:  # grows while it is read: the breadth-first queue
-        if isinstance(g, Atom):
-            kinds.append(_ATOM)
-            args.append(g.name)
-        elif isinstance(g, Neg):
+        t = type(g)
+        if t is BoxP:
+            prog, body = g.prog, g.body
+            t = type(prog)
+            if t is PAtom:
+                kinds.append(_BOX_A)
+                args.append((prog.name, number(body)))
+                letters.add(prog.name)
+            elif t is Comp:
+                kinds.append(_BOX_C)
+                args.append(number(BoxP(prog.left, BoxP(prog.right, body))))
+            elif t is not Star:
+                raise TypeError(f"unknown program node {t.__name__}")
+            elif type(prog.body) is PAtom and prog.body.name in preorders:
+                kinds.append(_BOX_P)
+                args.append((number(body), number(BoxP(prog.body, body))))
+            else:
+                kinds.append(_BOX_S)
+                args.append((number(body), number(BoxP(prog.body, g))))
+        elif t is Neg:
             kinds.append(_NEG)
             args.append(number(g.body))
-        elif isinstance(g, (And, Or)):
-            kinds.append(_AND if isinstance(g, And) else _OR)
+        elif t is And or t is Or:
+            kinds.append(_AND if t is And else _OR)
             args.append((number(g.left), number(g.right)))
-        elif isinstance(g, BoxP):
-            prog = g.prog
-            if isinstance(prog, PAtom):
-                kinds.append(_BOX_A)
-                args.append((prog.name, number(g.body)))
-            elif isinstance(prog, Comp):
-                kinds.append(_BOX_C)
-                args.append(number(BoxP(prog.left, BoxP(prog.right, g.body))))
-            elif isinstance(prog, Star) and prog.body in preorders:
-                kinds.append(_BOX_P)
-                args.append((number(g.body), number(BoxP(prog.body, g.body))))
-            elif isinstance(prog, Star):
-                kinds.append(_BOX_S)
-                args.append((number(g.body), number(BoxP(prog.body, g))))
-            else:
-                raise TypeError(f"unknown program node {type(prog).__name__}")
+        elif t is Atom:
+            kinds.append(_ATOM)
+            args.append(g.name)
         else:
-            raise TypeError(f"not a PDL formula: {type(g).__name__}")
-    return ClosureSet(tuple(order), index, tuple(kinds), tuple(args))
+            raise TypeError(f"not a PDL formula: {t.__name__}")
+    codes, kids, seen = [1], [], bytearray(2 * len(order))
+    seen[1] = 1
+    for c in codes:  # grows while it is read
+        k, a, sign = kinds[c >> 1], args[c >> 1], c & 1
+        if k == _ATOM:
+            step = ()
+        elif k == _NEG:
+            step = (a << 1 | sign ^ 1,)
+        elif k == _BOX_C:
+            step = (a << 1 | sign,)
+        elif k == _BOX_A:
+            step = (a[1] << 1 | sign,)
+        elif k == _BOX_P and sign:
+            step = (a[0] << 1 | 1,)
+        else:
+            step = (a[0] << 1 | sign, a[1] << 1 | sign)
+        kids.append(step)
+        for d in step:
+            if not seen[d]:
+                seen[d] = 1
+                codes.append(d)
+    return ClosureSet(tuple(order), index, tuple(kinds), tuple(args),
+                      codes, kids, sorted(letters))
 
 
 # ---------------------------------------------------------------------------
@@ -237,60 +271,56 @@ class _Tableau:
         self.closure = fl_closure(goal)
         kinds = self.kind = self.closure.kind
         args = self.args = self.closure.args
-        # One pass over the members.  Per member code: its plan entry (a
-        # literal, an add-all or a branch), its bit in the code masks that
-        # _process and extract read, and its watch entries.  watch[c]: the
-        # branch codes whose unit rule can fire once c is present, namely c
-        # itself and those with a kid that c refutes.  carries[c]: the
-        # program atom x of true box c and the code that each x-demand gets
-        # from it: [x]B gives B, and [x*]B itself.
-        plan = self.plan = []
-        watch = self.watch = [[] for _ in range(2 * len(kinds))]
+        # One pass over the signed codes the goal reaches; no state holds
+        # another.  Per code: its plan entry (a literal, an add-all or a
+        # branch), its bit in the code masks that _process and extract read,
+        # and its watch entries.  watch[c]: the branch codes whose unit rule
+        # can fire once c is present, namely c itself and those with a kid
+        # that c refutes.  carries[c]: the program atom x of true box c and
+        # the code that each x-demand gets from it: [x]B gives B, and [x*]B
+        # itself.
+        plan = self.plan = [None] * (2 * len(kinds))
+        watch = self.watch = [[] for _ in plan]
         carries = self.carries = {}
-        starred: list[int] = []
+        starred: list[int] = []  # the star members reached false
         preorders = self.preorders = []  # the false preorder box codes
         branches = modals_false = atoms_true = 0
-        for m, (k, a) in enumerate(zip(kinds, args)):
-            false, true = m << 1, m << 1 | 1
+        for c, kids in zip(self.closure.codes, self.closure.kids):
+            k, a, true = kinds[c >> 1], args[c >> 1], c & 1
+            # A code adds its one kid, or both kids of a false | and of a
+            # true & or starred box (body here and after one program step);
+            # the rest branch.  A false preorder box is met once its body
+            # fails here, so it branches as a connective, unless an
+            # automaton below walks through it.
             if k == _ATOM or k == _BOX_A:
-                entries = (_LIT, ()), (_LIT, ())
-            elif k == _NEG:
-                entries = (_DET, (a << 1 | 1,)), (_DET, (a << 1,))
-            elif k == _BOX_C:
-                entries = (_DET, (a << 1,)), (_DET, (a << 1 | 1,))
+                mode, kids = _LIT, ()
+            elif len(kids) == 1 or (k == _OR) != true:
+                mode = _DET
             else:
-                kids = (a[0] << 1, a[1] << 1)
-                both = (kids[0] | 1, kids[1] | 1)
-                # _BOX_S: body here, and again after one program step.
-                # _BOX_P: body here; false here or after one x-step.  A false
-                # one is met once its body fails here, so it branches as a
-                # connective, unless an automaton below walks through it.
-                entries = ((_DET, kids), (_BRANCH, both)) if k == _OR else (
-                    (_BRANCH_STAR if k == _BOX_S else _BRANCH, kids),
-                    (_DET, both[:1] if k == _BOX_P else both))
-            for c, (mode, kids) in enumerate(entries, false):
-                plan.append((mode, kids))
-                if mode >= _BRANCH:
-                    branches |= 1 << c
-                    for w in (c, *(kid ^ 1 for kid in kids)):
-                        watch[w].append(c)
+                mode = _BRANCH_STAR if k == _BOX_S else _BRANCH
+            plan[c] = (mode, kids)
+            if mode >= _BRANCH:
+                branches |= 1 << c
+                for w in (c, kids[0] ^ 1, kids[1] ^ 1):
+                    watch[w].append(c)
             if k == _ATOM:
-                atoms_true |= 1 << true
-            elif k == _BOX_A:
-                carries[true] = (a[0], a[1] << 1 | 1)
-                modals_false |= 1 << false
+                atoms_true |= true << c
+            elif true:
+                if k == _BOX_A:
+                    carries[c] = (a[0], a[1] << 1 | 1)
+                elif k == _BOX_P:
+                    carries[c] = (args[a[1]][0], c)
             elif k == _BOX_P:
-                carries[true] = (args[a[1]][0], true)
-                preorders.append(false)
-            elif k == _BOX_S:
-                modals_false |= 1 << false
-                starred.append(m)
+                preorders.append(c)
+            elif k == _BOX_A or k == _BOX_S:
+                modals_false |= 1 << c
+                if k == _BOX_S:
+                    starred.append(c >> 1)
         self.branches, self.modals_false, self.atoms_true = (
             branches, modals_false, atoms_true)
         self.boxes_true = mask_of(carries)
-        # Every program atom of the goal ends up in an atomic box once
-        # compound programs are unfolded, and every atomic box carries.
-        self.alphabet = sorted({x for x, _ in carries.values()})
+        # Every atomic box's letter, reached or not: models interpret them all.
+        self.alphabet = self.closure.alphabet
         # Fulfilment marks: one bit per (star family, automaton state), so a
         # state's marks are one int.  refutes[c]: the accepting bits of the
         # families whose body code c refutes; steps[x]: (shift, select mask)
@@ -299,7 +329,7 @@ class _Tableau:
         self.refutes: dict[int, int] = defaultdict(int)
         selects = {x: defaultdict(int) for x in self.alphabet}
         width = 0
-        for m in starred:
+        for m in sorted(starred):  # in member order
             accepting, states, moves = self._automaton(m)
             self.start_bit[m] = 1 << width
             self.refutes[args[m][0] << 1] |= sum(1 << width + r for r in accepting)

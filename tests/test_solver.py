@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
@@ -23,6 +24,7 @@ from ckstar.syntax import (
     BoxP,
     Comp,
     FragmentError,
+    FragmentTag,
     Neg,
     Or,
     PAtom,
@@ -482,16 +484,20 @@ def test_settlement_matches_global_elimination(monkeypatch):
     # fulfilled, over random programs and formulas: enough of them that
     # passes 2 and 3 run often, although the sibling of a clashing
     # alternative is followed in the pass that finds the clash.  Then goals
-    # in which a occurs only as a*, so that the twin runs.
+    # in which a occurs only as a*, so that the twin runs.  Then two
+    # eventualities side by side: only a starred box that the goal reaches
+    # false gets a start bit, and so marks to compare.
     rng = random.Random(29)
     pieces = dict(atoms=("p", "q"), prog_atoms=("a", "m"))
-    formulas = [And(Neg(BoxP(Star(random_program(rng, 2, ("a", "m"))),
-                                random_pdl(rng, 3, **pieces))),
-                       And(BoxP(Star(random_program(rng, 2, ("a", "m"))),
-                                   random_pdl(rng, 3, **pieces)),
-                              random_pdl(rng, 3, **pieces)))
+
+    def star_box():
+        return BoxP(Star(random_program(rng, 2, ("a", "m"))), random_pdl(rng, 3, **pieces))
+
+    formulas = [And(Neg(star_box()), And(star_box(), random_pdl(rng, 3, **pieces)))
                 for _ in range(240)]
     formulas += [random_mixed_goal(rng, 3) for _ in range(240)]
+    formulas += [And(Neg(star_box()), And(Neg(star_box()), random_pdl(rng, 3, **pieces)))
+                 for _ in range(240)]
     for f in formulas:
         pdl_satisfiable(f)
     monkeypatch.undo()
@@ -751,6 +757,42 @@ def test_decomposition_graph_is_pinned(logic, source, nodes, passes, rounds,
         (nodes, passes, rounds, closure)
 
 
+# Per benchmark pool: the first 16 hex digits of the sha256 over its
+# answers' `json.dumps(to_obj, sort_keys=True)` lines, the world total of
+# its countermodels and the states expanded (main graphs and twins).  A
+# change that alters countermodels on purpose re-records its row and says
+# so; one that only speeds the engine up keeps them.  CI runs this test
+# under two hash seeds too, so no answer may depend on a set's hash order.
+POOL_PINS = [
+    ("corpus", "65caf1fc0947ea45", 8590, 31613),
+    ("hard", "122239f8e88c7fa5", 447, 3405),
+]
+
+
+def benchmark_pool(name: str) -> list:
+    """The `corpus` or `hard` benchmark pool as (logic, formula) pairs, in
+    the order of `bench/gen.py`'s `workload_groups`."""
+    from ckstar.oracle import enumerate_formulas, random_formula
+    if name == "hard":
+        return [("ck_star", random_formula(s, d, ("p", "q", "r")))
+                for d, n in ((5, 200), (6, 60)) for s in range(n)]
+    return ([("ck_star", f) for f in enumerate_formulas(5, ("p", "q"))]
+            + [("cs4", f) for f in enumerate_formulas(5, ("p", "q"), FragmentTag.L)])
+
+
+@pytest.mark.parametrize("pool, digest, worlds, states", POOL_PINS,
+                         ids=[row[0] for row in POOL_PINS])
+def test_benchmark_pool_answers_are_pinned(pool, digest, worlds, states, monkeypatch):
+    seen = recorded_stats(monkeypatch)
+    lines, total = hashlib.sha256(), 0
+    for logic, f in benchmark_pool(pool):
+        v = decide(logic, f)
+        lines.update(json.dumps(v.to_obj(), sort_keys=True).encode() + b"\n")
+        total += 0 if v.valid else v.model.worlds
+    assert (lines.hexdigest()[:16], total, sum(s["nodes"] for s in seen)) == \
+        (digest, worlds, states)
+
+
 # `hard` depth-5 seed 177 under ck_star: pass 2 ends with the root dead
 # and the twin's root alive, so pass 3 searches the main graph whole, within
 # its state limit, and extraction reads it.  The answer was recorded before
@@ -804,6 +846,46 @@ def test_a_main_graph_past_its_state_limit_answers_from_the_twin(monkeypatch):
         '[8, 8], [9, 6], [9, 9], [10, 10]], '
         '"mod": [[2, 3], [4, 8], [7, 8], [7, 9], [8, 10], [10, 10]], '
         '"val": {"q": [8, 10]}, "bot": [8, 10]}}')
+
+
+def test_the_tables_cover_exactly_the_signed_codes_the_goal_reaches(monkeypatch):
+    # Set-up builds plan entries only for the signed codes `fl_closure`
+    # reaches from the goal true, and an automaton only for a starred box
+    # reached false.  Every code of every state that a main graph or its
+    # twin holds must have its entry, and every eventuality of a saturated
+    # state its start bit.  The alphabet is every program atom of the goal,
+    # reached or not: in [a]p & ![m]q no true box carries m, and in
+    # ![a*]p & [m]q none carries a, yet the extracted model must interpret
+    # both letters.
+    for text in ("[a]p & ![m]q", "![a*]p & [m]q"):
+        goal = parse_pdl(text)
+        assert solver._Tableau(goal).alphabet == program_atoms(goal) == ["a", "m"]
+        model, world = pdl_satisfiable(goal)  # certified inside
+        assert sorted(model.rho) == ["a", "m"] and pdl_satisfies(model, world, goal)
+    from ckstar.oracle import random_formula
+    engines = recorded_engines(monkeypatch)
+    for d, n in ((5, 200), (6, 60)):  # the `hard` pool
+        for s in range(n):
+            decide("ck_star", random_formula(s, d, ("p", "q", "r")))
+    rng = random.Random(43)
+    for _ in range(240):
+        pdl_satisfiable(random_mixed_goal(rng, 3))
+    twins = [e.twin for e in engines if e.twin is not None]
+    states = eventualities = 0
+    for g in engines + twins:
+        codes = g.closure.codes
+        assert sorted(codes) == [c for c, entry in enumerate(g.plan) if entry is not None]
+        assert sorted(g.start_bit) == sorted(
+            c >> 1 for c in codes if not c & 1 and g.kind[c >> 1] == solver._BOX_S)
+        assert g.alphabet == program_atoms(g.closure.formulas[0])
+        for state in g.states:
+            assert all(g.plan[c] for c in bits_of(state & (1 << g.marker_base) - 1))
+            states += 1
+        for i in g.order:
+            if g.info[i][0] == "sat":
+                assert all(m in g.start_bit for m in g.info[i][3])
+                eventualities += len(g.info[i][3])
+    assert len(twins) > 50 and states > 4000 and eventualities > 1000
 
 
 def test_a_demand_can_close_to_the_state_that_spawned_it():
