@@ -32,13 +32,16 @@ PROGRAM_ATOMS = ("i", "m", "a")
 # parentheses.  `images` (under every formula map and evaluator), the
 # printers and node equality recurse once per level; every logic decides a
 # formula this deep within Python's default recursion limit.  Node hashes do
-# not recurse: each is computed once, when its node is built (see `_node`).
+# not recurse: each is computed once, by the `__init__` that builds its node,
+# from its children's stored hashes (see `_node`).
 MAX_DEPTH = 100
 # Most node occurrences in a checked formula, programs included: a walk
 # over a hand-built tree that shares subtrees counts paths, not nodes.
 MAX_NODES = 1_000_000
 
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*")
+# `\s` is `str.isspace` on str patterns.
+_WS_RE = re.compile(r"\s*")
 
 
 class ParseError(ValueError):
@@ -82,15 +85,34 @@ def _getter(names: tuple) -> Callable:
     return lambda g: ()
 
 
+def _init(cls) -> Callable:
+    """`cls`'s `__init__`, generated from its fields as `dataclasses`
+    generates its own: one call that sets each field and then `_hash`, the
+    hash of the tuple of the fields.  It sets them with `object.__setattr__`
+    bound once and never reads `self.__dict__`, since reading it makes
+    CPython (3.11 on) build a dict object for the instance: a node without
+    one is about a third smaller, and its fields read faster."""
+    names = "".join(f"{f.name}, " for f in fields(cls))  # a 1-tuple too
+    lines = "".join(f"    _set(self, {f.name!r}, {f.name})\n" for f in fields(cls))
+    namespace: dict = {}
+    exec(f"def __init__(self, {names}):\n{lines}"
+         f"    _set(self, '_hash', hash(({names})))\n",
+         {"_set": object.__setattr__}, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
 def _node(cls):
-    """A frozen dataclass whose hash is computed once, at construction: the
-    dataclass hash of its fields, whose own hashes are stored already, so
-    hashing never walks down the tree.  The hash is kept outside the
-    fields, so `==`, `repr` and `dataclasses.replace` are unchanged; a copy
-    or an unpickled node is rebuilt, so its hash is recomputed."""
-    cls.__post_init__ = lambda self: object.__setattr__(
-        self, "_hash", hash(tuple(self.__dict__.values())))  # the fields
-    cls = dataclass(frozen=True)(cls)
+    """A frozen dataclass whose hash is computed once, at construction, by
+    its generated `__init__` (see `_init`): the hash of the tuple of its
+    fields, whose own hashes are stored already, so hashing never walks
+    down the tree.  The hash is kept outside the fields, so `==`, `repr`
+    and `dataclasses.replace` are unchanged and assigning a field still
+    raises `FrozenInstanceError`; a copy or an unpickled node is rebuilt
+    through `__init__`, so its hash is recomputed."""
+    cls = dataclass(frozen=True, init=False)(cls)
+    cls.__init__ = _init(cls)
     cls.__hash__ = lambda self: self._hash
     cls.__reduce__ = lambda self: (
         type(self), tuple(getattr(self, f.name) for f in fields(self)))
@@ -247,23 +269,22 @@ FRAGMENTS = {
 
 
 class _Cursor:
+    """A position in the text that is always past whitespace: the cursor
+    starts past the leading whitespace and every step that takes text also
+    takes the whitespace after it, so no whitespace is scanned twice and
+    `take`, `ident` and `eof` look only at the next token."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.pos = _WS_RE.match(text).end()
         self.parens = 0
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def eof(self) -> bool:
-        self.skip_ws()
         return self.pos >= len(self.text)
 
     def take(self, literal: str) -> bool:
-        self.skip_ws()
         if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
+            self.pos = _WS_RE.match(self.text, self.pos + len(literal)).end()
             return True
         return False
 
@@ -272,11 +293,10 @@ class _Cursor:
             self.error(f"expected {literal!r}")
 
     def ident(self) -> "tuple[str, int] | None":
-        self.skip_ws()
         m = _IDENT_RE.match(self.text, self.pos)
         if m is None:
             return None
-        self.pos = m.end()
+        self.pos = _WS_RE.match(self.text, m.end()).end()
         return m.group(), m.start()
 
     def open_paren(self) -> bool:
@@ -293,7 +313,6 @@ class _Cursor:
         self.parens -= 1
 
     def error(self, message: str) -> None:
-        self.skip_ws()
         raise ParseError(message, self.byte_offset(self.pos))
 
     def byte_offset(self, pos: int) -> int:
@@ -385,12 +404,14 @@ def _unary(cur: _Cursor, g: _Grammar):
     return f
 
 
-_PREFIXES = (("[*]", BoxStar), ("[]", Box), ("<*>", DiaStar), ("<>", Dia),
-             ("~", neg))
+# The prefix operators by their first character, each list in the order
+# they are tried.
+_PREFIXES = {"[": (("[*]", BoxStar), ("[]", Box)),
+             "<": (("<*>", DiaStar), ("<>", Dia)), "~": (("~", neg),)}
 
 
 def _prefix(cur: _Cursor) -> "Callable | None":
-    for literal, make in _PREFIXES:
+    for literal, make in _PREFIXES.get(cur.text[cur.pos:cur.pos + 1], ()):
         if cur.take(literal):
             return make
     return None

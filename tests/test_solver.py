@@ -766,16 +766,43 @@ def test_decomposition_graph_is_pinned(logic, source, nodes, passes, rounds,
 POOL_PINS = [
     ("corpus", "65caf1fc0947ea45", 8590, 31613),
     ("hard", "122239f8e88c7fa5", 447, 3405),
+    ("theorems", "0348e151ad90aeda", 0, 15344),
 ]
+
+# The `theorems` pool's valid schemas per logic, with the fragment its
+# instances are drawn from; A and B stand for two random formulas.
+THEOREM_SCHEMAS = (
+    ("ck_star", FragmentTag.LSTAR, (
+        "[](A -> B) -> ([]A -> []B)",
+        "[](A -> B) -> (<>A -> <>B)",
+        "[*]A -> A & [][*]A",
+        "[*]A -> [*][*]A",
+        "<*><*>A -> <*>A",
+        "[*](A -> []A) -> (A -> [*]A)")),
+    ("cs4", FragmentTag.L, (
+        "[](A -> B) -> ([]A -> []B)",
+        "[]A -> [][]A",
+        "<><>A -> <>A")),
+)
 
 
 def benchmark_pool(name: str) -> list:
-    """The `corpus` or `hard` benchmark pool as (logic, formula) pairs, in
-    the order of `bench/gen.py`'s `workload_groups`."""
+    """The `corpus`, `hard` or `theorems` benchmark pool as (logic, formula)
+    pairs, in the order of `bench/gen.py`'s `workload_groups`."""
     from ckstar.oracle import enumerate_formulas, random_formula
     if name == "hard":
         return [("ck_star", random_formula(s, d, ("p", "q", "r")))
                 for d, n in ((5, 200), (6, 60)) for s in range(n)]
+    if name == "theorems":
+        pool = []
+        for logic, tag, schemas in THEOREM_SCHEMAS:
+            for schema in schemas:
+                for k in range(60):
+                    a, b = (render(random_formula(s, 2, ("p", "q"), tag))
+                            for s in (2 * k, 2 * k + 1))
+                    text = schema.replace("A", f"({a})").replace("B", f"({b})")
+                    pool.append((logic, parse_formula(text)))
+        return pool
     return ([("ck_star", f) for f in enumerate_formulas(5, ("p", "q"))]
             + [("cs4", f) for f in enumerate_formulas(5, ("p", "q"), FragmentTag.L)])
 

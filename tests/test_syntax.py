@@ -1,4 +1,9 @@
+import copy
+import dataclasses
+import pickle
 import random
+import re
+import time
 
 import pytest
 
@@ -282,3 +287,144 @@ def test_nesting_cap_counts_pdl_diamonds_as_parsed():
     parse_pdl("<a>" * (MAX_DEPTH // 3) + "!p")
     with pytest.raises(ParseError):
         parse_pdl("<a>" * (MAX_DEPTH // 3 + 1) + "p")
+
+
+# ---------------------------------------------------------------------------
+# The node contract: what a node is, however its constructor is written.
+
+
+# Per field type: the argument a sample node gets, and another one.
+_ARGS = {"str": ("p", "r"), "Program": (PAtom("a"), Star(PAtom("a")))}
+
+
+def _sample(cls, which: int = 0) -> dict:
+    """Keyword arguments for an instance of `cls`."""
+    return {f.name: _ARGS.get(f.type, (Atom("q"), Bot()))[which]
+            for f in dataclasses.fields(cls)}
+
+
+def _field_hash(g) -> int:
+    return hash(tuple(getattr(g, f.name) for f in dataclasses.fields(g)))
+
+
+@pytest.mark.parametrize("cls", list(CHILDREN), ids=lambda cls: cls.__name__)
+def test_node_contract(cls):
+    kwargs = _sample(cls)
+    args = list(kwargs.values())
+    g = cls(*args)
+    assert g == cls(**kwargs) and hash(g) == hash(cls(**kwargs)) == _field_hash(g)
+    for other in (dataclasses.replace(g), copy.copy(g), copy.deepcopy(g),
+                  pickle.loads(pickle.dumps(g))):
+        assert type(other) is cls and other == g and hash(other) == hash(g)
+    assert repr(g) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in kwargs.items())})"
+    with pytest.raises(TypeError):
+        cls(*args, Atom("r"))
+    for name, other in _sample(cls, 1).items():
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, name, other)
+        with pytest.raises(TypeError):
+            cls(**{k: v for k, v in kwargs.items() if k != name})
+        changed = dataclasses.replace(g, **{name: other})
+        assert changed != g and hash(changed) == _field_hash(changed)
+
+
+def test_node_repr_golden():
+    assert repr(And(p, q)) == "And(left=Atom(name='p'), right=Atom(name='q'))"
+    assert repr(Bot()) == "Bot()"
+    assert repr(BoxP(Star(PAtom("a")), Neg(p))) == \
+        "BoxP(prog=Star(body=PAtom(name='a')), body=Neg(body=Atom(name='p')))"
+
+
+# ---------------------------------------------------------------------------
+# The parsers' behaviour on malformed and spaced-out text.  U+3000 is one
+# whitespace character of three UTF-8 bytes, so character and byte offsets
+# part after it.
+
+_W = "\u3000"
+MALFORMED = [
+    (parse_formula, "", "expected a formula", 0),
+    (parse_formula, "   ", "expected a formula", 3),
+    (parse_formula, "p -> ", "expected a formula", 5),
+    (parse_formula, "p q", "unexpected trailing input", 2),
+    (parse_formula, " \t\np &", "expected a formula", 6),
+    (parse_formula, _W + "p q", "unexpected trailing input", 5),
+    (parse_formula, "p" + _W + "->" + _W, "expected a formula", 9),
+    (parse_formula, "(p", "expected ')'", 2),
+    (parse_formula, "(p))", "unexpected trailing input", 3),
+    (parse_formula, "[*] ", "expected a formula", 4),
+    (parse_formula, "[ * ]p", "expected a formula", 0),
+    (parse_formula, "p & & q", "expected a formula", 4),
+    (parse_formula, "~" * 101 + "p", "formula nests more than 100 operators", 0),
+    (parse_formula, "(" * 101 + "p" + ")" * 101, "more than 100 nested parentheses", 101),
+    (parse_formula, "( " * 101 + "p", "more than 100 nested parentheses", 202),
+    (parse_formula, "P", "expected a formula", 0),
+    (parse_formula, "p -> q -", "unexpected trailing input", 7),
+    (parse_formula, "p\n\n)", "unexpected trailing input", 3),
+    (parse_formula, "< * >p", "expected a formula", 0),
+    (parse_formula, "<>\t", "expected a formula", 3),
+    (parse_formula, "false false", "unexpected trailing input", 6),
+    (parse_formula, "p_bot ->" + _W * 2, "expected a formula", 14),
+    (parse_formula, "\t~ ~ ~", "expected a formula", 6),
+    (parse_formula, "p ! q", "unexpected trailing input", 2),
+    (parse_pdl, "[x]p", "unknown program atom 'x'", 1),
+    (parse_pdl, "!false", "'false' is reserved and not a PDL atom", 1),
+    (parse_pdl, "[a", "expected ']'", 2),
+    (parse_pdl, "<a]p", "expected '>'", 2),
+    (parse_pdl, "[]p", "expected a program", 1),
+    (parse_pdl, "[a;]p", "expected a program", 3),
+    (parse_pdl, _W.join(("", "[", "a", "*", "]", "false")),
+     "'false' is reserved and not a PDL atom", 19),
+    (parse_pdl, "p -> \n", "expected a formula", 6),
+    (parse_pdl, "[*]p", "expected a program", 1),
+    (parse_pdl, "p ! q", "unexpected trailing input", 2),
+    (parse_pdl, "[a ; m", "expected ']'", 6),
+    (parse_pdl, "  ", "expected a formula", 2),
+    (parse_pdl, "<i>", "expected a formula", 3),
+    (parse_pdl, "[(a;m]p", "expected ')'", 5),
+    (parse_pdl, "!" * 101 + "p", "formula nests more than 100 operators", 0),
+    (parse_pdl, "p\t&\tfalse", "'false' is reserved and not a PDL atom", 4),
+    (parse_pdl, "[a**] ", "expected a formula", 6),
+    (parse_pdl, "~p", "expected a formula", 0),
+    (parse_pdl, "[A]p", "expected a program", 1),
+]
+
+
+@pytest.mark.parametrize("parse, text, message, offset", MALFORMED,
+                         ids=[f"{row[0].__name__}-{i}" for i, row in enumerate(MALFORMED)])
+def test_parse_error_message_and_byte_offset(parse, text, message, offset):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (str(err.value), err.value.offset) == (f"{message} (at offset {offset})", offset)
+
+
+# Every token of the printers' output; whitespace may go between any two.
+_TOKEN = re.compile(r"\[\*\]|\[\]|<\*>|<>|->|[a-z][a-z0-9_]*|\S")
+_SPACES = ("", "", " ", "  ", "\t", "\n", "\r\n", _W)
+
+
+def _spaced(text: str, rng: random.Random) -> str:
+    out = [rng.choice(_SPACES)]
+    for token in _TOKEN.findall(text):
+        out += [token, rng.choice(_SPACES)]
+    return "".join(out)
+
+
+def test_render_round_trip_with_random_whitespace():
+    rng = random.Random(35)
+    for make, parse in ((random_lstar, parse_formula), (random_pdl, parse_pdl)):
+        for _ in range(500):
+            f = make(rng, rng.randrange(6))
+            text = _spaced(render(f), rng)
+            assert parse(text) == f, text
+
+
+@pytest.mark.parametrize("parse", [parse_formula, parse_pdl])
+def test_long_whitespace_is_read_in_linear_time(parse):
+    # A cursor that slices the text or rescans its whitespace takes
+    # quadratic time here.
+    start = time.perf_counter()
+    assert parse(" " * 10**6 + "p") == p
+    with pytest.raises(ParseError) as err:
+        parse("p" + " " * 10**6 + "q")
+    assert err.value.offset == 1_000_001
+    assert time.perf_counter() - start < 2
