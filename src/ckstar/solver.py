@@ -566,10 +566,10 @@ class _Tableau:
         A saturated state follows none of its demands if one is settled
         dead when it is pushed, and no more of them once one it meets or
         returns from is.  It is dead then whatever the others hold, and
-        `_settle` finds that from the dead demand: `all()` stops there,
-        and only alive states gather marks.  The stop rule of `build`
-        still holds: the cut edges leave dead states only.  The pass ends
-        early once `_root_chain` finds the root alive."""
+        `_settle` finds that from the dead demand: its check of the
+        demands stops there, and only alive states gather marks.  The stop
+        rule of `build` still holds: the cut edges leave dead states only.
+        The pass ends early once `_root_chain` finds the root alive."""
         info, low, parents, alive = self.info, self.low, self.parents, self.alive
         open_: list[int] = []  # visited and not yet settled
         # (state id, its targets left, its slot, whether it is saturated)
@@ -587,8 +587,11 @@ class _Tableau:
                         parents[t].append(i)
                 targets = entry[1]
                 sat = entry[0] == "sat"
-                if sat and any(low[t] == _SETTLED and not alive[t] for t in targets):
-                    targets = ()
+                if sat:
+                    for t in targets:
+                        if low[t] == _SETTLED and not alive[t]:
+                            targets = ()
+                            break
                 low[i] = len(open_)
                 frames.append((i, iter(targets), len(open_), sat))
                 open_.append(i)
@@ -671,10 +674,19 @@ class _Tableau:
         if len(part) == 1 and u not in entry[1]:
             # Not its own successor: a decomposition grows the state, but a
             # demand can close to the saturated state that spawned it.
+            # Loops, not any()/all(): no generator object per state.
             if entry[0] == "or":
-                ok = any(alive[t] for t in entry[1])
+                ok = False
+                for t in entry[1]:
+                    if alive[t]:
+                        ok = True
+                        break
             else:
-                ok = all(alive[d] for d in entry[1])
+                ok = True
+                for d in entry[1]:
+                    if not alive[d]:
+                        ok = False
+                        break
             m = self._gather(u) if ok else 0
             if ok and entry[0] == "sat" and entry[4] & ~m:
                 ok, m = False, 0

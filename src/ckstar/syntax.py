@@ -545,20 +545,26 @@ def images(f, rules: dict, context=None) -> dict:
     """Each distinct subformula g of f, in post-order of first occurrence, to
     `rules[type(g)](g, image, context)`: a rule reads its children's images
     from `image`, this dict.  Recurses once per level; programs are not
-    walked.  TypeError for a class with no rule, before its children."""
+    walked.  TypeError for a class with no rule, before its children.
+
+    The walk is `_walk`, a module-level function given everything it needs
+    as arguments, so nothing a query builds refers back to itself: a
+    recursive closure and its cell form a reference cycle, which would keep
+    the query's images, frames and models alive until the cyclic garbage
+    collector ran, instead of freeing them when the query returns."""
     image: dict = {}
-
-    def walk(g) -> None:
-        rule = rules.get(type(g))
-        if rule is None:
-            raise TypeError(f"no rule for {type(g).__name__}")
-        for child in CHILDREN[type(g)].formulas(g):
-            if child not in image:
-                walk(child)
-        image[g] = rule(g, image, context)
-
-    walk(f)
+    _walk(f, rules, context, image)
     return image
+
+
+def _walk(g, rules: dict, context, image: dict) -> None:
+    rule = rules.get(type(g))
+    if rule is None:
+        raise TypeError(f"no rule for {type(g).__name__}")
+    for child in CHILDREN[type(g)].formulas(g):
+        if child not in image:
+            _walk(child, rules, context, image)
+    image[g] = rule(g, image, context)
 
 
 # A rule for every node class, so `images` with it only lists the nodes.

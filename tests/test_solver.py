@@ -1192,3 +1192,63 @@ def test_verdict_json_shape():
     w = decide("wk_star", parse_formula("p"))
     obj = w.to_obj()
     assert obj["verdict"] == "invalid" and "model" in obj and "world" in obj
+
+
+def test_queries_leave_no_cyclic_garbage(tmp_path, capsys):
+    """Reference counting frees everything a query builds when it returns:
+    no path below leaves an object that only the cyclic collector can
+    free.  The first round warms the caches (`_falsum_image`'s and the
+    oracle's block cache); `gc.DEBUG_SAVEALL` keeps what the collector
+    finds after the second."""
+    import gc
+
+    from ckstar import cli
+    from ckstar.oracle import EnumSpec, brute_force_decide
+    from ckstar.syntax import ParseError, subformulas
+    from ckstar.translate import TranslationError, kappa, omega, tau
+
+    constructive = (parse_formula("[](p -> p)"), parse_formula("[]p | ~[]p"))
+    classical = (parse_pdl("[a](p | !p)"), parse_pdl("[a]p | [a]!p"))
+    batch = tmp_path / "batch.txt"
+    batch.write_text("[](p -> p)\n[]p | ~[]p\np &\n<*>p_bot\n", encoding="utf-8")
+    args = cli.build_parser().parse_args(["decide", "--logic", "ck_star", "@" + str(batch)])
+
+    # A plain `except`, not `pytest.raises`: what the latter keeps of the
+    # exception depends on the pytest version, and this test must see only
+    # what the package leaves.
+    def refused(error, call, *call_args):
+        try:
+            call(*call_args)
+        except error:
+            return
+        raise AssertionError(f"{call.__name__} did not raise {error.__name__}")
+
+    def queries():
+        for logic in LOGICS:
+            for f in classical if solver.LOGIC_TABLE[logic].classical else constructive:
+                v = decide(logic, f)
+                if not v.valid:
+                    check = pdl_satisfies if isinstance(v.model, PdlModel) else satisfies
+                    assert not check(v.model, v.world, f)
+        refused(ParseError, parse_formula, "p &")
+        refused(FragmentError, decide, "cs4", parse_formula("[*]p"))
+        refused(TranslationError, omega, parse_formula("p_bot"))
+        spec = EnumSpec(2, ("p",))
+        assert not brute_force_decide("ck_star", constructive[1], spec).valid_up_to_bound
+        assert not brute_force_decide("k_star", classical[1], spec).valid_up_to_bound
+        f = constructive[1]
+        omega(f), tau(f), kappa(f), iota(classical[1]), subformulas(f)
+        assert args.func(args) == 2
+
+    saved = gc.get_debug()
+    try:
+        queries()
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        queries()
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(saved)
+        gc.garbage.clear()
+        capsys.readouterr()
