@@ -12,6 +12,7 @@ of its lines.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import signal
 import sys
@@ -163,6 +164,9 @@ def _cmd_gen_formula(args) -> int:
     return 0
 
 
+# Built on first use and kept: argparse's objects refer to each other, so a
+# parser per `main` call would leave garbage for the cyclic collector.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ckstar",
@@ -215,9 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     try:

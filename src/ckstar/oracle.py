@@ -316,18 +316,17 @@ def random_formula(seed: int, depth: int, atoms: tuple[str, ...],
                    fragment: FragmentTag = FragmentTag.LSTAR):
     """Uniform over a leaf and the fragment's operators down to the depth
     bound."""
-    rng = random.Random(seed)
     leaves, operators = _grammar(fragment, atoms)
-    choices = [None, *operators]  # None draws a leaf
+    return _draw(random.Random(seed), depth, leaves, [None, *operators])
 
-    def go(d: int):
-        op = rng.choice(choices) if d > 0 else None
-        if op is None:
-            return rng.choice(leaves)
-        make, arity, _ = op
-        return make(*[go(d - 1) for _ in range(arity)])
 
-    return go(depth)
+def _draw(rng: random.Random, depth: int, leaves: list, choices: list):
+    """A formula of at most depth levels; the choice None draws a leaf."""
+    op = rng.choice(choices) if depth > 0 else None
+    if op is None:
+        return rng.choice(leaves)
+    make, arity, _ = op
+    return make(*[_draw(rng, depth - 1, leaves, choices) for _ in range(arity)])
 
 
 # ---------------------------------------------------------------------------

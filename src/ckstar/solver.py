@@ -2,18 +2,19 @@
 
 `fl_closure` is the one place that knows how a PDL formula decomposes:
 its breadth-first pass builds the node table (each closure member's kind
-and arguments, see `ClosureSet`) that model extraction reads, then walks
-the signed codes the goal reaches and their kids, the only codes the
-tableau's plan covers.  The table also yields the word automaton of each
-star eventuality the goal reaches false: `[P*]B` unfolds through
-composition and starred boxes to atomic boxes, whose letters spell out
-the words of `P*` (Fischer and Ladner), so programs are decomposed
-nowhere else.  A program atom x that occurs in the goal only as `x*` can
-be read as a preorder, so `[x*]B` is no eventuality but a preorder box:
-true, its body holds and every x-demand carries it; false, its body fails
-here or its obligation `![x]B` is planted (the S4 rules).  Where a star
-eventuality's automaton walks through the false box, the obligation is an
-alternative even when the body already fails, since the eventuality's
+and arguments, see `ClosureSet`) that model extraction reads.  The
+tableau's set-up walks the signed codes the goal reaches from that
+table, and plans each code as it reaches it: no other code gets a plan
+entry.  The table also yields the word automaton of each star
+eventuality the goal reaches false: `[P*]B` unfolds through composition
+and starred boxes to atomic boxes, whose letters spell out the words of
+`P*` (Fischer and Ladner), so programs are decomposed nowhere else.  A
+program atom x that occurs in the goal only as `x*` can be read as a
+preorder, so `[x*]B` is no eventuality but a preorder box: true, its
+body holds and every x-demand carries it; false, its body fails here or
+its obligation `![x]B` is planted (the S4 rules).  Where a star
+eventuality's automaton walks through the false box, the obligation is
+an alternative even when the body already fails, since the eventuality's
 path may need that step.
 
 `pdl_satisfiable` explores a globally cached decomposition graph whose
@@ -139,16 +140,12 @@ class ClosureSet:
     (left, right) indices, an atomic box's (program atom, body index), a
     composition box's unfolding index, a starred box's (body index,
     unfolding index), and a preorder box [x*]B's (body index, index of the
-    atomic box [x]B).  codes: the signed codes (index << 1 | sign) reached
-    from the goal's true code 1, in the order reached; kids: the codes each
-    one reaches in one step; alphabet: the atomic boxes' program atoms."""
+    atomic box [x]B).  alphabet: the atomic boxes' program atoms."""
 
     formulas: tuple[PdlFormula, ...]
     index: dict
     kind: tuple[int, ...]
     args: tuple
-    codes: list[int]
-    kids: list[tuple[int, ...]]
     alphabet: list[str]
 
     def __len__(self) -> int:
@@ -161,9 +158,7 @@ def fl_closure(f: PdlFormula) -> ClosureSet:
     its one-step unfolding.  A preorder box [x*]B, for a program atom x
     that occurs in f only as x*, steps to its body and [x]B instead.
     Members are numbered the first time they are seen, breadth first from
-    f.  Then the signed codes are walked from f true as the tableau's rules
-    reach them (Smullyan's signed formulas): a negation flips the sign, and
-    each other step keeps it, but a true preorder box reaches only its body."""
+    f; the numbering orders the tableau's codes, and so its branches."""
     preorders = starred_only_atoms(f)
     order: list[PdlFormula] = [f]
     index: dict[PdlFormula, int] = {f: 0}
@@ -208,29 +203,8 @@ def fl_closure(f: PdlFormula) -> ClosureSet:
             args.append(g.name)
         else:
             raise TypeError(f"not a PDL formula: {t.__name__}")
-    codes, kids, seen = [1], [], bytearray(2 * len(order))
-    seen[1] = 1
-    for c in codes:  # grows while it is read
-        k, a, sign = kinds[c >> 1], args[c >> 1], c & 1
-        if k == _ATOM:
-            step = ()
-        elif k == _NEG:
-            step = (a << 1 | sign ^ 1,)
-        elif k == _BOX_C:
-            step = (a << 1 | sign,)
-        elif k == _BOX_A:
-            step = (a[1] << 1 | sign,)
-        elif k == _BOX_P and sign:
-            step = (a[0] << 1 | 1,)
-        else:
-            step = (a[0] << 1 | sign, a[1] << 1 | sign)
-        kids.append(step)
-        for d in step:
-            if not seen[d]:
-                seen[d] = 1
-                codes.append(d)
     return ClosureSet(tuple(order), index, tuple(kinds), tuple(args),
-                      codes, kids, sorted(letters))
+                      sorted(letters))
 
 
 # ---------------------------------------------------------------------------
@@ -271,51 +245,67 @@ class _Tableau:
         self.closure = fl_closure(goal)
         kinds = self.kind = self.closure.kind
         args = self.args = self.closure.args
-        # One pass over the signed codes the goal reaches; no state holds
-        # another.  Per code: its plan entry (a literal, an add-all or a
-        # branch), its bit in the code masks that _process and extract read,
-        # and its watch entries.  watch[c]: the branch codes whose unit rule
-        # can fire once c is present, namely c itself and those with a kid
-        # that c refutes.  carries[c]: the program atom x of true box c and
-        # the code that each x-demand gets from it: [x]B gives B, and [x*]B
-        # itself.
+        # One walk over the signed codes the goal reaches from its code 1
+        # (Smullyan's signed formulas); no state holds another.  A code
+        # reaches its kids, which keep its sign except under a negation.  It
+        # adds its one kid, or both kids of a false | and of a true & or
+        # starred box (body here and after one program step); the rest branch.
+        # A true preorder box adds only its body.  A false one is met once its
+        # body fails here, so it branches as a connective, unless an automaton
+        # below walks through it.  A literal adds no kid: an atomic box's body
+        # is the code a true box carries to each demand, and the one a false
+        # box's demand starts from.  Per code: its plan entry (a literal, an
+        # add-all or a branch, with its kids), its bit in the code masks that
+        # _process and extract read, and its watch entries.  watch[c]: the
+        # branch codes whose unit rule can fire once c is present, namely c
+        # itself and those with a kid that c refutes.  carries[c]: the program
+        # atom x of true box c and the code that each x-demand gets from it:
+        # [x]B gives B, and [x*]B itself.
         plan = self.plan = [None] * (2 * len(kinds))
         watch = self.watch = [[] for _ in plan]
         carries = self.carries = {}
         starred: list[int] = []  # the star members reached false
         preorders = self.preorders = []  # the false preorder box codes
         branches = modals_false = atoms_true = 0
-        for c, kids in zip(self.closure.codes, self.closure.kids):
+        codes, reached = [1], bytearray(len(plan))
+        reached[1] = 1
+        for c in codes:  # grows while it is read
             k, a, true = kinds[c >> 1], args[c >> 1], c & 1
-            # A code adds its one kid, or both kids of a false | and of a
-            # true & or starred box (body here and after one program step);
-            # the rest branch.  A false preorder box is met once its body
-            # fails here, so it branches as a connective, unless an
-            # automaton below walks through it.
-            if k == _ATOM or k == _BOX_A:
+            mode = _DET
+            if k == _ATOM:
                 mode, kids = _LIT, ()
-            elif len(kids) == 1 or (k == _OR) != true:
-                mode = _DET
+                atoms_true |= true << c
+            elif k == _BOX_A:
+                mode, kids = _LIT, (a[1] << 1 | true,)
+                if true:
+                    carries[c] = (a[0], kids[0])
+                else:
+                    modals_false |= 1 << c
+            elif k == _NEG:
+                kids = (a << 1 | true ^ 1,)
+            elif k == _BOX_C:
+                kids = (a << 1 | true,)
+            elif k == _BOX_P and true:
+                kids = (a[0] << 1 | 1,)
+                carries[c] = (args[a[1]][0], c)
             else:
-                mode = _BRANCH_STAR if k == _BOX_S else _BRANCH
+                kids = (a[0] << 1 | true, a[1] << 1 | true)
+                if (k == _OR) == true:
+                    mode = _BRANCH_STAR if k == _BOX_S else _BRANCH
+                if k == _BOX_P:
+                    preorders.append(c)
+                elif k == _BOX_S and not true:
+                    modals_false |= 1 << c
+                    starred.append(c >> 1)
             plan[c] = (mode, kids)
             if mode >= _BRANCH:
                 branches |= 1 << c
                 for w in (c, kids[0] ^ 1, kids[1] ^ 1):
                     watch[w].append(c)
-            if k == _ATOM:
-                atoms_true |= true << c
-            elif true:
-                if k == _BOX_A:
-                    carries[c] = (a[0], a[1] << 1 | 1)
-                elif k == _BOX_P:
-                    carries[c] = (args[a[1]][0], c)
-            elif k == _BOX_P:
-                preorders.append(c)
-            elif k == _BOX_A or k == _BOX_S:
-                modals_false |= 1 << c
-                if k == _BOX_S:
-                    starred.append(c >> 1)
+            for d in kids:
+                if not reached[d]:
+                    reached[d] = 1
+                    codes.append(d)
         self.branches, self.modals_false, self.atoms_true = (
             branches, modals_false, atoms_true)
         self.boxes_true = mask_of(carries)
@@ -660,6 +650,22 @@ class _Tableau:
                         m |= bits >> shift if shift >= 0 else bits << -shift
         return m
 
+    def _lives(self, entry: tuple) -> bool:
+        """Whether an expanded state keeps its obligations, from its
+        successors' alive bits: a decomposition needs one alive successor,
+        a saturated state every demand alive.  Loops, not any()/all(): no
+        generator object per state."""
+        alive = self.alive
+        if entry[0] == "or":
+            for t in entry[1]:
+                if alive[t]:
+                    return True
+            return False
+        for d in entry[1]:
+            if not alive[d]:
+                return False
+        return True
+
     def _settle(self, part: list, floor: int) -> None:
         """Alive bits and marks of the states of part, from those of the
         states it reaches outside it, all settled in this pass.  A parent p
@@ -674,19 +680,7 @@ class _Tableau:
         if len(part) == 1 and u not in entry[1]:
             # Not its own successor: a decomposition grows the state, but a
             # demand can close to the saturated state that spawned it.
-            # Loops, not any()/all(): no generator object per state.
-            if entry[0] == "or":
-                ok = False
-                for t in entry[1]:
-                    if alive[t]:
-                        ok = True
-                        break
-            else:
-                ok = True
-                for d in entry[1]:
-                    if not alive[d]:
-                        ok = False
-                        break
+            ok = self._lives(entry)
             m = self._gather(u) if ok else 0
             if ok and entry[0] == "sat" and entry[4] & ~m:
                 ok, m = False, 0
@@ -699,10 +693,7 @@ class _Tableau:
         while True:
             while work:  # obligations
                 u = work.pop()
-                entry = info[u]
-                if alive[u] and (
-                        not any(alive[t] for t in entry[1]) if entry[0] == "or"
-                        else not all(alive[d] for d in entry[1])):
+                if alive[u] and not self._lives(info[u]):
                     alive[u] = 0
                     work.extend(p for p in parents[u] if low[p] >= floor)
             for u in part:

@@ -320,6 +320,38 @@ def random_mixed_goal(rng: random.Random, depth: int):
                    random_mixed_pdl(rng, depth)))
 
 
+def signed_code_walk(closure) -> dict:
+    """Each signed code (index << 1 | sign) that the goal reaches from its
+    true code 1, read off the node table, to the codes it reaches in one
+    step (Smullyan's signed formulas): a negation flips the sign and every
+    other step keeps it.  A connective, a starred box and a false preorder
+    box reach both arguments, left first; a true preorder box only its
+    body; a composition box its unfolding; an atomic box its body."""
+    kinds, args = closure.kind, closure.args
+    walk: dict = {}
+    work = [1]
+    while work:
+        c = work.pop()
+        if c in walk:
+            continue
+        kind, a, sign = kinds[c >> 1], args[c >> 1], c & 1
+        if kind == solver._ATOM:
+            members = ()
+        elif kind == solver._NEG:
+            members, sign = (a,), 1 - sign
+        elif kind == solver._BOX_C:
+            members = (a,)
+        elif kind == solver._BOX_A:
+            members = (a[1],)
+        elif kind == solver._BOX_P and sign:
+            members = (a[0],)
+        else:
+            members = a
+        walk[c] = tuple(m << 1 | sign for m in members)
+        work.extend(walk[c])
+    return walk
+
+
 def recorded_engines(monkeypatch) -> list:
     """Every `_Tableau` made from a goal from now on, in order, as
     `pdl_satisfiable` makes them.  A twin is a copy of its main graph, so
@@ -876,13 +908,15 @@ def test_a_main_graph_past_its_state_limit_answers_from_the_twin(monkeypatch):
 
 
 def test_the_tables_cover_exactly_the_signed_codes_the_goal_reaches(monkeypatch):
-    # Set-up builds plan entries only for the signed codes `fl_closure`
-    # reaches from the goal true, and an automaton only for a starred box
-    # reached false.  Every code of every state that a main graph or its
-    # twin holds must have its entry, and every eventuality of a saturated
-    # state its start bit.  The alphabet is every program atom of the goal,
-    # reached or not: in [a]p & ![m]q no true box carries m, and in
-    # ![a*]p & [m]q none carries a, yet the extracted model must interpret
+    # Set-up builds plan entries exactly for the signed codes the goal reaches
+    # from its true code (`signed_code_walk`), each over the walk's kids and a
+    # literal only for an atom or an atomic box, and an automaton only for a
+    # starred box reached false.  A twin's false preorder box adds only its
+    # obligation, the walk's second kid.  Every code of every state that a
+    # main graph or its twin holds must have its entry, and every eventuality
+    # of a saturated state its start bit.  The alphabet is every program atom
+    # of the goal, reached or not: in [a]p & ![m]q no true box carries m, and
+    # in ![a*]p & [m]q none carries a, yet the extracted model must interpret
     # both letters.
     for text in ("[a]p & ![m]q", "![a*]p & [m]q"):
         goal = parse_pdl(text)
@@ -900,8 +934,17 @@ def test_the_tables_cover_exactly_the_signed_codes_the_goal_reaches(monkeypatch)
     twins = [e.twin for e in engines if e.twin is not None]
     states = eventualities = 0
     for g in engines + twins:
-        codes = g.closure.codes
-        assert sorted(codes) == [c for c, entry in enumerate(g.plan) if entry is not None]
+        walk = signed_code_walk(g.closure)
+        codes = [c for c, entry in enumerate(g.plan) if entry is not None]
+        assert sorted(walk) == codes
+        for c in codes:
+            mode, kids = g.plan[c]
+            kind = g.kind[c >> 1]
+            assert (mode == solver._LIT) == (kind in (solver._ATOM, solver._BOX_A))
+            if g in twins and kind == solver._BOX_P and not c & 1:
+                assert kids == walk[c][1:]
+            else:
+                assert kids == walk[c]
         assert sorted(g.start_bit) == sorted(
             c >> 1 for c in codes if not c & 1 and g.kind[c >> 1] == solver._BOX_S)
         assert g.alphabet == program_atoms(g.closure.formulas[0])
@@ -1197,13 +1240,13 @@ def test_verdict_json_shape():
 def test_queries_leave_no_cyclic_garbage(tmp_path, capsys):
     """Reference counting frees everything a query builds when it returns:
     no path below leaves an object that only the cyclic collector can
-    free.  The first round warms the caches (`_falsum_image`'s and the
-    oracle's block cache); `gc.DEBUG_SAVEALL` keeps what the collector
-    finds after the second."""
+    free.  The first round warms the caches (`_falsum_image`'s, the
+    oracle's block cache and the CLI's parser); `gc.DEBUG_SAVEALL` keeps
+    what the collector finds after the second."""
     import gc
 
     from ckstar import cli
-    from ckstar.oracle import EnumSpec, brute_force_decide
+    from ckstar.oracle import EnumSpec, brute_force_decide, random_formula
     from ckstar.syntax import ParseError, subformulas
     from ckstar.translate import TranslationError, kappa, omega, tau
 
@@ -1211,7 +1254,6 @@ def test_queries_leave_no_cyclic_garbage(tmp_path, capsys):
     classical = (parse_pdl("[a](p | !p)"), parse_pdl("[a]p | [a]!p"))
     batch = tmp_path / "batch.txt"
     batch.write_text("[](p -> p)\n[]p | ~[]p\np &\n<*>p_bot\n", encoding="utf-8")
-    args = cli.build_parser().parse_args(["decide", "--logic", "ck_star", "@" + str(batch)])
 
     # A plain `except`, not `pytest.raises`: what the latter keeps of the
     # exception depends on the pytest version, and this test must see only
@@ -1238,7 +1280,9 @@ def test_queries_leave_no_cyclic_garbage(tmp_path, capsys):
         assert not brute_force_decide("k_star", classical[1], spec).valid_up_to_bound
         f = constructive[1]
         omega(f), tau(f), kappa(f), iota(classical[1]), subformulas(f)
-        assert args.func(args) == 2
+        random_formula(2, 3, ("p",))
+        assert cli.main(["decide", "--logic", "ck_star", "@" + str(batch)]) == 2
+        assert cli.main(["gen-formula", "--seed", "7"]) == 0
 
     saved = gc.get_debug()
     try:
