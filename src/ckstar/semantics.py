@@ -107,16 +107,15 @@ def extension(m: BiModel, f: Formula) -> int:
     return images(f, _EXTENSION, _Frame(m, {"pre": m.pre, "mod": m.mod}))[f]
 
 
-def _check_bimodel(m: BiModel, w: int) -> None:
-    violations = validate(m, "ck")
+def satisfies(m: BiModel, w: int, f: Formula) -> bool:
+    """Whether f holds at world w of m, once m meets the conditions of the
+    class it declares (`m.kind`), else InvalidModelError.  Each class's
+    conditions include `ck`'s, so a mislabelled model is refused."""
+    violations = validate(m, m.kind)
     if violations:
         raise InvalidModelError(violations)
     if not 0 <= w < m.worlds:
         raise IndexError(f"world {w} out of range for {m.worlds} worlds")
-
-
-def satisfies(m: BiModel, w: int, f: Formula) -> bool:
-    _check_bimodel(m, w)
     return bool(extension(m, f) >> w & 1)
 
 

@@ -74,13 +74,11 @@ and the model map back.  The rows form the paper's chain of reductions:
 on `wk_star`, and `cs4` (by `kappa`) on `ck_star`.  `decide` checks the
 input, decides the mapped formula in the parent, and maps a countermodel
 back.  `pdl_satisfiable` checks its PDL model with the independent
-evaluator.  After each model map into a constructive class, `decide`
-checks the model with `validate` against that class and with `satisfies`
-against the source formula; `satisfies` validates its model as a `ck`
-model first, and `wk_model_to_ck` and `ck_model_to_cs4` validate the
-model they are given.  So one Invalid verdict runs `validate` 2 times
-under `wk_star`, 5 under `ck_star` and 8 under `cs4`.  The oracle and
-the CLI read the same table.
+evaluator.  After each model map into a constructive class, one
+`satisfies` call certifies the model: it checks the model against the
+class the model declares, which must be the row's, and evaluates the
+source formula.  The maps trust their input, which the layer below
+certified.  The oracle and the CLI read the same table.
 """
 
 from __future__ import annotations
@@ -91,8 +89,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .relmodel import (
-    MODEL_CLASSES, BiModel, PdlModel, Relation, bits_of, mask_of, validate)
-from .semantics import pdl_satisfies, satisfies
+    MODEL_CLASSES, BiModel, PdlModel, Relation, bits_of, mask_of, model_to_obj)
+from .semantics import InvalidModelError, pdl_satisfies, satisfies
 from .syntax import (
     And,
     Atom,
@@ -895,7 +893,6 @@ class Verdict:
     def to_obj(self) -> dict:
         if self.valid:
             return {"verdict": "valid"}
-        from .relmodel import model_to_obj
         return {"verdict": "invalid", "world": self.world,
                 "model": model_to_obj(self.model)}
 
@@ -993,7 +990,8 @@ def decide(logic: str, f) -> Verdict:
     """Validity in the named logic, decided in its parent logic down to
     PDL.  An Invalid verdict's countermodel is mapped back one row at a
     time and certified once per map into a constructive model class: the
-    model must meet that class's conditions and falsify the source."""
+    model must carry that class's label, meet its conditions and falsify
+    the source."""
     return _decide(check_input(logic, f)[0], f)
 
 
@@ -1008,11 +1006,14 @@ def _decide(row: Logic, f) -> Verdict:
         return v
     model, world = row.back(v.model, v.world, f)
     if not row.classical:
-        violations = validate(model, row.kind)
-        if violations:
-            raise CertificationError(
-                f"{row.kind} countermodel violates {violations[0].condition}")
-        if satisfies(model, world, f):
+        if model.kind != row.kind:
+            raise CertificationError(f"{row.kind} countermodel is labelled {model.kind}")
+        try:
+            holds = satisfies(model, world, f)
+        except InvalidModelError as err:
+            raise CertificationError(f"{row.kind} countermodel violates "
+                                     f"{err.violations[0].condition}") from err
+        if holds:
             raise CertificationError(
                 f"{row.kind} countermodel fails to falsify the source formula")
     return Verdict(False, model, world)

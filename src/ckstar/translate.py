@@ -29,9 +29,9 @@ from .relmodel import (
     mask_of,
     rel_compose,
     rel_star,
-    validate,
+    validate,  # not called here: bench/tracing.py wraps it under this name
 )
-from .semantics import InvalidModelError, extension
+from .semantics import extension
 from .syntax import (
     Atom,
     And,
@@ -169,17 +169,12 @@ def kappa(f: Formula) -> Formula:
 # Model constructions
 
 
-def _validated(m: BiModel, kind: str) -> None:
-    violations = validate(m, kind)
-    if violations:
-        raise InvalidModelError(violations)
-
-
 def wk_model_to_ck(m: BiModel, f: Formula) -> BiModel:
     """Fallible companion: worlds where omega's falsum image over f's atoms
     holds become the new fallible set; only f's own atoms keep their
-    valuation, everything else defaults to that set."""
-    _validated(m, "wk")
+    valuation, everything else defaults to that set.  m must be a certified
+    `wk` model, as `decide` certifies it at the layer below; it is not
+    checked again here."""
     atoms = variables(f)
     bot_mask = extension(m, _falsum_image(tuple(atoms)))
     val = {name: m.val.get(name, 0) for name in atoms}
@@ -200,8 +195,9 @@ def pdl_model_to_wk(m: PdlModel) -> BiModel:
 def ck_model_to_cs4(m: BiModel) -> BiModel:
     """Duplicate every world; index-1 copies get the iterated accessibility,
     making the frame confluent.  World 2w + i is copy i of world w.  A
-    `wk` input yields a `ws4` model, any other a `cs4` one."""
-    _validated(m, "ck")
+    `wk` input yields a `ws4` model, any other a `cs4` one.  m must be a
+    certified model of its class, as `decide` certifies it at the layer
+    below; it is not checked again here."""
     n = m.worlds
     n2 = 2 * n
     mod_star = rel_star(m.mod)

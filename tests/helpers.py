@@ -112,6 +112,16 @@ def bi_model(worlds: int, pre, mod, val=None, bot=(), kind: str = "ck") -> BiMod
     return BiModel(worlds, pre_r, mod_r, vals, mask_of(bot), kind)
 
 
+# Models that meet `ck`'s conditions but not those of the class they
+# declare: each with a formula that holds at its world 0 and the first
+# condition of its class that it violates.
+MISLABELLED = (
+    (bi_model(1, [(0, 0)], [(0, 0)], bot={0}, kind="wk"), "p", "infallibility"),
+    (bi_model(2, [(0, 0), (1, 1)], [(0, 1), (1, 1)], {"p": {1}}, kind="cs4"),
+     "[]p", "mod-not-preorder"),
+)
+
+
 def pdl_model(worlds: int, rho, val=None) -> PdlModel:
     rels = {a: (r if isinstance(r, Relation) else Relation.from_pairs(worlds, r))
             for a, r in rho.items()}

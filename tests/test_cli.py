@@ -16,7 +16,7 @@ from ckstar.semantics import satisfies
 from ckstar.solver import decide
 from ckstar.syntax import Atom, FragmentError, parse_formula
 
-from helpers import bi_model, pdl_model
+from helpers import MISLABELLED, bi_model, pdl_model
 
 
 def run(capsys, *argv):
@@ -137,6 +137,15 @@ def test_eval_world_out_of_range(tmp_path, capsys):
                              "--world", world, "p")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_eval_refuses_a_model_outside_its_declared_class(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    for m, text, condition in MISLABELLED:
+        path.write_text(dump_model(m), encoding="utf-8")
+        code, out, err = run(capsys, "eval", "--model", str(path), "--world", "0", text)
+        assert code == 2 and out == ""
+        assert err == f"error: model violates {condition}\n"
 
 
 def test_eval_and_check_model_on_a_pdl_model(tmp_path, capsys):

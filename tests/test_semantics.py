@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -22,7 +23,7 @@ from ckstar.syntax import (
     parse_pdl,
 )
 
-from helpers import bi_model, naive_satisfies, pdl_model, rand_ck_model, random_lstar
+from helpers import MISLABELLED, bi_model, naive_satisfies, pdl_model, rand_ck_model, random_lstar
 from truth_maps import falsifying_world, valid_in_model
 
 p = Atom("p")
@@ -133,6 +134,11 @@ def test_world_and_model_errors():
     broken = bi_model(2, [(0, 0)], [])  # not reflexive at 1
     with pytest.raises(InvalidModelError):
         satisfies(broken, 0, p)
+    # A model is checked against the class it declares, not always `ck`.
+    for m, text, condition in MISLABELLED:
+        with pytest.raises(InvalidModelError, match=condition):
+            satisfies(m, 0, parse_formula(text))
+        assert satisfies(dataclasses.replace(m, kind="ck"), 0, parse_formula(text))
 
 
 def test_extension_matches_pointwise_satisfies():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from ckstar import solver
+from ckstar import relmodel, semantics, solver, translate
 from ckstar.relmodel import PdlModel, Relation, bits_of, validate
 from ckstar.semantics import pdl_extension, pdl_satisfies, satisfies
 from ckstar.solver import (
@@ -1127,6 +1127,24 @@ def test_each_layer_is_certified_once(logic, monkeypatch):
     assert calls == {"pdl_satisfies": 1, "satisfies": _MODEL_MAPS[logic]}
 
 
+@pytest.mark.parametrize("logic", LOGICS)
+def test_each_layer_validates_its_model_once(logic, monkeypatch):
+    # One `validate` per constructive layer, made by that layer's
+    # `satisfies`: the model maps trust their certified input.
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return relmodel.validate(*args)
+
+    for module in (semantics, translate, solver):
+        if hasattr(module, "validate"):
+            monkeypatch.setattr(module, "validate", counted)
+    f = parse_pdl("[a]p") if logic in ("k_star", "pdl") else parse_formula("[]p")
+    assert not decide(logic, f).valid
+    assert len(calls) == _MODEL_MAPS[logic], calls
+
+
 @pytest.mark.parametrize("logic", ["cs4", "ws4"])
 def test_countermodel_is_labelled_with_its_class(logic):
     # The doubled model is named after the class of the model it doubles,
@@ -1156,6 +1174,46 @@ def test_countermodel_is_checked_against_its_class(logic, source, condition,
     with pytest.raises(CertificationError, match=f"{logic} countermodel violates"):
         decide(logic, parse_formula(source))
     assert condition in {v.condition for v in validate(made[0], logic)}
+
+
+def _broken_map(monkeypatch, name, breaks):
+    """Patch the model map `name` in `solver` to pass its output to `breaks`."""
+    original = getattr(solver, name)
+    monkeypatch.setattr(solver, name, lambda *args: breaks(original(*args)))
+
+
+def test_wk_layer_refuses_a_bad_model_from_its_map(monkeypatch):
+    def irreflexive(m):
+        rows = (m.pre.rows[0] & ~1,) + m.pre.rows[1:]
+        return dataclasses.replace(m, pre=Relation(m.worlds, rows))
+
+    _broken_map(monkeypatch, "pdl_model_to_wk", irreflexive)
+    with pytest.raises(CertificationError,
+                       match="wk countermodel violates pre-not-preorder"):
+        decide("wk_star", parse_formula("[]p"))
+
+
+def test_ck_layer_refuses_a_bad_model_from_its_map(monkeypatch):
+    # Excluded middle fails at a world below one where p holds; giving p
+    # to that world alone breaks persistence along the preorder.
+    def unpersistent(m):
+        w, v = next((w, v) for w in range(m.worlds)
+                    for v in bits_of(m.pre.rows[w] & ~m.bot) if v != w)
+        return dataclasses.replace(m, val={**m.val, "p": 1 << w | m.bot})
+
+    _broken_map(monkeypatch, "wk_model_to_ck", unpersistent)
+    with pytest.raises(CertificationError,
+                       match="ck countermodel violates atomic-persistence"):
+        decide("ck_star", parse_formula("p | ~p"))
+
+
+@pytest.mark.parametrize("logic", ["cs4", "ws4"])
+def test_layer_refuses_a_valid_model_under_another_label(logic, monkeypatch):
+    # The doubled model is in its class, but a map must also name it so.
+    _broken_map(monkeypatch, "ck_model_to_cs4",
+                lambda m: dataclasses.replace(m, kind="ck"))
+    with pytest.raises(CertificationError, match=f"{logic} countermodel is labelled ck"):
+        decide(logic, parse_formula("[]p"))
 
 
 @pytest.mark.parametrize("logic", LOGICS)

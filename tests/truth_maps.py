@@ -20,7 +20,13 @@ from ckstar.relmodel import (
 )
 from ckstar.semantics import InvalidModelError, extension, pdl_extension
 from ckstar.syntax import P_BOT, FragmentError, FragmentTag, PdlFormula, check_fragment
-from ckstar.translate import TranslationError, _validated, iota
+from ckstar.translate import TranslationError, iota
+
+
+def _validated(m: BiModel, kind: str) -> None:
+    violations = validate(m, kind)
+    if violations:
+        raise InvalidModelError(violations)
 
 
 def identity(n: int) -> Relation:
@@ -107,9 +113,7 @@ def falsifying_world(m, f) -> "int | None":
     if isinstance(m, PdlModel):
         e = pdl_extension(m, f)
     else:
-        violations = validate(m, "ck")
-        if violations:
-            raise InvalidModelError(violations)
+        _validated(m, "ck")
         e = extension(m, f)
     missing = m.full_mask() & ~e
     if missing == 0:
