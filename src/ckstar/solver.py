@@ -88,8 +88,8 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .relmodel import (
-    MODEL_CLASSES, BiModel, PdlModel, Relation, bits_of, mask_of, model_to_obj)
+from . import relmodel
+from .relmodel import MODEL_CLASSES, BiModel, PdlModel, Relation, bits_of, mask_of
 from .semantics import InvalidModelError, pdl_satisfies, satisfies
 from .syntax import (
     And,
@@ -104,10 +104,10 @@ from .syntax import (
     PdlFormula,
     P_BOT,
     Star,
+    census,
     check_fragment,
     depth_error,
     render,
-    starred_only_atoms,
     variables,
 )
 from .translate import (
@@ -138,7 +138,8 @@ class ClosureSet:
     (left, right) indices, an atomic box's (program atom, body index), a
     composition box's unfolding index, a starred box's (body index,
     unfolding index), and a preorder box [x*]B's (body index, index of the
-    atomic box [x]B).  alphabet: the atomic boxes' program atoms."""
+    atomic box [x]B).  alphabet: the goal's program atoms (`census`), which
+    are the program atoms of the members' atomic boxes."""
 
     formulas: tuple[PdlFormula, ...]
     index: dict
@@ -156,13 +157,14 @@ def fl_closure(f: PdlFormula) -> ClosureSet:
     its one-step unfolding.  A preorder box [x*]B, for a program atom x
     that occurs in f only as x*, steps to its body and [x]B instead.
     Members are numbered the first time they are seen, breadth first from
-    f; the numbering orders the tableau's codes, and so its branches."""
-    preorders = starred_only_atoms(f)
+    f; the numbering orders the tableau's codes, and so its branches.  One
+    `census` of f gives the preorder atoms and the alphabet."""
+    _, bare, starred = census(f)
+    preorders = starred - bare
     order: list[PdlFormula] = [f]
     index: dict[PdlFormula, int] = {f: 0}
     kinds: list[int] = []
     args: list = []
-    letters: set[str] = set()
 
     def number(g: PdlFormula) -> int:
         i = index.setdefault(g, len(order))
@@ -178,7 +180,6 @@ def fl_closure(f: PdlFormula) -> ClosureSet:
             if t is PAtom:
                 kinds.append(_BOX_A)
                 args.append((prog.name, number(body)))
-                letters.add(prog.name)
             elif t is Comp:
                 kinds.append(_BOX_C)
                 args.append(number(BoxP(prog.left, BoxP(prog.right, body))))
@@ -202,7 +203,7 @@ def fl_closure(f: PdlFormula) -> ClosureSet:
         else:
             raise TypeError(f"not a PDL formula: {t.__name__}")
     return ClosureSet(tuple(order), index, tuple(kinds), tuple(args),
-                      sorted(letters))
+                      sorted(bare | starred))
 
 
 # ---------------------------------------------------------------------------
@@ -893,8 +894,10 @@ class Verdict:
     def to_obj(self) -> dict:
         if self.valid:
             return {"verdict": "valid"}
+        # Looked up in `relmodel` when called, as the logic table's lambdas
+        # look up the maps, so a wrapper set there (the tracer's) sees it.
         return {"verdict": "invalid", "world": self.world,
-                "model": model_to_obj(self.model)}
+                "model": relmodel.model_to_obj(self.model)}
 
 
 def pdl_valid(f: PdlFormula) -> Verdict:

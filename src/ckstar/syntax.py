@@ -579,50 +579,37 @@ def subformulas(f: AnyFormula) -> list:
     return list(images(f, _LIST_ONLY))
 
 
-def variables(f: AnyFormula) -> list[str]:
-    """Atom names occurring in f, lexicographically sorted."""
-    names, seen = set(), set()
+def census(f: AnyFormula) -> tuple[set[str], set[str], set[str]]:
+    """f's atom names, the program atoms of its boxes that occur bare, and
+    those that occur as the body of a star: one walk over f's distinct
+    nodes, programs included.  Only the nodes it expands are hashed into
+    `seen`; an atom, a program atom and a starred one are leaves."""
+    names, bare, starred, seen = set(), set(), set(), set()
     stack = [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, Atom):
+        t = type(g)
+        if t is Atom:
             names.add(g.name)
+        elif t is PAtom:
+            bare.add(g.name)
+        elif t is Star and type(g.body) is PAtom:
+            starred.add(g.body.name)
         elif g not in seen:  # each distinct node once
             seen.add(g)
-            stack.extend(CHILDREN[type(g)].formulas(g))
-    return sorted(names)
+            stack.extend(CHILDREN[t].nodes(g))
+    return names, bare, starred
 
 
-def _program_atom_census(f: PdlFormula) -> tuple[set[str], set[str]]:
-    """The program atoms of f's boxes that occur bare, and those that occur
-    as the body of a star: one walk over f's distinct nodes."""
-    bare, starred = set(), set()
-    seen = {f}
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if type(g) is PAtom:
-            bare.add(g.name)
-        elif type(g) is Star and type(g.body) is PAtom:
-            starred.add(g.body.name)
-        else:
-            for h in CHILDREN[type(g)].nodes(g):
-                if h not in seen:
-                    seen.add(h)
-                    stack.append(h)
-    return bare, starred
+def variables(f: AnyFormula) -> list[str]:
+    """Atom names occurring in f, lexicographically sorted."""
+    return sorted(census(f)[0])
 
 
 def program_atoms(f: PdlFormula) -> list[str]:
     """Program atom names occurring in f's boxes, lexicographically sorted."""
-    bare, starred = _program_atom_census(f)
+    _, bare, starred = census(f)
     return sorted(bare | starred)
-
-
-def starred_only_atoms(f: PdlFormula) -> set[str]:
-    """Program atom names that occur in f only as the body of a star."""
-    bare, starred = _program_atom_census(f)
-    return starred - bare
 
 
 def formula_size(f) -> int:

@@ -194,8 +194,9 @@ def pdl_model_to_wk(m: PdlModel) -> BiModel:
 
 def ck_model_to_cs4(m: BiModel) -> BiModel:
     """Duplicate every world; index-1 copies get the iterated accessibility,
-    making the frame confluent.  World 2w + i is copy i of world w.  A
-    `wk` input yields a `ws4` model, any other a `cs4` one.  m must be a
+    making the frame confluent.  World 2w + i is copy i of world w.  An
+    infallible input (`wk` or `ws4`) yields a `ws4` model, a fallible one
+    (`ck` or `cs4`) a `cs4` one.  m must be a
     certified model of its class, as `decide` certifies it at the layer
     below; it is not checked again here."""
     n = m.worlds
@@ -215,6 +216,6 @@ def ck_model_to_cs4(m: BiModel) -> BiModel:
         mod_rows.append(mask_of(2 * v for v in bits_of(mod_star.rows[w])))
         mod_rows.append(spread(iter_star.rows[w]))
     val = {name: spread(ws) for name, ws in m.val.items()}
-    kind = next((k for k, c in MODEL_CLASSES.items() if c.base == m.kind), "cs4")
+    kind = "cs4" if MODEL_CLASSES[m.kind].fallible else "ws4"
     return BiModel(n2, Relation(n2, tuple(pre_rows)), Relation(n2, tuple(mod_rows)),
                    val, spread(m.bot), kind)

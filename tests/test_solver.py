@@ -3,10 +3,12 @@ import hashlib
 import itertools
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from ckstar import relmodel, semantics, solver, translate
+from ckstar import oracle, relmodel, semantics, solver, syntax, translate
 from ckstar.relmodel import PdlModel, Relation, bits_of, validate
 from ckstar.semantics import pdl_extension, pdl_satisfies, satisfies
 from ckstar.solver import (
@@ -1143,6 +1145,40 @@ def test_each_layer_validates_its_model_once(logic, monkeypatch):
     f = parse_pdl("[a]p") if logic in ("k_star", "pdl") else parse_formula("[]p")
     assert not decide(logic, f).valid
     assert len(calls) == _MODEL_MAPS[logic], calls
+
+
+def test_every_traced_function_is_called_where_the_tracer_wraps_it():
+    # The benchmark's tracer wraps each function at the module attribute the
+    # pipeline looks it up through; a caller that bound the name at import
+    # time would bypass its wrapper, and that layer's span would read zero.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import tracing
+    finally:
+        sys.path.pop(0)
+    tracer = tracing.Tracer()
+    assert tracer.missing == []
+    tracer.install()
+    try:
+        with tracer.query(0):
+            for logic in LOGICS:
+                if logic in ("pdl", "k_star"):
+                    f = syntax.parse_pdl("[a]p")
+                else:
+                    f = syntax.parse_formula("[]p")
+                v = solver.decide(logic, f)
+                assert not v.valid and v.to_obj()["verdict"] == "invalid", logic
+            bounded = oracle.brute_force_decide(
+                "ck_star", syntax.parse_formula("[]p"), oracle.EnumSpec(2, ("p",)))
+            assert not bounded.valid_up_to_bound
+    finally:
+        tracer.uninstall()
+    fired = {span[3] for span in tracer.spans}
+    # No query path calls these two: the solver calls `omega` by the name it
+    # imported, and the maps trust their certified input.
+    unused = {"translate.validate", "translate.omega"}
+    wrapped = {f"{module.rsplit('.', 1)[1]}.{attr}" for module, attr in tracing.WRAPPED}
+    assert wrapped - unused <= fired, sorted(wrapped - unused - fired)
 
 
 @pytest.mark.parametrize("logic", ["cs4", "ws4"])

@@ -29,11 +29,13 @@ from ckstar.syntax import (
     PAtom,
     ParseError,
     Star,
+    census,
     check_fragment,
     diamond,
     formula_size,
     parse_formula,
     parse_pdl,
+    program_atoms,
     render,
     subformulas,
     variables,
@@ -203,6 +205,73 @@ def test_variables():
     assert variables(Bot()) == []
     assert variables(Imp(q, p)) == ["p", "q"]
     assert variables(DiaStar(p)) == ["p"]
+
+
+def reference_census(f) -> tuple[set, set, set]:
+    """f's atom names and its bare and starred program atoms, by plain
+    recursion over every occurrence: a program atom is starred where it is
+    the body of a star, bare anywhere else."""
+    names, bare, starred = set(), set(), set()
+
+    def visit(g, under_star: bool) -> None:
+        if isinstance(g, Atom):
+            names.add(g.name)
+        elif isinstance(g, PAtom):
+            (starred if under_star else bare).add(g.name)
+        else:
+            for field in dataclasses.fields(g):
+                visit(getattr(g, field.name), isinstance(g, Star))
+
+    visit(f, False)
+    return names, bare, starred
+
+
+def _census_cases() -> list:
+    rng = random.Random(59)
+    cases = [make(rng, depth) for make in (random_lstar, random_lkstar, random_pdl)
+             for depth in range(1, 6) for _ in range(60)]
+    a, b = PAtom("a"), PAtom("b")
+    a_star = Star(a)  # one object under several boxes
+    cases += [
+        And(BoxP(a_star, p), BoxP(a_star, BoxP(a_star, q))),
+        # The same program atom object bare in one box, starred in another.
+        And(BoxP(a, p), BoxP(a_star, p)),
+        Or(BoxP(a_star, p), Neg(BoxP(a, BoxP(a_star, q)))),
+        BoxP(Star(Comp(a, b)), p),
+        BoxP(Star(a_star), p),
+        BoxP(Comp(a_star, Star(Comp(a, a_star))), p),
+        Bot(), Imp(Bot(), p), And(Bot(), BoxStar(Bot())), DiaStar(Imp(q, Bot())),
+    ]
+    return cases
+
+
+def test_census_matches_a_recursive_reference():
+    # A bare program atom read as starred-only would make `fl_closure` read
+    # its starred boxes as preorder boxes: the census must see every bare
+    # occurrence, also of a node it has met starred.
+    for f in _census_cases():
+        names, bare, starred = reference_census(f)
+        assert census(f) == (names, bare, starred), f
+        assert variables(f) == sorted(names)
+        assert program_atoms(f) == sorted(bare | starred)
+    a_star = Star(PAtom("a"))
+    assert census(And(BoxP(PAtom("a"), p), BoxP(a_star, p)))[1:] == ({"a"}, {"a"})
+    assert census(BoxP(Star(a_star), p))[1:] == (set(), {"a"})
+    assert census(BoxP(Star(Comp(PAtom("a"), PAtom("b"))), p))[1:] == ({"a", "b"}, set())
+
+
+def test_census_expands_each_distinct_node_once(monkeypatch):
+    # f = f & f applied 18 times: 524,287 occurrences over 19 distinct
+    # nodes, of which the 18 conjunctions are expanded, each once.
+    f = p
+    for _ in range(18):
+        f = And(f, f)
+    expanded = []
+    kids = CHILDREN[And]
+    monkeypatch.setitem(CHILDREN, And, kids._replace(
+        nodes=lambda g: expanded.append(g) or kids.nodes(g)))
+    assert variables(f) == ["p"]
+    assert len(expanded) == len(set(expanded)) == 18
 
 
 def test_formula_size():

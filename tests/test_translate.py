@@ -330,13 +330,15 @@ def test_doubling_construction_transfer():
 
 
 def test_doubling_kind_for_every_input_kind():
-    # A wk model doubles into ws4; a model of any other kind, transitive
-    # ones included, into cs4.
-    doubled = {"ck": "cs4", "wk": "ws4", "cs4": "cs4", "ws4": "cs4"}
+    # An infallible model (wk or ws4) doubles into ws4, a fallible one (ck
+    # or cs4) into cs4, and the double is a model of the class it names.
+    doubled = {"ck": "cs4", "wk": "ws4", "cs4": "cs4", "ws4": "ws4"}
     assert set(doubled) == set(MODEL_KINDS)
     for kind, expected in doubled.items():
         m = bi_model(1, [(0, 0)], [(0, 0)], kind=kind)
-        assert ck_model_to_cs4(m).kind == expected
+        double = ck_model_to_cs4(m)
+        assert double.kind == expected
+        assert validate(double, expected) == [], kind
 
 
 def test_cs4_one_world_remark():
