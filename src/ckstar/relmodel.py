@@ -115,6 +115,8 @@ class BlockRelation:
 
     def dia(self, mask: int) -> int:
         n, cells = self.n, self.cells
+        if n == 1:  # a block world set of one-world lanes is a lane mask
+            return cells[0] & mask
         inside = lane_slices(mask, n, self.lanes)
         hits = []
         for w in range(n):

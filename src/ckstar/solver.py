@@ -72,25 +72,31 @@ and the model map back.  The rows form the paper's chain of reductions:
 `pdl` is the root, `k_star` and `wk_star` (by `tau`) sit on it,
 `ck_star` (by `omega`), `ck_star_box` (identity) and `ws4` (by `kappa`)
 on `wk_star`, and `cs4` (by `kappa`) on `ck_star`.  `decide` checks the
-input, decides the mapped formula in the parent, and maps a countermodel
-back.  `pdl_satisfiable` checks its PDL model with the independent
-evaluator.  After each model map into a constructive class, one
-`satisfies` call certifies the model: it checks the model against the
-class the model declares, which must be the row's, and evaluates the
-source formula.  The maps trust their input, which the layer below
-certified.  The oracle and the CLI read the same table.
+input, scans one world, then runs the chain.  The scan is the oracle's
+block scan (`blocks.scan`) over the one-world models of the row's class,
+when they fit one block; a model it finds falsifies the formula and,
+once certified, answers.  The chain decides the mapped formula in the
+parent and maps a countermodel back.  `pdl_satisfiable` checks its PDL
+model with the independent evaluator.  After each model map into a
+constructive class, and on a one-world answer, `_certify` checks the
+model: one `satisfies` call checks it against the class it declares,
+which must be the row's, and evaluates the source formula
+(`pdl_satisfies` for a classical one-world answer).  The maps trust
+their input, which the layer below certified.  The oracle and the CLI
+read the same table.
 """
 
 from __future__ import annotations
 
 import copy
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from . import relmodel
+from .blocks import BLOCK_MODELS, scan
 from .relmodel import MODEL_CLASSES, BiModel, PdlModel, Relation, bits_of, mask_of
-from .semantics import InvalidModelError, pdl_satisfies, satisfies
+from .semantics import InvalidModelError, extension, pdl_extension, pdl_satisfies, satisfies
 from .syntax import (
     And,
     Atom,
@@ -107,6 +113,7 @@ from .syntax import (
     census,
     check_fragment,
     depth_error,
+    program_atoms,
     render,
     variables,
 )
@@ -925,8 +932,9 @@ class Logic:
 
     `down` maps a formula into the parent's language; `back` maps a
     parent countermodel and world, plus the source formula, to one of
-    this logic's.  None means the identity.  The maps are lambdas so the
-    functions they call are looked up in this module when they run.
+    this logic's.  A `down` of None is the identity; every row but the
+    root has a `back`.  The maps are lambdas so the functions they call
+    are looked up in this module when they run.
     """
 
     parent: "str | None"            # None only for the root, pdl
@@ -949,8 +957,9 @@ LOGIC_TABLE = {
                      lambda f: tau(f),
                      lambda m, w, f: (pdl_model_to_wk(_ensure_rho(m, ("i", "m"))), w)),
     # Diamond-free validity does not depend on fallibility, so the
-    # infallible countermodel is already a constructive one.
-    "ck_star_box": Logic("wk_star", FragmentTag.LSTAR_BOX, "ck"),
+    # infallible countermodel is already a `ck` one: the map relabels it.
+    "ck_star_box": Logic("wk_star", FragmentTag.LSTAR_BOX, "ck",
+                         back=lambda m, w, f: (replace(m, kind="ck"), w)),
     # World w of the parent countermodel is world 2w (its first copy) of
     # the doubled bi-preorder.
     "cs4": Logic("ck_star", FragmentTag.L, "cs4",
@@ -964,6 +973,12 @@ LOGIC_TABLE = {
     "pdl": Logic(None, None, "pdl"),
 }
 LOGICS = tuple(LOGIC_TABLE)
+
+
+def model_letters(row: Logic, f) -> tuple[str, ...]:
+    """The program atoms that row's classical countermodels interpret: f's
+    own under `pdl`, and always `a`, its one program, under `k_star`."""
+    return ("a",) if row.kind == "k" else tuple(program_atoms(f))
 
 
 def check_input(logic: str, f) -> "tuple[Logic, tuple[str, ...]]":
@@ -990,33 +1005,68 @@ def check_input(logic: str, f) -> "tuple[Logic, tuple[str, ...]]":
 
 
 def decide(logic: str, f) -> Verdict:
-    """Validity in the named logic, decided in its parent logic down to
-    PDL.  An Invalid verdict's countermodel is mapped back one row at a
-    time and certified once per map into a constructive model class: the
-    model must carry that class's label, meet its conditions and falsify
-    the source."""
-    return _decide(check_input(logic, f)[0], f)
+    """Validity in the named logic.  The one-world models of its class are
+    scanned first (`_one_world`); one that falsifies f is certified as a
+    layer's model is (`_certify`) and answers.  Otherwise f is decided in
+    the parent logic down to PDL, and an Invalid verdict's countermodel is
+    mapped back one row at a time and certified once per map into a
+    constructive model class."""
+    row, atoms = check_input(logic, f)
+    found = _one_world(row, atoms, f)
+    if found is None:
+        return _decide(row, f)
+    _certify(row, *found, f)
+    return Verdict(False, *found)
 
 
-def _decide(row: Logic, f) -> Verdict:
-    """`decide` on input already checked against `row`.  Each map down
-    yields the parent's language by construction, so only the source
-    formula is checked."""
-    if row.parent is None:
-        return pdl_valid(f)
-    v = _decide(LOGIC_TABLE[row.parent], f if row.down is None else row.down(f))
-    if v.valid or row.back is None:
-        return v
-    model, world = row.back(v.model, v.world, f)
-    if not row.classical:
-        if model.kind != row.kind:
-            raise CertificationError(f"{row.kind} countermodel is labelled {model.kind}")
+def _one_world(row: Logic, atoms: tuple[str, ...], f) -> "tuple | None":
+    """A (model, world) of row's class at which f fails, among the class's
+    one-world models, or None.  One `blocks.scan` call, made only when the
+    class fits one block: a constructive class over k atoms has at most
+    2^(k+1) + 1 one-world models (`ck` has that many), and a classical one
+    over r program atoms 2^(r+k)."""
+    if row.classical:
+        letters, evaluate = model_letters(row, f), pdl_extension
+        lanes = 1 << len(letters) + len(atoms)
+    else:
+        letters, evaluate = (), extension
+        lanes = (1 << len(atoms) + 1) + 1
+    if lanes > BLOCK_MODELS:
+        return None
+    return scan(f, row.kind, atoms, letters, 1, evaluate)
+
+
+def _certify(row: Logic, model, world: int, f) -> None:
+    """CertificationError unless model falsifies f at world within row's
+    class: a classical model by `pdl_satisfies`; a constructive one must
+    carry the row's label, and its one `satisfies` call checks the model
+    against that class and evaluates f."""
+    if row.classical:
+        holds = pdl_satisfies(model, world, f)
+    elif model.kind != row.kind:
+        raise CertificationError(f"{row.kind} countermodel is labelled {model.kind}")
+    else:
         try:
             holds = satisfies(model, world, f)
         except InvalidModelError as err:
             raise CertificationError(f"{row.kind} countermodel violates "
                                      f"{err.violations[0].condition}") from err
-        if holds:
-            raise CertificationError(
-                f"{row.kind} countermodel fails to falsify the source formula")
+    if holds:
+        raise CertificationError(
+            f"{row.kind} countermodel fails to falsify the source formula")
+
+
+def _decide(row: Logic, f) -> Verdict:
+    """The reduction chain on input already checked against `row`.  Each
+    map down yields the parent's language by construction, so only the
+    source formula is checked.  A countermodel mapped into a constructive
+    class is certified there."""
+    if row.parent is None:
+        return pdl_valid(f)
+    v = _decide(LOGIC_TABLE[row.parent], f if row.down is None else row.down(f))
+    if v.valid:
+        return v
+    model, world = row.back(v.model, v.world, f)
+    if not row.classical:
+        _certify(row, model, world, f)
     return Verdict(False, model, world)

@@ -17,6 +17,7 @@ import random
 import signal
 import sys
 
+from ckstar import solver
 from ckstar.relmodel import (
     BiModel,
     PdlModel,
@@ -46,6 +47,12 @@ from ckstar.syntax import (
     Star,
 )
 from ckstar.translate import iota
+
+
+def chain_decide(logic: str, f):
+    """`decide` without its one-world scan: the reduction chain down to
+    PDL, on input checked as `decide` checks it."""
+    return solver._decide(solver.check_input(logic, f)[0], f)
 
 
 def iter_nodes(f):

@@ -1,8 +1,8 @@
 """The bounded oracle model by model: the reference `brute_force_decide`
 is checked against.
 
-`enumerate_models` and `enumerate_pdl_models` turn the oracle's raw
-enumeration streams into one model object each, in the same order, and
+`enumerate_models` and `enumerate_pdl_models` turn the raw enumeration
+streams of `ckstar.blocks` into one model object each, in the same order, and
 `reference_decide` calls `extension` (or `pdl_extension`) once per model
 and stops at the first one that fails: the loop the block scan replaced.
 """
@@ -11,13 +11,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ckstar.oracle import (
-    MAX_ENUM_WORLDS,
-    BoundedVerdict,
-    EnumSpec,
-    _enumerate_pdl_raw,
-    _enumerate_raw,
-)
+from ckstar.blocks import _enumerate_pdl_raw, _enumerate_raw
+from ckstar.oracle import MAX_ENUM_WORLDS, BoundedVerdict, EnumSpec
 from ckstar.relmodel import BiModel, PdlModel, Relation
 from ckstar.semantics import extension, pdl_extension
 from ckstar.solver import check_input
@@ -28,7 +23,7 @@ def enumerate_models(spec: EnumSpec) -> Iterator[BiModel]:
     """Every validated model of the class with at most max_worlds worlds,
     valuations over spec.atoms, no isomorphism reduction."""
     for n in range(1, spec.max_worlds + 1):
-        for (pre, mod), (bot, *vals) in _enumerate_raw(spec.kind, spec.atoms, n):
+        for (pre, mod), (bot, *vals) in _enumerate_raw(spec.kind, len(spec.atoms), n):
             yield BiModel(n, Relation(n, pre), Relation(n, mod),
                           dict(zip(spec.atoms, vals)), bot, spec.kind)
 
@@ -39,7 +34,7 @@ def enumerate_pdl_models(max_worlds: int, prog_atoms: tuple[str, ...],
     if max_worlds > MAX_ENUM_WORLDS:
         raise ValueError("bound exceeds the enumeration guard")
     for n in range(1, max_worlds + 1):
-        for rels, vals in _enumerate_pdl_raw(prog_atoms, atoms, n):
+        for rels, vals in _enumerate_pdl_raw(len(prog_atoms), len(atoms), n):
             yield PdlModel(n, {a: Relation(n, rows) for a, rows in zip(prog_atoms, rels)},
                            dict(zip(atoms, vals)))
 

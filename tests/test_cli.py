@@ -16,7 +16,7 @@ from ckstar.semantics import satisfies
 from ckstar.solver import decide
 from ckstar.syntax import Atom, FragmentError, parse_formula
 
-from helpers import MISLABELLED, bi_model, pdl_model
+from helpers import MISLABELLED, bi_model, chain_decide, pdl_model
 
 
 def run(capsys, *argv):
@@ -211,6 +211,17 @@ def test_oracle_command(capsys):
                        "--max-worlds", "2", "p")
     assert code == 1
     assert json.loads(out)["verdict"] == "invalid"
+
+
+def test_decide_and_the_one_world_oracle_agree_on_the_box_logics_kind(capsys):
+    # ck_star_box's countermodels are `ck` ones, as the oracle's are: the
+    # one-world scan's, and the chain's, whose `wk_star` model the row's map
+    # relabels.
+    answers = [json.loads(run(capsys, *argv)[1]) for argv in (
+        ("decide", "--logic", "ck_star_box", "[]p -> p"),
+        ("oracle", "--logic", "ck_star_box", "--max-worlds", "1", "[]p -> p"))]
+    assert [a["model"]["kind"] for a in answers] == ["ck", "ck"]
+    assert chain_decide("ck_star_box", parse_formula("[]p -> p")).model.kind == "ck"
 
 
 def _usage_error(code, out, err) -> bool:

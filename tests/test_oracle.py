@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ckstar import oracle
+from ckstar import blocks
 from ckstar.oracle import (
     EnumSpec,
     brute_force_decide,
@@ -44,7 +44,7 @@ from ckstar.syntax import (
     variables,
 )
 
-from helpers import alarm, iter_nodes, random_pdl_model
+from helpers import alarm, chain_decide, iter_nodes, random_pdl_model
 from reference_oracle import enumerate_models, enumerate_pdl_models, reference_decide
 from truth_maps import falsifying_world
 
@@ -403,7 +403,7 @@ def test_block_scan_past_the_first_block():
     spec = EnumSpec(3, ("p", "q"))
     ref, passed = reference_decide("ck_star", f, spec)
     small = sum(1 for _ in enumerate_models(EnumSpec(2, ("p", "q"), "ck")))
-    assert passed - small >= oracle.BLOCK_MODELS
+    assert passed - small >= blocks.BLOCK_MODELS
     assert _answer(brute_force_decide("ck_star", f, spec)) == _answer(ref)
 
 
@@ -411,9 +411,9 @@ def test_small_blocks_and_a_full_cache(monkeypatch):
     """Blocks cut inside a world count, a cache that fills up mid-class,
     and a class resumed after its cached blocks all give the reference
     answers, and the cache stays within its bound."""
-    monkeypatch.setattr(oracle, "BLOCK_MODELS", 64)
-    monkeypatch.setattr(oracle, "CACHE_BITS", 20_000)
-    monkeypatch.setattr(oracle, "_BLOCKS", oracle._BlockCache())
+    monkeypatch.setattr(blocks, "BLOCK_MODELS", 64)
+    monkeypatch.setattr(blocks, "CACHE_BITS", 20_000)
+    monkeypatch.setattr(blocks, "_BLOCKS", blocks._BlockCache())
     spec = EnumSpec(2, ("p", "q"))
     cases = [(logic, f) for logic in ("ck_star", "wk_star", "cs4", "pdl")
              for f in _logic_corpus(logic)[::7]]
@@ -421,30 +421,33 @@ def test_small_blocks_and_a_full_cache(monkeypatch):
         for logic, f in cases:
             assert _answer(brute_force_decide(logic, f, spec)) == \
                 _answer(reference_decide(logic, f, spec)[0]), (logic, render(f))
-    assert 0 < oracle._BLOCKS.bits <= oracle.CACHE_BITS
-    assert any(not done for done, _ in oracle._BLOCKS.entries.values())
-    # A class resumed after its cached blocks holds each model once.
-    for key, (done, built) in oracle._BLOCKS.entries.items():
+    assert 0 < blocks._BLOCKS.bits <= blocks.CACHE_BITS
+    assert any(not done for done, _ in blocks._BLOCKS.entries.values())
+    # A class resumed after its cached blocks holds each model once.  The
+    # cache keys a class by its atom count, and every case counts spec's.
+    for key, (done, built) in blocks._BLOCKS.entries.items():
         if done and key[0] != "pdl":
-            kind, atoms, n = key
+            kind, count, n = key
+            assert count == len(spec.atoms)
             assert sum(lanes for lanes, _, _ in built) == sum(
-                m.worlds == n for m in enumerate_models(EnumSpec(n, atoms, kind))), key
+                m.worlds == n for m in enumerate_models(EnumSpec(n, spec.atoms, kind))), key
 
 
-def _model_json_digest() -> str:
-    """sha256 of the model JSON that `decide`, the oracle and the random
-    model generator produce on fixed small inputs, one document a line."""
+def _model_json_digest(decider) -> str:
+    """sha256 of the model JSON that decider (`decide` or the reduction
+    chain alone), the oracle and the random model generator produce on
+    fixed small inputs, one document a line."""
     pq = ("p", "q")
     lines = []
     for logics, tag in ((("ck_star", "wk_star"), FragmentTag.LSTAR),
                         (("cs4", "ws4"), FragmentTag.L)):
         fs = enumerate_formulas(4, pq, tag)
         for logic in logics:
-            lines.extend(json.dumps(decide(logic, f).to_obj(), sort_keys=True)
+            lines.extend(json.dumps(decider(logic, f).to_obj(), sort_keys=True)
                          for f in fs)
     for s in range(100):
         f = random_formula(s, 3, ("p",), FragmentTag.LK_STAR)
-        lines.append(json.dumps(decide("k_star", f).to_obj(), sort_keys=True))
+        lines.append(json.dumps(decider("k_star", f).to_obj(), sort_keys=True))
     for f in enumerate_formulas(4, pq):
         found = brute_force_decide("ck_star", f, EnumSpec(2, pq))
         lines.append("valid" if found.valid_up_to_bound
@@ -457,5 +460,7 @@ def _model_json_digest() -> str:
 
 def test_model_json_is_pinned():
     """Countermodels and generated models keep their JSON document for
-    document, whatever the in-memory format of a world set."""
-    assert _model_json_digest() == "39cba5f75525b705"
+    document, whatever the in-memory format of a world set.  The chain's
+    digest is the one recorded before `decide` scanned one world first."""
+    assert _model_json_digest(chain_decide) == "39cba5f75525b705"
+    assert _model_json_digest(decide) == "306464fc61ac77b4"

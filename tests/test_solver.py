@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from ckstar import oracle, relmodel, semantics, solver, syntax, translate
-from ckstar.relmodel import PdlModel, Relation, bits_of, validate
+from ckstar.relmodel import BiModel, PdlModel, Relation, bits_of, validate
 from ckstar.semantics import pdl_extension, pdl_satisfies, satisfies
 from ckstar.solver import (
     LOGICS,
@@ -44,6 +44,7 @@ from elimination import alive_steps, fulfilled, reference_alive
 from exhaustive import pdl_satisfiable_exhaustive
 from helpers import (
     balanced_text,
+    chain_decide,
     random_lstar,
     random_pdl,
     random_program,
@@ -611,7 +612,7 @@ def test_the_root_chain_exit_is_exact(monkeypatch):
         for logic, f, cap in goals:
             monkeypatch.setattr(solver, "PASSES", cap)
             out.append(pdl_satisfiable(f) if logic is None
-                       else json.dumps(decide(logic, f).to_obj()))
+                       else json.dumps(chain_decide(logic, f).to_obj()))
         return out
 
     check_each_pass(monkeypatch, compared)
@@ -674,7 +675,7 @@ def test_odd_negation_tower_decides_within_a_state_cap(n, cap, monkeypatch):
     # pass finds a two-world countermodel.
     seen = recorded_stats(monkeypatch)
     f = parse_formula("~" * n + "p")
-    v = decide("ck_star", f)
+    v = chain_decide("ck_star", f)
     assert not v.valid
     assert validate(v.model, "ck") == [] and not satisfies(v.model, v.world, f)
     assert seen[0]["nodes"] <= cap
@@ -785,22 +786,28 @@ def test_decomposition_graph_is_pinned(logic, source, nodes, passes, rounds,
         seen = recorded_stats(monkeypatch)
         f = (random_formula(*source, ("p", "q", "r"))
              if isinstance(source, tuple) else parse_formula(source))
-        decide(logic, f)
+        chain_decide(logic, f)
         stats, = seen
     assert (stats["nodes"], stats["passes"], stats["rounds"], stats["closure"]) == \
         (nodes, passes, rounds, closure)
 
 
-# Per benchmark pool: the first 16 hex digits of the sha256 over its
-# answers' `json.dumps(to_obj, sort_keys=True)` lines, the world total of
-# its countermodels and the states expanded (main graphs and twins).  A
-# change that alters countermodels on purpose re-records its row and says
-# so; one that only speeds the engine up keeps them.  CI runs this test
-# under two hash seeds too, so no answer may depend on a set's hash order.
+# Per benchmark pool and decider: the first 16 hex digits of the sha256
+# over its answers' `json.dumps(to_obj, sort_keys=True)` lines, the world
+# total of its countermodels and the states expanded (main graphs and
+# twins).  The first rows pin the reduction chain alone (`chain_decide`),
+# the last ones `decide`, whose one-world scan answers first and leaves
+# the chain the rest.  A change that alters countermodels on purpose
+# re-records its row and says so; one that only speeds the engine up keeps
+# them.  CI runs this test under two hash seeds too, so no answer may
+# depend on a set's hash order.
 POOL_PINS = [
-    ("corpus", "65caf1fc0947ea45", 8590, 31613),
-    ("hard", "122239f8e88c7fa5", 447, 3405),
-    ("theorems", "0348e151ad90aeda", 0, 15344),
+    ("corpus", chain_decide, "65caf1fc0947ea45", 8590, 31613),
+    ("hard", chain_decide, "122239f8e88c7fa5", 447, 3405),
+    ("theorems", chain_decide, "0348e151ad90aeda", 0, 15344),
+    ("corpus", decide, "a235bb28e159e65a", 5816, 5920),
+    ("hard", decide, "48d5337a6868066c", 321, 1492),
+    ("theorems", decide, "0348e151ad90aeda", 0, 15344),
 ]
 
 # The `theorems` pool's valid schemas per logic, with the fragment its
@@ -841,17 +848,84 @@ def benchmark_pool(name: str) -> list:
             + [("cs4", f) for f in enumerate_formulas(5, ("p", "q"), FragmentTag.L)])
 
 
-@pytest.mark.parametrize("pool, digest, worlds, states", POOL_PINS,
-                         ids=[row[0] for row in POOL_PINS])
-def test_benchmark_pool_answers_are_pinned(pool, digest, worlds, states, monkeypatch):
+@pytest.mark.parametrize("pool, decider, digest, worlds, states", POOL_PINS,
+                         ids=[row[0] if row[1] is chain_decide else f"{row[0]}-decide"
+                              for row in POOL_PINS])
+def test_benchmark_pool_answers_are_pinned(pool, decider, digest, worlds, states,
+                                           monkeypatch):
     seen = recorded_stats(monkeypatch)
     lines, total = hashlib.sha256(), 0
     for logic, f in benchmark_pool(pool):
-        v = decide(logic, f)
+        v = decider(logic, f)
         lines.update(json.dumps(v.to_obj(), sort_keys=True).encode() + b"\n")
         total += 0 if v.valid else v.model.worlds
     assert (lines.hexdigest()[:16], total, sum(s["nodes"] for s in seen)) == \
         (digest, worlds, states)
+
+
+# `decide` answers these many inputs of each pool from its one-world scan.
+ONE_WORLD_ANSWERS = {"corpus": 5087, "hard": 223, "theorems": 0}
+
+
+@pytest.mark.parametrize("pool", ONE_WORLD_ANSWERS)
+def test_the_one_world_scan_keeps_every_verdict(pool):
+    # The scan answers only with a certified one-world countermodel of the
+    # row's class, never larger than the chain's; on every other input
+    # `decide` gives the chain's answer.
+    scanned = 0
+    for logic, f in benchmark_pool(pool):
+        row, atoms = solver.check_input(logic, f)
+        found = solver._one_world(row, atoms, f)
+        v, chain = decide(logic, f), chain_decide(logic, f)
+        if found is None:
+            assert v == chain, render(f)
+            continue
+        scanned += 1
+        assert not chain.valid, render(f)
+        assert (v.model, v.world) == found and v.model.kind == row.kind
+        assert v.model.worlds == 1 <= chain.model.worlds
+    assert scanned == ONE_WORLD_ANSWERS[pool]
+
+
+@pytest.mark.parametrize("logic, source, model", [
+    # [a]p and []p -> p hold where p does, and the scan must not say
+    # otherwise; nor may it answer with a model outside the row's class.
+    ("k_star", "[a]p", PdlModel(1, {"a": Relation(1, (1,))}, {"p": 1})),
+    ("ck_star", "[]p -> p", BiModel(1, Relation(1, (1,)), Relation(1, (0,)),
+                                    {"p": 1}, 0, "ck")),
+    ("cs4", "[]p -> p", BiModel(1, Relation(1, (1,)), Relation(1, (0,)),
+                                {"p": 0}, 0, "cs4")),
+    ("ck_star", "[]p -> p", BiModel(1, Relation(1, (1,)), Relation(1, (0,)),
+                                    {"p": 0}, 0, "wk")),
+], ids=["satisfied-pdl", "satisfied-ck", "not-in-class", "mislabelled"])
+def test_a_one_world_answer_is_certified(logic, source, model, monkeypatch):
+    monkeypatch.setattr(solver, "scan", lambda *_: (model, 0))
+    f = parse_pdl(source) if logic == "k_star" else parse_formula(source)
+    with pytest.raises(CertificationError):
+        decide(logic, f)
+
+
+@pytest.mark.parametrize("logic, atoms, scanned", [
+    ("ck_star", 14, True), ("ck_star", 15, False), ("wk_star", 15, False),
+    ("pdl", 15, True), ("pdl", 16, False)])
+def test_the_scan_runs_only_on_a_one_world_class_of_one_block(logic, atoms, scanned,
+                                                               monkeypatch):
+    # 2^15 + 1 `ck` models over 14 atoms fit one block of 2^16, and 2^16 + 1
+    # over 15 do not, which bounds every constructive class (`wk` has 2^16);
+    # a classical class counts its program atoms too, here a alone, so 2^16
+    # fit over 15 atoms.  Past the block, the chain decides.
+    calls = []
+    original = solver.scan
+    monkeypatch.setattr(solver, "scan", lambda *args: calls.append(args) or original(*args))
+    names = [f"p{i}" for i in range(atoms)]
+    if logic == "pdl":
+        f = parse_pdl("<a>" + " | ".join(names))
+    else:
+        f = parse_formula(" | ".join(names))
+    v = decide(logic, f)
+    assert not v.valid and len(calls) == scanned
+    if not scanned:
+        assert v == chain_decide(logic, f)
 
 
 # `hard` depth-5 seed 177 under ck_star: pass 2 ends with the root dead
@@ -869,7 +943,7 @@ TWIN_ALIVE_PINS = [
 @pytest.mark.parametrize("source, answer", TWIN_ALIVE_PINS)
 def test_a_living_twin_leaves_the_countermodel_as_it_was(source, answer, monkeypatch):
     engines = recorded_engines(monkeypatch)
-    v = decide("ck_star", parse_formula(source))
+    v = chain_decide("ck_star", parse_formula(source))
     engine, = engines
     assert engine.twin is not None and not twin_refuted(engine)
     assert engine.passes == solver.PASSES and len(engine.order) < engine.limit
@@ -929,7 +1003,7 @@ def test_the_tables_cover_exactly_the_signed_codes_the_goal_reaches(monkeypatch)
     engines = recorded_engines(monkeypatch)
     for d, n in ((5, 200), (6, 60)):  # the `hard` pool
         for s in range(n):
-            decide("ck_star", random_formula(s, d, ("p", "q", "r")))
+            chain_decide("ck_star", random_formula(s, d, ("p", "q", "r")))
     rng = random.Random(43)
     for _ in range(240):
         pdl_satisfiable(random_mixed_goal(rng, 3))
@@ -1109,10 +1183,20 @@ def test_decide_fragment_errors():
         decide("nope", parse_formula("p"))
 
 
-# `satisfies` calls per Invalid verdict: one per model map back into a
-# constructive class, on top of the single PDL certification.
-_MODEL_MAPS = {"pdl": 0, "k_star": 0, "wk_star": 1, "ck_star_box": 1,
+# `satisfies` calls per Invalid verdict of the reduction chain: one per
+# model map back into a constructive class, on top of the single PDL
+# certification.  `ck_star_box`'s map relabels `wk_star`'s model `ck`, so
+# it is certified at both layers.
+_MODEL_MAPS = {"pdl": 0, "k_star": 0, "wk_star": 1, "ck_star_box": 2,
                "ck_star": 2, "ws4": 2, "cs4": 3}
+
+
+def _one_world_answer(logic, monkeypatch):
+    """`decide`'s answer to [a]p or []p, which its one-world scan gives:
+    the chain must not run."""
+    monkeypatch.setattr(solver, "_decide", lambda *_: pytest.fail("the chain ran"))
+    f = parse_pdl("[a]p") if logic in ("k_star", "pdl") else parse_formula("[]p")
+    return decide(logic, f)
 
 
 @pytest.mark.parametrize("logic", LOGICS)
@@ -1124,9 +1208,15 @@ def test_each_layer_is_certified_once(logic, monkeypatch):
             return _original(*args)
         monkeypatch.setattr(solver, name, counted)
     f = parse_pdl("[a]p") if logic in ("k_star", "pdl") else parse_formula("[]p")
-    v = decide(logic, f)
+    v = chain_decide(logic, f)
     assert not v.valid
     assert calls == {"pdl_satisfies": 1, "satisfies": _MODEL_MAPS[logic]}
+    # A one-world answer is certified once, by its row's own check.
+    calls.update(dict.fromkeys(calls, 0))
+    v = _one_world_answer(logic, monkeypatch)
+    assert not v.valid and v.model.worlds == 1
+    classical = solver.LOGIC_TABLE[logic].classical
+    assert calls == {"pdl_satisfies": int(classical), "satisfies": int(not classical)}
 
 
 @pytest.mark.parametrize("logic", LOGICS)
@@ -1143,8 +1233,12 @@ def test_each_layer_validates_its_model_once(logic, monkeypatch):
         if hasattr(module, "validate"):
             monkeypatch.setattr(module, "validate", counted)
     f = parse_pdl("[a]p") if logic in ("k_star", "pdl") else parse_formula("[]p")
-    assert not decide(logic, f).valid
+    assert not chain_decide(logic, f).valid
     assert len(calls) == _MODEL_MAPS[logic], calls
+    # A one-world answer is validated once if its class is constructive.
+    calls.clear()
+    assert not _one_world_answer(logic, monkeypatch).valid
+    assert len(calls) == int(not solver.LOGIC_TABLE[logic].classical), calls
 
 
 def test_every_traced_function_is_called_where_the_tracer_wraps_it():
@@ -1166,8 +1260,10 @@ def test_every_traced_function_is_called_where_the_tracer_wraps_it():
                     f = syntax.parse_pdl("[a]p")
                 else:
                     f = syntax.parse_formula("[]p")
-                v = solver.decide(logic, f)
-                assert not v.valid and v.to_obj()["verdict"] == "invalid", logic
+                # `decide` answers from one world; the chain maps and
+                # certifies its own countermodel.
+                for v in (solver.decide(logic, f), chain_decide(logic, f)):
+                    assert not v.valid and v.to_obj()["verdict"] == "invalid", logic
             bounded = oracle.brute_force_decide(
                 "ck_star", syntax.parse_formula("[]p"), oracle.EnumSpec(2, ("p",)))
             assert not bounded.valid_up_to_bound
@@ -1208,7 +1304,7 @@ def test_countermodel_is_checked_against_its_class(logic, source, condition,
 
     monkeypatch.setattr(solver, "ck_model_to_cs4", irreflexive)
     with pytest.raises(CertificationError, match=f"{logic} countermodel violates"):
-        decide(logic, parse_formula(source))
+        chain_decide(logic, parse_formula(source))
     assert condition in {v.condition for v in validate(made[0], logic)}
 
 
@@ -1226,7 +1322,7 @@ def test_wk_layer_refuses_a_bad_model_from_its_map(monkeypatch):
     _broken_map(monkeypatch, "pdl_model_to_wk", irreflexive)
     with pytest.raises(CertificationError,
                        match="wk countermodel violates pre-not-preorder"):
-        decide("wk_star", parse_formula("[]p"))
+        chain_decide("wk_star", parse_formula("[]p"))
 
 
 def test_ck_layer_refuses_a_bad_model_from_its_map(monkeypatch):
@@ -1249,7 +1345,7 @@ def test_layer_refuses_a_valid_model_under_another_label(logic, monkeypatch):
     _broken_map(monkeypatch, "ck_model_to_cs4",
                 lambda m: dataclasses.replace(m, kind="ck"))
     with pytest.raises(CertificationError, match=f"{logic} countermodel is labelled ck"):
-        decide(logic, parse_formula("[]p"))
+        chain_decide(logic, parse_formula("[]p"))
 
 
 @pytest.mark.parametrize("logic", LOGICS)
