@@ -12,7 +12,8 @@ per bit lane.  Truth is invariant under disjoint unions, so one evaluator
 call answers every model of a block.  Blocks are built at the first scan
 that reaches them and kept per (model class, counts, world count), up to
 CACHE_BITS bits of lane masks in all.  The oracle scans up to its world
-bound; `decide` scans the one-world models before its reduction chain.
+bound; `decide` scans the one- and two-world models, each world count
+while its class fits one block, before its reduction chain.
 """
 
 from __future__ import annotations

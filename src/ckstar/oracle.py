@@ -5,8 +5,10 @@ random generators for property testing.
 up to its bound, with `blocks.scan`: each block of up to
 `blocks.BLOCK_MODELS` same-size models is answered by one `extension` (or
 `pdl_extension`) call, looked up here.  `decide` checks its input, scans
-one world with the same function, then runs its reduction chain.  The
-module needs only the standard library.
+one and two worlds with the same function, then runs its reduction
+chain; where both of its scans run, its countermodel is the one
+`brute_force_decide` at two worlds finds.  The module needs only the
+standard library.
 """
 
 from __future__ import annotations

@@ -140,12 +140,15 @@ class BlockRelation:
         return BlockRelation(n, self.lanes, tuple(cells))
 
     def star(self) -> "BlockRelation":
-        """Warshall in every lane at once."""
+        """Warshall in every lane at once.  A pivot whose row holds only
+        itself in every lane adds nothing, and is skipped."""
         n = self.n
         cells = list(self.cells)
         for w in range(n):
             cells[w * n + w] |= (1 << self.lanes) - 1
         for k in range(n):
+            if cells[k * n:k * n + n].count(0) == n - 1:
+                continue
             for w in range(n):
                 via = cells[w * n + k]
                 if via:

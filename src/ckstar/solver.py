@@ -54,7 +54,10 @@ root makes the goal unsatisfiable, so a Valid goal costs pass 1 and at
 most `PASSES` twin passes.  A live one sends it on to passes 2 to
 `PASSES` of the main graph, whose models are smaller, under a state
 limit: as many new states as the two graphs expanded before them.  Past
-it the main search stops and extraction reads the twin.
+it the main search stops and extraction reads the twin.  The twin does
+not depend on pass 1, so a caller that expects the goal unsatisfiable
+may have it built before pass 1 (`twin_first`): a dead twin then costs
+no main state, and answers, limit and models stay the same.
 A state is one int bit mask, closed from the codes its discovery added
 (a worklist and per-code watch lists) before it gets a dense integer id.  A clash gets no id: a
 clashing alternative is dropped, a clashing demand kills its saturated
@@ -72,18 +75,20 @@ and the model map back.  The rows form the paper's chain of reductions:
 `pdl` is the root, `k_star` and `wk_star` (by `tau`) sit on it,
 `ck_star` (by `omega`), `ck_star_box` (identity) and `ws4` (by `kappa`)
 on `wk_star`, and `cs4` (by `kappa`) on `ck_star`.  `decide` checks the
-input, scans one world, then runs the chain.  The scan is the oracle's
-block scan (`blocks.scan`) over the one-world models of the row's class,
-when they fit one block; a model it finds falsifies the formula and,
-once certified, answers.  The chain decides the mapped formula in the
-parent and maps a countermodel back.  `pdl_satisfiable` checks its PDL
-model with the independent evaluator.  After each model map into a
-constructive class, and on a one-world answer, `_certify` checks the
-model: one `satisfies` call checks it against the class it declares,
-which must be the row's, and evaluates the source formula
-(`pdl_satisfies` for a classical one-world answer).  The maps trust
-their input, which the layer below certified.  The oracle and the CLI
-read the same table.
+input, scans one and two worlds, then runs the chain.  The scan is the
+oracle's block scan (`blocks.scan`) over the one-world models of the
+row's class and then its two-world ones, each world count while its
+class fits one block; a model it finds falsifies the formula and, once
+certified, answers.  The chain decides the mapped formula in the parent
+and maps a countermodel back; when both scans ran and found nothing,
+its PDL search builds the twin first, since the goal is then most
+likely Valid.  `pdl_satisfiable` checks its PDL model with the
+independent evaluator.  After each model map into a constructive class,
+and on a scan's answer, `_certify` checks the model: one `satisfies`
+call checks it against the class it declares, which must be the row's,
+and evaluates the source formula (`pdl_satisfies` for a classical scan
+answer).  The maps trust their input, which the layer below certified.
+The oracle and the CLI read the same table.
 """
 
 from __future__ import annotations
@@ -511,22 +516,30 @@ class _Tableau:
             refute |= self.refutes[c]
         return ("sat", demands, letters, eventualities, need, refute)
 
-    def build(self) -> "_Tableau":
+    def build(self, twin_first: bool = False) -> "_Tableau":
         """Search in passes (`_search`) and return the graph whose alive
         set decided: this one after the first pass that leaves the root
         alive or whose subgraph holds no deferred alternative, or the twin
         (`_twin`), built when pass 1 leaves the root dead, if it refutes
         the goal or if passes 2 to `PASSES` reach their state `limit`.  A
         live twin sets it: these passes may expand as many new states as
-        this graph and the twin expanded before them.  Between passes the
-        alternatives of the dead decompositions the pass reached are
-        released, or every deferred one if none of those died or if the
-        next pass is pass `PASSES`.  Each pass searches the cached graph
-        from the root with every low link reset, so it settles every state
-        it reaches; the bits of states it does not reach are stale and
-        never read.  A goal that clashes runs no pass."""
+        this graph and the twin expanded before them.  With `twin_first`
+        the twin is built before pass 1 instead, and a twin that refutes
+        the goal answers with no main state expanded; the twin does not
+        depend on pass 1, so only the order of work changes.  Between
+        passes the alternatives of the dead decompositions the pass
+        reached are released, or every deferred one if none of those died
+        or if the next pass is pass `PASSES`.  Each pass searches the
+        cached graph from the root with every low link reset, so it
+        settles every state it reaches; the bits of states it does not
+        reach are stale and never read.  A goal that clashes runs no
+        pass."""
         info, parents, alive, low, deferred = (
             self.info, self.parents, self.alive, self.low, self.deferred)
+        if twin_first and self.preorders and self.root is not None:
+            self.twin = self._twin()
+            if self.twin.refuted():
+                return self.twin
         while self.root is not None:
             self.passes += 1
             self.defer = self.passes < PASSES
@@ -537,8 +550,8 @@ class _Tableau:
             if alive[self.root] or not reached:
                 return self
             if self.passes == 1 and self.preorders:
-                twin = self.twin = self._twin()
-                if twin.root is None or not twin.alive[twin.root]:
+                twin = self.twin = self.twin or self._twin()
+                if twin.refuted():
                     return twin
                 self.limit = 2 * len(self.order) + len(twin.order)
             release = list(deferred)
@@ -550,6 +563,10 @@ class _Tableau:
                     info[i] = ("or", info[i][1] + (t,))
                     parents[t].append(i)
         return self
+
+    def refuted(self) -> bool:
+        """Whether the goal clashes or the search left the root dead."""
+        return self.root is None or not self.alive[self.root]
 
     def _search(self) -> bool:
         """One pass: Tarjan's search from the root over the successors
@@ -856,7 +873,8 @@ class _Tableau:
         return PdlModel(n, rho, val)
 
 
-def pdl_satisfiable(f: PdlFormula, stats: "dict | None" = None):
+def pdl_satisfiable(f: PdlFormula, stats: "dict | None" = None,
+                    twin_first: bool = False):
     """Model and world satisfying f, or None.  The returned model is always
     re-checked with the independent evaluator.
 
@@ -867,16 +885,20 @@ def pdl_satisfiable(f: PdlFormula, stats: "dict | None" = None):
     unfulfilled eventuality, in search order, the number of states of the
     settled part alive before it, the twin's after the main graph's.
     `nodes` and `passes` are 0 when the goal clashes.  Once the limit
-    stops the main graph, the model is the twin's."""
+    stops the main graph, the model is the twin's.  `twin_first` builds
+    the twin before the main graph's pass 1 (`_Tableau.build`), for a
+    goal expected unsatisfiable: the answer and the model stay the same,
+    a twin that refutes the goal leaves the main graph unsearched, and
+    `stats` counts the twin whenever it was built."""
     engine = _Tableau(f)
-    graph = engine.build()
+    graph = engine.build(twin_first)
     if stats is not None:
         graphs = [engine] if engine.twin is None else [engine, engine.twin]
         stats["nodes"] = sum(len(g.order) for g in graphs)
         stats["passes"] = sum(g.passes for g in graphs)
         stats["rounds"] = [r for g in graphs for r in g.rounds]
         stats["closure"] = len(engine.closure)
-    if graph.root is None or not graph.alive[graph.root]:
+    if graph.refuted():
         return None
     model = graph.extract()
     if not pdl_satisfies(model, 0, f):
@@ -907,10 +929,10 @@ class Verdict:
                 "model": relmodel.model_to_obj(self.model)}
 
 
-def pdl_valid(f: PdlFormula) -> Verdict:
+def pdl_valid(f: PdlFormula, twin_first: bool = False) -> Verdict:
     """Valid iff the negation is unsatisfiable.  The countermodel needs no
     second check: `pdl_satisfiable` certified the negation at its world."""
-    found = pdl_satisfiable(Neg(f))
+    found = pdl_satisfiable(Neg(f), twin_first=twin_first)
     if found is None:
         return Verdict(True)
     return Verdict(False, *found)
@@ -1005,35 +1027,52 @@ def check_input(logic: str, f) -> "tuple[Logic, tuple[str, ...]]":
 
 
 def decide(logic: str, f) -> Verdict:
-    """Validity in the named logic.  The one-world models of its class are
-    scanned first (`_one_world`); one that falsifies f is certified as a
-    layer's model is (`_certify`) and answers.  Otherwise f is decided in
-    the parent logic down to PDL, and an Invalid verdict's countermodel is
-    mapped back one row at a time and certified once per map into a
-    constructive model class."""
+    """Validity in the named logic.  The one- and two-world models of its
+    class are scanned first (`_small_world`); one that falsifies f is
+    certified as a layer's model is (`_certify`) and answers.  Otherwise f
+    is decided in the parent logic down to PDL, and an Invalid verdict's
+    countermodel is mapped back one row at a time and certified once per
+    map into a constructive model class.  When both scans ran, f is
+    most likely Valid, so the PDL search builds its preorder twin first
+    (`_Tableau.build`)."""
     row, atoms = check_input(logic, f)
-    found = _one_world(row, atoms, f)
+    found, covered = _small_world(row, atoms, f)
     if found is None:
-        return _decide(row, f)
+        return _decide(row, f, twin_first=covered)
     _certify(row, *found, f)
     return Verdict(False, *found)
 
 
-def _one_world(row: Logic, atoms: tuple[str, ...], f) -> "tuple | None":
-    """A (model, world) of row's class at which f fails, among the class's
-    one-world models, or None.  One `blocks.scan` call, made only when the
-    class fits one block: a constructive class over k atoms has at most
-    2^(k+1) + 1 one-world models (`ck` has that many), and a classical one
-    over r program atoms 2^(r+k)."""
+# The world counts `decide` scans, each with its number of preorders P(n).
+# Three worlds have 29, and 29 * 2^9 * 2^3 models pass one block already
+# with no atom, so no constructive class fits.
+_SMALL_WORLDS = ((1, 1), (2, 4))
+
+
+def _small_world(row: Logic, atoms: tuple[str, ...], f) -> tuple:
+    """The first (model, world) of row's class at which f fails, among its
+    one-world models and then its two-world ones, or None; paired with
+    False if a world count was skipped.  A world count n is one
+    `blocks.scan` call, made only when its class fits one block: a
+    constructive class over k atoms has at most P(n) * 2^(n^2) *
+    2^(n(k+1)) n-world models (a preorder, any relation, the fallible set
+    and a set per atom), and a classical one over r program atoms
+    2^(n^2 r + nk)."""
     if row.classical:
         letters, evaluate = model_letters(row, f), pdl_extension
-        lanes = 1 << len(letters) + len(atoms)
     else:
         letters, evaluate = (), extension
-        lanes = (1 << len(atoms) + 1) + 1
-    if lanes > BLOCK_MODELS:
-        return None
-    return scan(f, row.kind, atoms, letters, 1, evaluate)
+    for n, preorders in _SMALL_WORLDS:
+        if row.classical:
+            lanes = 1 << n * n * len(letters) + n * len(atoms)
+        else:
+            lanes = preorders << n * n + n * (len(atoms) + 1)
+        if lanes > BLOCK_MODELS:
+            return None, False
+        found = scan(f, row.kind, atoms, letters, n, evaluate)
+        if found is not None:
+            return found, True
+    return None, True
 
 
 def _certify(row: Logic, model, world: int, f) -> None:
@@ -1056,14 +1095,16 @@ def _certify(row: Logic, model, world: int, f) -> None:
             f"{row.kind} countermodel fails to falsify the source formula")
 
 
-def _decide(row: Logic, f) -> Verdict:
+def _decide(row: Logic, f, twin_first: bool = False) -> Verdict:
     """The reduction chain on input already checked against `row`.  Each
     map down yields the parent's language by construction, so only the
     source formula is checked.  A countermodel mapped into a constructive
-    class is certified there."""
+    class is certified there.  `twin_first` goes to the PDL search
+    (`_Tableau.build`) and changes no answer."""
     if row.parent is None:
-        return pdl_valid(f)
-    v = _decide(LOGIC_TABLE[row.parent], f if row.down is None else row.down(f))
+        return pdl_valid(f, twin_first)
+    v = _decide(LOGIC_TABLE[row.parent], f if row.down is None else row.down(f),
+                twin_first)
     if v.valid:
         return v
     model, world = row.back(v.model, v.world, f)

@@ -50,8 +50,9 @@ from ckstar.translate import iota
 
 
 def chain_decide(logic: str, f):
-    """`decide` without its one-world scan: the reduction chain down to
-    PDL, on input checked as `decide` checks it."""
+    """`decide` without its small-world scan: the reduction chain down to
+    PDL, on input checked as `decide` checks it, whose search runs pass 1
+    before the twin as on any input the scan does not cover."""
     return solver._decide(solver.check_input(logic, f)[0], f)
 
 

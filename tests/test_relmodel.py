@@ -298,6 +298,22 @@ def test_block_relation_matches_each_lane():
         rel_compose(_block([Relation.empty(2)]), _block([Relation.empty(2)] * 2))
 
 
+def test_block_star_matches_each_lane():
+    # Seeded blocks of 1 to 3 worlds, some with a world whose row holds
+    # only itself in every lane: the pivot `star` skips.
+    rng = random.Random(31)
+    for n in (1, 2, 3):
+        for idle in (None, *range(n)):
+            for lanes in (1, 5, 64):
+                rels = [rand_rel(rng, n) for _ in range(lanes)]
+                if idle is not None:
+                    rels = [Relation(n, tuple(row & 1 << idle if w == idle else row
+                                              for w, row in enumerate(r.rows)))
+                            for r in rels]
+                star = _block(rels).star()
+                assert [star.lane(k) for k in range(lanes)] == [rel_star(r) for r in rels]
+
+
 def test_unmapped_atoms_default_to_bot():
     m = bi_model(2, [(0, 0), (1, 1)], [(1, 1)], {}, bot={1})
     assert m.val_mask("anything") == 0b10

@@ -372,8 +372,7 @@ def recorded_engines(monkeypatch) -> list:
 
 def twin_refuted(engine) -> bool:
     """Whether the twin ran and found the goal unsatisfiable."""
-    twin = engine.twin
-    return twin is not None and (twin.root is None or not twin.alive[twin.root])
+    return engine.twin is not None and engine.twin.refuted()
 
 
 def test_engines_agree_when_one_atom_occurs_only_starred(monkeypatch):
@@ -642,14 +641,14 @@ def test_search_stops_once_the_root_survives(monkeypatch):
 
 def recorded_stats(monkeypatch) -> list:
     """The `stats` of every `pdl_satisfiable` call `decide` makes from now
-    on, in call order."""
+    on, in call order.  Its other keywords pass through."""
     seen = []
     original = solver.pdl_satisfiable
 
-    def recorded(g, stats=None):
+    def recorded(g, stats=None, **kwargs):
         stats = {} if stats is None else stats
         seen.append(stats)
-        return original(g, stats=stats)
+        return original(g, stats=stats, **kwargs)
 
     monkeypatch.setattr(solver, "pdl_satisfiable", recorded)
     return seen
@@ -657,11 +656,12 @@ def recorded_stats(monkeypatch) -> list:
 
 def test_depth6_seed17_decides_in_two_passes_over_500_states(monkeypatch):
     # Its whole graph has hundreds of thousands of states; the first pass
-    # finds a countermodel among the first 44.
+    # finds a countermodel among the first 44.  `decide` answers it from
+    # its small-world scan, so the chain runs alone.
     from ckstar.oracle import random_formula
     seen = recorded_stats(monkeypatch)
     f = random_formula(17, 6, ("p", "q", "r"))
-    v = decide("ck_star", f)
+    v = chain_decide("ck_star", f)
     assert not v.valid
     assert not satisfies(v.model, v.world, f)
     assert seen[0]["passes"] <= 2 and seen[0]["nodes"] <= 500
@@ -796,18 +796,18 @@ def test_decomposition_graph_is_pinned(logic, source, nodes, passes, rounds,
 # over its answers' `json.dumps(to_obj, sort_keys=True)` lines, the world
 # total of its countermodels and the states expanded (main graphs and
 # twins).  The first rows pin the reduction chain alone (`chain_decide`),
-# the last ones `decide`, whose one-world scan answers first and leaves
-# the chain the rest.  A change that alters countermodels on purpose
-# re-records its row and says so; one that only speeds the engine up keeps
-# them.  CI runs this test under two hash seeds too, so no answer may
-# depend on a set's hash order.
+# the last ones `decide`, whose small-world scan answers first and leaves
+# the chain the rest, with the twin built first where both scans ran.  A
+# change that alters countermodels on purpose re-records its row and says
+# so; one that only speeds the engine up keeps them.  CI runs this test
+# under two hash seeds too, so no answer may depend on a set's hash order.
 POOL_PINS = [
     ("corpus", chain_decide, "65caf1fc0947ea45", 8590, 31613),
     ("hard", chain_decide, "122239f8e88c7fa5", 447, 3405),
     ("theorems", chain_decide, "0348e151ad90aeda", 0, 15344),
-    ("corpus", decide, "a235bb28e159e65a", 5816, 5920),
-    ("hard", decide, "48d5337a6868066c", 321, 1492),
-    ("theorems", decide, "0348e151ad90aeda", 0, 15344),
+    ("corpus", decide, "a72d7a6cd47ecc83", 5575, 2579),
+    ("hard", decide, "4dd3cb5112326186", 304, 893),
+    ("theorems", decide, "0348e151ad90aeda", 0, 11044),
 ]
 
 # The `theorems` pool's valid schemas per logic, with the fragment its
@@ -863,19 +863,19 @@ def test_benchmark_pool_answers_are_pinned(pool, decider, digest, worlds, states
         (digest, worlds, states)
 
 
-# `decide` answers these many inputs of each pool from its one-world scan.
-ONE_WORLD_ANSWERS = {"corpus": 5087, "hard": 223, "theorems": 0}
+# `decide` answers these many inputs of each pool from its small-world scan.
+SMALL_WORLD_ANSWERS = {"corpus": 5286, "hard": 239, "theorems": 0}
 
 
-@pytest.mark.parametrize("pool", ONE_WORLD_ANSWERS)
+@pytest.mark.parametrize("pool", SMALL_WORLD_ANSWERS)
 def test_the_one_world_scan_keeps_every_verdict(pool):
-    # The scan answers only with a certified one-world countermodel of the
-    # row's class, never larger than the chain's; on every other input
-    # `decide` gives the chain's answer.
+    # The scan answers only with a certified countermodel of the row's
+    # class of at most two worlds, never larger than the chain's; on every
+    # other input `decide` gives the chain's answer.
     scanned = 0
     for logic, f in benchmark_pool(pool):
         row, atoms = solver.check_input(logic, f)
-        found = solver._one_world(row, atoms, f)
+        found, _ = solver._small_world(row, atoms, f)
         v, chain = decide(logic, f), chain_decide(logic, f)
         if found is None:
             assert v == chain, render(f)
@@ -883,8 +883,24 @@ def test_the_one_world_scan_keeps_every_verdict(pool):
         scanned += 1
         assert not chain.valid, render(f)
         assert (v.model, v.world) == found and v.model.kind == row.kind
-        assert v.model.worlds == 1 <= chain.model.worlds
-    assert scanned == ONE_WORLD_ANSWERS[pool]
+        assert v.model.worlds <= min(2, chain.model.worlds)
+    assert scanned == SMALL_WORLD_ANSWERS[pool]
+
+
+def test_the_scan_answers_with_the_oracles_first_two_world_model():
+    # Every `corpus` input fits both scans, and `decide` answers with the
+    # model the bounded oracle meets first at two worlds, or goes to the
+    # chain where the oracle finds none.
+    for logic, f in benchmark_pool("corpus"):
+        row, atoms = solver.check_input(logic, f)
+        found, covered = solver._small_world(row, atoms, f)
+        bounded = oracle.brute_force_decide(logic, f, oracle.EnumSpec(2, atoms))
+        assert covered
+        if bounded.valid_up_to_bound:
+            assert found is None, render(f)
+            continue
+        v = decide(logic, f)
+        assert (v.model, v.world) == found == (bounded.model, bounded.world), render(f)
 
 
 @pytest.mark.parametrize("logic, source, model", [
@@ -905,27 +921,84 @@ def test_a_one_world_answer_is_certified(logic, source, model, monkeypatch):
         decide(logic, f)
 
 
+def scanned_worlds(logic, f, monkeypatch) -> tuple:
+    """`decide`'s answer to f and the world counts its scan ran at."""
+    worlds = []
+    original = solver.scan
+    monkeypatch.setattr(solver, "scan",
+                        lambda *args: worlds.append(args[4]) or original(*args))
+    return decide(logic, f), worlds
+
+
 @pytest.mark.parametrize("logic, atoms, scanned", [
     ("ck_star", 14, True), ("ck_star", 15, False), ("wk_star", 15, False),
     ("pdl", 15, True), ("pdl", 16, False)])
 def test_the_scan_runs_only_on_a_one_world_class_of_one_block(logic, atoms, scanned,
                                                                monkeypatch):
-    # 2^15 + 1 `ck` models over 14 atoms fit one block of 2^16, and 2^16 + 1
-    # over 15 do not, which bounds every constructive class (`wk` has 2^16);
-    # a classical class counts its program atoms too, here a alone, so 2^16
-    # fit over 15 atoms.  Past the block, the chain decides.
-    calls = []
-    original = solver.scan
-    monkeypatch.setattr(solver, "scan", lambda *args: calls.append(args) or original(*args))
+    # A constructive class over k atoms has at most 2^(k+2) one-world
+    # models: 2^16 over 14 atoms fit one block of 2^16, 2^17 over 15 do not
+    # (`ck` has 2^(k+1) + 1, `wk` 2^(k+1)).  A classical class counts its
+    # program atoms too, here a alone, so 2^16 fit over 15 atoms.  Past the
+    # block, the chain decides.
     names = [f"p{i}" for i in range(atoms)]
     if logic == "pdl":
         f = parse_pdl("<a>" + " | ".join(names))
     else:
         f = parse_formula(" | ".join(names))
-    v = decide(logic, f)
-    assert not v.valid and len(calls) == scanned
+    v, worlds = scanned_worlds(logic, f, monkeypatch)
+    assert not v.valid and worlds == [1] * scanned
     if not scanned:
         assert v == chain_decide(logic, f)
+
+
+@pytest.mark.parametrize("logic, atoms, worlds", [
+    ("ck_star", 4, [1, 2]), ("ck_star", 5, [1]), ("cs4", 4, [1, 2]),
+    ("ck_star", 14, [1]), ("pdl", 6, [1, 2]), ("pdl", 7, [1])],
+    ids=["ck_star-4", "ck_star-5", "cs4-4", "ck_star-14", "pdl-6", "pdl-7"])
+def test_the_scan_runs_two_worlds_only_on_a_class_of_one_block(logic, atoms, worlds,
+                                                                monkeypatch):
+    # The goal holds in every one-world model and fails in a two-world one.
+    # Two worlds have 4 preorders, so a constructive class over k atoms
+    # has at most 4 * 2^4 * 2^(2(k+1)) two-world models: 2^16 over 4 atoms,
+    # 2^18 over 5.  A classical one over a and k atoms has 2^(4 + 2k): 2^16
+    # over 6 atoms, 2^18 over 7.  Past the block, the chain decides.
+    rest = "".join(f" | p{i}" for i in range(1, atoms))
+    if logic == "pdl":
+        f = parse_pdl("([a]p0 -> [a][a]p0)" + rest)
+    else:
+        f = parse_formula("(p0 | ~p0)" + rest)
+    v, scanned = scanned_worlds(logic, f, monkeypatch)
+    assert not v.valid and scanned == worlds
+    if worlds == [1, 2]:
+        assert v.model.worlds == 2
+    else:
+        assert v == chain_decide(logic, f)
+
+
+def test_a_covered_valid_input_expands_no_main_state(monkeypatch):
+    # Both scans run on every `theorems` input and find nothing, so the
+    # preorder twin is built before pass 1 and refutes the goal alone.
+    engines = recorded_engines(monkeypatch)
+    for logic, f in benchmark_pool("theorems"):
+        assert decide(logic, f).valid
+        engine, = engines
+        assert twin_refuted(engine) and engine.order == [], render(f)
+        engines.clear()
+
+
+@pytest.mark.parametrize("source", [
+    "[*](p0 -> []p0) -> (p0 -> [*]p0) | (p1 & p2 & p3 & p4)",
+    "(p0 | ~p0) | (p1 & p2 & p3 & p4)",
+], ids=["valid", "invalid"])
+def test_an_uncovered_input_gets_the_chains_answer_and_states(source, monkeypatch):
+    # Five atoms pass the two-world block, so `decide` searches as the
+    # chain does: pass 1 first, and the twin only once pass 1 fails.
+    f = parse_formula(source)
+    seen = recorded_stats(monkeypatch)
+    v, worlds = scanned_worlds("ck_star", f, monkeypatch)
+    chain = chain_decide("ck_star", f)
+    assert worlds == [1] and v == chain
+    assert seen[0] == seen[1] and seen[0]["nodes"] > 0
 
 
 # `hard` depth-5 seed 177 under ck_star: pass 2 ends with the root dead
@@ -1336,7 +1409,7 @@ def test_ck_layer_refuses_a_bad_model_from_its_map(monkeypatch):
     _broken_map(monkeypatch, "wk_model_to_ck", unpersistent)
     with pytest.raises(CertificationError,
                        match="ck countermodel violates atomic-persistence"):
-        decide("ck_star", parse_formula("p | ~p"))
+        chain_decide("ck_star", parse_formula("p | ~p"))
 
 
 @pytest.mark.parametrize("logic", ["cs4", "ws4"])
