@@ -11,14 +11,18 @@ BLOCK_MODELS same-size models over `relmodel.BlockRelation`s, one model
 per bit lane.  Truth is invariant under disjoint unions, so one evaluator
 call answers every model of a block.  Blocks are built at the first scan
 that reaches them and kept per (model class, counts, world count), up to
-CACHE_BITS bits of lane masks in all.  The oracle scans up to its world
-bound; `decide` scans the one- and two-world models, each world count
-while its class fits one block, before its reduction chain.
+CACHE_BITS bits of lane masks in all.  `scan` walks the world counts
+itself, names the program atoms a classical class interprets, and states
+the bound on a class's size that lets a caller stop where a class passes
+one block.  The oracle scans up to its world bound; `decide` scans one
+and two worlds, each while its class fits one block, before its
+reduction chain.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from typing import Callable, Iterator
 
 from .relmodel import (
@@ -33,6 +37,7 @@ from .relmodel import (
     lane_slices,
     lane_worlds,
 )
+from .syntax import program_atoms
 
 
 def _relations(n: int) -> Iterator[Relation]:
@@ -43,8 +48,10 @@ def _relations(n: int) -> Iterator[Relation]:
         yield Relation(n, tuple(bits >> (n * w) & full for w in range(n)))
 
 
+@cache
 def _preorders(n: int) -> list[Relation]:
-    """The preorders among `_relations(n)`, in its order."""
+    """The preorders among `_relations(n)`, in its order: 1, 4 and 29 for
+    one, two and three worlds."""
     return [r for r in _relations(n)
             if r.is_reflexive() and r.transitivity_witness() is None]
 
@@ -168,38 +175,54 @@ class _BlockCache:
 _BLOCKS = _BlockCache()
 
 
-def scan(f, kind: str, atoms: tuple[str, ...], letters: tuple[str, ...], n: int,
-         evaluate: Callable) -> "tuple | None":
-    """The first (model, world) among the n-world models of a class at
-    which f fails, or None if f holds throughout.  kind is a
+def scan(f, kind: str, atoms: tuple[str, ...], max_worlds: int, evaluate: Callable,
+         bound: "int | None" = None) -> tuple:
+    """The first (model, world) at which f fails among the models of a
+    class with 1 to max_worlds worlds, or None if f holds throughout;
+    paired with False if a world count was skipped.  kind is a
     `MODEL_CLASSES` kind, whose models value atoms; any other kind (`pdl`,
     `k`) names the classical models that interpret letters and value
-    atoms.  evaluate is the class's evaluator, `extension` or
-    `pdl_extension`: one call answers a whole block.  The answer is the
-    lowest failing lane of the first failing block, with that lane's least
-    failing world: the pair a scan model by model meets first."""
-    if kind in MODEL_CLASSES:
-        key = (kind, len(atoms), n)
-        stream = _enumerate_raw(kind, len(atoms), n)
+    atoms: `a` alone under `k`, f's program atoms under `pdl`.  evaluate is
+    the class's evaluator, `extension` or `pdl_extension`: one call
+    answers a whole block.  The answer is the lowest failing lane of the
+    first failing block, with that lane's least failing world: the pair a
+    scan model by model meets first.
 
-        def make(worlds, rels, sets):
-            return BiModel(worlds, *rels, dict(zip(atoms, sets[1:])), sets[0], kind)
-    else:
-        key = ("pdl", len(letters), len(atoms), n)
-        stream = _enumerate_pdl_raw(len(letters), len(atoms), n)
+    With a bound, the scan stops before a world count n whose class may
+    hold more models than it: a constructive class over k atoms has at
+    most P(n) * 2^(n^2) * 2^(n(k+1)) (a preorder, any relation, the
+    fallible set and a set per atom), and a classical one over r program
+    atoms 2^(n^2 r + nk)."""
+    classical = kind not in MODEL_CLASSES
+    if classical:
+        letters = ("a",) if kind == "k" else tuple(program_atoms(f))
 
         def make(worlds, rels, sets):
             return PdlModel(worlds, dict(zip(letters, rels)), dict(zip(atoms, sets)))
-    for lanes, rels, sets in _BLOCKS.blocks(key, n, stream):
-        block = make(n * lanes, rels, sets)
-        missing = block.full_mask() & ~evaluate(block, f)
-        if missing:
-            failing = 0
-            for lane_mask in lane_slices(missing, n, lanes):
-                failing |= lane_mask
-            k = (failing & -failing).bit_length() - 1
-            at_k = lane_worlds(missing, n, lanes, k)
-            model = make(n, [r.lane(k) for r in rels],
-                         [lane_worlds(ws, n, lanes, k) for ws in sets])
-            return model, (at_k & -at_k).bit_length() - 1
-    return None
+    else:
+        def make(worlds, rels, sets):
+            return BiModel(worlds, *rels, dict(zip(atoms, sets[1:])), sets[0], kind)
+    for n in range(1, max_worlds + 1):
+        if classical:
+            size = 1 << n * n * len(letters) + n * len(atoms)
+            key = ("pdl", len(letters), len(atoms), n)
+            stream = _enumerate_pdl_raw(len(letters), len(atoms), n)
+        else:
+            size = len(_preorders(n)) << n * n + n * (len(atoms) + 1)
+            key = (kind, len(atoms), n)
+            stream = _enumerate_raw(kind, len(atoms), n)
+        if bound is not None and size > bound:
+            return None, False
+        for lanes, rels, sets in _BLOCKS.blocks(key, n, stream):
+            block = make(n * lanes, rels, sets)
+            missing = block.full_mask() & ~evaluate(block, f)
+            if missing:
+                failing = 0
+                for lane_mask in lane_slices(missing, n, lanes):
+                    failing |= lane_mask
+                k = (failing & -failing).bit_length() - 1
+                at_k = lane_worlds(missing, n, lanes, k)
+                model = make(n, [r.lane(k) for r in rels],
+                             [lane_worlds(ws, n, lanes, k) for ws in sets])
+                return (model, (at_k & -at_k).bit_length() - 1), True
+    return None, True

@@ -1,12 +1,13 @@
 """Brute-force ground truth: exhaustive small-model search and seeded
 random generators for property testing.
 
-`brute_force_decide` scans a logic's models world count by world count,
-up to its bound, with `blocks.scan`: each block of up to
+`brute_force_decide` scans a logic's models up to its world bound with
+one `blocks.scan` call, which walks the world counts and names the
+program atoms a classical class interprets: each block of up to
 `blocks.BLOCK_MODELS` same-size models is answered by one `extension` (or
 `pdl_extension`) call, looked up here.  `decide` checks its input, scans
 one and two worlds with the same function, then runs its reduction
-chain; where both of its scans run, its countermodel is the one
+chain; where both of its world counts run, its countermodel is the one
 `brute_force_decide` at two worlds finds.  The module needs only the
 standard library.
 """
@@ -29,7 +30,7 @@ from .relmodel import (
 )
 from .semantics import extension, pdl_extension
 from .syntax import CHILDREN, FRAGMENTS, Bot, FragmentTag, formula_size
-from .solver import check_input, model_letters
+from .solver import check_input
 from .translate import ck_model_to_cs4
 
 MAX_ENUM_WORLDS = 4
@@ -72,20 +73,19 @@ def brute_force_decide(logic: str, f, spec: EnumSpec) -> BoundedVerdict:
     classical model interprets only the formula's program atoms (`k_star`
     models always interpret `a`).
 
-    Each world count is one `blocks.scan`, whose answer is the pair a
-    scan model by model meets first."""
+    The answer is one `blocks.scan`'s: the pair a scan model by model
+    meets first."""
     row, atoms = check_input(logic, f)
     if row.classical:
-        letters, evaluate = model_letters(row, f), pdl_extension
+        evaluate = pdl_extension
     else:
         if not set(atoms) <= set(spec.atoms):
             raise ValueError("spec.atoms must cover the formula's atoms")
-        atoms, letters, evaluate = spec.atoms, (), extension
-    for n in range(1, spec.max_worlds + 1):
-        found = scan(f, row.kind, atoms, letters, n, evaluate)
-        if found is not None:
-            return BoundedVerdict(False, spec.max_worlds, *found)
-    return BoundedVerdict(True, spec.max_worlds)
+        atoms, evaluate = spec.atoms, extension
+    found, _ = scan(f, row.kind, atoms, spec.max_worlds, evaluate)
+    if found is None:
+        return BoundedVerdict(True, spec.max_worlds)
+    return BoundedVerdict(False, spec.max_worlds, *found)
 
 
 # ---------------------------------------------------------------------------

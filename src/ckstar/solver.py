@@ -75,14 +75,14 @@ and the model map back.  The rows form the paper's chain of reductions:
 `pdl` is the root, `k_star` and `wk_star` (by `tau`) sit on it,
 `ck_star` (by `omega`), `ck_star_box` (identity) and `ws4` (by `kappa`)
 on `wk_star`, and `cs4` (by `kappa`) on `ck_star`.  `decide` checks the
-input, scans one and two worlds, then runs the chain.  The scan is the
-oracle's block scan (`blocks.scan`) over the one-world models of the
-row's class and then its two-world ones, each world count while its
-class fits one block; a model it finds falsifies the formula and, once
-certified, answers.  The chain decides the mapped formula in the parent
-and maps a countermodel back; when both scans ran and found nothing,
-its PDL search builds the twin first, since the goal is then most
-likely Valid.  `pdl_satisfiable` checks its PDL model with the
+input, scans one and two worlds, then runs the chain.  The scan is one
+call of the oracle's block scan (`blocks.scan`) over the one-world models
+of the row's class and then its two-world ones, each world count while
+its class fits one block (the bound `blocks.scan` states); a model it
+finds falsifies the formula and, once certified, answers.  The chain
+decides the mapped formula in the parent and maps a countermodel back;
+when both world counts ran and found nothing, its PDL search builds the
+twin first, since the goal is then most likely Valid.  `pdl_satisfiable` checks its PDL model with the
 independent evaluator.  After each model map into a constructive class,
 and on a scan's answer, `_certify` checks the model: one `satisfies`
 call checks it against the class it declares, which must be the row's,
@@ -118,7 +118,6 @@ from .syntax import (
     census,
     check_fragment,
     depth_error,
-    program_atoms,
     render,
     variables,
 )
@@ -997,12 +996,6 @@ LOGIC_TABLE = {
 LOGICS = tuple(LOGIC_TABLE)
 
 
-def model_letters(row: Logic, f) -> tuple[str, ...]:
-    """The program atoms that row's classical countermodels interpret: f's
-    own under `pdl`, and always `a`, its one program, under `k_star`."""
-    return ("a",) if row.kind == "k" else tuple(program_atoms(f))
-
-
 def check_input(logic: str, f) -> "tuple[Logic, tuple[str, ...]]":
     """The table row of `logic` and f's atom names (`variables(f)`), after
     checking that f is in its input language: ValueError for an unknown
@@ -1028,51 +1021,21 @@ def check_input(logic: str, f) -> "tuple[Logic, tuple[str, ...]]":
 
 def decide(logic: str, f) -> Verdict:
     """Validity in the named logic.  The one- and two-world models of its
-    class are scanned first (`_small_world`); one that falsifies f is
-    certified as a layer's model is (`_certify`) and answers.  Otherwise f
-    is decided in the parent logic down to PDL, and an Invalid verdict's
-    countermodel is mapped back one row at a time and certified once per
-    map into a constructive model class.  When both scans ran, f is
-    most likely Valid, so the PDL search builds its preorder twin first
-    (`_Tableau.build`)."""
+    class are scanned first, by one `blocks.scan` call that skips a world
+    count whose class may pass one block of BLOCK_MODELS; a model that
+    falsifies f is certified as a layer's model is (`_certify`) and
+    answers.  Otherwise f is decided in the parent logic down to PDL, and
+    an Invalid verdict's countermodel is mapped back one row at a time and
+    certified once per map into a constructive model class.  When both
+    world counts ran, f is most likely Valid, so the PDL search builds its
+    preorder twin first (`_Tableau.build`)."""
     row, atoms = check_input(logic, f)
-    found, covered = _small_world(row, atoms, f)
+    evaluate = pdl_extension if row.classical else extension
+    found, covered = scan(f, row.kind, atoms, 2, evaluate, BLOCK_MODELS)
     if found is None:
         return _decide(row, f, twin_first=covered)
     _certify(row, *found, f)
     return Verdict(False, *found)
-
-
-# The world counts `decide` scans, each with its number of preorders P(n).
-# Three worlds have 29, and 29 * 2^9 * 2^3 models pass one block already
-# with no atom, so no constructive class fits.
-_SMALL_WORLDS = ((1, 1), (2, 4))
-
-
-def _small_world(row: Logic, atoms: tuple[str, ...], f) -> tuple:
-    """The first (model, world) of row's class at which f fails, among its
-    one-world models and then its two-world ones, or None; paired with
-    False if a world count was skipped.  A world count n is one
-    `blocks.scan` call, made only when its class fits one block: a
-    constructive class over k atoms has at most P(n) * 2^(n^2) *
-    2^(n(k+1)) n-world models (a preorder, any relation, the fallible set
-    and a set per atom), and a classical one over r program atoms
-    2^(n^2 r + nk)."""
-    if row.classical:
-        letters, evaluate = model_letters(row, f), pdl_extension
-    else:
-        letters, evaluate = (), extension
-    for n, preorders in _SMALL_WORLDS:
-        if row.classical:
-            lanes = 1 << n * n * len(letters) + n * len(atoms)
-        else:
-            lanes = preorders << n * n + n * (len(atoms) + 1)
-        if lanes > BLOCK_MODELS:
-            return None, False
-        found = scan(f, row.kind, atoms, letters, n, evaluate)
-        if found is not None:
-            return found, True
-    return None, True
 
 
 def _certify(row: Logic, model, world: int, f) -> None:

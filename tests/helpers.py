@@ -1,7 +1,7 @@
-"""Shared test utilities: a formula node walker, model constructors from
-pair lists, seeded AST and model generators, a naive evaluator, the
-single-program fragment's constructive reading, and a recursion-limit guard
-for wide formulas.
+"""Shared test utilities: each logic's small formula corpus, a formula
+node walker, model constructors from pair lists, seeded AST and model
+generators, a naive evaluator, the single-program fragment's constructive
+reading, and a recursion-limit guard for wide formulas.
 
 The naive evaluator follows the satisfaction clauses literally with
 world-by-world recursion and explicit path search, so it is independent of
@@ -18,6 +18,7 @@ import signal
 import sys
 
 from ckstar import solver
+from ckstar.oracle import enumerate_formulas
 from ckstar.relmodel import (
     BiModel,
     PdlModel,
@@ -38,6 +39,7 @@ from ckstar.syntax import (
     Dia,
     DiaStar,
     Formula,
+    FragmentTag,
     Imp,
     Neg,
     Or,
@@ -45,6 +47,7 @@ from ckstar.syntax import (
     PdlFormula,
     Program,
     Star,
+    parse_pdl,
 )
 from ckstar.translate import iota
 
@@ -54,6 +57,17 @@ def chain_decide(logic: str, f):
     PDL, on input checked as `decide` checks it, whose search runs pass 1
     before the twin as on any input the scan does not cover."""
     return solver._decide(solver.check_input(logic, f)[0], f)
+
+
+def logic_corpus(logic: str) -> list:
+    """The logic's formulas of at most 4 nodes over p and q; `pdl` adds a
+    few over the programs i and m."""
+    row = solver.LOGIC_TABLE[logic]
+    fs = enumerate_formulas(4, ("p", "q"), row.language or FragmentTag.LK_STAR)
+    if logic == "pdl":
+        fs += [parse_pdl(text) for text in (
+            "[i;m]p -> [i][m]p", "[(i;m)*]p -> p", "[i]p | [m]!p", "[i*]p -> [i][i]p")]
+    return fs
 
 
 def iter_nodes(f):

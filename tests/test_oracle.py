@@ -16,8 +16,8 @@ from ckstar.oracle import (
     random_formula,
     random_model,
 )
-from ckstar.relmodel import BiModel, Relation, dump_model, validate
-from ckstar.solver import LOGIC_TABLE, LOGICS, decide
+from ckstar.relmodel import MODEL_CLASSES, BiModel, Relation, dump_model, validate
+from ckstar.solver import LOGICS, decide
 from ckstar.syntax import (
     MAX_DEPTH,
     And,
@@ -44,7 +44,7 @@ from ckstar.syntax import (
     variables,
 )
 
-from helpers import alarm, chain_decide, iter_nodes, random_pdl_model
+from helpers import alarm, chain_decide, iter_nodes, logic_corpus, random_pdl_model
 from reference_oracle import enumerate_models, enumerate_pdl_models, reference_decide
 from truth_maps import falsifying_world
 
@@ -61,6 +61,50 @@ def test_enumerated_models_validate():
     for kind in ("ck", "wk", "cs4", "ws4"):
         for m in enumerate_models(EnumSpec(2, ("p",), kind)):
             assert validate(m, kind) == []
+
+
+def _holds_everywhere(block, f) -> int:
+    """An evaluator under which every formula holds at every world."""
+    return block.full_mask()
+
+
+def test_a_class_scanned_under_a_bound_fits_it(monkeypatch):
+    """`scan` stops before a world count whose class holds one model more
+    than its bound, so the size it reads a class by is never below the
+    class's own: a class scanned under BLOCK_MODELS fits one block.  A
+    classical class's size is exact, so at its size the scan runs it."""
+    worlds = []
+    original = blocks._BLOCKS.blocks
+    monkeypatch.setattr(blocks._BLOCKS, "blocks",
+                        lambda key, n, stream: worlds.append(n) or original(key, n, stream))
+
+    def scanned(f, kind, k, n, bound):
+        worlds.clear()
+        answer = blocks.scan(f, kind, tuple(f"p{i}" for i in range(k)), n,
+                             _holds_everywhere, bound)
+        return answer, worlds
+
+    assert [len(blocks._preorders(n)) for n in (1, 2, 3)] == [1, 4, 29]
+    for kind in MODEL_CLASSES:
+        for n, k in [(1, k) for k in range(5)] + [(2, k) for k in range(5)] + [(3, 0)]:
+            size = sum(1 for _ in blocks._enumerate_raw(kind, k, n))
+            assert scanned(Bot(), kind, k, n, size - 1) == \
+                ((None, False), list(range(1, n))), (kind, n, k)
+    for r, k, n in itertools.product(range(3), range(3), (1, 2)):
+        size = sum(1 for _ in blocks._enumerate_pdl_raw(r, k, n))
+        assert size == 2 ** (n * n * r + n * k)
+        # `pdl` interprets f's program atoms, `k` the program a alone.
+        f = Bot()
+        for i in range(r):
+            f = BoxP(PAtom(f"l{i}"), f)
+        # With no program atom and no atom every world count has one
+        # model, so a bound of 0 stops before the first.
+        below = list(range(1, n)) if r + k else []
+        for kind, g in [("pdl", f)] + [("k", Bot())] * (r == 1):
+            assert scanned(g, kind, k, n, size - 1) == \
+                ((None, False), below), (kind, r, k, n)
+            assert scanned(g, kind, k, n, size) == \
+                ((None, True), list(range(1, n + 1))), (kind, r, k, n)
 
 
 def _validated_candidates(max_worlds, atoms, kind):
@@ -370,17 +414,6 @@ def test_enumerate_formulas_counts_and_order():
     assert parse_pdl("[a]p") in small
 
 
-def _logic_corpus(logic: str) -> list:
-    """The logic's formulas of at most 4 nodes over p and q; `pdl` adds a
-    few over the programs i and m."""
-    row = LOGIC_TABLE[logic]
-    fs = enumerate_formulas(4, ("p", "q"), row.language or FragmentTag.LK_STAR)
-    if logic == "pdl":
-        fs += [parse_pdl(text) for text in (
-            "[i;m]p -> [i][m]p", "[(i;m)*]p -> p", "[i]p | [m]!p", "[i*]p -> [i][i]p")]
-    return fs
-
-
 def _answer(v) -> tuple:
     return v.valid_up_to_bound, v.model, v.world
 
@@ -391,7 +424,7 @@ def test_block_scan_matches_the_reference_scan(logic):
     by model finds."""
     for max_worlds in (1, 2):
         spec = EnumSpec(max_worlds, ("p", "q"))
-        for f in _logic_corpus(logic):
+        for f in logic_corpus(logic):
             assert _answer(brute_force_decide(logic, f, spec)) == \
                 _answer(reference_decide(logic, f, spec)[0]), (max_worlds, render(f))
 
@@ -416,7 +449,7 @@ def test_small_blocks_and_a_full_cache(monkeypatch):
     monkeypatch.setattr(blocks, "_BLOCKS", blocks._BlockCache())
     spec = EnumSpec(2, ("p", "q"))
     cases = [(logic, f) for logic in ("ck_star", "wk_star", "cs4", "pdl")
-             for f in _logic_corpus(logic)[::7]]
+             for f in logic_corpus(logic)[::7]]
     for _ in range(2):
         for logic, f in cases:
             assert _answer(brute_force_decide(logic, f, spec)) == \

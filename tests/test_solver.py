@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ckstar import oracle, relmodel, semantics, solver, syntax, translate
+from ckstar import blocks, oracle, relmodel, semantics, solver, syntax, translate
 from ckstar.relmodel import BiModel, PdlModel, Relation, bits_of, validate
 from ckstar.semantics import pdl_extension, pdl_satisfies, satisfies
 from ckstar.solver import (
@@ -45,6 +45,7 @@ from exhaustive import pdl_satisfiable_exhaustive
 from helpers import (
     balanced_text,
     chain_decide,
+    logic_corpus,
     random_lstar,
     random_pdl,
     random_program,
@@ -867,40 +868,79 @@ def test_benchmark_pool_answers_are_pinned(pool, decider, digest, worlds, states
 SMALL_WORLD_ANSWERS = {"corpus": 5286, "hard": 239, "theorems": 0}
 
 
+def recorded_scans(monkeypatch) -> list:
+    """What every `blocks.scan` call `decide` makes from now on returns, in
+    call order: the first (model, world) or None, and whether both world
+    counts ran."""
+    seen = []
+    original = solver.scan
+
+    def recorded(*args):
+        seen.append(original(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(solver, "scan", recorded)
+    return seen
+
+
 @pytest.mark.parametrize("pool", SMALL_WORLD_ANSWERS)
-def test_the_one_world_scan_keeps_every_verdict(pool):
+def test_the_one_world_scan_keeps_every_verdict(pool, monkeypatch):
     # The scan answers only with a certified countermodel of the row's
     # class of at most two worlds, never larger than the chain's; on every
     # other input `decide` gives the chain's answer.
+    scans = recorded_scans(monkeypatch)
     scanned = 0
     for logic, f in benchmark_pool(pool):
-        row, atoms = solver.check_input(logic, f)
-        found, _ = solver._small_world(row, atoms, f)
         v, chain = decide(logic, f), chain_decide(logic, f)
+        (found, _), = scans
+        scans.clear()
         if found is None:
             assert v == chain, render(f)
             continue
         scanned += 1
         assert not chain.valid, render(f)
-        assert (v.model, v.world) == found and v.model.kind == row.kind
+        assert (v.model, v.world) == found and v.model.kind == solver.LOGIC_TABLE[logic].kind
         assert v.model.worlds <= min(2, chain.model.worlds)
     assert scanned == SMALL_WORLD_ANSWERS[pool]
 
 
-def test_the_scan_answers_with_the_oracles_first_two_world_model():
-    # Every `corpus` input fits both scans, and `decide` answers with the
-    # model the bounded oracle meets first at two worlds, or goes to the
-    # chain where the oracle finds none.
-    for logic, f in benchmark_pool("corpus"):
-        row, atoms = solver.check_input(logic, f)
-        found, covered = solver._small_world(row, atoms, f)
-        bounded = oracle.brute_force_decide(logic, f, oracle.EnumSpec(2, atoms))
-        assert covered
-        if bounded.valid_up_to_bound:
-            assert found is None, render(f)
-            continue
+def assert_scan_answers_as_the_oracle(logic, formulas, monkeypatch) -> int:
+    """Where `decide`'s scan ran both world counts, its answer is the
+    model the bounded oracle meets first at two worlds, or, where the
+    oracle finds none, the chain's.  The number of inputs covered."""
+    scans = recorded_scans(monkeypatch)
+    covered = 0
+    for f in formulas:
         v = decide(logic, f)
-        assert (v.model, v.world) == found == (bounded.model, bounded.world), render(f)
+        (found, ran_both), = scans
+        scans.clear()
+        if not ran_both:
+            continue
+        covered += 1
+        atoms = solver.check_input(logic, f)[1]
+        bounded = oracle.brute_force_decide(logic, f, oracle.EnumSpec(2, atoms))
+        if bounded.valid_up_to_bound:
+            assert found is None and v == chain_decide(logic, f), render(f)
+        else:
+            assert (v.model, v.world) == found == (bounded.model, bounded.world), render(f)
+    return covered
+
+
+def test_the_scan_answers_with_the_oracles_first_two_world_model(monkeypatch):
+    # Every `corpus` input fits both world counts.
+    for logic, pairs in itertools.groupby(benchmark_pool("corpus"), key=lambda pair: pair[0]):
+        fs = [f for _, f in pairs]
+        assert assert_scan_answers_as_the_oracle(logic, fs, monkeypatch) == len(fs)
+
+
+@pytest.mark.parametrize("logic", ["k_star", "pdl"])
+def test_the_classical_scan_answers_with_the_oracles_model(logic, monkeypatch):
+    # No benchmark pool is classical.  Every input fits both world counts:
+    # two worlds over a and two atoms are 2^8 models, and over i, m and p
+    # 2^10.
+    fs = logic_corpus(logic) + [oracle.random_formula(s, 4, ("p", "q"), FragmentTag.LK_STAR)
+                                for s in range(200)]
+    assert assert_scan_answers_as_the_oracle(logic, fs, monkeypatch) == len(fs)
 
 
 @pytest.mark.parametrize("logic, source, model", [
@@ -915,18 +955,19 @@ def test_the_scan_answers_with_the_oracles_first_two_world_model():
                                     {"p": 0}, 0, "wk")),
 ], ids=["satisfied-pdl", "satisfied-ck", "not-in-class", "mislabelled"])
 def test_a_one_world_answer_is_certified(logic, source, model, monkeypatch):
-    monkeypatch.setattr(solver, "scan", lambda *_: (model, 0))
+    monkeypatch.setattr(solver, "scan", lambda *_: ((model, 0), True))
     f = parse_pdl(source) if logic == "k_star" else parse_formula(source)
     with pytest.raises(CertificationError):
         decide(logic, f)
 
 
 def scanned_worlds(logic, f, monkeypatch) -> tuple:
-    """`decide`'s answer to f and the world counts its scan ran at."""
+    """`decide`'s answer to f and the world counts its scan ran at, each as
+    the block cache is asked for that world count's blocks."""
     worlds = []
-    original = solver.scan
-    monkeypatch.setattr(solver, "scan",
-                        lambda *args: worlds.append(args[4]) or original(*args))
+    original = blocks._BLOCKS.blocks
+    monkeypatch.setattr(blocks._BLOCKS, "blocks",
+                        lambda key, n, stream: worlds.append(n) or original(key, n, stream))
     return decide(logic, f), worlds
 
 
