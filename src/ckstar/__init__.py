@@ -8,8 +8,6 @@ from .relmodel import (
     Relation,
     dump_model,
     load_model,
-    rel_compose,
-    rel_star,
     validate,
 )
 from .semantics import pdl_satisfies, satisfies
@@ -55,8 +53,6 @@ __all__ = [
     "pdl_satisfiable",
     "pdl_satisfies",
     "pdl_valid",
-    "rel_compose",
-    "rel_star",
     "render",
     "satisfies",
     "subformulas",

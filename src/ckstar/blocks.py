@@ -7,37 +7,121 @@ with the `relmodel` expressions that `validate` checks and states no model
 condition itself.  `_enumerate_pdl_raw` is its classical counterpart.
 Both read only counts: the names are attached by position when a model is
 made.  `scan` packs these streams into blocks: disjoint unions of up to
-BLOCK_MODELS same-size models over `relmodel.BlockRelation`s, one model
-per bit lane.  Truth is invariant under disjoint unions, so one evaluator
-call answers every model of a block.  Blocks are built at the first scan
-that reaches them and kept per (model class, counts, world count), up to
-CACHE_BITS bits of lane masks in all.  `scan` walks the world counts
-itself, names the program atoms a classical class interprets, and states
-the bound on a class's size that lets a caller stop where a class passes
-one block.  The oracle scans up to its world bound; `decide` scans one
-and two worlds, each while its class fits one block, before its
-reduction chain.
+BLOCK_MODELS same-size models, one model per bit lane, in the bit-sliced
+format this module alone states (`BlockRelation`, whose methods are
+`Relation`'s, and the lane helpers).  Truth is invariant under disjoint
+unions, so one evaluator call answers every model of a block.  Blocks are
+built at the first scan that reaches them and kept per (model class,
+counts, world count), up to CACHE_BITS bits of lane masks in all.  `scan`
+walks the world counts itself, names the program atoms a classical class
+interprets, and states the bound on a class's size that lets a caller stop
+where a class passes one block.  The oracle scans up to its world bound;
+`decide` scans one and two worlds, each while its class fits one block,
+before its reduction chain.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .relmodel import (
     MODEL_CLASSES,
     BiModel,
-    BlockRelation,
     PdlModel,
     Relation,
     bits_of,
-    block_mask,
     confluence_gaps,
-    lane_slices,
-    lane_worlds,
 )
 from .syntax import program_atoms
+
+
+@dataclass(frozen=True)
+class BlockRelation:
+    """The relation of a disjoint union of `lanes` models of n worlds each,
+    bit-sliced (one model per bit lane): world w of lane k is world
+    w*lanes + k of the union, and cells[w*n + v] has bit k iff w -> v in
+    lane k.  Each operation costs O(n^2) (composition and star O(n^3))
+    big-int operations for all lanes at once."""
+
+    n: int
+    lanes: int
+    cells: tuple[int, ...]
+
+    def box(self, mask: int) -> int:
+        """Worlds all of whose successors lie in mask: no successor outside."""
+        return ((1 << self.n * self.lanes) - 1) ^ self.dia(~mask)
+
+    def dia(self, mask: int) -> int:
+        n, cells = self.n, self.cells
+        if n == 1:  # a block world set of one-world lanes is a lane mask
+            return cells[0] & mask
+        inside = lane_slices(mask, n, self.lanes)
+        hits = []
+        for w in range(n):
+            hit = 0
+            for v in range(n):
+                hit |= cells[w * n + v] & inside[v]
+            hits.append(hit)
+        return block_mask(hits, self.lanes)
+
+    def compose(self, other: "BlockRelation") -> "BlockRelation":
+        if (self.n, self.lanes) != (other.n, other.lanes):
+            raise ValueError("blocks differ in world or lane count")
+        n, a, b = self.n, self.cells, other.cells
+        cells = []
+        for w in range(n):
+            for u in range(n):
+                acc = 0
+                for v in range(n):
+                    acc |= a[w * n + v] & b[v * n + u]
+                cells.append(acc)
+        return BlockRelation(n, self.lanes, tuple(cells))
+
+    def star(self) -> "BlockRelation":
+        """Warshall in every lane at once.  A pivot whose row holds only
+        itself in every lane adds nothing, and is skipped."""
+        n = self.n
+        cells = list(self.cells)
+        for w in range(n):
+            cells[w * n + w] |= (1 << self.lanes) - 1
+        for k in range(n):
+            if cells[k * n:k * n + n].count(0) == n - 1:
+                continue
+            for w in range(n):
+                via = cells[w * n + k]
+                if via:
+                    for u in range(n):
+                        cells[w * n + u] |= via & cells[k * n + u]
+        return BlockRelation(n, self.lanes, tuple(cells))
+
+    def lane(self, k: int) -> Relation:
+        n, cells = self.n, self.cells
+        return Relation(n, tuple(
+            sum((cells[w * n + v] >> k & 1) << v for v in range(n))
+            for w in range(n)))
+
+
+def lane_slices(mask: int, n: int, lanes: int) -> list[int]:
+    """A block world set as one lane mask per world: item w has bit k iff
+    world w of lane k lies in mask."""
+    full = (1 << lanes) - 1
+    return [mask >> (w * lanes) & full for w in range(n)]
+
+
+def lane_worlds(mask: int, n: int, lanes: int, k: int) -> int:
+    """Lane k's worlds in a block world set."""
+    return sum((mask >> (w * lanes + k) & 1) << w for w in range(n))
+
+
+def block_mask(slices: Iterable[int], lanes: int) -> int:
+    """The block world set with lane mask slices[w] at world w."""
+    out = 0
+    for w, lane_mask in enumerate(slices):
+        out |= lane_mask << (w * lanes)
+    return out
 
 
 def _relations(n: int) -> Iterator[Relation]:
@@ -217,10 +301,8 @@ def scan(f, kind: str, atoms: tuple[str, ...], max_worlds: int, evaluate: Callab
             block = make(n * lanes, rels, sets)
             missing = block.full_mask() & ~evaluate(block, f)
             if missing:
-                failing = 0
-                for lane_mask in lane_slices(missing, n, lanes):
-                    failing |= lane_mask
-                k = (failing & -failing).bit_length() - 1
+                k = min((m & -m).bit_length() - 1
+                        for m in lane_slices(missing, n, lanes) if m)
                 at_k = lane_worlds(missing, n, lanes, k)
                 model = make(n, [r.lane(k) for r in rels],
                              [lane_worlds(ws, n, lanes, k) for ws in sets])

@@ -5,8 +5,8 @@ usage, parse, fragment, or model-format errors (deep nesting included).
 Stdout carries exactly one JSON value per query; diagnostics go to stderr;
 a closed stdout ends the command by SIGPIPE.  A `decide @file` batch
 answers every line, writes `{"formula", "error"}` for a line that fails to
-parse or is outside the logic's language, and exits with the worst code
-of its lines.
+parse, is outside the logic's language or is not UTF-8, and exits with the
+worst code of its lines.  Batch and model files may open with a BOM.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def _emit(obj) -> None:
 
 
 def _iter_batch(path: str):
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
         for line in handle:
             line = line.strip()
             if line:
@@ -73,13 +73,16 @@ def _cmd_decide(args) -> int:
     if args.formula.startswith("@"):
         worst = 0
         for line in _iter_batch(args.formula[1:]):
+            shown = line.encode(errors="surrogateescape").decode(errors="replace")
             try:
+                if shown != line:
+                    raise ValueError("line is not valid UTF-8")
                 verdict = decide(args.logic, _parse_for_logic(args.logic, line))
             except _USER_ERRORS as err:
                 obj, code = {"error": str(err)}, 2
             else:
                 obj, code = verdict.to_obj(), 0 if verdict.valid else 1
-            obj["formula"] = line
+            obj["formula"] = shown
             _emit(obj)
             worst = max(worst, code)
         return worst
@@ -95,7 +98,7 @@ def _cmd_translate(args) -> int:
 
 
 def _load_model_file(path: str):
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         return load_model(handle.read())
 
 

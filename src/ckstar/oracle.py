@@ -25,7 +25,6 @@ from .relmodel import (
     PdlModel,
     Relation,
     mask_of,
-    rel_star,
     validate,
 )
 from .semantics import extension, pdl_extension
@@ -110,14 +109,14 @@ def random_model(seed: int, spec: EnumSpec) -> BiModel:
 def _random_ck(rng: random.Random, spec: EnumSpec) -> BiModel:
     n = rng.randint(1, spec.max_worlds)
     density = 0.35
-    pre = rel_star(Relation.from_pairs(
-        n, [(w, v) for w in range(n) for v in range(n) if rng.random() < density]))
+    pre = Relation.from_pairs(
+        n, [(w, v) for w in range(n) for v in range(n) if rng.random() < density]).star()
     mod = Relation.from_pairs(
         n, [(w, v) for w in range(n) for v in range(n) if rng.random() < density])
     bot = 0
     if MODEL_CLASSES[spec.kind].fallible:
         bot = mask_of(w for w in range(n) if rng.random() < 0.25)
-        bot = rel_star(pre.union(mod)).image(bot)
+        bot = pre.union(mod).star().image(bot)
         # Patch falsum seriality: a fallible world without successors sees
         # itself, which keeps bot closed.
         mod = Relation(n, tuple(row or bot & 1 << w for w, row in enumerate(mod.rows)))

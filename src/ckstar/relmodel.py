@@ -4,9 +4,8 @@ A set of worlds is one integer bitmask, bit w for world w: each valuation,
 the fallible set, and each relation row (row w = successor set of w).  So
 composition, reflexive-transitive closure and the modal operators are
 cheap even on the exponentially-sized models the solver can produce.
-Only the JSON documents list worlds, in ascending order.  A
-`BlockRelation` holds the relation of many same-size models at once, one
-model per bit lane, for the bounded oracle's bulk scans.
+Only the JSON documents list worlds, in ascending order.  All here is one
+model at a time: the bit-sliced blocks of many models live in `blocks`.
 """
 
 from __future__ import annotations
@@ -80,6 +79,25 @@ class Relation:
                 out |= 1 << w
         return out
 
+    def compose(self, other: "Relation") -> "Relation":
+        """x (self;other) y iff some z has x self z and z other y."""
+        self._check_dim(other)
+        return Relation(self.n, tuple(other.image(row) for row in self.rows))
+
+    def star(self) -> "Relation":
+        """Least reflexive-transitive superset (Warshall on bitset rows)."""
+        n = self.n
+        rows = [row | (1 << w) for w, row in enumerate(self.rows)]
+        for k in range(n):
+            rk = rows[k]
+            bit = 1 << k
+            if rk == bit:   # k reaches only itself: nothing to add through k
+                continue
+            for w in range(n):
+                if rows[w] & bit:
+                    rows[w] |= rk
+        return Relation(n, tuple(rows))
+
     def is_reflexive(self) -> bool:
         return all(self.rows[w] >> w & 1 for w in range(self.n))
 
@@ -95,118 +113,6 @@ class Relation:
     def _check_dim(self, other: "Relation") -> None:
         if self.n != other.n:
             raise ValueError(f"world counts differ: {self.n} vs {other.n}")
-
-
-@dataclass(frozen=True)
-class BlockRelation:
-    """The relation of a disjoint union of `lanes` models of n worlds each,
-    bit-sliced (one model per bit lane): world w of lane k is world
-    w*lanes + k of the union, and cells[w*n + v] has bit k iff w -> v in
-    lane k.  Each operation costs O(n^2) (composition and star O(n^3))
-    big-int operations for all lanes at once."""
-
-    n: int
-    lanes: int
-    cells: tuple[int, ...]
-
-    def box(self, mask: int) -> int:
-        """Worlds all of whose successors lie in mask: no successor outside."""
-        return ((1 << self.n * self.lanes) - 1) ^ self.dia(~mask)
-
-    def dia(self, mask: int) -> int:
-        n, cells = self.n, self.cells
-        if n == 1:  # a block world set of one-world lanes is a lane mask
-            return cells[0] & mask
-        inside = lane_slices(mask, n, self.lanes)
-        hits = []
-        for w in range(n):
-            hit = 0
-            for v in range(n):
-                hit |= cells[w * n + v] & inside[v]
-            hits.append(hit)
-        return block_mask(hits, self.lanes)
-
-    def compose(self, other: "BlockRelation") -> "BlockRelation":
-        if (self.n, self.lanes) != (other.n, other.lanes):
-            raise ValueError("blocks differ in world or lane count")
-        n, a, b = self.n, self.cells, other.cells
-        cells = []
-        for w in range(n):
-            for u in range(n):
-                acc = 0
-                for v in range(n):
-                    acc |= a[w * n + v] & b[v * n + u]
-                cells.append(acc)
-        return BlockRelation(n, self.lanes, tuple(cells))
-
-    def star(self) -> "BlockRelation":
-        """Warshall in every lane at once.  A pivot whose row holds only
-        itself in every lane adds nothing, and is skipped."""
-        n = self.n
-        cells = list(self.cells)
-        for w in range(n):
-            cells[w * n + w] |= (1 << self.lanes) - 1
-        for k in range(n):
-            if cells[k * n:k * n + n].count(0) == n - 1:
-                continue
-            for w in range(n):
-                via = cells[w * n + k]
-                if via:
-                    for u in range(n):
-                        cells[w * n + u] |= via & cells[k * n + u]
-        return BlockRelation(n, self.lanes, tuple(cells))
-
-    def lane(self, k: int) -> Relation:
-        n, cells = self.n, self.cells
-        return Relation(n, tuple(
-            sum((cells[w * n + v] >> k & 1) << v for v in range(n))
-            for w in range(n)))
-
-
-def lane_slices(mask: int, n: int, lanes: int) -> list[int]:
-    """A block world set as one lane mask per world: item w has bit k iff
-    world w of lane k lies in mask."""
-    full = (1 << lanes) - 1
-    return [mask >> (w * lanes) & full for w in range(n)]
-
-
-def lane_worlds(mask: int, n: int, lanes: int, k: int) -> int:
-    """Lane k's worlds in a block world set."""
-    return sum((mask >> (w * lanes + k) & 1) << w for w in range(n))
-
-
-def block_mask(slices: Iterable[int], lanes: int) -> int:
-    """The block world set with lane mask slices[w] at world w."""
-    out = 0
-    for w, lane_mask in enumerate(slices):
-        out |= lane_mask << (w * lanes)
-    return out
-
-
-def rel_compose(r: "Relation | BlockRelation",
-                s: "Relation | BlockRelation") -> "Relation | BlockRelation":
-    """x (r;s) y iff some z has x r z and z s y."""
-    if type(r) is BlockRelation:
-        return r.compose(s)
-    r._check_dim(s)
-    return Relation(r.n, tuple(s.image(row) for row in r.rows))
-
-
-def rel_star(r: "Relation | BlockRelation") -> "Relation | BlockRelation":
-    """Least reflexive-transitive superset (Warshall on bitset rows)."""
-    if type(r) is BlockRelation:
-        return r.star()
-    n = r.n
-    rows = [row | (1 << w) for w, row in enumerate(r.rows)]
-    for k in range(n):
-        rk = rows[k]
-        bit = 1 << k
-        if rk == bit:   # k reaches only itself: nothing to add through k
-            continue
-        for w in range(n):
-            if rows[w] & bit:
-                rows[w] |= rk
-    return Relation(n, tuple(rows))
 
 
 def mask_of(worlds: Iterable[int]) -> int:
@@ -285,8 +191,8 @@ def confluence_gaps(pre: Relation, mod: Relation) -> list[int]:
     Confluence asks that w R v <= v' have some w' with w <= w' R v', so
     (w, v, v') fails exactly when v' is in w's gap: both products are
     composed once for the whole model."""
-    pre_mod = rel_compose(pre, mod).rows
-    return [a & ~b for a, b in zip(rel_compose(mod, pre).rows, pre_mod)]
+    pre_mod = pre.compose(mod).rows
+    return [a & ~b for a, b in zip(mod.compose(pre).rows, pre_mod)]
 
 
 def validate(m: BiModel, kind: str) -> list[ModelViolation]:

@@ -7,6 +7,7 @@ program relations from one memo, `_Frame.relation`: a PDL model's letters are
 its program atoms, a bi-model's are `pre` and `mod`, and the constructive
 modalities are programs over them, as `tau` writes them.  The master box
 reads (pre;mod)*; the tests check that (pre;mod*)* agrees on CK models.
+A block's relation (`blocks`) answers `box`, `dia`, `compose`, `star` too.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from .relmodel import (
     ModelViolation,
     PdlModel,
     Relation,
-    rel_compose,
-    rel_star,
     validate,
 )
 from .syntax import (
@@ -73,9 +72,9 @@ class _Frame:
                     raise UnknownProgramAtomError(
                         f"model does not interpret program atom {p.name!r}")
             elif isinstance(p, Comp):
-                r = rel_compose(self.relation(p.left), self.relation(p.right))
+                r = self.relation(p.left).compose(self.relation(p.right))
             elif isinstance(p, Star):
-                r = rel_star(self.relation(p.body))
+                r = self.relation(p.body).star()
             else:
                 raise TypeError(f"unknown program node {type(p).__name__}")
             self.memo[p] = r

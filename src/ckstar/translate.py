@@ -27,8 +27,6 @@ from .relmodel import (
     Relation,
     bits_of,
     mask_of,
-    rel_compose,
-    rel_star,
     validate,  # not called here: bench/tracing.py wraps it under this name
 )
 from .semantics import extension
@@ -187,7 +185,7 @@ def pdl_model_to_wk(m: PdlModel) -> BiModel:
     for name in ("i", "m"):
         if name not in m.rho:
             raise TranslationError(f"model does not interpret program atom {name!r}")
-    pre = rel_star(m.rho["i"])
+    pre = m.rho["i"].star()
     val = {name: pre.box(ws) for name, ws in m.val.items()}
     return BiModel(m.worlds, pre, m.rho["m"], val, kind="wk")
 
@@ -201,8 +199,8 @@ def ck_model_to_cs4(m: BiModel) -> BiModel:
     below; it is not checked again here."""
     n = m.worlds
     n2 = 2 * n
-    mod_star = rel_star(m.mod)
-    iter_star = rel_star(rel_compose(m.pre, mod_star))
+    mod_star = m.mod.star()
+    iter_star = m.pre.compose(mod_star).star()
 
     def spread(mask: int) -> int:
         out = 0

@@ -11,7 +11,7 @@ ship it.
 
 from __future__ import annotations
 
-from ckstar.relmodel import PdlModel, Relation, mask_of, rel_compose, rel_star
+from ckstar.relmodel import PdlModel, Relation, mask_of
 from ckstar.semantics import pdl_satisfies
 from ckstar.solver import CertificationError
 from ckstar.syntax import (
@@ -158,9 +158,9 @@ def pdl_satisfiable_exhaustive(f: PdlFormula, max_closure: int = 22,
             if isinstance(prog, PAtom):
                 r = delta_atom(prog.name)
             elif isinstance(prog, Comp):
-                r = rel_compose(delta(prog.left), delta(prog.right))
+                r = delta(prog.left).compose(delta(prog.right))
             else:
-                r = rel_star(delta(prog.body))
+                r = delta(prog.body).star()
             delta_memo[prog] = r
             return r
 
@@ -203,7 +203,7 @@ def pdl_satisfiable_exhaustive(f: PdlFormula, max_closure: int = 22,
                     row |= 1 << pos_of[u]
             rows.append(row)
         step = step.union(Relation(len(alive), tuple(rows)))
-    reach_mask = rel_star(step).rows[pos_of[designated]]
+    reach_mask = step.star().rows[pos_of[designated]]
     keep = [alive[k] for k in range(len(alive)) if reach_mask >> k & 1]
     if designated not in keep:
         keep.append(designated)

@@ -1,7 +1,7 @@
 """Shared test utilities: each logic's small formula corpus, a formula
-node walker, model constructors from pair lists, seeded AST and model
-generators, a naive evaluator, the single-program fragment's constructive
-reading, and a recursion-limit guard for wide formulas.
+node walker, model constructors from pair lists, seeded AST, relation and
+model generators, a naive evaluator, the single-program fragment's
+constructive reading, and a recursion-limit guard for wide formulas.
 
 The naive evaluator follows the satisfaction clauses literally with
 world-by-world recursion and explicit path search, so it is independent of
@@ -25,7 +25,6 @@ from ckstar.relmodel import (
     Relation,
     bits_of,
     mask_of,
-    rel_star,
     validate,
 )
 from ckstar.syntax import (
@@ -222,24 +221,30 @@ def random_pdl(rng: random.Random, depth: int, atoms=("p", "q"), prog_atoms=("i"
     return BoxP(random_program(rng, 2, prog_atoms), random_pdl(rng, depth - 1, atoms, prog_atoms))
 
 
+def rand_rel(rng: random.Random, n: int) -> Relation:
+    """A seeded relation on n worlds, each pair in it with chance 0.3."""
+    return Relation.from_pairs(
+        n, [(w, v) for w in range(n) for v in range(n) if rng.random() < 0.3])
+
+
 def rand_ck_model(rng: random.Random, max_worlds: int = 4, atoms=("p", "q"),
                   fallible: bool = True):
     """Random validated CK model (WK when fallible=False)."""
     n = rng.randrange(1, max_worlds + 1)
-    pre = rel_star(Relation.from_pairs(
-        n, [(w, v) for w in range(n) for v in range(n) if rng.random() < 0.3]))
+    pre = Relation.from_pairs(
+        n, [(w, v) for w in range(n) for v in range(n) if rng.random() < 0.3]).star()
     mod = Relation.from_pairs(
         n, [(w, v) for w in range(n) for v in range(n) if rng.random() < 0.3])
     bot = 0
     if fallible:
         bot = mask_of(w for w in range(n) if rng.random() < 0.2)
-        bot = rel_star(pre.union(mod)).image(bot)
+        bot = pre.union(mod).star().image(bot)
         rows = list(mod.rows)
         for w in range(n):
             if bot >> w & 1 and rows[w] == 0:
                 rows[w] |= 1 << w
         mod = Relation(n, tuple(rows))
-        bot = rel_star(pre.union(mod)).image(bot)
+        bot = pre.union(mod).star().image(bot)
     val = {}
     for a in atoms:
         base = bot | mask_of(w for w in range(n) if rng.random() < 0.4)

@@ -71,6 +71,18 @@ def test_decide_batch_answers_every_line(tmp_path, capsys):
     assert lines[0] == {"verdict": "valid", "formula": "p->p"}
     assert lines[1]["formula"] == "p ->" and "offset" in lines[1]["error"]
     assert lines[2]["verdict"] == "invalid" and lines[2]["formula"] == "p"
+    # A byte-order mark opening the file is not part of its first line.
+    batch.write_bytes("\ufeffp -> p\n".encode("utf-8"))
+    code, out, err = run(capsys, "decide", "--logic", "wk_star", f"@{batch}")
+    assert code == 0 and json.loads(out) == {"verdict": "valid", "formula": "p -> p"}
+    # A line that is not UTF-8 is one error object, and the batch goes on.
+    batch.write_bytes(b"p\n\xff\xfe q\nq -> q\n")
+    code, out, err = run(capsys, "decide", "--logic", "wk_star", f"@{batch}")
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert code == 2 and len(lines) == 3 and err == ""
+    assert lines[0]["verdict"] == "invalid" and lines[0]["formula"] == "p"
+    assert lines[1] == {"error": "line is not valid UTF-8", "formula": "\ufffd\ufffd q"}
+    assert lines[2] == {"verdict": "valid", "formula": "q -> q"}
 
 
 def test_p_bot_is_read_as_an_atom_and_refused_by_check_input(tmp_path, capsys):
@@ -177,6 +189,10 @@ def test_check_model(tmp_path, capsys):
 
     good = bi_model(1, [(0, 0)], [(0, 0)])
     path.write_text(dump_model(good), encoding="utf-8")
+    code, out, _ = run(capsys, "check-model", "--kind", "ck", str(path))
+    assert code == 0 and json.loads(out) == {"violations": []}
+    # A model file may open with a byte-order mark.
+    path.write_text("\ufeff" + dump_model(good), encoding="utf-8")
     code, out, _ = run(capsys, "check-model", "--kind", "ck", str(path))
     assert code == 0 and json.loads(out) == {"violations": []}
 

@@ -3,12 +3,14 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
 from ckstar import blocks
+from ckstar.blocks import BlockRelation, block_mask, lane_slices, lane_worlds
 from ckstar.oracle import (
     EnumSpec,
     brute_force_decide,
@@ -16,7 +18,7 @@ from ckstar.oracle import (
     random_formula,
     random_model,
 )
-from ckstar.relmodel import MODEL_CLASSES, BiModel, Relation, dump_model, validate
+from ckstar.relmodel import MODEL_CLASSES, BiModel, Relation, dump_model, mask_of, validate
 from ckstar.solver import LOGICS, decide
 from ckstar.syntax import (
     MAX_DEPTH,
@@ -44,7 +46,14 @@ from ckstar.syntax import (
     variables,
 )
 
-from helpers import alarm, chain_decide, iter_nodes, logic_corpus, random_pdl_model
+from helpers import (
+    alarm,
+    chain_decide,
+    iter_nodes,
+    logic_corpus,
+    rand_rel,
+    random_pdl_model,
+)
 from reference_oracle import enumerate_models, enumerate_pdl_models, reference_decide
 from truth_maps import falsifying_world
 
@@ -464,6 +473,60 @@ def test_small_blocks_and_a_full_cache(monkeypatch):
             assert count == len(spec.atoms)
             assert sum(lanes for lanes, _, _ in built) == sum(
                 m.worlds == n for m in enumerate_models(EnumSpec(n, spec.atoms, kind))), key
+
+
+def _block(rels: list) -> BlockRelation:
+    """Same-size relations as the lanes of one block relation."""
+    n = rels[0].n
+    return BlockRelation(n, len(rels), tuple(
+        sum((r.rows[w] >> v & 1) << k for k, r in enumerate(rels))
+        for w in range(n) for v in range(n)))
+
+
+def test_block_relation_matches_each_lane():
+    rng = random.Random(23)
+    for n in (1, 2, 3, 4):
+        for lanes in (1, 3, 70):
+            rels = [rand_rel(rng, n) for _ in range(lanes)]
+            # An empty and a full relation ride along in the wider blocks.
+            if lanes > 1:
+                rels[0] = Relation.empty(n)
+                rels[1] = Relation.from_pairs(n, [(w, v) for w in range(n) for v in range(n)])
+            others = [rand_rel(rng, n) for _ in range(lanes)]
+            masks = [rng.randrange(1 << n) for _ in range(lanes)]
+            block, other = _block(rels), _block(others)
+            worlds = block_mask([mask_of(k for k, m in enumerate(masks) if m >> w & 1)
+                                 for w in range(n)], lanes)
+            box, outside, dia = block.box(worlds), block.box(~worlds), block.dia(worlds)
+            comp, star = block.compose(other), block.star()
+            assert block_mask(lane_slices(worlds, n, lanes), lanes) == worlds
+            assert (box | dia) >> (n * lanes) == 0
+            for k, (r, s, m) in enumerate(zip(rels, others, masks)):
+                assert block.lane(k) == r
+                assert lane_worlds(worlds, n, lanes, k) == m
+                assert lane_worlds(box, n, lanes, k) == r.box(m)
+                assert lane_worlds(outside, n, lanes, k) == r.box(~m)
+                assert lane_worlds(dia, n, lanes, k) == r.dia(m)
+                assert comp.lane(k) == r.compose(s)
+                assert star.lane(k) == r.star()
+    with pytest.raises(ValueError):
+        _block([Relation.empty(2)]).compose(_block([Relation.empty(2)] * 2))
+
+
+def test_block_star_matches_each_lane():
+    # Seeded blocks of 1 to 3 worlds, some with a world whose row holds
+    # only itself in every lane: the pivot `star` skips.
+    rng = random.Random(31)
+    for n in (1, 2, 3):
+        for idle in (None, *range(n)):
+            for lanes in (1, 5, 64):
+                rels = [rand_rel(rng, n) for _ in range(lanes)]
+                if idle is not None:
+                    rels = [Relation(n, tuple(row & 1 << idle if w == idle else row
+                                              for w, row in enumerate(r.rows)))
+                            for r in rels]
+                star = _block(rels).star()
+                assert [star.lane(k) for k in range(lanes)] == [r.star() for r in rels]
 
 
 def _model_json_digest(decider) -> str:

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import json
 import random
 
@@ -6,18 +8,12 @@ import pytest
 from ckstar.relmodel import (
     MAX_WORLDS,
     BiModel,
-    BlockRelation,
     ModelFormatError,
     ModelViolation,
     Relation,
-    block_mask,
     dump_model,
-    lane_slices,
-    lane_worlds,
     load_model,
     mask_of,
-    rel_compose,
-    rel_star,
     validate,
 )
 from ckstar.oracle import EnumSpec, brute_force_decide, random_model
@@ -25,48 +21,80 @@ from ckstar.solver import decide
 from ckstar.syntax import parse_formula, parse_pdl
 from ckstar.translate import ck_model_to_cs4, pdl_model_to_wk, wk_model_to_ck
 
-from helpers import alarm, bi_model, pdl_model
+from helpers import alarm, bi_model, pdl_model, rand_rel
 from reference_oracle import enumerate_models, enumerate_pdl_models
 from truth_maps import identity, restrict_to_infallible
-
-
-def rand_rel(rng, n):
-    return Relation.from_pairs(
-        n, [(w, v) for w in range(n) for v in range(n) if rng.random() < 0.3])
 
 
 def test_compose_goldens():
     r = Relation.from_pairs(2, [(0, 1)])
     s = Relation.from_pairs(2, [(1, 0)])
-    assert rel_compose(identity(2), r) == r
-    assert rel_compose(r, s) == Relation.from_pairs(2, [(0, 0)])
-    assert rel_compose(r, Relation.empty(2)) == Relation.empty(2)
+    assert identity(2).compose(r) == r
+    assert r.compose(s) == Relation.from_pairs(2, [(0, 0)])
+    assert r.compose(Relation.empty(2)) == Relation.empty(2)
 
 
 def test_compose_dimension_mismatch():
     with pytest.raises(ValueError):
-        rel_compose(Relation.empty(2), Relation.empty(3))
+        Relation.empty(2).compose(Relation.empty(3))
 
 
 def test_star_goldens():
-    assert rel_star(Relation.empty(3)) == identity(3)
+    assert Relation.empty(3).star() == identity(3)
     chain = Relation.from_pairs(3, [(0, 1), (1, 2)])
     expect = Relation.from_pairs(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)])
-    assert rel_star(chain) == expect
+    assert chain.star() == expect
     # Warshall skips a world that reaches only itself: the identity at the
     # model-file cap closes in milliseconds, not seconds.
-    with alarm(1, "rel_star of the MAX_WORLDS identity"):
-        assert rel_star(identity(MAX_WORLDS)) == identity(MAX_WORLDS)
+    with alarm(1, "star of the MAX_WORLDS identity"):
+        assert identity(MAX_WORLDS).star() == identity(MAX_WORLDS)
 
 
 def test_star_is_least_fixpoint():
     rng = random.Random(3)
     for _ in range(100):
         r = rand_rel(rng, rng.randrange(1, 6))
-        s = rel_star(r)
-        assert rel_star(s) == s
-        assert all(a | b == a for a, b in zip(s.rows, rel_compose(s, r).rows))
+        s = r.star()
+        assert s.star() == s
+        assert all(a | b == a for a, b in zip(s.rows, s.compose(r).rows))
         assert s.is_reflexive()
+
+
+def _reach(n: int, pairs: list) -> set:
+    """Reachability in zero or more steps over a pair list, breadth-first
+    from each world."""
+    out = set()
+    for x in range(n):
+        seen, queue = {x}, collections.deque([x])
+        while queue:
+            z = queue.popleft()
+            for a, b in pairs:
+                if a == z and b not in seen:
+                    seen.add(b)
+                    queue.append(b)
+        out |= {(x, y) for y in seen}
+    return out
+
+
+def test_compose_and_star_match_pair_sets():
+    # 300 pairs of relations on 1 to 6 worlds: per world count, every pair of
+    # the empty, full and identity relations, then 41 pairs drawn from those
+    # three and 41 seeded relations of random densities.
+    rng = random.Random(43)
+    cases = []
+    for n in range(1, 7):
+        every = [(w, v) for w in range(n) for v in range(n)]
+        pool = [[], every, [(w, w) for w in range(n)]]
+        pool += [[p for p in every if rng.random() < d]
+                 for d in (rng.random() for _ in range(41))]
+        cases += [(n, r, s) for r, s in itertools.product(pool[:3], repeat=2)]
+        cases += [(n, rng.choice(pool), rng.choice(pool)) for _ in range(41)]
+    assert len(cases) == 300
+    for n, r_pairs, s_pairs in cases:
+        r, s = Relation.from_pairs(n, r_pairs), Relation.from_pairs(n, s_pairs)
+        composed = {(x, y) for x, z in r_pairs for z2, y in s_pairs if z == z2}
+        assert r.compose(s) == Relation.from_pairs(n, composed)
+        assert r.star() == Relation.from_pairs(n, _reach(n, r_pairs))
 
 
 def test_validate_trivial_ck():
@@ -90,7 +118,7 @@ def test_validate_confluence_witness():
     # 0 R 1 and 0 R 2, 1 <= 3 and 2 <= 3 <= 4, and only 0 <= 0: no w' has
     # 0 <= w' R 3 or 0 <= w' R 4.  Mod is reflexive at 3 and 4 only.  Every
     # failing triple is listed, in (w, v, v') order.
-    pre = rel_star(Relation.from_pairs(5, [(1, 3), (2, 3), (3, 4)]))
+    pre = Relation.from_pairs(5, [(1, 3), (2, 3), (3, 4)]).star()
     mod = Relation.from_pairs(5, [(0, 1), (0, 2), (3, 3), (4, 4)])
     m = BiModel(5, pre, mod, {}, 0, "ck")
     assert [(v.condition, v.worlds) for v in validate(m, "cs4")] == [
@@ -168,7 +196,7 @@ def test_validate_wk_implies_ck():
     rng = random.Random(5)
     for _ in range(200):
         n = rng.randrange(1, 4)
-        m = BiModel(n, rel_star(rand_rel(rng, n)), rand_rel(rng, n),
+        m = BiModel(n, rand_rel(rng, n).star(), rand_rel(rng, n),
                     {"p": mask_of(w for w in range(n) if rng.random() < 0.5)},
                     0, "wk")
         if validate(m, "wk") == []:
@@ -258,60 +286,6 @@ def test_dump_is_sorted():
     assert text.index('"bot"') < text.index('"kind"') < text.index('"mod"')
     assert '"mod": [[0, 1], [1, 0]]' in text
     assert '"q": [0, 1]' in text
-
-
-def _block(rels: list) -> BlockRelation:
-    """Same-size relations as the lanes of one block relation."""
-    n = rels[0].n
-    return BlockRelation(n, len(rels), tuple(
-        sum((r.rows[w] >> v & 1) << k for k, r in enumerate(rels))
-        for w in range(n) for v in range(n)))
-
-
-def test_block_relation_matches_each_lane():
-    rng = random.Random(23)
-    for n in (1, 2, 3, 4):
-        for lanes in (1, 3, 70):
-            rels = [rand_rel(rng, n) for _ in range(lanes)]
-            # An empty and a full relation ride along in the wider blocks.
-            if lanes > 1:
-                rels[0] = Relation.empty(n)
-                rels[1] = Relation.from_pairs(n, [(w, v) for w in range(n) for v in range(n)])
-            others = [rand_rel(rng, n) for _ in range(lanes)]
-            masks = [rng.randrange(1 << n) for _ in range(lanes)]
-            block, other = _block(rels), _block(others)
-            worlds = block_mask([mask_of(k for k, m in enumerate(masks) if m >> w & 1)
-                                 for w in range(n)], lanes)
-            box, outside, dia = block.box(worlds), block.box(~worlds), block.dia(worlds)
-            comp, star = rel_compose(block, other), rel_star(block)
-            assert block_mask(lane_slices(worlds, n, lanes), lanes) == worlds
-            assert (box | dia) >> (n * lanes) == 0
-            for k, (r, s, m) in enumerate(zip(rels, others, masks)):
-                assert block.lane(k) == r
-                assert lane_worlds(worlds, n, lanes, k) == m
-                assert lane_worlds(box, n, lanes, k) == r.box(m)
-                assert lane_worlds(outside, n, lanes, k) == r.box(~m)
-                assert lane_worlds(dia, n, lanes, k) == r.dia(m)
-                assert comp.lane(k) == rel_compose(r, s)
-                assert star.lane(k) == rel_star(r)
-    with pytest.raises(ValueError):
-        rel_compose(_block([Relation.empty(2)]), _block([Relation.empty(2)] * 2))
-
-
-def test_block_star_matches_each_lane():
-    # Seeded blocks of 1 to 3 worlds, some with a world whose row holds
-    # only itself in every lane: the pivot `star` skips.
-    rng = random.Random(31)
-    for n in (1, 2, 3):
-        for idle in (None, *range(n)):
-            for lanes in (1, 5, 64):
-                rels = [rand_rel(rng, n) for _ in range(lanes)]
-                if idle is not None:
-                    rels = [Relation(n, tuple(row & 1 << idle if w == idle else row
-                                              for w, row in enumerate(r.rows)))
-                            for r in rels]
-                star = _block(rels).star()
-                assert [star.lane(k) for k in range(lanes)] == [rel_star(r) for r in rels]
 
 
 def test_unmapped_atoms_default_to_bot():

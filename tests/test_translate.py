@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ckstar.relmodel import MODEL_KINDS, validate, rel_compose
+from ckstar.relmodel import MODEL_KINDS, validate
 from ckstar.semantics import extension, pdl_extension
 from ckstar.solver import decide
 from ckstar.syntax import (
@@ -365,6 +365,6 @@ def test_composed_relation_is_preorder():
     for _ in range(100):
         base = rand_ck_model(rng, 2)
         m = ck_model_to_cs4(base)
-        composed = rel_compose(m.pre, m.mod)
+        composed = m.pre.compose(m.mod)
         assert composed.is_reflexive()
         assert composed.transitivity_witness() is None

@@ -14,8 +14,6 @@ from ckstar.relmodel import (
     Relation,
     bits_of,
     mask_of,
-    rel_compose,
-    rel_star,
     validate,
 )
 from ckstar.semantics import InvalidModelError, extension, pdl_extension
@@ -83,13 +81,13 @@ def wk_generated_classical(
     if not check_fragment(f, FragmentTag.LK_STAR):
         raise FragmentError("formula is not in the single-program fragment")
     u_mask = extension(m, iota(f).left)  # iota's antecedent
-    generated = rel_star(m.pre.union(m.mod)).image(u_mask)
+    generated = m.pre.union(m.mod).star().image(u_mask)
     keep = bits_of(generated)
     val = {name: restrict_mask(ws, keep) for name, ws in m.val.items()}
     sub = BiModel(len(keep), restrict(m.pre, keep), restrict(m.mod, keep),
                   val, 0, "wk")
     classical = PdlModel(len(keep),
-                         {"a": restrict(rel_compose(m.pre, m.mod), keep)},
+                         {"a": restrict(m.pre.compose(m.mod), keep)},
                          val)
     return sub, classical, restrict_mask(u_mask, keep)
 
